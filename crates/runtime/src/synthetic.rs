@@ -8,6 +8,8 @@
 //! regions do not. This gives tests precise control over the conflict
 //! graph the schedulers must discover.
 
+use std::sync::Arc;
+
 use seer_htm::AccessKind;
 use seer_sim::{Cycles, SimRng, ThreadId, ZipfTable};
 
@@ -95,7 +97,7 @@ const PRIVATE_STRIDE: u64 = 1 << 20;
 pub struct SyntheticWorkload {
     spec: SyntheticSpec,
     weights_cdf: Vec<f64>,
-    zipf: Vec<ZipfTable>,
+    zipf: Vec<Arc<ZipfTable>>,
     issued: Vec<usize>,
     private_cursor: Vec<u64>,
 }
@@ -121,7 +123,7 @@ impl SyntheticWorkload {
         let zipf = spec
             .blocks
             .iter()
-            .map(|b| ZipfTable::new(b.hot_lines.max(1) as usize, b.zipf_theta))
+            .map(|b| ZipfTable::shared(b.hot_lines.max(1) as usize, b.zipf_theta))
             .collect();
         Self {
             spec,
@@ -146,14 +148,16 @@ impl SyntheticWorkload {
             .min(self.spec.blocks.len() - 1)
     }
 
-    fn build_trace(&mut self, thread: ThreadId, block: usize, rng: &mut SimRng) -> TxRequest {
-        let spec = &self.spec.blocks[block];
-        let mut accesses = Vec::with_capacity(spec.accesses as usize);
+    /// Draws a fresh trace for `req.block` into `req`, overwriting its
+    /// accesses, duration and think time.
+    fn fill_trace(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {
+        let spec = &self.spec.blocks[req.block];
+        req.accesses.clear();
         let mut offset: Cycles = 0;
         for _ in 0..spec.accesses {
             offset += rng.cycles_between(spec.spacing.0, spec.spacing.1);
             let line = if rng.chance(spec.hot_probability) {
-                spec.hot_region * REGION_STRIDE + rng.zipf(&self.zipf[block]) as u64
+                spec.hot_region * REGION_STRIDE + rng.zipf(&self.zipf[req.block]) as u64
             } else {
                 let cursor = &mut self.private_cursor[thread];
                 *cursor += 1;
@@ -168,16 +172,10 @@ impl SyntheticWorkload {
             } else {
                 AccessKind::Read
             };
-            accesses.push(Access { line, kind, offset });
+            req.accesses.push(Access { line, kind, offset });
         }
-        let duration = offset + rng.cycles_between(spec.spacing.0, spec.spacing.1);
-        let think = rng.cycles_between(self.spec.think.0, self.spec.think.1);
-        TxRequest {
-            block,
-            accesses,
-            duration,
-            think,
-        }
+        req.duration = offset + rng.cycles_between(spec.spacing.0, spec.spacing.1);
+        req.think = rng.cycles_between(self.spec.think.0, self.spec.think.1);
     }
 }
 
@@ -196,16 +194,22 @@ impl Workload for SyntheticWorkload {
         }
         self.issued[thread] += 1;
         let block = self.pick_block(rng);
-        Some(self.build_trace(thread, block, rng))
+        let mut req = TxRequest {
+            block,
+            accesses: Vec::with_capacity(self.spec.blocks[block].accesses as usize),
+            duration: 0,
+            think: 0,
+        };
+        self.fill_trace(thread, &mut req, rng);
+        Some(req)
     }
 
     fn regenerate(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {
         // Re-execution re-probes the data structures: rebuild the trace for
-        // the same atomic block, preserving the original think time (it was
-        // already consumed).
-        let block = req.block;
+        // the same atomic block in place, preserving the original think
+        // time (it was already consumed).
         let think = req.think;
-        *req = self.build_trace(thread, block, rng);
+        self.fill_trace(thread, req, rng);
         req.think = think;
     }
 }

@@ -10,6 +10,9 @@
 //! external crate can silently change the stream between releases, which is
 //! what the deterministic-replay fixtures in `seer-conformance` rely on.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard};
+
 use crate::Cycles;
 
 /// Deterministic simulation RNG.
@@ -151,8 +154,9 @@ impl SimRng {
     /// Samples an index in `[0, n)` from a Zipf distribution with exponent
     /// `theta` via inverse-CDF over precomputed weights in [`ZipfTable`].
     ///
-    /// The workload models construct a [`ZipfTable`] once and sample from it
-    /// per access, so the O(n) normalization cost is paid only at setup.
+    /// The workload models take a [`ZipfTable`] from [`ZipfTable::shared`]
+    /// and sample from it per access, so the O(n) normalization cost is
+    /// paid once per process.
     pub fn zipf(&mut self, table: &ZipfTable) -> usize {
         table.sample(self.unit())
     }
@@ -164,18 +168,65 @@ impl SimRng {
 /// uniform; larger `theta` concentrates probability on low indices, which
 /// the workload models use for hot-spot data structures (e.g. the intruder
 /// work-queue head).
+///
+/// Sampling is an inverse-CDF lookup narrowed by a *guide index*: `K`
+/// buckets, `K = min(next_pow2(n), 4096)`, where `guide[b]` (for
+/// `b = 0..=K`) is the first index whose cdf value is `>= b/K`. A draw `u`
+/// falls in bucket `b = ⌊u·K⌋` and only `cdf[guide[b]..guide[b + 1]]` is
+/// binary-searched. See [`ZipfTable::sample`] for why this returns exactly
+/// the index a search over the whole cdf would.
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
 
+/// Upper bound on the guide index's bucket count (a power of two).
+const MAX_GUIDE_BUCKETS: usize = 4096;
+
+/// Process-wide cache behind [`ZipfTable::shared`], keyed by
+/// `(n, theta.to_bits())`.
+static SHARED: Mutex<BTreeMap<(usize, u64), Arc<ZipfTable>>> = Mutex::new(BTreeMap::new());
+
 impl ZipfTable {
+    /// The table over `n` elements with exponent `theta`, built once per
+    /// process and shared by every later caller with the same key.
+    ///
+    /// A table is a pure function of `(n, theta)`, so handing one instance
+    /// to every workload (and every executor thread) changes no sample. The
+    /// key is `theta`'s bit pattern: exponents one ulp apart get distinct
+    /// tables. Entries live for the rest of the process. Every key in use
+    /// comes from a constant of a built-in workload model, so the cache
+    /// stays a few tables large (the biggest, labyrinth's 2²⁰ lines, is
+    /// ~8 MB).
+    ///
+    /// # Panics
+    /// As [`ZipfTable::new`].
+    pub fn shared(n: usize, theta: f64) -> Arc<ZipfTable> {
+        let key = (n, theta.to_bits());
+        if let Some(table) = Self::cache().get(&key) {
+            return Arc::clone(table);
+        }
+        // Built outside the lock so a large table never stalls callers
+        // wanting other keys. Threads racing on one key build equal
+        // tables, and the first one inserted is the one everybody gets.
+        let built = Arc::new(Self::new(n, theta));
+        Arc::clone(Self::cache().entry(key).or_insert(built))
+    }
+
+    fn cache() -> MutexGuard<'static, BTreeMap<(usize, u64), Arc<ZipfTable>>> {
+        SHARED
+            .lock()
+            .expect("no panic while holding the cache lock")
+    }
+
     /// Builds a table over `n` elements with exponent `theta >= 0`.
     ///
     /// # Panics
-    /// If `n == 0` or `theta` is negative or non-finite.
+    /// If `n == 0` or `n >= 2³²`, or `theta` is negative or non-finite.
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "ZipfTable over zero elements");
+        assert!(u32::try_from(n).is_ok(), "ZipfTable over {n} elements");
         assert!(
             theta >= 0.0 && theta.is_finite(),
             "invalid Zipf exponent {theta}"
@@ -194,7 +245,18 @@ impl ZipfTable {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Self { cdf }
+        let buckets = n.next_power_of_two().min(MAX_GUIDE_BUCKETS);
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut i = 0;
+        for b in 0..=buckets {
+            // Exact: b ≤ 4096 and the divisor is a power of two.
+            let edge = b as f64 / buckets as f64;
+            while cdf[i] < edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        Self { cdf, guide }
     }
 
     /// Number of elements.
@@ -202,15 +264,49 @@ impl ZipfTable {
         self.cdf.len()
     }
 
-    /// True when the table covers a single element.
+    /// The normalized cumulative weights: entry `i` is the probability of
+    /// sampling an index `<= i`. Non-decreasing; the last entry is `1.0`.
+    pub fn cdf(&self) -> &[f64] {
+        &self.cdf
+    }
+
+    /// Always false: a table covers at least one element.
     pub fn is_empty(&self) -> bool {
         self.cdf.is_empty()
     }
 
-    /// Maps a uniform draw `u in [0, 1)` to an index by binary search.
+    /// Maps a uniform draw `u in [0, 1]` to an index: the first `i` with
+    /// `cdf[i] >= u`, i.e. `cdf.partition_point(|c| c < u).min(n - 1)`.
+    ///
+    /// Only the guide bucket holding `u` is searched, and the result is
+    /// still exactly that index. Write `P(u)` for the full partition point
+    /// and `K` for the bucket count.
+    ///
+    /// 1. `u·K` is computed exactly. `K` is a power of two, and scaling by
+    ///    a power of two only shifts the exponent. This holds for every
+    ///    `u` in `[0, 1]`, not just the multiples of 2⁻⁵³ that
+    ///    [`SimRng::unit`] returns. So `b = min(⌊u·K⌋, K - 1)` satisfies
+    ///    `b/K <= u <= (b+1)/K` over the reals. The edges `b/K` are exact
+    ///    `f64`s too, which is what `guide` was built against.
+    /// 2. `P(u) >= guide[b]`. Every `i < guide[b]` has
+    ///    `cdf[i] < b/K <= u`, so it counts towards `P(u)`.
+    /// 3. `P(u) <= guide[b+1] <= n - 1`. `cdf[n-1] = 1.0 >= (b+1)/K`, so
+    ///    `guide[b+1]` is a real index. Its value is `>= (b+1)/K >= u`,
+    ///    and the cdf is non-decreasing, so the predicate `c < u` is false
+    ///    from there on.
+    /// 4. The predicate is monotone, so the partition point of the whole
+    ///    cdf lies in `[lo, hi] = [guide[b], guide[b+1]]`, and equals
+    ///    `lo` plus the partition point of `cdf[lo..hi]`. By 3 the
+    ///    `min(n - 1)` clamp never binds.
+    ///
+    /// A draw therefore maps to the same index as the plain binary search,
+    /// and seeded runs are unchanged.
     pub fn sample(&self, u: f64) -> usize {
         debug_assert!((0.0..=1.0).contains(&u));
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        let buckets = self.guide.len() - 1;
+        let b = ((u * buckets as f64) as usize).min(buckets - 1);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        lo + self.cdf[lo..hi].partition_point(|&c| c < u)
     }
 }
 

@@ -1,7 +1,111 @@
 //! Property-based tests for the simulation substrate.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use seer_sim::{EventQueue, SimLock, SimRng, ZipfTable};
+
+/// The plain inverse-CDF lookup the guide index must reproduce.
+fn full_search(table: &ZipfTable, u: f64) -> usize {
+    let cdf = table.cdf();
+    cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
+}
+
+/// The largest `f64` strictly below a positive `x`.
+fn below(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() - 1)
+}
+
+/// Draws that sit on or just under a boundary of the guided search: 0,
+/// every bucket edge `b/K` and its predecessor, every cdf value and its
+/// predecessor, the largest `f64` below 1, and 1 itself.
+fn adversarial_draws(table: &ZipfTable) -> Vec<f64> {
+    let buckets = table.len().next_power_of_two().min(4096);
+    let mut us = vec![0.0, below(1.0), 1.0];
+    for b in 1..=buckets {
+        let edge = b as f64 / buckets as f64;
+        us.extend([edge, below(edge)]);
+    }
+    for &c in table.cdf() {
+        us.extend([c, below(c)]);
+    }
+    us
+}
+
+/// Asserts guided == full search over the adversarial draws plus `random`
+/// `unit()` draws.
+fn assert_guided_matches_full(n: usize, theta: f64, seed: u64, random: usize) {
+    let table = ZipfTable::new(n, theta);
+    let mut rng = SimRng::new(seed);
+    let draws = adversarial_draws(&table)
+        .into_iter()
+        .chain((0..random).map(|_| rng.unit()));
+    for u in draws {
+        assert_eq!(
+            table.sample(u),
+            full_search(&table, u),
+            "n={n} theta={theta} u={u:e}"
+        );
+    }
+}
+
+proptest! {
+    // Each case builds a table of up to 2^18 entries and checks every
+    // boundary draw of it, so fewer cases than the default.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The guide index never changes a sample: over random sizes up to 2^18
+    /// (log-uniform) and exponents in [0, 3), the guided lookup equals the
+    /// full binary search on every boundary draw and on random draws.
+    #[test]
+    fn guided_sample_matches_full_search(
+        log_n in 0u32..19,
+        frac in 0.0f64..1.0,
+        theta in 0.0f64..3.0,
+        seed in any::<u64>(),
+    ) {
+        let hi = 1usize << log_n;
+        let n = (hi - ((hi / 2) as f64 * frac) as usize).max(1);
+        assert_guided_matches_full(n, theta, seed, 500);
+    }
+}
+
+#[test]
+fn guided_sample_matches_full_search_at_model_sizes() {
+    // Every size class a built-in model uses (yada's 131 072, ssca2's
+    // 65 536, the 4096-bucket cap and its neighbours), up to 2^18.
+    for n in [1, 2, 3, 12, 96, 4095, 4096, 4097, 65_536, 131_072, 1 << 18] {
+        for theta in [0.0, 0.05, 0.1, 0.6, 1.0, 3.0] {
+            assert_guided_matches_full(n, theta, n as u64, 2_000);
+        }
+    }
+}
+
+#[test]
+fn shared_tables_are_one_instance_per_key() {
+    let theta = 0.37;
+    let a = ZipfTable::shared(777, theta);
+    assert!(Arc::ptr_eq(&a, &ZipfTable::shared(777, theta)));
+    assert!(!Arc::ptr_eq(&a, &ZipfTable::shared(778, theta)));
+    // Exponents one ulp apart are different keys.
+    let next_up = f64::from_bits(theta.to_bits() + 1);
+    let b = ZipfTable::shared(777, next_up);
+    assert!(!Arc::ptr_eq(&a, &b));
+    assert_eq!(a.cdf(), ZipfTable::new(777, theta).cdf());
+
+    // Executor workers racing on the same keys all get the same instances.
+    let up = f64::from_bits(0.81f64.to_bits() + 1);
+    let keys: Vec<(usize, f64)> = (0..64)
+        .map(|i| (1_000 + i % 4, if i % 8 < 4 { 0.81 } else { up }))
+        .collect();
+    let tables = seer_store::parallel_map(&keys, 4, |&(n, theta)| ZipfTable::shared(n, theta));
+    for (&(n, theta), table) in keys.iter().zip(&tables) {
+        let again = ZipfTable::shared(n, theta);
+        assert!(Arc::ptr_eq(table, &again), "n={n} theta={theta:e}");
+        assert_eq!(table.len(), n);
+    }
+    assert!(!Arc::ptr_eq(&tables[0], &tables[4]), "one-ulp apart");
+}
 
 proptest! {
     /// The event queue pops a total order: non-decreasing times, and FIFO

@@ -12,6 +12,8 @@
 //! (Minh et al., IISWC'08) and the relative scheduler behaviour of the
 //! Seer paper's Figure 3. See `DESIGN.md` §2 for the substitution argument.
 
+use std::sync::Arc;
+
 use seer_htm::AccessKind;
 use seer_runtime::{Access, TxRequest, Workload};
 use seer_sim::{Cycles, SimRng, ThreadId, ZipfTable};
@@ -68,13 +70,32 @@ impl Default for StampBlock {
     }
 }
 
+impl StampBlock {
+    /// Longest trace this block can produce: every range at its maximum.
+    fn max_accesses(&self) -> usize {
+        let shared = self.regions.iter().fold(0u64, |n, r| {
+            n.saturating_add(r.reads.1).saturating_add(r.writes.1)
+        });
+        let total = shared
+            .saturating_add(self.private_reads.1)
+            .saturating_add(self.private_writes.1);
+        usize::try_from(total).unwrap_or(usize::MAX)
+    }
+}
+
 /// A complete STAMP application model.
+///
+/// Transactions are generated without per-access allocation: `next`
+/// allocates one access vector sized for its block's longest trace, and
+/// `regenerate` rewrites that vector in place through the model-owned
+/// `picks` scratch.
 #[derive(Debug, Clone)]
 pub struct StampModel {
     name: String,
     blocks: Vec<StampBlock>,
     weights_cdf: Vec<f64>,
-    zipf: Vec<Vec<ZipfTable>>,
+    zipf: Vec<Vec<Arc<ZipfTable>>>,
+    picks: Vec<(u64, AccessKind)>,
     remaining: Vec<usize>,
     private_cursor: Vec<u64>,
 }
@@ -116,15 +137,18 @@ impl StampModel {
             .map(|b| {
                 b.regions
                     .iter()
-                    .map(|r| ZipfTable::new(r.lines.max(1) as usize, r.theta))
+                    .map(|r| ZipfTable::shared(r.lines.max(1) as usize, r.theta))
                     .collect()
             })
             .collect();
+        let longest = blocks.iter().map(StampBlock::max_accesses).max();
+        let picks = Vec::with_capacity(longest.unwrap_or(0));
         Self {
             name: name.into(),
             blocks,
             weights_cdf,
             zipf,
+            picks,
             remaining: vec![txs_per_thread; threads],
             private_cursor: (0..threads as u64).map(|t| t * PRIVATE_STRIDE).collect(),
         }
@@ -151,19 +175,22 @@ impl StampModel {
         rng.range_inclusive(range.0, range.1)
     }
 
-    fn build_trace(&mut self, thread: ThreadId, block: usize, rng: &mut SimRng) -> TxRequest {
-        let spec = &self.blocks[block];
+    /// Draws a fresh trace for `req.block` into `req`, overwriting its
+    /// accesses, duration and think time.
+    fn fill_trace(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {
+        let spec = &self.blocks[req.block];
         // Collect the line/kind pairs first, then lay them out in time.
-        let mut picks: Vec<(u64, AccessKind)> = Vec::new();
-        for (ri, r) in spec.regions.iter().enumerate() {
+        let picks = &mut self.picks;
+        picks.clear();
+        for (r, zipf) in spec.regions.iter().zip(&self.zipf[req.block]) {
             let base = r.region * REGION_STRIDE;
             let n_reads = Self::draw(rng, r.reads);
             let n_writes = Self::draw(rng, r.writes);
             for _ in 0..n_reads {
-                picks.push((base + rng.zipf(&self.zipf[block][ri]) as u64, AccessKind::Read));
+                picks.push((base + rng.zipf(zipf) as u64, AccessKind::Read));
             }
             for _ in 0..n_writes {
-                picks.push((base + rng.zipf(&self.zipf[block][ri]) as u64, AccessKind::Write));
+                picks.push((base + rng.zipf(zipf) as u64, AccessKind::Write));
             }
         }
         let pr = Self::draw(rng, spec.private_reads);
@@ -181,19 +208,14 @@ impl StampModel {
             let j = rng.below(i as u64 + 1) as usize;
             picks.swap(i, j);
         }
-        let mut accesses = Vec::with_capacity(picks.len());
+        req.accesses.clear();
         let mut offset: Cycles = 0;
-        for (line, kind) in picks {
+        for &(line, kind) in picks.iter() {
             offset += Self::draw(rng, spec.spacing);
-            accesses.push(Access { line, kind, offset });
+            req.accesses.push(Access { line, kind, offset });
         }
-        let duration = offset + Self::draw(rng, spec.spacing);
-        TxRequest {
-            block,
-            accesses,
-            duration,
-            think: Self::draw(rng, spec.think),
-        }
+        req.duration = offset + Self::draw(rng, spec.spacing);
+        req.think = Self::draw(rng, spec.think);
     }
 }
 
@@ -212,13 +234,21 @@ impl Workload for StampModel {
         }
         self.remaining[thread] -= 1;
         let block = self.pick_block(rng);
-        Some(self.build_trace(thread, block, rng))
+        let mut req = TxRequest {
+            block,
+            accesses: Vec::with_capacity(self.blocks[block].max_accesses()),
+            duration: 0,
+            think: 0,
+        };
+        self.fill_trace(thread, &mut req, rng);
+        Some(req)
     }
 
     fn regenerate(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {
-        let block = req.block;
+        // The think time was already spent: keep it, though the fresh
+        // draw still happens so the RNG stream matches a full rebuild.
         let think = req.think;
-        *req = self.build_trace(thread, block, rng);
+        self.fill_trace(thread, req, rng);
         req.think = think;
     }
 }

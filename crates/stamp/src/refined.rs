@@ -29,6 +29,10 @@ pub struct RefinedModel<W> {
     inner: W,
     structures: usize,
     name: String,
+    /// Per-region access counts of the trace being refined (scratch).
+    counts: Vec<(u64, usize)>,
+    /// The committed request under its base block id (scratch).
+    base: TxRequest,
 }
 
 impl<W: Workload> RefinedModel<W> {
@@ -44,6 +48,13 @@ impl<W: Workload> RefinedModel<W> {
             inner,
             structures,
             name,
+            counts: Vec::new(),
+            base: TxRequest {
+                block: 0,
+                accesses: Vec::new(),
+                duration: 0,
+                think: 0,
+            },
         }
     }
 
@@ -64,8 +75,9 @@ impl<W: Workload> RefinedModel<W> {
 
     /// Dominant shared region of a trace (most-accessed region id), or 0
     /// for traces that touch no shared region.
-    fn dominant_structure(&self, req: &TxRequest) -> usize {
-        let mut counts: Vec<(u64, usize)> = Vec::new();
+    fn dominant_structure(&mut self, req: &TxRequest) -> usize {
+        let counts = &mut self.counts;
+        counts.clear();
         for a in &req.accesses {
             if a.line >= PRIVATE_BASE {
                 continue;
@@ -77,13 +89,13 @@ impl<W: Workload> RefinedModel<W> {
             }
         }
         counts
-            .into_iter()
-            .max_by_key(|&(_, n)| n)
-            .map(|(r, _)| (r as usize) % self.structures)
+            .iter()
+            .max_by_key(|&&(_, n)| n)
+            .map(|&(r, _)| (r as usize) % self.structures)
             .unwrap_or(0)
     }
 
-    fn refine(&self, req: &mut TxRequest) {
+    fn refine(&mut self, req: &mut TxRequest) {
         let structure = self.dominant_structure(req);
         req.block = req.block * self.structures + structure;
     }
@@ -116,9 +128,14 @@ impl<W: Workload> Workload for RefinedModel<W> {
     }
 
     fn commit(&mut self, thread: ThreadId, req: &TxRequest, rng: &mut SimRng) {
-        let mut base = req.clone();
-        base.block = self.base_block(req.block);
-        self.inner.commit(thread, &base, rng);
+        // Field by field: a derived `clone_from` would reallocate, while
+        // `Vec::clone_from` reuses the scratch's access buffer.
+        let base = &mut self.base;
+        base.block = req.block / self.structures;
+        base.accesses.clone_from(&req.accesses);
+        base.duration = req.duration;
+        base.think = req.think;
+        self.inner.commit(thread, base, rng);
     }
 }
 
@@ -168,7 +185,7 @@ mod tests {
     #[test]
     fn private_only_traces_fold_to_structure_zero() {
         // A fabricated request with only private lines refines to bucket 0.
-        let m = RefinedModel::new(Benchmark::Genome.instantiate(1, 1), 5);
+        let mut m = RefinedModel::new(Benchmark::Genome.instantiate(1, 1), 5);
         let req = TxRequest {
             block: 0,
             accesses: vec![seer_runtime::Access {
