@@ -61,9 +61,10 @@ pub struct AccessResult {
     pub victims: Vec<ThreadId>,
 }
 
+/// Tracking state of one logical CPU's transaction. Whether a transaction
+/// is in flight at all is recorded only in [`HtmMachine`]'s `active` mask.
 #[derive(Debug, Clone)]
 struct TxSlot {
-    active: bool,
     read_set: LineSet,
     write_set: LineSet,
     /// Occupancy of each write-set cache set.
@@ -78,7 +79,6 @@ struct TxSlot {
 impl TxSlot {
     fn new(write_sets: usize) -> Self {
         Self {
-            active: false,
             read_set: LineSet::with_capacity(256),
             write_set: LineSet::with_capacity(64),
             set_occupancy: vec![0; write_sets],
@@ -87,8 +87,7 @@ impl TxSlot {
         }
     }
 
-    fn reset(&mut self) {
-        self.active = false;
+    fn clear(&mut self) {
         self.read_set.clear();
         self.write_set.clear();
         for &s in &self.touched_sets {
@@ -120,6 +119,18 @@ pub struct HtmMachine {
     topo: Topology,
     cfg: HtmConfig,
     slots: Vec<TxSlot>,
+    /// Bit `t` set iff logical CPU `t` has a transaction in flight. The
+    /// only record of that fact: every slot clear goes through
+    /// [`HtmMachine::end_tx`], which drops the bit with it.
+    active: u64,
+    /// `core_mask[t]` has the bit of every logical CPU on `t`'s physical
+    /// core, `t` included. Built once from [`Topology::siblings`].
+    core_mask: Vec<u64>,
+    /// `budgets[co]` is the `(ways, read_lines)` budget of a transaction
+    /// sharing its core with `co` in-flight transactions (itself
+    /// included), for `co` in `0..=smt_ways`, after the override clamp.
+    /// Refilled whenever the override changes.
+    budgets: Vec<(usize, usize)>,
     /// Scenario capacity-pressure override: `(ways, read_lines)` clamps
     /// applied on top of the configured geometry (`None` on each axis =
     /// the configured budget). Set by [`HtmMachine::set_capacity_override`].
@@ -128,16 +139,31 @@ pub struct HtmMachine {
 
 impl HtmMachine {
     /// A machine over `topo` logical CPUs with buffer geometry `cfg`.
+    ///
+    /// # Panics
+    /// If `topo` has more than 64 logical CPUs (the in-flight set is one
+    /// `u64` bitmask).
     pub fn new(topo: Topology, cfg: HtmConfig) -> Self {
-        let slots = (0..topo.logical_cpus())
-            .map(|_| TxSlot::new(cfg.write_sets))
+        let cpus = topo.logical_cpus();
+        assert!(
+            cpus <= 64,
+            "HtmMachine supports at most 64 logical CPUs, topology has {cpus}"
+        );
+        let slots = (0..cpus).map(|_| TxSlot::new(cfg.write_sets)).collect();
+        let core_mask = (0..cpus)
+            .map(|t| topo.siblings(t).fold(0, |mask, s| mask | 1 << s))
             .collect();
-        Self {
+        let mut machine = Self {
             topo,
             cfg,
             slots,
+            active: 0,
+            core_mask,
+            budgets: Vec::new(),
             capacity_override: (None, None),
-        }
+        };
+        machine.fill_budgets();
+        machine
     }
 
     /// Installs (or, with two `None`s, lifts) a capacity-pressure
@@ -148,6 +174,7 @@ impl HtmMachine {
     /// next access.
     pub fn set_capacity_override(&mut self, ways: Option<usize>, read_lines: Option<usize>) {
         self.capacity_override = (ways, read_lines);
+        self.fill_budgets();
     }
 
     /// The capacity-pressure override currently in force.
@@ -155,24 +182,18 @@ impl HtmMachine {
         self.capacity_override
     }
 
-    /// Effective write-set ways with `co` co-resident transactions, after
-    /// the scenario override clamp.
-    fn clamped_ways(&self, co: usize) -> usize {
-        let ways = self.cfg.effective_ways(co);
-        match self.capacity_override.0 {
-            Some(cap) => ways.min(cap),
-            None => ways,
-        }
-    }
-
-    /// Effective read-set line budget with `co` co-resident transactions,
-    /// after the scenario override clamp.
-    fn clamped_read_lines(&self, co: usize) -> usize {
-        let lines = self.cfg.effective_read_lines(co);
-        match self.capacity_override.1 {
-            Some(cap) => lines.min(cap),
-            None => lines,
-        }
+    /// Recomputes `budgets` from the geometry and the override clamp.
+    fn fill_budgets(&mut self) {
+        let (ways_cap, reads_cap) = self.capacity_override;
+        let cfg = self.cfg;
+        self.budgets.clear();
+        self.budgets.extend((0..=self.topo.smt_ways()).map(|co| {
+            (
+                cfg.effective_ways(co).min(ways_cap.unwrap_or(usize::MAX)),
+                cfg.effective_read_lines(co)
+                    .min(reads_cap.unwrap_or(usize::MAX)),
+            )
+        }));
     }
 
     /// The machine's topology.
@@ -185,18 +206,34 @@ impl HtmMachine {
         &self.cfg
     }
 
+    /// The bit of logical CPU `thread` in the `active` mask.
+    ///
+    /// # Panics
+    /// If `thread` is not a logical CPU of the topology.
+    fn bit(&self, thread: ThreadId) -> u64 {
+        assert!(
+            thread < self.slots.len(),
+            "logical cpu {thread} out of range"
+        );
+        1 << thread
+    }
+
+    /// Ends `thread`'s transaction: drops its `active` bit and clears its
+    /// tracked sets.
+    fn end_tx(&mut self, thread: ThreadId) {
+        self.active &= !self.bit(thread);
+        self.slots[thread].clear();
+    }
+
     /// True when `thread` has a transaction in flight (`xtest`).
     pub fn in_tx(&self, thread: ThreadId) -> bool {
-        self.slots[thread].active
+        self.active & self.bit(thread) != 0
     }
 
     /// Number of in-flight transactions on the physical core of `thread`,
     /// including `thread`'s own if active.
     pub fn co_resident_txs(&self, thread: ThreadId) -> usize {
-        self.topo
-            .siblings(thread)
-            .filter(|&s| self.slots[s].active)
-            .count()
+        (self.active & self.core_mask[thread]).count_ones() as usize
     }
 
     /// Starts a transaction on `thread`.
@@ -225,27 +262,20 @@ impl HtmMachine {
     /// If `thread` already has a transaction in flight.
     pub fn begin_into(&mut self, thread: ThreadId, squeezed: &mut Vec<(ThreadId, AbortCause)>) {
         assert!(
-            !self.slots[thread].active,
+            !self.in_tx(thread),
             "thread {thread} nested xbegin (flat nesting not modelled)"
         );
         squeezed.clear();
-        self.slots[thread].active = true;
+        let me = self.bit(thread);
+        self.active |= me;
         if self.cfg.smt_capacity_sharing {
-            let co = self.co_resident_txs(thread);
-            let ways = self.clamped_ways(co);
-            let reads = self.clamped_read_lines(co);
-            // `Topology` is `Copy`: iterate a copy so the sibling walk
-            // doesn't hold a borrow of `self` (no temporary collect).
-            let topo = self.topo;
-            for s in topo.siblings(thread).filter(|&s| s != thread) {
-                if !self.slots[s].active {
-                    continue;
-                }
+            let (ways, reads) = self.budgets[self.co_resident_txs(thread)];
+            for s in cpus_in(self.active & self.core_mask[thread] & !me) {
                 if usize::from(self.slots[s].max_occupancy) > ways {
-                    self.slots[s].reset();
+                    self.end_tx(s);
                     squeezed.push((s, AbortCause::WriteCapacity));
                 } else if self.slots[s].read_set.len() > reads {
-                    self.slots[s].reset();
+                    self.end_tx(s);
                     squeezed.push((s, AbortCause::ReadCapacity));
                 }
             }
@@ -278,7 +308,7 @@ impl HtmMachine {
         victims: &mut Vec<ThreadId>,
     ) -> Option<AbortCause> {
         assert!(
-            self.slots[thread].active,
+            self.in_tx(thread),
             "thread {thread} transactional access outside a transaction"
         );
         victims.clear();
@@ -293,42 +323,38 @@ impl HtmMachine {
             }
             ConflictResolution::RequesterAborts => {
                 if self.someone_else_owns(thread, line, kind) {
-                    self.slots[thread].reset();
+                    self.end_tx(thread);
                     return Some(AbortCause::Conflict);
                 }
             }
         }
 
         // 2. Capacity pass: extend our own tracked sets. The budgets are
-        //    computed before the slot borrow so the scenario clamp applies
-        //    here exactly as in `begin`.
-        let co = self.co_resident_txs(thread);
-        let ways_budget = self.clamped_ways(co);
-        let read_budget = self.clamped_read_lines(co);
+        //    looked up after the conflict pass, so the co-resident count
+        //    excludes siblings it just killed, exactly as in `begin`.
+        let (ways_budget, read_budget) = self.budgets[self.co_resident_txs(thread)];
         let slot = &mut self.slots[thread];
-        match kind {
+        let overflow = match kind {
             AccessKind::Write => {
-                if slot.write_set.insert(line) {
-                    let set_idx = (line % self.cfg.write_sets as u64) as usize;
-                    if slot.set_occupancy[set_idx] == 0 {
-                        slot.touched_sets.push(set_idx as u32);
-                    }
-                    slot.set_occupancy[set_idx] += 1;
-                    slot.max_occupancy = slot.max_occupancy.max(slot.set_occupancy[set_idx]);
-                    if usize::from(slot.set_occupancy[set_idx]) > ways_budget {
-                        slot.reset();
-                        return Some(AbortCause::WriteCapacity);
-                    }
+                if !slot.write_set.insert(line) {
+                    return None;
                 }
-            }
-            AccessKind::Read => {
-                if slot.read_set.insert(line) && slot.read_set.len() > read_budget {
-                    slot.reset();
-                    return Some(AbortCause::ReadCapacity);
+                let set_idx = (line % self.cfg.write_sets as u64) as usize;
+                if slot.set_occupancy[set_idx] == 0 {
+                    slot.touched_sets.push(set_idx as u32);
                 }
+                slot.set_occupancy[set_idx] += 1;
+                slot.max_occupancy = slot.max_occupancy.max(slot.set_occupancy[set_idx]);
+                (usize::from(slot.set_occupancy[set_idx]) > ways_budget)
+                    .then_some(AbortCause::WriteCapacity)
             }
+            AccessKind::Read => (slot.read_set.insert(line) && slot.read_set.len() > read_budget)
+                .then_some(AbortCause::ReadCapacity),
+        };
+        if overflow.is_some() {
+            self.end_tx(thread);
         }
-        None
+        overflow
     }
 
     /// Feeds a *non-transactional* access (fall-back path, lock words).
@@ -367,17 +393,17 @@ impl HtmMachine {
     /// transaction.
     pub fn commit(&mut self, thread: ThreadId) {
         assert!(
-            self.slots[thread].active,
+            self.in_tx(thread),
             "thread {thread} xend outside a transaction"
         );
-        self.slots[thread].reset();
+        self.end_tx(thread);
     }
 
     /// Force-aborts the transaction on `thread` (asynchronous event or
     /// explicit `xabort`). No-op if none is in flight.
     pub fn abort(&mut self, thread: ThreadId) {
-        if self.slots[thread].active {
-            self.slots[thread].reset();
+        if self.in_tx(thread) {
+            self.end_tx(thread);
         }
     }
 
@@ -393,14 +419,12 @@ impl HtmMachine {
     }
 
     /// [`HtmMachine::kill_all`] writing the killed transactions into
-    /// `killed` (cleared first) instead of allocating.
+    /// `killed` (cleared first) instead of allocating, in ascending order.
     pub fn kill_all_into(&mut self, killed: &mut Vec<ThreadId>) {
         killed.clear();
-        for (t, slot) in self.slots.iter_mut().enumerate() {
-            if slot.active {
-                slot.reset();
-                killed.push(t);
-            }
+        for t in cpus_in(self.active) {
+            self.end_tx(t);
+            killed.push(t);
         }
     }
 
@@ -414,20 +438,17 @@ impl HtmMachine {
         self.slots[thread].write_set.len()
     }
 
+    /// True when `slot` holds `line` in a way that conflicts with an
+    /// access of `kind`.
+    fn conflicts(slot: &TxSlot, line: LineAddr, kind: AccessKind) -> bool {
+        slot.write_set.contains(line) || (kind == AccessKind::Write && slot.read_set.contains(line))
+    }
+
     /// True when any other in-flight transaction holds `line` in a way
     /// that conflicts with an access of `kind`.
     fn someone_else_owns(&self, thread: ThreadId, line: LineAddr, kind: AccessKind) -> bool {
-        (0..self.slots.len()).any(|t| {
-            t != thread
-                && self.slots[t].active
-                && match kind {
-                    AccessKind::Write => {
-                        self.slots[t].write_set.contains(line)
-                            || self.slots[t].read_set.contains(line)
-                    }
-                    AccessKind::Read => self.slots[t].write_set.contains(line),
-                }
-        })
+        cpus_in(self.active & !self.bit(thread))
+            .any(|t| Self::conflicts(&self.slots[t], line, kind))
     }
 
     fn kill_conflicting(
@@ -437,22 +458,27 @@ impl HtmMachine {
         kind: AccessKind,
         victims: &mut Vec<ThreadId>,
     ) {
-        for t in 0..self.slots.len() {
-            if t == thread || !self.slots[t].active {
-                continue;
-            }
-            let hit = match kind {
-                AccessKind::Write => {
-                    self.slots[t].write_set.contains(line) || self.slots[t].read_set.contains(line)
-                }
-                AccessKind::Read => self.slots[t].write_set.contains(line),
-            };
-            if hit {
-                self.slots[t].reset();
+        // The mask is read once, before any kill. A kill only clears the
+        // CPU being visited, so this matches re-reading it at every step.
+        for t in cpus_in(self.active & !self.bit(thread)) {
+            if Self::conflicts(&self.slots[t], line, kind) {
+                self.end_tx(t);
                 victims.push(t);
             }
         }
     }
+}
+
+/// The CPUs whose bits are set in `mask`, lowest first: the same CPUs, in
+/// the same order, as filtering `0..64` by membership.
+fn cpus_in(mut mask: u64) -> impl Iterator<Item = ThreadId> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let t = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            t
+        })
+    })
 }
 
 #[cfg(test)]

@@ -52,6 +52,26 @@ const fn day(time: Cycles) -> u64 {
     time / DAY
 }
 
+/// The `(time, seq)` order key packed into one integer: `time` in the high
+/// 64 bits, `seq` in the low 64. Comparing packed keys is exactly the
+/// lexicographic tuple comparison, in one compare.
+#[inline]
+fn key<E>(e: &EventEntry<E>) -> u128 {
+    (u128::from(e.time) << 64) | u128::from(e.seq)
+}
+
+/// FNV-1a over the eight little-endian bytes of `word`, continuing from
+/// digest `h`. Byte `i` of the little-endian encoding is `(word >> 8i) &
+/// 0xff`, so this folds the same bytes in the same order as iterating
+/// `word.to_le_bytes()`, without materialising the array.
+#[inline]
+fn fnv1a_word(mut h: u64, word: u64) -> u64 {
+    for i in 0..8 {
+        h = (h ^ ((word >> (8 * i)) & 0xff)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 /// A single scheduled event: payload plus its firing time and tie-break key.
 #[derive(Debug, Clone)]
 pub struct EventEntry<E> {
@@ -203,7 +223,8 @@ impl<E> EventQueue<E> {
             // (A selection-drained `cur` bucket is unsorted; a plain append
             // is correct there, like any other bucket.)
             let bucket = &mut self.wheel[idx];
-            let pos = bucket.partition_point(|e| (e.time, e.seq) > (time, seq));
+            let k = key(&entry);
+            let pos = bucket.partition_point(|e| key(e) > k);
             bucket.insert(pos, entry);
         } else {
             self.wheel[idx].push(entry);
@@ -227,9 +248,11 @@ impl<E> EventQueue<E> {
                     // so this is exactly the order a sort would produce.
                     let bucket = &mut self.wheel[b];
                     let mut min = 0;
-                    for i in 1..bucket.len() {
-                        if (bucket[i].time, bucket[i].seq) < (bucket[min].time, bucket[min].seq) {
-                            min = i;
+                    let mut min_key = key(&bucket[0]);
+                    for (i, e) in bucket.iter().enumerate().skip(1) {
+                        let k = key(e);
+                        if k < min_key {
+                            (min, min_key) = (i, k);
                         }
                     }
                     bucket.swap_remove(min)
@@ -244,12 +267,7 @@ impl<E> EventQueue<E> {
                 // Fold the popped (time, seq) pair into the trace digest.
                 // `seq` captures scheduling order, so the digest
                 // distinguishes even same-time reorderings.
-                for word in [entry.time, entry.seq] {
-                    for byte in word.to_le_bytes() {
-                        self.trace_hash ^= u64::from(byte);
-                        self.trace_hash = self.trace_hash.wrapping_mul(0x0000_0100_0000_01B3);
-                    }
-                }
+                self.trace_hash = fnv1a_word(fnv1a_word(self.trace_hash, entry.time), entry.seq);
                 return Some((entry.time, entry.payload));
             }
             if let Some(idx) = self.first_occupied() {
@@ -266,7 +284,7 @@ impl<E> EventQueue<E> {
                 if bucket.len() <= 16 {
                     self.cur_sorted = false;
                 } else {
-                    bucket.sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
+                    bucket.sort_unstable_by_key(|e| std::cmp::Reverse(key(e)));
                     self.cur_sorted = true;
                 }
                 self.cur = Some(idx);

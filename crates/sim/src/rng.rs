@@ -170,7 +170,7 @@ impl SimRng {
 /// work-queue head).
 ///
 /// Sampling is an inverse-CDF lookup narrowed by a *guide index*: `K`
-/// buckets, `K = min(next_pow2(n), 4096)`, where `guide[b]` (for
+/// buckets, `K = min(next_pow2(n), 2¹⁷)`, where `guide[b]` (for
 /// `b = 0..=K`) is the first index whose cdf value is `>= b/K`. A draw `u`
 /// falls in bucket `b = ⌊u·K⌋` and only `cdf[guide[b]..guide[b + 1]]` is
 /// binary-searched. See [`ZipfTable::sample`] for why this returns exactly
@@ -181,8 +181,10 @@ pub struct ZipfTable {
     guide: Vec<u32>,
 }
 
-/// Upper bound on the guide index's bucket count (a power of two).
-const MAX_GUIDE_BUCKETS: usize = 4096;
+/// Upper bound on the guide index's bucket count (a power of two). At
+/// 2¹⁷ a guide is at most 512 KB, and every edge `b/K` is still an exact
+/// `f64`.
+const MAX_GUIDE_BUCKETS: usize = 1 << 17;
 
 /// Process-wide cache behind [`ZipfTable::shared`], keyed by
 /// `(n, theta.to_bits())`.
@@ -249,7 +251,7 @@ impl ZipfTable {
         let mut guide = Vec::with_capacity(buckets + 1);
         let mut i = 0;
         for b in 0..=buckets {
-            // Exact: b ≤ 4096 and the divisor is a power of two.
+            // Exact: b ≤ 2¹⁷ and the divisor is a power of two.
             let edge = b as f64 / buckets as f64;
             while cdf[i] < edge {
                 i += 1;

@@ -20,7 +20,8 @@ fn below(x: f64) -> f64 {
 /// every bucket edge `b/K` and its predecessor, every cdf value and its
 /// predecessor, the largest `f64` below 1, and 1 itself.
 fn adversarial_draws(table: &ZipfTable) -> Vec<f64> {
-    let buckets = table.len().next_power_of_two().min(4096);
+    // `ZipfTable`'s guide caps the bucket count at 2^17.
+    let buckets = table.len().next_power_of_two().min(1 << 17);
     let mut us = vec![0.0, below(1.0), 1.0];
     for b in 1..=buckets {
         let edge = b as f64 / buckets as f64;
@@ -73,8 +74,8 @@ proptest! {
 #[test]
 fn guided_sample_matches_full_search_at_model_sizes() {
     // Every size class a built-in model uses (yada's 131 072, ssca2's
-    // 65 536, the 4096-bucket cap and its neighbours), up to 2^18.
-    for n in [1, 2, 3, 12, 96, 4095, 4096, 4097, 65_536, 131_072, 1 << 18] {
+    // 65 536, the 2^17-bucket cap and its neighbours), up to 2^18.
+    for n in [1, 2, 3, 12, 96, 4096, 65_536, 131_071, 131_072, 131_073, 1 << 18] {
         for theta in [0.0, 0.05, 0.1, 0.6, 1.0, 3.0] {
             assert_guided_matches_full(n, theta, n as u64, 2_000);
         }

@@ -67,6 +67,12 @@ fn drain_and_compare(q: &mut EventQueue<usize>, model: &mut HeapModel) {
     assert_eq!(q.trace_hash(), model.hash, "trace hashes diverged");
 }
 
+/// A value below `2^bits` (0 when `bits` is 0): the top `bits` bits of
+/// `raw`, so drawing `bits` uniformly spreads values log-uniformly.
+fn log_uniform(bits: u32, raw: u64) -> u64 {
+    raw.checked_shr(64 - bits).unwrap_or(0)
+}
+
 proptest! {
     /// Random streams within one calendar window: identical pop order and
     /// trace hash.
@@ -135,6 +141,47 @@ proptest! {
                 q.push(t, i);
                 model.push(t, i);
                 i += 1;
+            }
+        }
+        drain_and_compare(&mut q, &mut model);
+    }
+
+    /// Times spread log-uniformly below 2⁵⁷, so every one of the eight
+    /// byte lanes the trace-hash fold extracts from a time is non-zero in
+    /// some events, not only the low three the streams above reach.
+    #[test]
+    fn matches_heap_on_every_byte_lane(
+        times in prop::collection::vec((0u32..58, any::<u64>()), 0..300),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model = HeapModel::new();
+        for (i, &(bits, raw)) in times.iter().enumerate() {
+            let t = log_uniform(bits, raw);
+            q.push(t, i);
+            model.push(t, i);
+        }
+        drain_and_compare(&mut q, &mut model);
+    }
+
+    /// Interleaved pushes and pops far up the time axis: a start offset
+    /// anywhere below 2⁶³ plus log-uniform deltas, so the high lanes stay
+    /// set while the low ones churn.
+    #[test]
+    fn matches_heap_interleaved_at_high_times(
+        base in 0u64..1 << 63,
+        ops in prop::collection::vec((0u32..41, any::<u64>(), 0u8..3), 1..300),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model = HeapModel::new();
+        q.push(base, 0);
+        model.push(base, 0);
+        for (i, (bits, raw, kind)) in ops.into_iter().enumerate() {
+            if kind == 0 {
+                prop_assert_eq!(q.pop(), model.pop());
+            } else {
+                let t = model.watermark.max(base) + log_uniform(bits, raw);
+                q.push(t, i + 1);
+                model.push(t, i + 1);
             }
         }
         drain_and_compare(&mut q, &mut model);
