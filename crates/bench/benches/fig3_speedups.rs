@@ -2,7 +2,7 @@
 //! 8 threads, plus the whole Figure 3 plan through the cell executor at 1
 //! and 4 jobs (the wall-clock quantity `--jobs`/`SEER_JOBS` buys). The
 //! timed quantity is the simulator's cost of regenerating cells; the
-//! *figures themselves* come from `cargo run -p seer-harness --bin fig3`.
+//! *figures themselves* come from `seer experiment fig3`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seer_bench::{bench_executor, simulate_cold};

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seer::gaussian::{gaussian_percentile, std_normal_quantile};
-use seer::inference::{infer_conflict_pairs, infer_conflict_pairs_with, Thresholds};
+use seer::inference::{infer_conflict_pairs, Thresholds, MIN_DISCRIMINATIVE_SIGMA};
 use seer::stats::{MergedStats, ThreadStats};
 use seer::{InferenceEngine, Seer, SeerConfig};
 use seer_runtime::{run, DriverConfig, Workload};
@@ -36,7 +36,15 @@ fn update_locks_cost(c: &mut Criterion) {
     for blocks in [4usize, 16, 64] {
         let stats = populated_stats(blocks, 3);
         group.bench_function(BenchmarkId::from_parameter(blocks), |b| {
-            b.iter(|| black_box(infer_conflict_pairs(&stats, Thresholds::default())));
+            let th = Thresholds::default();
+            b.iter(|| {
+                black_box(infer_conflict_pairs(
+                    &stats,
+                    th,
+                    MIN_DISCRIMINATIVE_SIGMA,
+                    None,
+                ))
+            });
         });
     }
     group.finish();
@@ -47,7 +55,6 @@ fn update_locks_cost(c: &mut Criterion) {
 /// state of a periodic scheduler round. Same sizes as the `inference`
 /// group of the JSON report (`seer bench --mode inference`).
 fn full_vs_incremental(c: &mut Criterion) {
-    use seer::inference::MIN_DISCRIMINATIVE_SIGMA;
 
     let th = Thresholds::default();
     for blocks in [16usize, 64, 256] {
@@ -66,10 +73,11 @@ fn full_vs_incremental(c: &mut Criterion) {
         group.bench_function("full", |b| {
             b.iter(|| {
                 sparse(&mut full_stats);
-                black_box(infer_conflict_pairs_with(
+                black_box(infer_conflict_pairs(
                     &full_stats,
                     th,
                     MIN_DISCRIMINATIVE_SIGMA,
+                    None,
                 ))
             });
         });

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use seer::inference::MIN_DISCRIMINATIVE_SIGMA;
 use seer::stats::MergedStats;
-use seer::{infer_conflict_pairs_with, InferenceEngine, Thresholds};
+use seer::{infer_conflict_pairs, InferenceEngine, Thresholds};
 use seer_harness::{parallel_map, Cell, Json, PolicyKind, ToJson};
 use seer_scenario::RunRequest;
 use seer_sim::{Cycles, EventQueue, SimRng};
@@ -556,7 +556,8 @@ pub fn inference_microbench(mode: BenchMode, repeats: usize) -> Vec<InferenceBen
                 engine.round(&mut stats, th, MIN_DISCRIMINATIVE_SIGMA);
                 for round in &stream {
                     apply(&mut stats, round);
-                    let reference = infer_conflict_pairs_with(&stats, th, MIN_DISCRIMINATIVE_SIGMA);
+                    let reference =
+                        infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, None);
                     let got = engine.round(&mut stats, th, MIN_DISCRIMINATIVE_SIGMA);
                     assert_eq!(got, &reference[..], "incremental diverged at n={n}");
                 }
@@ -567,7 +568,7 @@ pub fn inference_microbench(mode: BenchMode, repeats: usize) -> Vec<InferenceBen
                 for round in &stream {
                     apply(&mut stats, round);
                     std::hint::black_box(
-                        infer_conflict_pairs_with(&stats, th, MIN_DISCRIMINATIVE_SIGMA).len(),
+                        infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, None).len(),
                     );
                 }
             });
@@ -612,18 +613,20 @@ fn best_of(repeats: usize, mut f: impl FnMut()) -> f64 {
 
 // ---- validation & baseline comparison ----------------------------------
 
-fn field<'a>(json: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, String> {
-    json.get(key).ok_or_else(|| format!("{ctx}: missing field {key:?}"))
+/// Prefixes a field-reader error with the row it came from.
+fn in_ctx(ctx: &str) -> impl Fn(String) -> String + '_ {
+    move |e| format!("{ctx}: {e}")
 }
 
-fn finite_positive(json: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    let v = field(json, key, ctx)?
-        .as_f64()
-        .ok_or_else(|| format!("{ctx}: {key} is not a number"))?;
-    if !v.is_finite() || v <= 0.0 {
-        return Err(format!("{ctx}: {key} = {v} is not finite and positive"));
+/// The range rule every rate and ratio column obeys: finite and positive.
+fn positive_numbers(row: &Json, keys: &[&str], ctx: &str) -> Result<(), String> {
+    for &key in keys {
+        let v = row.f64_field(key).map_err(in_ctx(ctx))?;
+        if !v.is_finite() || v <= 0.0 {
+            return Err(format!("{ctx}: {key} = {v} is not finite and positive"));
+        }
     }
-    Ok(v)
+    Ok(())
 }
 
 /// Checks a parsed report against the documented schema: version, mode,
@@ -633,64 +636,55 @@ fn finite_positive(json: &Json, key: &str, ctx: &str) -> Result<f64, String> {
 /// `inference` section is optional in smoke/full reports — baselines
 /// committed before it existed (`BENCH_006.json`) still validate.
 pub fn validate_report(report: &Json) -> Result<(), String> {
-    let version = field(report, "schema_version", "report")?
-        .as_u64()
-        .ok_or("report: schema_version is not an integer")?;
+    let top = in_ctx("report");
+    let version = report.u64_field("schema_version").map_err(&top)?;
     if version != SCHEMA_VERSION {
         return Err(format!("report: schema_version {version} != {SCHEMA_VERSION}"));
     }
-    let mode = field(report, "mode", "report")?
-        .as_str()
-        .ok_or("report: mode is not a string")?;
+    let mode = report.str_field("mode").map_err(&top)?;
     let Some(parsed_mode) = BenchMode::parse(mode) else {
         return Err(format!("report: unknown mode {mode:?}"));
     };
     let inference_only = parsed_mode == BenchMode::Inference;
 
-    let queue = field(report, "queue", "report")?
-        .as_array()
-        .ok_or("report: queue is not an array")?;
+    let queue = report.array_field("queue").map_err(&top)?;
     if queue.is_empty() && !inference_only {
         return Err("report: queue table is empty".into());
     }
     for (i, row) in queue.iter().enumerate() {
         let ctx = format!("queue[{i}]");
-        let n = field(row, "n", &ctx)?.as_u64().ok_or_else(|| format!("{ctx}: n is not an integer"))?;
-        if n == 0 {
+        if row.u64_field("n").map_err(in_ctx(&ctx))? == 0 {
             return Err(format!("{ctx}: n must be positive"));
         }
-        finite_positive(row, "queue_events_per_sec", &ctx)?;
-        finite_positive(row, "heap_events_per_sec", &ctx)?;
-        finite_positive(row, "speedup_vs_heap", &ctx)?;
+        positive_numbers(
+            row,
+            &[
+                "queue_events_per_sec",
+                "heap_events_per_sec",
+                "speedup_vs_heap",
+            ],
+            &ctx,
+        )?;
     }
 
-    let cells = field(report, "cells", "report")?
-        .as_array()
-        .ok_or("report: cells is not an array")?;
+    let cells = report.array_field("cells").map_err(&top)?;
     if cells.is_empty() && !inference_only {
         return Err("report: cell table is empty".into());
     }
     let mut total_events = 0u64;
     for (i, row) in cells.iter().enumerate() {
         let ctx = format!("cells[{i}]");
-        field(row, "benchmark", &ctx)?.as_str().ok_or_else(|| format!("{ctx}: benchmark is not a string"))?;
-        field(row, "policy", &ctx)?.as_str().ok_or_else(|| format!("{ctx}: policy is not a string"))?;
-        let threads = field(row, "threads", &ctx)?.as_u64().ok_or_else(|| format!("{ctx}: threads is not an integer"))?;
-        if threads == 0 {
-            return Err(format!("{ctx}: threads must be positive"));
+        let err = in_ctx(&ctx);
+        row.str_field("benchmark").map_err(&err)?;
+        row.str_field("policy").map_err(&err)?;
+        row.u64_field("seed").map_err(&err)?;
+        for key in ["threads", "events", "trace_hash"] {
+            if row.u64_field(key).map_err(&err)? == 0 {
+                return Err(format!("{ctx}: {key} must be non-zero"));
+            }
         }
-        field(row, "seed", &ctx)?.as_u64().ok_or_else(|| format!("{ctx}: seed is not an integer"))?;
-        let events = field(row, "events", &ctx)?.as_u64().ok_or_else(|| format!("{ctx}: events is not an integer"))?;
-        if events == 0 {
-            return Err(format!("{ctx}: events must be positive"));
-        }
-        let hash = field(row, "trace_hash", &ctx)?.as_u64().ok_or_else(|| format!("{ctx}: trace_hash is not an integer"))?;
-        if hash == 0 {
-            return Err(format!("{ctx}: trace_hash must be non-zero"));
-        }
-        finite_positive(row, "events_per_sec", &ctx)?;
-        finite_positive(row, "wall_ms", &ctx)?;
-        total_events += events;
+        positive_numbers(row, &["events_per_sec", "wall_ms"], &ctx)?;
+        total_events += row.u64_field("events").map_err(&err)?;
     }
 
     // The inference table: mandatory (and non-empty) in inference mode,
@@ -698,54 +692,55 @@ pub fn validate_report(report: &Json) -> Result<(), String> {
     match report.get("inference") {
         None if inference_only => return Err("report: inference table is missing".into()),
         None => {}
-        Some(section) => {
-            let rows = section.as_array().ok_or("report: inference is not an array")?;
+        Some(_) => {
+            let rows = report.array_field("inference").map_err(&top)?;
             if rows.is_empty() && inference_only {
                 return Err("report: inference table is empty".into());
             }
             for (i, row) in rows.iter().enumerate() {
                 let ctx = format!("inference[{i}]");
-                let blocks = field(row, "blocks", &ctx)?
-                    .as_u64()
-                    .ok_or_else(|| format!("{ctx}: blocks is not an integer"))?;
+                let blocks = row.u64_field("blocks").map_err(in_ctx(&ctx))?;
                 if blocks == 0 {
                     return Err(format!("{ctx}: blocks must be positive"));
                 }
-                let dirty = field(row, "dirty_rows", &ctx)?
-                    .as_u64()
-                    .ok_or_else(|| format!("{ctx}: dirty_rows is not an integer"))?;
+                let dirty = row.u64_field("dirty_rows").map_err(in_ctx(&ctx))?;
                 if dirty == 0 || dirty > blocks {
                     return Err(format!("{ctx}: dirty_rows {dirty} out of range 1..={blocks}"));
                 }
-                finite_positive(row, "full_rounds_per_sec", &ctx)?;
-                finite_positive(row, "incremental_rounds_per_sec", &ctx)?;
-                finite_positive(row, "speedup_vs_full", &ctx)?;
+                positive_numbers(
+                    row,
+                    &[
+                        "full_rounds_per_sec",
+                        "incremental_rounds_per_sec",
+                        "speedup_vs_full",
+                    ],
+                    &ctx,
+                )?;
             }
         }
     }
 
-    let totals = field(report, "totals", "report")?;
-    let t_cells = field(totals, "cells", "totals")?.as_u64().ok_or("totals: cells is not an integer")?;
+    let totals = report.field("totals").map_err(&top)?;
+    let t_cells = totals.u64_field("cells").map_err(in_ctx("totals"))?;
     if t_cells as usize != cells.len() {
         return Err(format!("totals: cells {t_cells} != cell table length {}", cells.len()));
     }
-    let t_events = field(totals, "events", "totals")?.as_u64().ok_or("totals: events is not an integer")?;
+    let t_events = totals.u64_field("events").map_err(in_ctx("totals"))?;
     if t_events != total_events {
         return Err(format!("totals: events {t_events} != sum of cell events {total_events}"));
     }
     if !cells.is_empty() {
-        finite_positive(totals, "cells_per_sec", "totals")?;
-        finite_positive(totals, "events_per_sec", "totals")?;
+        positive_numbers(totals, &["cells_per_sec", "events_per_sec"], "totals")?;
     }
     Ok(())
 }
 
 fn cell_key(row: &Json) -> (String, String, u64, u64) {
     (
-        row.get("benchmark").and_then(Json::as_str).unwrap_or("").to_string(),
-        row.get("policy").and_then(Json::as_str).unwrap_or("").to_string(),
-        row.get("threads").and_then(Json::as_u64).unwrap_or(0),
-        row.get("seed").and_then(Json::as_u64).unwrap_or(0),
+        row.str_field("benchmark").unwrap_or("").to_string(),
+        row.str_field("policy").unwrap_or("").to_string(),
+        row.u64_field("threads").unwrap_or(0),
+        row.u64_field("seed").unwrap_or(0),
     )
 }
 
@@ -763,8 +758,8 @@ fn cell_key(row: &Json) -> (String, String, u64, u64) {
 pub fn compare_reports(report: &Json, baseline: &Json, tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
 
-    let mode = report.get("mode").and_then(Json::as_str).unwrap_or("?");
-    let base_mode = baseline.get("mode").and_then(Json::as_str).unwrap_or("?");
+    let mode = report.str_field("mode").unwrap_or("?");
+    let base_mode = baseline.str_field("mode").unwrap_or("?");
     if mode != base_mode {
         violations.push(format!(
             "mode mismatch: report is {mode:?} but baseline is {base_mode:?} \
@@ -773,17 +768,16 @@ pub fn compare_reports(report: &Json, baseline: &Json, tolerance: f64) -> Vec<St
         return violations;
     }
 
-    let empty = Vec::new();
-    let cells = report.get("cells").and_then(Json::as_array).unwrap_or(&empty);
-    for base_row in baseline.get("cells").and_then(Json::as_array).unwrap_or(&empty) {
+    let cells = report.array_field("cells").unwrap_or(&[]);
+    for base_row in baseline.array_field("cells").unwrap_or(&[]) {
         let key = cell_key(base_row);
         let Some(row) = cells.iter().find(|r| cell_key(r) == key) else {
             violations.push(format!("cell {key:?} present in baseline but missing from report"));
             continue;
         };
         let (events, base_events) = (
-            row.get("events").and_then(Json::as_u64),
-            base_row.get("events").and_then(Json::as_u64),
+            row.u64_field("events").ok(),
+            base_row.u64_field("events").ok(),
         );
         if events != base_events {
             violations.push(format!(
@@ -791,8 +785,8 @@ pub fn compare_reports(report: &Json, baseline: &Json, tolerance: f64) -> Vec<St
             ));
         }
         let (hash, base_hash) = (
-            row.get("trace_hash").and_then(Json::as_u64),
-            base_row.get("trace_hash").and_then(Json::as_u64),
+            row.u64_field("trace_hash").ok(),
+            base_row.u64_field("trace_hash").ok(),
         );
         if hash != base_hash {
             violations.push(format!(
@@ -801,15 +795,15 @@ pub fn compare_reports(report: &Json, baseline: &Json, tolerance: f64) -> Vec<St
         }
     }
 
-    let queue = report.get("queue").and_then(Json::as_array).unwrap_or(&empty);
-    for base_row in baseline.get("queue").and_then(Json::as_array).unwrap_or(&empty) {
-        let n = base_row.get("n").and_then(Json::as_u64).unwrap_or(0);
-        let Some(row) = queue.iter().find(|r| r.get("n").and_then(Json::as_u64) == Some(n)) else {
+    let queue = report.array_field("queue").unwrap_or(&[]);
+    for base_row in baseline.array_field("queue").unwrap_or(&[]) {
+        let n = base_row.u64_field("n").unwrap_or(0);
+        let Some(row) = queue.iter().find(|r| r.u64_field("n").ok() == Some(n)) else {
             violations.push(format!("queue row n={n} present in baseline but missing from report"));
             continue;
         };
-        let base_ratio = base_row.get("speedup_vs_heap").and_then(Json::as_f64).unwrap_or(0.0);
-        let ratio = row.get("speedup_vs_heap").and_then(Json::as_f64).unwrap_or(0.0);
+        let base_ratio = base_row.f64_field("speedup_vs_heap").unwrap_or(0.0);
+        let ratio = row.f64_field("speedup_vs_heap").unwrap_or(0.0);
         let floor = base_ratio * (1.0 - tolerance);
         if ratio < floor {
             violations.push(format!(
@@ -819,8 +813,8 @@ pub fn compare_reports(report: &Json, baseline: &Json, tolerance: f64) -> Vec<St
         }
     }
 
-    let inference = report.get("inference").and_then(Json::as_array).unwrap_or(&empty);
-    for base_row in baseline.get("inference").and_then(Json::as_array).unwrap_or(&empty) {
+    let inference = report.array_field("inference").unwrap_or(&[]);
+    for base_row in baseline.array_field("inference").unwrap_or(&[]) {
         let key = inference_key(base_row);
         let Some(row) = inference.iter().find(|r| inference_key(r) == key) else {
             violations.push(format!(
@@ -829,8 +823,8 @@ pub fn compare_reports(report: &Json, baseline: &Json, tolerance: f64) -> Vec<St
             ));
             continue;
         };
-        let base_ratio = base_row.get("speedup_vs_full").and_then(Json::as_f64).unwrap_or(0.0);
-        let ratio = row.get("speedup_vs_full").and_then(Json::as_f64).unwrap_or(0.0);
+        let base_ratio = base_row.f64_field("speedup_vs_full").unwrap_or(0.0);
+        let ratio = row.f64_field("speedup_vs_full").unwrap_or(0.0);
         let floor = base_ratio * (1.0 - tolerance);
         if ratio < floor {
             violations.push(format!(
@@ -845,8 +839,8 @@ pub fn compare_reports(report: &Json, baseline: &Json, tolerance: f64) -> Vec<St
 
 fn inference_key(row: &Json) -> (u64, u64) {
     (
-        row.get("blocks").and_then(Json::as_u64).unwrap_or(0),
-        row.get("dirty_rows").and_then(Json::as_u64).unwrap_or(0),
+        row.u64_field("blocks").unwrap_or(0),
+        row.u64_field("dirty_rows").unwrap_or(0),
     )
 }
 
@@ -859,8 +853,8 @@ fn inference_key(row: &Json) -> (u64, u64) {
 /// ratios. The only hard error is a mode mismatch (smoke numbers are
 /// not comparable to full numbers).
 pub fn trend_lines(report: &Json, against: &Json) -> Result<Vec<String>, String> {
-    let mode = report.get("mode").and_then(Json::as_str).unwrap_or("?");
-    let against_mode = against.get("mode").and_then(Json::as_str).unwrap_or("?");
+    let mode = report.str_field("mode").unwrap_or("?");
+    let against_mode = against.str_field("mode").unwrap_or("?");
     if mode != against_mode {
         return Err(format!(
             "mode mismatch: report is {mode:?} but --against is {against_mode:?} \
@@ -876,23 +870,22 @@ pub fn trend_lines(report: &Json, against: &Json) -> Result<Vec<String>, String>
     }
 
     let mut lines = Vec::new();
-    let empty = Vec::new();
-    let queue = report.get("queue").and_then(Json::as_array).unwrap_or(&empty);
-    for old_row in against.get("queue").and_then(Json::as_array).unwrap_or(&empty) {
-        let n = old_row.get("n").and_then(Json::as_u64).unwrap_or(0);
-        let Some(row) = queue.iter().find(|r| r.get("n").and_then(Json::as_u64) == Some(n)) else {
+    let queue = report.array_field("queue").unwrap_or(&[]);
+    for old_row in against.array_field("queue").unwrap_or(&[]) {
+        let n = old_row.u64_field("n").unwrap_or(0);
+        let Some(row) = queue.iter().find(|r| r.u64_field("n").ok() == Some(n)) else {
             lines.push(format!("queue n={n}: dropped from the matrix"));
             continue;
         };
-        let then = old_row.get("speedup_vs_heap").and_then(Json::as_f64).unwrap_or(0.0);
-        let now = row.get("speedup_vs_heap").and_then(Json::as_f64).unwrap_or(0.0);
+        let then = old_row.f64_field("speedup_vs_heap").unwrap_or(0.0);
+        let now = row.f64_field("speedup_vs_heap").unwrap_or(0.0);
         lines.push(format!(
             "queue n={n}: speedup_vs_heap {then:.3} -> {now:.3} ({})",
             pct(now, then)
         ));
     }
-    let cells = report.get("cells").and_then(Json::as_array).unwrap_or(&empty);
-    for old_row in against.get("cells").and_then(Json::as_array).unwrap_or(&empty) {
+    let cells = report.array_field("cells").unwrap_or(&[]);
+    for old_row in against.array_field("cells").unwrap_or(&[]) {
         let key = cell_key(old_row);
         let Some(row) = cells.iter().find(|r| cell_key(r) == key) else {
             lines.push(format!(
@@ -901,8 +894,8 @@ pub fn trend_lines(report: &Json, against: &Json) -> Result<Vec<String>, String>
             ));
             continue;
         };
-        let then = old_row.get("events_per_sec").and_then(Json::as_f64).unwrap_or(0.0);
-        let now = row.get("events_per_sec").and_then(Json::as_f64).unwrap_or(0.0);
+        let then = old_row.f64_field("events_per_sec").unwrap_or(0.0);
+        let now = row.f64_field("events_per_sec").unwrap_or(0.0);
         lines.push(format!(
             "cell {}/{}/t{}/s{}: {then:.0} -> {now:.0} events/s ({})",
             key.0,
@@ -912,15 +905,15 @@ pub fn trend_lines(report: &Json, against: &Json) -> Result<Vec<String>, String>
             pct(now, then)
         ));
     }
-    let inference = report.get("inference").and_then(Json::as_array).unwrap_or(&empty);
-    for old_row in against.get("inference").and_then(Json::as_array).unwrap_or(&empty) {
+    let inference = report.array_field("inference").unwrap_or(&[]);
+    for old_row in against.array_field("inference").unwrap_or(&[]) {
         let key = inference_key(old_row);
         let Some(row) = inference.iter().find(|r| inference_key(r) == key) else {
             lines.push(format!("inference blocks={}: dropped from the matrix", key.0));
             continue;
         };
-        let then = old_row.get("speedup_vs_full").and_then(Json::as_f64).unwrap_or(0.0);
-        let now = row.get("speedup_vs_full").and_then(Json::as_f64).unwrap_or(0.0);
+        let then = old_row.f64_field("speedup_vs_full").unwrap_or(0.0);
+        let now = row.f64_field("speedup_vs_full").unwrap_or(0.0);
         lines.push(format!(
             "inference blocks={} (dirty {}): speedup_vs_full {then:.3} -> {now:.3} ({})",
             key.0,

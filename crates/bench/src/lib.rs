@@ -1,22 +1,22 @@
 //! # seer-bench — Criterion benchmarks
 //!
-//! One bench group per paper artefact (the *timed* complement of the
-//! `seer-harness` binaries, which print the actual tables/figures), plus
+//! One bench group per paper artefact (the *timed* complement of `seer
+//! experiment`, which prints the actual tables/figures), plus
 //! microbenchmarks of the hot paths and the ablation benches called out in
 //! `DESIGN.md` §5:
 //!
 //! * `fig3_speedups` — one simulated run per (benchmark, Figure 3 policy),
 //!   plus the whole Figure 3 plan through the executor at 1 and 4 jobs;
 //! * `table3_modes`, `fig4_overhead`, `fig5_ablation` — the experiment
-//!   kernels behind the corresponding harness binaries;
+//!   kernels behind the corresponding experiments;
 //! * `htm_microbench` — conflict-detection and line-set hot paths;
 //! * `inference_microbench` — Alg. 5 lock-scheme computation and Gaussian
 //!   percentile math;
 //! * `ablations` — conflict-resolution policy, multi-CAS lock acquisition,
 //!   and statistics merge period.
 //!
-//! The simulation benches go through the same [`CellExecutor`] surface the
-//! harness binaries use, with a **fresh executor per iteration** so every
+//! The simulation benches go through the same [`CellExecutor`] surface
+//! `seer experiment` uses, with a **fresh executor per iteration** so every
 //! timed run is a cache miss — the quantity of interest is the simulation
 //! cost, not the (near-zero) cache-hit cost.
 //!

@@ -1,5 +1,6 @@
 //! The CLI commands: `list`, `run`, `sweep`, `bench`, `inspect`,
-//! `explain`, `serve`, and the `scenario` family.
+//! `explain`, `serve`, and the `scenario` family (`check` and
+//! `experiment` have modules of their own).
 
 use std::sync::{Arc, Once};
 
@@ -71,6 +72,13 @@ pub fn print_usage() {
          \x20          recovery scoring     [--seed N] [--jobs N] [--json true]\n\
          \x20                               [--trace F.jsonl] [--store DIR] [--resume]\n\
          \x20                               [--workers A1,A2]\n\
+         \x20 experiment NAME              regenerate a paper table/figure: fig3, table3,\n\
+         \x20                              fig4, fig5, ablation-core-locks, accuracy,\n\
+         \x20                              fine-grained, convergence (SEER_SEEDS,\n\
+         \x20                              SEER_SCALE, SEER_JOBS, SEER_REPORT_JSON)\n\
+         \x20 check KIND   schema gate     --file F[,F...]   KIND: bench|trace|scenario|tune\n\
+         \x20                              bench only: [--baseline F] [--tolerance 0.25]\n\
+         \x20                              [--against F]\n\
          \n\
          Persistence: --store DIR attaches an on-disk result store (results load\n\
          before simulating and persist after); --resume is shorthand for\n\

@@ -16,10 +16,15 @@
 //! seer scenario list                                        # built-in disturbance scenarios
 //! seer scenario run [--name churn-storm | --spec F.json] [--policy P] [--seed N]
 //!                   [--jobs N] [--json true] [--trace F.jsonl] [--store DIR] [--resume]
+//! seer experiment fig3                                      # regenerate a paper figure/table
+//! seer check trace --file F.jsonl[,F2...]                   # schema-check an artefact
+//!            [--baseline F] [--tolerance 0.25] [--against F]   (bench only)
 //! ```
 
 mod args;
+mod check;
 mod commands;
+mod experiment;
 
 use args::Args;
 
@@ -36,14 +41,18 @@ fn main() {
     std::process::exit(code);
 }
 
-/// Folds the two-word `scenario <action>` form into a single
-/// `scenario-<action>` command token, keeping the one-positional grammar.
-fn fold_scenario_command(raw: &mut Vec<String>) {
-    if raw.first().map(String::as_str) == Some("scenario")
+/// The commands whose first positional word picks an action or kind:
+/// `scenario run`, `check trace`, `experiment fig3`.
+const FAMILIES: [&str; 3] = ["scenario", "check", "experiment"];
+
+/// Folds the two-word `<family> <action>` form into a single
+/// `<family>-<action>` command token, keeping the one-positional grammar.
+fn fold_command(raw: &mut Vec<String>) {
+    if raw.first().is_some_and(|c| FAMILIES.contains(&c.as_str()))
         && raw.get(1).is_some_and(|a| !a.starts_with('-'))
     {
         let action = raw.remove(1);
-        raw[0] = format!("scenario-{action}");
+        raw[0] = format!("{}-{action}", raw[0]);
     }
 }
 
@@ -52,7 +61,7 @@ fn run(mut raw: Vec<String>) -> Result<(), String> {
         commands::print_usage();
         return Ok(());
     }
-    fold_scenario_command(&mut raw);
+    fold_command(&mut raw);
     let args = Args::parse(raw).map_err(|e| e.to_string())?;
     if args.wants_help() || args.command == "help" {
         commands::print_usage();
@@ -77,30 +86,111 @@ fn run(mut raw: Vec<String>) -> Result<(), String> {
             Ok(())
         }
         "scenario-run" => commands::scenario_run(&args).map_err(|e| e.to_string()),
-        "scenario" => Err("scenario needs an action: `seer scenario run` or `seer scenario list`".into()),
-        other => Err(format!("unknown command {other:?}")),
+        "scenario" => {
+            Err("scenario needs an action: `seer scenario run` or `seer scenario list`".into())
+        }
+        "check" => Err(format!(
+            "check needs a kind: one of {}",
+            check::KINDS.join(", ")
+        )),
+        "experiment" => Err(format!(
+            "experiment needs a name: one of {}",
+            experiment::names()
+        )),
+        other => {
+            if let Some(kind) = other.strip_prefix("check-") {
+                check::check(kind, &args).map_err(|e| e.to_string())
+            } else if let Some(name) = other.strip_prefix("experiment-") {
+                experiment::experiment(name, &args).map_err(|e| e.to_string())
+            } else {
+                Err(format!("unknown command {other:?}"))
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::fold_scenario_command;
+    use super::{fold_command, run};
 
     fn fold(parts: &[&str]) -> Vec<String> {
         let mut raw: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-        fold_scenario_command(&mut raw);
+        fold_command(&mut raw);
         raw
     }
 
     #[test]
-    fn scenario_actions_fold_into_one_command_token() {
-        assert_eq!(fold(&["scenario", "run", "--seed", "1"]), ["scenario-run", "--seed", "1"]);
+    fn family_actions_fold_into_one_command_token() {
+        assert_eq!(
+            fold(&["scenario", "run", "--seed", "1"]),
+            ["scenario-run", "--seed", "1"]
+        );
         assert_eq!(fold(&["scenario", "list"]), ["scenario-list"]);
-        // No action (or an option) after `scenario`: left for `run` to report.
+        assert_eq!(
+            fold(&["check", "trace", "--file", "x"]),
+            ["check-trace", "--file", "x"]
+        );
+        assert_eq!(fold(&["experiment", "fig3"]), ["experiment-fig3"]);
+        // No action (or an option) after the family: left for `run` to report.
         assert_eq!(fold(&["scenario"]), ["scenario"]);
         assert_eq!(fold(&["scenario", "--help"]), ["scenario", "--help"]);
+        assert_eq!(fold(&["check", "--file", "x"]), ["check", "--file", "x"]);
         // Other commands untouched.
         assert_eq!(fold(&["run", "--seed", "1"]), ["run", "--seed", "1"]);
         assert_eq!(fold(&[]), Vec::<String>::new());
+    }
+
+    fn run_words(parts: &[&str]) -> Result<(), String> {
+        run(parts.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn unknown_check_kinds_and_experiments_list_the_valid_ones() {
+        let err = run_words(&["check", "logs", "--file", "x"]).unwrap_err();
+        assert!(
+            err.contains("\"logs\"") && err.contains("bench, trace, scenario, tune"),
+            "{err}"
+        );
+        let err = run_words(&["check", "--file", "x"]).unwrap_err();
+        assert!(err.contains("bench, trace, scenario, tune"), "{err}");
+        let err = run_words(&["experiment", "fig9"]).unwrap_err();
+        assert!(
+            err.contains("\"fig9\"") && err.contains("fig3, table3"),
+            "{err}"
+        );
+        let err = run_words(&["experiment"]).unwrap_err();
+        assert!(err.contains("fine-grained, convergence"), "{err}");
+    }
+
+    #[test]
+    fn check_validates_its_options_before_reading_files() {
+        let err = run_words(&["check", "trace"]).unwrap_err();
+        assert!(err.contains("--file"), "{err}");
+        // The bench gates are bench-only.
+        let err = run_words(&["check", "tune", "--file", "x", "--baseline", "y"]).unwrap_err();
+        assert!(err.contains("unknown option --baseline"), "{err}");
+        let err = run_words(&["check", "bench", "--file", "x", "--tolerance", "1.5"]);
+        assert!(err.unwrap_err().contains("--tolerance"));
+        let err = run_words(&["check", "trace", "--file", "/nonexistent/t.jsonl"]).unwrap_err();
+        assert!(
+            err.starts_with("/nonexistent/t.jsonl: cannot read"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn check_accepts_committed_artefacts() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let file = |rel: &str| format!("{root}/{rel}");
+        let bench = file("BENCH_010.json");
+        let against = file("BENCH_006.json");
+        run_words(&["check", "bench", "--file", &bench, "--against", &against]).unwrap();
+        let leaderboard = file("crates/tune/tests/fixtures/leaderboard.json");
+        let tune = format!("{},{leaderboard}", file("TUNE_064.json"));
+        run_words(&["check", "tune", "--file", &tune]).unwrap();
+        let trace = file("crates/conformance/tests/fixtures/decision_trace.jsonl");
+        run_words(&["check", "trace", "--file", &trace]).unwrap();
+        // A file of the wrong kind is rejected.
+        assert!(run_words(&["check", "scenario", "--file", &bench]).is_err());
     }
 }

@@ -46,7 +46,9 @@ fn inference_agrees_with_reference_on_randomized_matrices() {
             th2: 0.05 + rng.unit() * 0.9,
         };
         let subject: BTreeSet<(usize, usize)> =
-            infer_conflict_pairs(&stats, th).into_iter().collect();
+            infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, None)
+                .into_iter()
+                .collect();
 
         for x in 0..blocks {
             for y in 0..blocks {
@@ -142,6 +144,7 @@ fn degenerate_rows_agree_between_paths() {
     }
     // An empty matrix serializes nothing under either path.
     let stats = random_stats(&mut SimRng::new(1), 4, 0);
-    assert!(infer_conflict_pairs(&stats, Thresholds::default()).is_empty());
+    let th = Thresholds::default();
+    assert!(infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, None).is_empty());
     assert!(seer_conformance::reference_infer(&stats, Thresholds::default()).is_empty());
 }

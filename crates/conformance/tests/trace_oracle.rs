@@ -1,7 +1,7 @@
 //! Property test: every verdict an [`InferenceTrace`] row records agrees
 //! with the naive conformance oracle re-deriving the same decision.
 //!
-//! The traced inference path (`infer_conflict_pairs_traced`) makes its
+//! The traced inference path (`infer_conflict_pairs` with a row callback) makes its
 //! decisions and fills its `RowTrace`/`PairDecision` records from the
 //! *same* comparisons — this suite checks that against the independent
 //! reference implementation (per-pair recomputation, E[v²]−E[v]² variance,
@@ -11,7 +11,7 @@
 //! tolerance of a decision boundary.
 
 use proptest::prelude::*;
-use seer::inference::{infer_conflict_pairs_traced, MIN_DISCRIMINATIVE_SIGMA};
+use seer::inference::{infer_conflict_pairs, MIN_DISCRIMINATIVE_SIGMA};
 use seer::Thresholds;
 use seer_conformance::{random_stats, reference_decision};
 use seer_runtime::trace::RowTrace;
@@ -38,7 +38,7 @@ proptest! {
         let th = Thresholds { th1, th2 };
 
         let mut rows: Vec<RowTrace> = Vec::new();
-        let pairs = infer_conflict_pairs_traced(&stats, th, Some(&mut |r| rows.push(r)));
+        let pairs = infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, Some(&mut |r| rows.push(r)));
 
         // One row per block, one decision per ordered pair — the
         // self-pair (x, x) included: x‖x is two threads in the same block.

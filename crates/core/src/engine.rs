@@ -73,7 +73,7 @@ impl InferenceEngine {
     /// One untraced inference round: recomputes dirty rows, reuses clean
     /// ones, acknowledges the dirty bits, and returns the serialization
     /// pairs — bit-identical to
-    /// [`crate::infer_conflict_pairs_with`]`(stats, th, min_sigma)`.
+    /// [`crate::infer_conflict_pairs`]`(stats, th, min_sigma, None)`.
     ///
     /// The cache is invalidated wholesale (full recompute) when the engine
     /// is unprimed, the block count changed, or the thresholds/sigma floor
@@ -170,9 +170,7 @@ impl InferenceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inference::{
-        infer_conflict_pairs_traced_with, infer_conflict_pairs_with, MIN_DISCRIMINATIVE_SIGMA,
-    };
+    use crate::inference::{infer_conflict_pairs, MIN_DISCRIMINATIVE_SIGMA};
 
     fn populated(blocks: usize, seed: u64) -> MergedStats {
         let mut m = MergedStats::new(blocks);
@@ -199,7 +197,7 @@ mod tests {
     fn first_round_matches_full_recompute() {
         let mut m = populated(7, 42);
         let th = Thresholds::default();
-        let reference = infer_conflict_pairs_with(&m, th, MIN_DISCRIMINATIVE_SIGMA);
+        let reference = infer_conflict_pairs(&m, th, MIN_DISCRIMINATIVE_SIGMA, None);
         let mut eng = InferenceEngine::new();
         let got = eng.round(&mut m, th, MIN_DISCRIMINATIVE_SIGMA);
         assert_eq!(got, &reference[..]);
@@ -213,7 +211,7 @@ mod tests {
         eng.round(&mut m, th, MIN_DISCRIMINATIVE_SIGMA);
         // No mutations: nothing is dirty, the round is pure reassembly.
         assert!((0..7).all(|x| !m.is_dirty(x)));
-        let reference = infer_conflict_pairs_with(&m, th, MIN_DISCRIMINATIVE_SIGMA);
+        let reference = infer_conflict_pairs(&m, th, MIN_DISCRIMINATIVE_SIGMA, None);
         let got = eng.round(&mut m, th, MIN_DISCRIMINATIVE_SIGMA);
         assert_eq!(got, &reference[..]);
     }
@@ -228,7 +226,7 @@ mod tests {
             let x = (step * 5) % 9;
             m.add_abort(x, [(step * 3) % 9].into_iter());
             assert!(m.is_dirty(x));
-            let reference = infer_conflict_pairs_with(&m, th, MIN_DISCRIMINATIVE_SIGMA);
+            let reference = infer_conflict_pairs(&m, th, MIN_DISCRIMINATIVE_SIGMA, None);
             let got = eng.round(&mut m, th, MIN_DISCRIMINATIVE_SIGMA);
             assert_eq!(got, &reference[..], "diverged at step {step}");
         }
@@ -242,11 +240,11 @@ mod tests {
         // New thresholds against *clean* stats: every cached cutoff is
         // stale and the engine must recompute from scratch.
         let th = Thresholds { th1: 0.05, th2: 0.5 };
-        let reference = infer_conflict_pairs_with(&m, th, MIN_DISCRIMINATIVE_SIGMA);
+        let reference = infer_conflict_pairs(&m, th, MIN_DISCRIMINATIVE_SIGMA, None);
         let got = eng.round(&mut m, th, MIN_DISCRIMINATIVE_SIGMA);
         assert_eq!(got, &reference[..]);
         // Same for the tuner's sigma floor.
-        let lax = infer_conflict_pairs_with(&m, th, 10.0);
+        let lax = infer_conflict_pairs(&m, th, 10.0, None);
         let got = eng.round(&mut m, th, 10.0);
         assert_eq!(got, &lax[..]);
     }
@@ -258,7 +256,7 @@ mod tests {
         let th = Thresholds::default();
         let mut eng = InferenceEngine::new();
         eng.round(&mut small, th, MIN_DISCRIMINATIVE_SIGMA);
-        let reference = infer_conflict_pairs_with(&big, th, MIN_DISCRIMINATIVE_SIGMA);
+        let reference = infer_conflict_pairs(&big, th, MIN_DISCRIMINATIVE_SIGMA, None);
         let got = eng.round(&mut big, th, MIN_DISCRIMINATIVE_SIGMA);
         assert_eq!(got, &reference[..]);
     }
@@ -272,7 +270,7 @@ mod tests {
         m.add_abort(2, [4].into_iter());
 
         let mut ref_rows = Vec::new();
-        let reference = infer_conflict_pairs_traced_with(
+        let reference = infer_conflict_pairs(
             &m,
             th,
             MIN_DISCRIMINATIVE_SIGMA,
@@ -292,7 +290,7 @@ mod tests {
         }
         // The traced round acknowledged the dirty bits and refreshed the
         // cache: the next clean untraced round still matches.
-        let reference = infer_conflict_pairs_with(&m, th, MIN_DISCRIMINATIVE_SIGMA);
+        let reference = infer_conflict_pairs(&m, th, MIN_DISCRIMINATIVE_SIGMA, None);
         let got = eng.round(&mut m, th, MIN_DISCRIMINATIVE_SIGMA);
         assert_eq!(got, &reference[..]);
         // Recycling returns one pool buffer per row for the next trace.
@@ -311,7 +309,7 @@ mod tests {
         eng.round(&mut m, th, MIN_DISCRIMINATIVE_SIGMA);
         let mut wiped = MergedStats::new(5);
         assert!((0..5).all(|x| wiped.is_dirty(x)));
-        let reference = infer_conflict_pairs_with(&wiped, th, MIN_DISCRIMINATIVE_SIGMA);
+        let reference = infer_conflict_pairs(&wiped, th, MIN_DISCRIMINATIVE_SIGMA, None);
         let got = eng.round(&mut wiped, th, MIN_DISCRIMINATIVE_SIGMA);
         assert_eq!(got, &reference[..]);
     }

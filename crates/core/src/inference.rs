@@ -87,42 +87,18 @@ pub const MIN_DISCRIMINATIVE_SIGMA: f64 = 0.05;
 /// meeting both conditions of Alg. 5 line 72. Pairs are returned once per
 /// direction evaluated (the caller applies the symmetric lock assignment of
 /// lines 73–74).
-pub fn infer_conflict_pairs(stats: &MergedStats, th: Thresholds) -> Vec<(BlockId, BlockId)> {
-    infer_conflict_pairs_traced(stats, th, None)
-}
-
-/// [`infer_conflict_pairs`] with an explicit discriminative-sigma floor
-/// instead of the paper-pinned [`MIN_DISCRIMINATIVE_SIGMA`] constant. The
-/// tuner searches this knob; every paper-default path delegates here with
-/// the constant, so fixtures are unaffected.
-pub fn infer_conflict_pairs_with(
-    stats: &MergedStats,
-    th: Thresholds,
-    min_sigma: f64,
-) -> Vec<(BlockId, BlockId)> {
-    infer_conflict_pairs_traced_with(stats, th, min_sigma, None)
-}
-
-/// [`infer_conflict_pairs`] with decision provenance: when `on_row` is
-/// given, it receives one [`RowTrace`] per atomic block carrying the
-/// fitted Gaussian, the percentile cutoff actually used and every pair's
-/// probabilities and [`Verdict`].
 ///
-/// The untraced entry point delegates here with `on_row = None`, so the
-/// serialize decisions and the emitted verdicts come from the *same*
-/// comparisons and can never diverge; the trace structures are only built
-/// when a callback is present (zero cost otherwise).
-pub fn infer_conflict_pairs_traced(
-    stats: &MergedStats,
-    th: Thresholds,
-    on_row: Option<&mut dyn FnMut(RowTrace)>,
-) -> Vec<(BlockId, BlockId)> {
-    infer_conflict_pairs_traced_with(stats, th, MIN_DISCRIMINATIVE_SIGMA, on_row)
-}
-
-/// [`infer_conflict_pairs_traced`] with an explicit discriminative-sigma
-/// floor (see [`infer_conflict_pairs_with`]).
-pub fn infer_conflict_pairs_traced_with(
+/// `min_sigma` is the discriminative-sigma floor: the paper-default paths
+/// pass [`MIN_DISCRIMINATIVE_SIGMA`]; the tuner searches other values.
+///
+/// With `on_row`, the function also reports decision provenance: one
+/// [`RowTrace`] per atomic block carrying the fitted Gaussian, the
+/// percentile cutoff actually used and every pair's probabilities and
+/// [`Verdict`]. The serialize decisions and the emitted verdicts come
+/// from the *same* comparisons and can never diverge; the trace
+/// structures are only built when a callback is present (zero cost
+/// otherwise).
+pub fn infer_conflict_pairs(
     stats: &MergedStats,
     th: Thresholds,
     min_sigma: f64,
@@ -298,7 +274,7 @@ mod tests {
             }
         });
         // e0 = 100; conj(0,1) = 0.40 > Th1; conj(0,2) = 0.02 < Th1.
-        let pairs = infer_conflict_pairs(&m, Thresholds::default());
+        let pairs = infer_conflict_pairs(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA, None);
         assert!(pairs.contains(&(0, 1)), "pairs = {pairs:?}");
         assert!(!pairs.contains(&(0, 2)));
         assert!(!pairs.contains(&(0, 0)));
@@ -317,7 +293,7 @@ mod tests {
             }
         });
         assert_eq!(conditional_abort_probability(&m, 0, 1), 1.0);
-        let pairs = infer_conflict_pairs(&m, Thresholds::default());
+        let pairs = infer_conflict_pairs(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA, None);
         assert!(pairs.is_empty(), "pairs = {pairs:?}");
         // Lowering Th1 lets the pair through.
         let pairs = infer_conflict_pairs(
@@ -326,6 +302,8 @@ mod tests {
                 th1: 0.01,
                 th2: 0.8,
             },
+            MIN_DISCRIMINATIVE_SIGMA,
+            None,
         );
         assert!(pairs.contains(&(0, 1)));
     }
@@ -360,6 +338,8 @@ mod tests {
                 th1: 0.03,
                 th2: 0.8,
             },
+            MIN_DISCRIMINATIVE_SIGMA,
+            None,
         );
         assert!(pairs.contains(&(0, 1)), "pairs = {pairs:?}");
         for y in 2..5 {
@@ -378,7 +358,7 @@ mod tests {
                 t.register_commit(0, [].into_iter());
             }
         });
-        let pairs = infer_conflict_pairs(&m, Thresholds::default());
+        let pairs = infer_conflict_pairs(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA, None);
         assert!(pairs.contains(&(0, 0)), "pairs = {pairs:?}");
     }
 
@@ -403,9 +383,14 @@ mod tests {
             }
         });
         let th = Thresholds { th1: 0.03, th2: 0.8 };
-        let plain = infer_conflict_pairs(&m, th);
+        let plain = infer_conflict_pairs(&m, th, MIN_DISCRIMINATIVE_SIGMA, None);
         let mut rows = Vec::new();
-        let traced = infer_conflict_pairs_traced(&m, th, Some(&mut |r| rows.push(r)));
+        let traced = infer_conflict_pairs(
+            &m,
+            th,
+            MIN_DISCRIMINATIVE_SIGMA,
+            Some(&mut |r| rows.push(r)),
+        );
         assert_eq!(plain, traced);
         assert_eq!(rows.len(), 5, "one row trace per block");
         // The serialized pairs are exactly the Serialize verdicts.
@@ -453,15 +438,10 @@ mod tests {
             }
         });
         let th = Thresholds { th1: 0.03, th2: 0.8 };
-        // At the paper constant, the _with variant is the plain one.
-        assert_eq!(
-            infer_conflict_pairs_with(&m, th, MIN_DISCRIMINATIVE_SIGMA),
-            infer_conflict_pairs(&m, th)
-        );
-        let strict = infer_conflict_pairs_with(&m, th, MIN_DISCRIMINATIVE_SIGMA);
+        let strict = infer_conflict_pairs(&m, th, MIN_DISCRIMINATIVE_SIGMA, None);
         assert!(!strict.contains(&(0, 2)));
         // A floor above any realistic sigma: Th2 never participates.
-        let lax = infer_conflict_pairs_with(&m, th, 10.0);
+        let lax = infer_conflict_pairs(&m, th, 10.0, None);
         assert!(lax.contains(&(0, 2)), "pairs = {lax:?}");
     }
 

@@ -59,9 +59,6 @@ pub mod stats;
 pub use config::{ProfilingCosts, SeerConfig, SeerParams};
 pub use engine::InferenceEngine;
 pub use hillclimb::HillClimber;
-pub use inference::{
-    infer_conflict_pairs, infer_conflict_pairs_traced, infer_conflict_pairs_traced_with,
-    infer_conflict_pairs_with, RowFit, Thresholds,
-};
+pub use inference::{infer_conflict_pairs, RowFit, Thresholds};
 pub use locktable::LockTable;
 pub use scheduler::{Seer, SeerCounters, UpdateRecord};

@@ -3,7 +3,7 @@
 //! The persistent [`InferenceEngine`] recomputes only dirty rows and
 //! replays cached pair lists for the rest; its contract is that the
 //! concatenated output is *order-exact identical* to a from-scratch
-//! `infer_conflict_pairs_with` over the same statistics — at every round,
+//! `infer_conflict_pairs` over the same statistics — at every round,
 //! under any interleaving of registrations, decay/`merge_from` resyncs,
 //! stats wipes, and threshold changes. These properties drive random
 //! interleavings through the same dual-write scheme the scheduler uses
@@ -12,7 +12,7 @@
 //! later full resync.
 
 use proptest::prelude::*;
-use seer::inference::{infer_conflict_pairs_with, Thresholds, MIN_DISCRIMINATIVE_SIGMA};
+use seer::inference::{infer_conflict_pairs, Thresholds, MIN_DISCRIMINATIVE_SIGMA};
 use seer::stats::{MergedStats, ThreadStats};
 use seer::InferenceEngine;
 
@@ -102,7 +102,7 @@ proptest! {
 
             // Reference first (pure read), then the engine round (which
             // clears dirty bits); both see identical statistics.
-            let reference = infer_conflict_pairs_with(&merged, th, MIN_DISCRIMINATIVE_SIGMA);
+            let reference = infer_conflict_pairs(&merged, th, MIN_DISCRIMINATIVE_SIGMA, None);
             let incremental = engine.round(&mut merged, th, MIN_DISCRIMINATIVE_SIGMA);
             prop_assert_eq!(
                 incremental, &reference[..],
@@ -153,7 +153,7 @@ proptest! {
             prop_assert!(merged.is_dirty(x), "decay resync left row {} clean", x);
         }
 
-        let reference = infer_conflict_pairs_with(&merged, th, MIN_DISCRIMINATIVE_SIGMA);
+        let reference = infer_conflict_pairs(&merged, th, MIN_DISCRIMINATIVE_SIGMA, None);
         let incremental = engine.round(&mut merged, th, MIN_DISCRIMINATIVE_SIGMA);
         prop_assert_eq!(incremental, &reference[..]);
     }
@@ -186,7 +186,7 @@ fn dirty_row_bookkeeping_across_decay() {
     assert!((0..blocks).all(|x| merged.is_dirty(x)), "resync must dirty all rows");
 
     // And the next round both clears the dirt and matches the reference.
-    let reference = infer_conflict_pairs_with(&merged, th, MIN_DISCRIMINATIVE_SIGMA);
+    let reference = infer_conflict_pairs(&merged, th, MIN_DISCRIMINATIVE_SIGMA, None);
     let incremental = engine.round(&mut merged, th, MIN_DISCRIMINATIVE_SIGMA);
     assert_eq!(incremental, &reference[..]);
     assert!((0..blocks).all(|x| !merged.is_dirty(x)));

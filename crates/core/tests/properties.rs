@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use seer::gaussian::{gaussian_percentile, mean_variance, std_normal_cdf, std_normal_quantile};
 use seer::inference::{
     conditional_abort_probability, conjunctive_abort_probability, infer_conflict_pairs, Thresholds,
+    MIN_DISCRIMINATIVE_SIGMA,
 };
 use seer::stats::{MergedStats, ThreadStats};
 use seer::{HillClimber, LockTable};
@@ -52,8 +53,8 @@ proptest! {
     fn th1_is_monotone(stats in arb_stats(4), lo in 0.0f64..0.5, delta in 0.0f64..0.5) {
         let th_lo = Thresholds { th1: lo, th2: 0.5 };
         let th_hi = Thresholds { th1: lo + delta, th2: 0.5 };
-        let pairs_lo = infer_conflict_pairs(&stats, th_lo);
-        let pairs_hi = infer_conflict_pairs(&stats, th_hi);
+        let pairs_lo = infer_conflict_pairs(&stats, th_lo, MIN_DISCRIMINATIVE_SIGMA, None);
+        let pairs_hi = infer_conflict_pairs(&stats, th_hi, MIN_DISCRIMINATIVE_SIGMA, None);
         for p in &pairs_hi {
             prop_assert!(pairs_lo.contains(p), "pair {p:?} appeared when Th1 rose");
         }

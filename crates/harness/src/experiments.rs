@@ -3,7 +3,7 @@
 //! Each function *declares* its grid as a [`Plan`], hands it to the shared
 //! [`CellExecutor`] (which deduplicates, memoizes, and fans work out across
 //! `cfg.jobs` OS threads), then assembles the figure from cached results;
-//! the `src/bin/*` binaries render them. Tests and the Criterion benches
+//! `seer experiment <name>` renders them. Tests and the Criterion benches
 //! call the same functions at reduced scale, so every number in
 //! `EXPERIMENTS.md` is regenerable from exactly one place — and figures
 //! sharing cells (Table 3 re-reads every Figure 3 cell; Figures 4/5 share
@@ -11,9 +11,9 @@
 //! executor.
 
 use seer_stamp::Benchmark;
+use seer_store::{Json, ToJson};
 
 use crate::exec::{parallel_map, CellExecutor, Plan};
-use crate::json::{Json, ToJson};
 use crate::policy::PolicyKind;
 use crate::report::{Panel, PercentTable, Series};
 use crate::runner::{default_jobs, execute_cell, geometric_mean, Cell};

@@ -5,7 +5,8 @@
 //! * **JSONL** ([`trace_jsonl`]) — one record per line, both streams
 //!   merged chronologically (ties: lifecycle before inference; within a
 //!   stream, emission order). The schema is documented in `DESIGN.md`
-//!   §10 and machine-checked by the `trace_check` binary.
+//!   §10 and machine-checked by [`validate_trace_jsonl`] (`seer check
+//!   trace`).
 //! * **Chrome trace-event JSON** ([`chrome_trace`]) — loadable in
 //!   `chrome://tracing` / [Perfetto](https://ui.perfetto.dev): hardware
 //!   attempts become duration (`B`/`E`) slices per thread, everything
@@ -26,7 +27,7 @@ use std::sync::Once;
 use seer_runtime::trace::{InferenceTrace, LifecycleEvent, MemoryTraceSink};
 use seer_sim::cycles_to_trace_micros;
 
-use crate::json::Json;
+use seer_store::Json;
 
 /// One lifecycle event as a JSONL record.
 pub fn lifecycle_json(ev: &LifecycleEvent) -> Json {
@@ -319,6 +320,128 @@ pub fn write_trace_jsonl(path: &str, sink: &MemoryTraceSink) -> bool {
 pub fn write_chrome_trace(path: &str, sink: &MemoryTraceSink) -> bool {
     static WARNED: Once = Once::new();
     write_or_warn(path, &chrome_trace(sink).to_string_pretty(), &WARNED)
+}
+
+/// Lifecycle record types and their fields beyond the common
+/// `type`/`at`/`thread` triple. A field's type follows from its name
+/// alone (see [`check_lifecycle_field`]).
+const LIFECYCLE_FIELDS: &[(&str, &[&str])] = &[
+    ("attempt-begin", &["block", "attempt"]),
+    ("abort", &["block", "cause", "attempts_left"]),
+    ("lock-wait", &["lock", "holder"]),
+    ("locks-acquired", &["locks"]),
+    ("sgl-fallback", &["block"]),
+    ("htm-commit", &["block", "attempts_used"]),
+    ("fallback-commit", &["block"]),
+];
+
+const ABORT_CAUSES: &[&str] = &["conflict", "capacity", "explicit", "other"];
+const VERDICTS: &[&str] = &["serialize", "reject-th1", "reject-th2", "reject-both"];
+
+fn is_lock_label(s: &str) -> bool {
+    let index = |prefix| {
+        s.strip_prefix(prefix)
+            .is_some_and(|n| n.parse::<u64>().is_ok())
+    };
+    s == "sgl" || s == "aux" || index("core:") || index("tx:")
+}
+
+fn check_lifecycle_field(rec: &Json, name: &str) -> Result<(), String> {
+    let valid = match name {
+        "cause" => ABORT_CAUSES.contains(&rec.str_field(name)?),
+        "lock" => is_lock_label(rec.str_field(name)?),
+        "locks" => rec
+            .array_field(name)?
+            .iter()
+            .all(|l| l.as_str().is_some_and(is_lock_label)),
+        "holder" => return rec.opt_u64_field(name).map(drop),
+        _ => return rec.u64_field(name).map(drop),
+    };
+    if valid {
+        Ok(())
+    } else {
+        Err(format!("field {name:?} has invalid value"))
+    }
+}
+
+fn check_inference(rec: &Json) -> Result<(), String> {
+    for name in ["round", "total_execs"] {
+        rec.u64_field(name)?;
+    }
+    let digest = rec.str_field("stats_digest")?;
+    let hex = digest.strip_prefix("0x").unwrap_or("");
+    if u64::from_str_radix(hex, 16).is_err() {
+        return Err(format!("stats_digest {digest:?} is not a hex literal"));
+    }
+    for name in ["th1", "th2"] {
+        rec.f64_field(name)?;
+    }
+    for row in rec.array_field("rows")? {
+        row.u64_field("x")?;
+        for name in ["eta", "sigma2", "cutoff"] {
+            row.f64_field(name)?;
+        }
+        row.bool_field("discriminative")?;
+        for pair in row.array_field("pairs")? {
+            pair.u64_field("y")?;
+            for name in ["conditional", "conjunctive"] {
+                pair.f64_field(name)?;
+            }
+            let verdict = pair.str_field("verdict")?;
+            if !VERDICTS.contains(&verdict) {
+                return Err(format!("unknown verdict {verdict:?}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn check_record(rec: &Json) -> Result<&'static str, String> {
+    let ty = rec.str_field("type")?;
+    if ty == "inference" {
+        check_inference(rec)?;
+        return Ok("inference");
+    }
+    let (name, fields) = LIFECYCLE_FIELDS
+        .iter()
+        .find(|(name, _)| *name == ty)
+        .ok_or_else(|| format!("unknown record type {ty:?}"))?;
+    rec.u64_field("thread")?;
+    for field in *fields {
+        check_lifecycle_field(rec, field)?;
+    }
+    Ok(name)
+}
+
+/// Validates a decision-provenance JSONL trace (the [`trace_jsonl`]
+/// output) against the schema documented in `DESIGN.md` §10: every line
+/// a known record type with its required fields, typed and restricted to
+/// their documented labels, and timestamps that never go backwards (the
+/// exporter merges both streams chronologically). Returns the per-type
+/// record counts in first-seen order; an error names the 1-based line.
+pub fn validate_trace_jsonl(text: &str) -> Result<Vec<(&'static str, u64)>, String> {
+    let mut counts: Vec<(&'static str, u64)> = Vec::new();
+    let mut last_at = 0u64;
+    for (i, line) in text.lines().enumerate() {
+        let in_line = |e: String| format!("line {}: {e}", i + 1);
+        let rec = Json::parse(line).map_err(|e| in_line(format!("not valid JSON: {e}")))?;
+        let ty = check_record(&rec).map_err(in_line)?;
+        let at = rec.u64_field("at").map_err(in_line)?;
+        if at < last_at {
+            return Err(in_line(format!(
+                "timestamp {at} goes backwards (previous {last_at})"
+            )));
+        }
+        last_at = at;
+        match counts.iter_mut().find(|(name, _)| *name == ty) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((ty, 1)),
+        }
+    }
+    if counts.is_empty() {
+        return Err("no records".into());
+    }
+    Ok(counts)
 }
 
 #[cfg(test)]

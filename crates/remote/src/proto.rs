@@ -134,18 +134,18 @@ impl WorkItem {
     }
 
     fn from_json(json: &Json) -> Result<Self, String> {
-        match str_field(json, "kind")?.as_str() {
+        match json.str_field("kind")? {
             "cell" => Ok(WorkItem::Cell {
-                benchmark: str_field(json, "benchmark")?,
-                policy: str_field(json, "policy")?,
-                threads: u64_field(json, "threads")? as usize,
-                seed: u64_field(json, "seed")?,
-                scale_bits: u64_field(json, "scale_bits")?,
+                benchmark: json.str_field("benchmark")?.to_string(),
+                policy: json.str_field("policy")?.to_string(),
+                threads: json.u64_field("threads")? as usize,
+                seed: json.u64_field("seed")?,
+                scale_bits: json.u64_field("scale_bits")?,
             }),
             "scenario" => Ok(WorkItem::Scenario {
-                scenario: str_field(json, "scenario")?,
-                policy: str_field(json, "policy")?,
-                seed: u64_field(json, "seed")?,
+                scenario: json.str_field("scenario")?.to_string(),
+                policy: json.str_field("policy")?.to_string(),
+                seed: json.u64_field("seed")?,
             }),
             other => Err(format!("unknown work kind {other:?}")),
         }
@@ -251,54 +251,33 @@ impl Message {
     /// Parses a message from a JSON tree, rejecting anything malformed
     /// with a diagnostic (never a panic).
     pub fn from_json(json: &Json) -> Result<Self, String> {
-        match str_field(json, "type")?.as_str() {
+        match json.str_field("type")? {
             "hello" => Ok(Message::Hello {
-                protocol: u64_field(json, "protocol")?,
-                fingerprint: str_field(json, "fingerprint")?,
+                protocol: json.u64_field("protocol")?,
+                fingerprint: json.str_field("fingerprint")?.to_string(),
             }),
             "work" => Ok(Message::Work {
-                id: u64_field(json, "id")?,
-                item: WorkItem::from_json(
-                    json.get("item").ok_or("work frame missing \"item\"")?,
-                )?,
+                id: json.u64_field("id")?,
+                item: WorkItem::from_json(json.field("item")?)?,
             }),
             "heartbeat" => Ok(Message::Heartbeat {
-                id: u64_field(json, "id")?,
+                id: json.u64_field("id")?,
             }),
             "done" => Ok(Message::Done {
-                id: u64_field(json, "id")?,
-                checksum: u64_field(json, "checksum")?,
-                value: json
-                    .get("value")
-                    .cloned()
-                    .ok_or("done frame missing \"value\"")?,
+                id: json.u64_field("id")?,
+                checksum: json.u64_field("checksum")?,
+                value: json.field("value")?.clone(),
             }),
             "failed" => Ok(Message::Failed {
-                id: u64_field(json, "id")?,
-                error: str_field(json, "error")?,
+                id: json.u64_field("id")?,
+                error: json.str_field("error")?.to_string(),
             }),
             "error" => Ok(Message::Error {
-                message: str_field(json, "message")?,
+                message: json.str_field("message")?.to_string(),
             }),
             other => Err(format!("unknown message type {other:?}")),
         }
     }
-}
-
-fn str_field(json: &Json, name: &str) -> Result<String, String> {
-    Ok(json
-        .get(name)
-        .ok_or_else(|| format!("missing field {name:?}"))?
-        .as_str()
-        .ok_or_else(|| format!("field {name:?} is not a string"))?
-        .to_string())
-}
-
-fn u64_field(json: &Json, name: &str) -> Result<u64, String> {
-    json.get(name)
-        .ok_or_else(|| format!("missing field {name:?}"))?
-        .as_u64()
-        .ok_or_else(|| format!("field {name:?} is not a u64"))
 }
 
 /// The checksum a `done` frame must carry for `value` — FNV-1a 64 over

@@ -38,7 +38,7 @@ pub mod spec;
 pub mod workload;
 
 pub use exec::{ScenarioExecutor, ScenarioKey, ScenarioPlan};
-pub use persist::report_from_json;
+pub use persist::{report_from_json, validate_reports};
 pub use report::{RecoveryReport, RecoveryScore, RECOVERY_FRACTION};
 pub use request::{CellRun, RunRequest, ScenarioRun};
 pub use runner::{execute_scenario, ScenarioOutcome};

@@ -33,39 +33,6 @@ impl StoreKey for ScenarioKey {
     }
 }
 
-fn field<'a>(json: &'a Json, name: &str) -> Result<&'a Json, String> {
-    json.get(name).ok_or_else(|| format!("missing field {name:?}"))
-}
-
-fn u64_field(json: &Json, name: &str) -> Result<u64, String> {
-    field(json, name)?
-        .as_u64()
-        .ok_or_else(|| format!("field {name:?} is not a u64"))
-}
-
-fn f64_field(json: &Json, name: &str) -> Result<f64, String> {
-    field(json, name)?
-        .as_f64()
-        .ok_or_else(|| format!("field {name:?} is not a number"))
-}
-
-fn str_field(json: &Json, name: &str) -> Result<String, String> {
-    Ok(field(json, name)?
-        .as_str()
-        .ok_or_else(|| format!("field {name:?} is not a string"))?
-        .to_string())
-}
-
-fn opt_u64_field(json: &Json, name: &str) -> Result<Option<u64>, String> {
-    match field(json, name)? {
-        Json::Null => Ok(None),
-        v => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {name:?} is neither null nor a u64")),
-    }
-}
-
 fn window_json(w: &MetricsWindow) -> Json {
     Json::object([
         ("from", w.from.to_json()),
@@ -81,54 +48,152 @@ fn window_json(w: &MetricsWindow) -> Json {
 
 fn window_from_json(json: &Json) -> Result<MetricsWindow, String> {
     Ok(MetricsWindow {
-        from: u64_field(json, "from")?,
-        to: u64_field(json, "to")?,
-        commits: u64_field(json, "commits")?,
-        htm_commits: u64_field(json, "htm_commits")?,
-        fallback_commits: u64_field(json, "fallback_commits")?,
-        aborts: u64_field(json, "aborts")?,
-        attempts: u64_field(json, "attempts")?,
-        fallbacks_entered: u64_field(json, "fallbacks_entered")?,
+        from: json.u64_field("from")?,
+        to: json.u64_field("to")?,
+        commits: json.u64_field("commits")?,
+        htm_commits: json.u64_field("htm_commits")?,
+        fallback_commits: json.u64_field("fallback_commits")?,
+        aborts: json.u64_field("aborts")?,
+        attempts: json.u64_field("attempts")?,
+        fallbacks_entered: json.u64_field("fallbacks_entered")?,
     })
 }
 
 fn score_from_json(json: &Json) -> Result<RecoveryScore, String> {
     Ok(RecoveryScore {
-        label: str_field(json, "label")?,
-        at: u64_field(json, "at")?,
-        baseline_throughput: f64_field(json, "baseline_throughput")?,
-        min_throughput: f64_field(json, "min_throughput")?,
-        regression_depth: f64_field(json, "regression_depth")?,
-        reconverged_at: opt_u64_field(json, "reconverged_at")?,
-        time_to_reconverge: opt_u64_field(json, "time_to_reconverge")?,
-        pairs_stable_at: opt_u64_field(json, "pairs_stable_at")?,
+        label: json.str_field("label")?.to_string(),
+        at: json.u64_field("at")?,
+        baseline_throughput: json.f64_field("baseline_throughput")?,
+        min_throughput: json.f64_field("min_throughput")?,
+        regression_depth: json.f64_field("regression_depth")?,
+        reconverged_at: json.opt_u64_field("reconverged_at")?,
+        time_to_reconverge: json.opt_u64_field("time_to_reconverge")?,
+        pairs_stable_at: json.opt_u64_field("pairs_stable_at")?,
     })
 }
 
 /// Parses a [`RecoveryReport`] back from its committed `ToJson` schema —
 /// the inverse the fixtures never needed until results became durable.
 pub fn report_from_json(json: &Json) -> Result<RecoveryReport, String> {
-    let scores = field(json, "scores")?
-        .as_array()
-        .ok_or("\"scores\" is not an array")?
+    let scores = json
+        .array_field("scores")?
         .iter()
         .map(score_from_json)
         .collect::<Result<Vec<_>, String>>()?;
     Ok(RecoveryReport {
-        scenario: str_field(json, "scenario")?,
-        policy: str_field(json, "policy")?,
-        seed: u64_field(json, "seed")?,
-        window: u64_field(json, "window")?,
-        makespan: u64_field(json, "makespan")?,
-        commits: u64_field(json, "commits")?,
-        throughput: f64_field(json, "throughput")?,
-        trace_hash: u64_field(json, "trace_hash")?,
-        steady_state_delta: f64_field(json, "steady_state_delta")?,
-        recovered: field(json, "recovered")?
-            .as_bool()
-            .ok_or("\"recovered\" is not a bool")?,
+        scenario: json.str_field("scenario")?.to_string(),
+        policy: json.str_field("policy")?.to_string(),
+        seed: json.u64_field("seed")?,
+        window: json.u64_field("window")?,
+        makespan: json.u64_field("makespan")?,
+        commits: json.u64_field("commits")?,
+        throughput: json.f64_field("throughput")?,
+        trace_hash: json.u64_field("trace_hash")?,
+        steady_state_delta: json.f64_field("steady_state_delta")?,
+        recovered: json.bool_field("recovered")?,
         scores,
     })
+}
+
+/// Parses and validates the output of `seer scenario run --json true`:
+/// one report object or a non-empty array of them (`DESIGN.md` §11).
+/// Beyond [`report_from_json`]'s field types it enforces the rules every
+/// scored report satisfies: finite, non-negative throughputs, a positive
+/// window, each regression depth equal to `max(0, 1 − min/baseline)`,
+/// `reconverged_at`/`time_to_reconverge` null together (and differing by
+/// `at`), and `recovered` agreeing with the scores.
+pub fn validate_reports(json: &Json) -> Result<Vec<RecoveryReport>, String> {
+    let items = match json {
+        Json::Array(items) => items.as_slice(),
+        one => std::slice::from_ref(one),
+    };
+    if items.is_empty() {
+        return Err("no reports".into());
+    }
+    items
+        .iter()
+        .map(|item| {
+            let report = report_from_json(item)?;
+            check_report(&report).map_err(|e| format!("{}: {e}", report.scenario))?;
+            Ok(report)
+        })
+        .collect()
+}
+
+fn check_report(r: &RecoveryReport) -> Result<(), String> {
+    if r.scenario.is_empty() || r.policy.is_empty() {
+        return Err("empty scenario or policy name".into());
+    }
+    if r.window == 0 {
+        return Err("field \"window\" must be positive".into());
+    }
+    if !(r.throughput.is_finite() && r.throughput >= 0.0) {
+        return Err(format!(
+            "throughput {} is not finite and non-negative",
+            r.throughput
+        ));
+    }
+    if !r.steady_state_delta.is_finite() {
+        return Err("steady_state_delta is not finite".into());
+    }
+    for score in &r.scores {
+        check_score(score, r.makespan)?;
+    }
+    let all_scored_recovered = r
+        .scores
+        .iter()
+        .filter(|s| s.baseline_throughput > 0.0)
+        .all(|s| s.reconverged_at.is_some());
+    if r.recovered != all_scored_recovered {
+        return Err(format!(
+            "\"recovered\" = {} disagrees with the scores",
+            r.recovered
+        ));
+    }
+    Ok(())
+}
+
+fn check_score(s: &RecoveryScore, makespan: u64) -> Result<(), String> {
+    let (label, at) = (&s.label, s.at);
+    if label.is_empty() {
+        return Err("score label is empty".into());
+    }
+    if at >= makespan {
+        return Err(format!(
+            "score {label:?} at {at} is past the makespan {makespan}"
+        ));
+    }
+    let (baseline, min, depth) = (s.baseline_throughput, s.min_throughput, s.regression_depth);
+    if ![baseline, min, depth].iter().all(|v| v.is_finite()) {
+        return Err(format!("score {label:?} has a non-finite number"));
+    }
+    if baseline < 0.0 || min < 0.0 {
+        return Err(format!("score {label:?} has a negative throughput"));
+    }
+    if !(0.0..=1.0).contains(&depth) {
+        return Err(format!(
+            "score {label:?} regression_depth {depth} outside [0, 1]"
+        ));
+    }
+    if baseline > 0.0 {
+        let expected = (1.0 - min / baseline).max(0.0);
+        if (depth - expected).abs() > 1e-9 {
+            return Err(format!(
+                "score {label:?} regression_depth {depth} inconsistent with \
+                 baseline {baseline} / min {min} (expected {expected})"
+            ));
+        }
+    }
+    match (s.reconverged_at, s.time_to_reconverge) {
+        (None, None) => Ok(()),
+        (Some(end), Some(t)) if end >= at && end - at == t => Ok(()),
+        (Some(end), Some(t)) => Err(format!(
+            "score {label:?}: time_to_reconverge {t} != reconverged_at {end} - at {at}"
+        )),
+        _ => Err(format!(
+            "score {label:?}: reconverged_at and time_to_reconverge must be null together"
+        )),
+    }
 }
 
 impl Persist for ScenarioOutcome {
@@ -150,21 +215,19 @@ impl Persist for ScenarioOutcome {
     }
 
     fn from_store_json(json: &Json) -> Result<Self, String> {
-        let metrics = RunMetrics::from_store_json(field(json, "metrics")?)
+        let metrics = RunMetrics::from_store_json(json.field("metrics")?)
             .map_err(|e| format!("metrics: {e}"))?;
-        let windows_json = field(json, "windows")?;
-        let width = u64_field(windows_json, "width")?;
+        let windows_json = json.field("windows")?;
+        let width = windows_json.u64_field("width")?;
         if width == 0 {
             return Err("window width must be positive".to_string());
         }
-        let windows = field(windows_json, "windows")?
-            .as_array()
-            .ok_or("\"windows\" is not an array")?
+        let windows = windows_json
+            .array_field("windows")?
             .iter()
             .map(window_from_json)
             .collect::<Result<Vec<_>, String>>()?;
-        let report = report_from_json(field(json, "report")?)
-            .map_err(|e| format!("report: {e}"))?;
+        let report = report_from_json(json.field("report")?).map_err(|e| format!("report: {e}"))?;
         Ok(ScenarioOutcome {
             metrics,
             windows: WindowedMetrics::from_windows(width, windows),
@@ -211,6 +274,56 @@ mod tests {
             }
         }
         assert!(ScenarioOutcome::from_store_json(&json).is_err());
+    }
+
+    fn phase_flip_report() -> RecoveryReport {
+        let spec = library::builtin("phase-flip").unwrap();
+        RunRequest::scenario(&spec)
+            .policy(PolicyKind::Seer)
+            .run()
+            .report
+    }
+
+    /// Why `validate_reports` rejects `report` once `mutate` breaks it.
+    fn rejection(mutate: impl FnOnce(&mut RecoveryReport)) -> String {
+        let mut report = phase_flip_report();
+        mutate(&mut report);
+        validate_reports(&report.to_json()).expect_err("mutation must be rejected")
+    }
+
+    #[test]
+    fn validator_accepts_a_fresh_report_alone_or_in_an_array() {
+        let report = phase_flip_report();
+        assert!(
+            report.scores[0].baseline_throughput > 0.0,
+            "first score is scored"
+        );
+        assert_eq!(validate_reports(&report.to_json()).unwrap().len(), 1);
+        let both = Json::Array(vec![report.to_json(), report.to_json()]);
+        assert_eq!(validate_reports(&both).unwrap(), [report.clone(), report]);
+    }
+
+    #[test]
+    fn validator_rejects_inconsistent_reports() {
+        // Moves the depth by at least 0.25 and keeps it in [0, 1).
+        let err = rejection(|r| {
+            r.scores[0].regression_depth = (r.scores[0].regression_depth + 0.25) % 1.0
+        });
+        assert!(err.contains("regression_depth"), "{err}");
+        let err = rejection(|r| {
+            r.scores[0].reconverged_at = None;
+            r.scores[0].time_to_reconverge = Some(5);
+        });
+        assert!(err.contains("null together"), "{err}");
+        let err = rejection(|r| r.recovered = !r.recovered);
+        assert!(err.contains("recovered"), "{err}");
+        let err = rejection(|r| r.window = 0);
+        assert!(err.contains("window"), "{err}");
+        assert_eq!(
+            validate_reports(&Json::Array(vec![])).unwrap_err(),
+            "no reports"
+        );
+        assert!(validate_reports(&Json::Null).is_err());
     }
 
     #[test]

@@ -384,13 +384,13 @@ impl ScenarioSpec {
     /// empty tracks); everything else is required. The result is
     /// validated.
     pub fn from_json(json: &Json) -> Result<ScenarioSpec, String> {
-        let name = req_str(json, "name")?.to_string();
-        let bench_name = req_str(json, "benchmark")?;
+        let name = json.str_field("name")?.to_string();
+        let bench_name = json.str_field("benchmark")?;
         let benchmark = benchmark_from_name(bench_name)
             .ok_or_else(|| format!("unknown benchmark {bench_name:?}"))?;
-        let threads = req_u64(json, "threads")? as usize;
-        let scale = req_f64(json, "scale")?;
-        let window = req_u64(json, "window")?;
+        let threads = json.u64_field("threads")? as usize;
+        let scale = json.f64_field("scale")?;
+        let window = json.u64_field("window")?;
         let mut phases = Vec::new();
         match json.get("phases") {
             None => phases.push(PhaseSpec::stationary()),
@@ -408,7 +408,7 @@ impl ScenarioSpec {
                         }
                     };
                     phases.push(PhaseSpec {
-                        at: req_u64(item, "at")?,
+                        at: item.u64_field("at")?,
                         benchmark,
                         skew: opt_f64(item, "skew", 1.0)?,
                         think_scale: opt_f64(item, "think_scale", 1.0)?,
@@ -421,12 +421,9 @@ impl ScenarioSpec {
             let items = v.as_array().ok_or("\"churn\" must be an array")?;
             for item in items {
                 churn.push(ChurnSpec {
-                    at: req_u64(item, "at")?,
-                    thread: req_u64(item, "thread")? as ThreadId,
-                    park: item
-                        .get("park")
-                        .and_then(Json::as_bool)
-                        .ok_or("churn event needs a boolean \"park\"")?,
+                    at: item.u64_field("at")?,
+                    thread: item.u64_field("thread")? as ThreadId,
+                    park: item.bool_field("park")?,
                 });
             }
         }
@@ -434,24 +431,24 @@ impl ScenarioSpec {
         if let Some(v) = json.get("faults") {
             let items = v.as_array().ok_or("\"faults\" must be an array")?;
             for item in items {
-                let at = req_u64(item, "at")?;
-                let kind = req_str(item, "kind")?;
+                let at = item.u64_field("at")?;
+                let kind = item.str_field("kind")?;
                 let fault = match kind {
                     "wipe-stats" => FaultKind::WipeStats,
                     "delay-inference" => FaultKind::DelayInference {
-                        rounds: req_u64(item, "rounds")?,
+                        rounds: item.u64_field("rounds")?,
                     },
                     "kick-thresholds" => FaultKind::KickThresholds {
-                        th1: req_f64(item, "th1")?,
-                        th2: req_f64(item, "th2")?,
+                        th1: item.f64_field("th1")?,
+                        th2: item.f64_field("th2")?,
                     },
                     "stall-lock-holder" => FaultKind::StallLockHolder {
-                        cycles: req_u64(item, "cycles")?,
+                        cycles: item.u64_field("cycles")?,
                     },
                     "capacity-shrink" => FaultKind::CapacityShrink {
                         ways: opt_usize(item, "ways")?,
                         read_lines: opt_usize(item, "read_lines")?,
-                        restore_after: req_u64(item, "restore_after")?,
+                        restore_after: item.u64_field("restore_after")?,
                     },
                     other => return Err(format!("unknown fault kind {other:?}")),
                 };
@@ -556,24 +553,6 @@ impl ScenarioSpec {
             ),
         ])
     }
-}
-
-fn req_str<'a>(json: &'a Json, key: &str) -> Result<&'a str, String> {
-    json.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string {key:?}"))
-}
-
-fn req_u64(json: &Json, key: &str) -> Result<u64, String> {
-    json.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer {key:?}"))
-}
-
-fn req_f64(json: &Json, key: &str) -> Result<f64, String> {
-    json.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric {key:?}"))
 }
 
 fn opt_f64(json: &Json, key: &str, default: f64) -> Result<f64, String> {

@@ -15,8 +15,8 @@
 //!
 //! The trade-offs the paper anticipates are measurable here: more blocks
 //! means a bigger lock table and slower convergence (statistics spread
-//! over more cells), in exchange for less false serialization. The
-//! `fine_grained` harness binary quantifies both sides.
+//! over more cells), in exchange for less false serialization. `seer
+//! experiment fine-grained` quantifies both sides.
 
 use seer_runtime::{BlockId, TxRequest, Workload};
 use seer_sim::{SimRng, ThreadId};

@@ -5,8 +5,10 @@
 //! structs written once per experiment run, plus the trace JSONL
 //! streams), so a tiny tree type plus a `ToJson` trait is enough; field
 //! names match what `serde` would have produced, so downstream plotting
-//! scripts are unaffected. The parser ([`Json::parse`]) exists for the
-//! `trace_check` schema validator, which must re-read exported JSONL.
+//! scripts are unaffected. The parser ([`Json::parse`]) and the
+//! required-field readers ([`Json::u64_field`] and friends) serve every
+//! reader: the `seer check` schema validators, the store's shard codecs
+//! and the remote wire protocol.
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,6 +136,61 @@ impl Json {
         match self {
             Json::Array(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// The required member `name`; an error names the missing key. The
+    /// typed readers below build on it, so every schema check and shard
+    /// codec in the workspace reports a bad field the same way.
+    pub fn field(&self, name: &str) -> Result<&Json, String> {
+        self.get(name)
+            .ok_or_else(|| format!("missing field {name:?}"))
+    }
+
+    /// The required member `name` as an unsigned integer.
+    pub fn u64_field(&self, name: &str) -> Result<u64, String> {
+        self.field(name)?
+            .as_u64()
+            .ok_or_else(|| format!("field {name:?} is not a u64"))
+    }
+
+    /// The required member `name` as a float (any numeric variant).
+    pub fn f64_field(&self, name: &str) -> Result<f64, String> {
+        self.field(name)?
+            .as_f64()
+            .ok_or_else(|| format!("field {name:?} is not a number"))
+    }
+
+    /// The required member `name` as a string slice.
+    pub fn str_field(&self, name: &str) -> Result<&str, String> {
+        self.field(name)?
+            .as_str()
+            .ok_or_else(|| format!("field {name:?} is not a string"))
+    }
+
+    /// The required member `name` as a bool.
+    pub fn bool_field(&self, name: &str) -> Result<bool, String> {
+        self.field(name)?
+            .as_bool()
+            .ok_or_else(|| format!("field {name:?} is not a bool"))
+    }
+
+    /// The required member `name` as an array slice.
+    pub fn array_field(&self, name: &str) -> Result<&[Json], String> {
+        self.field(name)?
+            .as_array()
+            .ok_or_else(|| format!("field {name:?} is not an array"))
+    }
+
+    /// The required member `name` as a nullable unsigned integer: present
+    /// and `null` is `None`; absent is an error.
+    pub fn opt_u64_field(&self, name: &str) -> Result<Option<u64>, String> {
+        match self.field(name)? {
+            Json::Null => Ok(None),
+            v => v
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| format!("field {name:?} is neither null nor a u64")),
         }
     }
 
@@ -622,5 +679,33 @@ mod tests {
         assert_eq!(arr[3].as_f64(), Some(2.5));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.get("a"), None);
+    }
+
+    #[test]
+    fn field_readers_type_check_required_members() {
+        let v = Json::parse(r#"{"u":3,"f":2.5,"s":"x","b":true,"a":[1],"neg":-1}"#).unwrap();
+        assert_eq!(v.u64_field("u"), Ok(3));
+        assert_eq!(v.f64_field("f"), Ok(2.5));
+        assert_eq!(v.f64_field("u"), Ok(3.0), "integers read as numbers");
+        assert_eq!(v.str_field("s"), Ok("x"));
+        assert_eq!(v.bool_field("b"), Ok(true));
+        assert_eq!(v.array_field("a").map(<[Json]>::len), Ok(1));
+        // A missing key and a wrong type are distinct errors; a non-object
+        // has no fields at all.
+        assert_eq!(v.u64_field("zz"), Err("missing field \"zz\"".into()));
+        assert_eq!(v.u64_field("s"), Err("field \"s\" is not a u64".into()));
+        assert!(v.u64_field("neg").is_err());
+        assert!(v.f64_field("s").is_err() && v.str_field("u").is_err());
+        assert!(v.bool_field("u").is_err() && v.array_field("s").is_err());
+        assert!(Json::Null.u64_field("u").is_err());
+    }
+
+    #[test]
+    fn opt_u64_field_separates_null_from_absent() {
+        let v = Json::parse(r#"{"n":null,"u":7,"s":"x"}"#).unwrap();
+        assert_eq!(v.opt_u64_field("n"), Ok(None));
+        assert_eq!(v.opt_u64_field("u"), Ok(Some(7)));
+        assert!(v.opt_u64_field("absent").is_err(), "absent is not null");
+        assert!(v.opt_u64_field("s").is_err());
     }
 }

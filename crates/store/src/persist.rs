@@ -59,26 +59,8 @@ pub trait Persist: Sized {
     fn from_store_json(json: &Json) -> Result<Self, String>;
 }
 
-fn field<'a>(json: &'a Json, name: &str) -> Result<&'a Json, String> {
-    json.get(name).ok_or_else(|| format!("missing field {name:?}"))
-}
-
-fn u64_field(json: &Json, name: &str) -> Result<u64, String> {
-    field(json, name)?
-        .as_u64()
-        .ok_or_else(|| format!("field {name:?} is not a u64"))
-}
-
-fn bool_field(json: &Json, name: &str) -> Result<bool, String> {
-    field(json, name)?
-        .as_bool()
-        .ok_or_else(|| format!("field {name:?} is not a bool"))
-}
-
 fn u64_array(json: &Json, name: &str) -> Result<Vec<u64>, String> {
-    field(json, name)?
-        .as_array()
-        .ok_or_else(|| format!("field {name:?} is not an array"))?
+    json.array_field(name)?
         .iter()
         .map(|v| v.as_u64().ok_or_else(|| format!("{name:?} holds a non-u64")))
         .collect()
@@ -100,9 +82,9 @@ fn histogram_from_json(json: &Json) -> Result<CycleHistogram, String> {
         .map_err(|v: Vec<u64>| format!("histogram has {} buckets, expected 65", v.len()))?;
     Ok(CycleHistogram::from_raw(
         buckets,
-        u64_field(json, "count")?,
-        u64_field(json, "total")?,
-        u64_field(json, "max")?,
+        json.u64_field("count")?,
+        json.u64_field("total")?,
+        json.u64_field("max")?,
     ))
 }
 
@@ -168,9 +150,9 @@ impl Persist for RunMetrics {
         let mut mode_counts = [0u64; 6];
         mode_counts.copy_from_slice(&mode_raw);
         let modes = ModeCounts::from_counts(mode_counts);
-        let aborts_json = field(json, "aborts")?;
-        let gt_json = field(json, "ground_truth")?;
-        let blocks = u64_field(gt_json, "blocks")? as usize;
+        let aborts_json = json.field("aborts")?;
+        let gt_json = json.field("ground_truth")?;
+        let blocks = gt_json.u64_field("blocks")? as usize;
         let kills = u64_array(gt_json, "kills")?;
         let ground_truth = ConflictGroundTruth::from_raw(blocks, kills)
             .map_err(|e| format!("ground_truth: {e}"))?;
@@ -179,27 +161,27 @@ impl Persist for RunMetrics {
             .map(|n| u32::try_from(n).map_err(|_| "tx_lock_acquisitions overflow".to_string()))
             .collect::<Result<Vec<u32>, String>>()?;
         Ok(RunMetrics {
-            commits: u64_field(json, "commits")?,
+            commits: json.u64_field("commits")?,
             modes,
             aborts: seer_runtime::AbortCounts {
-                conflict: u64_field(aborts_json, "conflict")?,
-                capacity: u64_field(aborts_json, "capacity")?,
-                explicit: u64_field(aborts_json, "explicit")?,
-                other: u64_field(aborts_json, "other")?,
+                conflict: aborts_json.u64_field("conflict")?,
+                capacity: aborts_json.u64_field("capacity")?,
+                explicit: aborts_json.u64_field("explicit")?,
+                other: aborts_json.u64_field("other")?,
             },
-            htm_attempts: u64_field(json, "htm_attempts")?,
-            fallbacks: u64_field(json, "fallbacks")?,
+            htm_attempts: json.u64_field("htm_attempts")?,
+            fallbacks: json.u64_field("fallbacks")?,
             attempts_histogram: u64_array(json, "attempts_histogram")?,
-            wait_cycles: u64_field(json, "wait_cycles")?,
-            wait_histogram: histogram_from_json(field(json, "wait_histogram")?)?,
-            makespan: u64_field(json, "makespan")?,
-            sequential_cycles: u64_field(json, "sequential_cycles")?,
+            wait_cycles: json.u64_field("wait_cycles")?,
+            wait_histogram: histogram_from_json(json.field("wait_histogram")?)?,
+            makespan: json.u64_field("makespan")?,
+            sequential_cycles: json.u64_field("sequential_cycles")?,
             tx_lock_acquisitions,
-            tx_locks_available: u64_field(json, "tx_locks_available")? as usize,
+            tx_locks_available: json.u64_field("tx_locks_available")? as usize,
             ground_truth,
-            truncated: bool_field(json, "truncated")?,
-            events: u64_field(json, "events")?,
-            trace_hash: u64_field(json, "trace_hash")?,
+            truncated: json.bool_field("truncated")?,
+            events: json.u64_field("events")?,
+            trace_hash: json.u64_field("trace_hash")?,
         })
     }
 }

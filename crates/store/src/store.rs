@@ -170,10 +170,7 @@ impl Store {
     fn decode<K: StoreKey, V: Persist>(&self, key: &K, bytes: &str) -> Result<V, String> {
         let shard = Json::parse(bytes).map_err(|e| format!("unparsable shard: {e}"))?;
         let expect = |name: &str, want: &str| -> Result<(), String> {
-            let got = shard
-                .get(name)
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| format!("shard missing {name:?}"))?;
+            let got = shard.str_field(name)?;
             if got == want {
                 Ok(())
             } else {
@@ -184,11 +181,8 @@ impl Store {
         expect("kind", K::KIND)?;
         expect("fingerprint", &self.fingerprint)?;
         expect("key_id", &key.key_id())?;
-        let value = shard.get("value").ok_or("shard missing \"value\"")?;
-        let recorded = shard
-            .get("checksum")
-            .and_then(|v| v.as_str())
-            .ok_or("shard missing \"checksum\"")?;
+        let value = shard.field("value")?;
+        let recorded = shard.str_field("checksum")?;
         let actual = format!("{:#018x}", fnv1a(value.to_string_compact().as_bytes()));
         if recorded != actual {
             return Err(format!("checksum mismatch: recorded {recorded}, actual {actual}"));

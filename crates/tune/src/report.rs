@@ -11,7 +11,7 @@ use seer_store::{Json, ToJson};
 use crate::driver::{rank, DriverKind, SearchOutcome, Trial};
 use crate::space::{DimKind, ParamSpace, ParamValue};
 
-/// Schema version stamped into every report (checked by `tune_check`).
+/// Schema version stamped into every report (checked by `seer check tune`).
 pub const SCHEMA_VERSION: u64 = 1;
 /// Leaderboard length.
 pub const LEADERBOARD_TOP: usize = 10;
@@ -185,62 +185,55 @@ pub fn report_json(
     ])
 }
 
-/// Validates a report document against the schema `tune_check` gates in
-/// CI. Returns every violation found (empty = valid).
+/// Validates a report document against the schema `seer check tune`
+/// gates in CI. Returns every violation found (empty = valid).
 pub fn validate_report(json: &Json) -> Vec<String> {
     let mut violations = Vec::new();
-    let field_checks = [
-        (
-            "schema_version",
-            json.get("schema_version").and_then(Json::as_u64) == Some(SCHEMA_VERSION),
-        ),
-        (
-            "driver",
-            json.get("driver")
-                .and_then(Json::as_str)
-                .is_some_and(|d| d.parse::<DriverKind>().is_ok()),
-        ),
-        ("budget", json.get("budget").and_then(Json::as_u64).is_some()),
-        ("seed", json.get("seed").and_then(Json::as_u64).is_some()),
-        (
-            "objective",
-            json.get("objective").and_then(Json::as_str).is_some(),
-        ),
-        ("trials", json.get("trials").and_then(Json::as_u64).is_some()),
-    ];
-    for (field, ok) in field_checks {
-        if !ok {
-            violations.push(format!("missing or malformed field {field:?}"));
-        }
+    let mut check = |found: Result<bool, String>, what: &str| match found {
+        Ok(true) => {}
+        Ok(false) => violations.push(format!("field {what:?} has an invalid value")),
+        Err(e) => violations.push(e),
+    };
+    check(
+        json.u64_field("schema_version")
+            .map(|v| v == SCHEMA_VERSION),
+        "schema_version",
+    );
+    check(
+        json.str_field("driver")
+            .map(|d| d.parse::<DriverKind>().is_ok()),
+        "driver",
+    );
+    for name in ["budget", "seed", "trials"] {
+        check(json.u64_field(name).map(|_| true), name);
     }
-    match json.get("space") {
-        Some(space) => {
+    check(json.str_field("objective").map(|_| true), "objective");
+    match json.field("space") {
+        Ok(space) => {
             if let Err(e) = ParamSpace::from_json(space) {
                 violations.push(format!("space does not validate: {e}"));
             }
         }
-        None => violations.push("missing field \"space\"".into()),
+        Err(e) => violations.push(e),
     }
-    let rows = json.get("leaderboard").and_then(Json::as_array);
-    match rows {
-        None => violations.push("missing or malformed field \"leaderboard\"".into()),
-        Some(rows) => {
+    match json.array_field("leaderboard") {
+        Err(e) => violations.push(e),
+        Ok(rows) => {
             let mut last_score: Option<f64> = None;
             for (i, row) in rows.iter().enumerate() {
-                if row.get("rank").and_then(Json::as_u64) != Some(i as u64 + 1) {
+                if row.u64_field("rank").ok() != Some(i as u64 + 1) {
                     violations.push(format!("leaderboard[{i}]: rank must be {}", i + 1));
                 }
                 let spec_ok = row
-                    .get("spec")
-                    .and_then(Json::as_str)
-                    .is_some_and(|s| s.parse::<seer_harness::PolicyKind>().is_ok());
+                    .str_field("spec")
+                    .is_ok_and(|s| s.parse::<seer_harness::PolicyKind>().is_ok());
                 if !spec_ok {
                     violations.push(format!("leaderboard[{i}]: spec must parse as a policy"));
                 }
-                if row.get("fidelity").and_then(Json::as_u64).is_none() {
-                    violations.push(format!("leaderboard[{i}]: missing fidelity"));
+                if let Err(e) = row.u64_field("fidelity") {
+                    violations.push(format!("leaderboard[{i}]: {e}"));
                 }
-                let score = row.get("score").and_then(Json::as_f64);
+                let score = row.f64_field("score").ok();
                 match (last_score, score) {
                     (Some(prev), Some(s)) if s > prev => {
                         violations.push(format!("leaderboard[{i}]: scores must be non-increasing"));
@@ -248,7 +241,7 @@ pub fn validate_report(json: &Json) -> Vec<String> {
                     (_, Some(s)) => last_score = Some(s),
                     // A null score (failed trial) must not precede a
                     // scored one.
-                    (_, None) if rows[i..].iter().any(|r| r.get("score").and_then(Json::as_f64).is_some()) => {
+                    (_, None) if rows[i..].iter().any(|r| r.f64_field("score").is_ok()) => {
                         violations.push(format!("leaderboard[{i}]: failed trial ranked above a scored one"));
                     }
                     _ => {}
@@ -256,12 +249,12 @@ pub fn validate_report(json: &Json) -> Vec<String> {
             }
         }
     }
-    match json.get("sensitivity").and_then(Json::as_array) {
-        None => violations.push("missing or malformed field \"sensitivity\"".into()),
-        Some(rows) => {
+    match json.array_field("sensitivity") {
+        Err(e) => violations.push(e),
+        Ok(rows) => {
             for (i, row) in rows.iter().enumerate() {
-                if row.get("dim").and_then(Json::as_str).is_none() {
-                    violations.push(format!("sensitivity[{i}]: missing dim"));
+                if let Err(e) = row.str_field("dim") {
+                    violations.push(format!("sensitivity[{i}]: {e}"));
                 }
             }
         }

@@ -294,47 +294,26 @@ impl ParamSpace {
 
     /// Decodes `{"dims": [{"name", "type", ...}, ...]}`.
     pub fn from_json(json: &Json) -> Result<Self, SpaceError> {
-        let dims_json = json
-            .get("dims")
-            .and_then(|d| d.as_array())
-            .ok_or_else(|| SpaceError("expected an object with a \"dims\" array".into()))?;
+        let dims_json = json.array_field("dims").map_err(SpaceError)?;
         let mut dims = Vec::with_capacity(dims_json.len());
         for dim in dims_json {
-            let name = dim
-                .get("name")
-                .and_then(|n| n.as_str())
-                .ok_or_else(|| SpaceError("dimension without a \"name\" string".into()))?
-                .to_string();
-            let ty = dim
-                .get("type")
-                .and_then(|t| t.as_str())
-                .ok_or_else(|| SpaceError(format!("{name:?}: missing \"type\"")))?;
-            let bound = |key: &str| -> Result<&Json, SpaceError> {
-                dim.get(key)
-                    .ok_or_else(|| SpaceError(format!("{name:?}: missing {key:?}")))
-            };
+            let name = dim.str_field("name").map_err(SpaceError)?.to_string();
+            let in_dim = |e: String| SpaceError(format!("{name:?}: {e}"));
+            let ty = dim.str_field("type").map_err(in_dim)?;
             let kind = match ty {
                 "int" => DimKind::Int {
-                    min: bound("min")?
-                        .as_u64()
-                        .ok_or_else(|| SpaceError(format!("{name:?}: non-integer min")))?,
-                    max: bound("max")?
-                        .as_u64()
-                        .ok_or_else(|| SpaceError(format!("{name:?}: non-integer max")))?,
+                    min: dim.u64_field("min").map_err(in_dim)?,
+                    max: dim.u64_field("max").map_err(in_dim)?,
                 },
                 "float" | "log-float" => DimKind::Float {
-                    min: bound("min")?
-                        .as_f64()
-                        .ok_or_else(|| SpaceError(format!("{name:?}: non-numeric min")))?,
-                    max: bound("max")?
-                        .as_f64()
-                        .ok_or_else(|| SpaceError(format!("{name:?}: non-numeric max")))?,
+                    min: dim.f64_field("min").map_err(in_dim)?,
+                    max: dim.f64_field("max").map_err(in_dim)?,
                     log: ty == "log-float",
                 },
                 "choice" => {
-                    let options = bound("options")?
-                        .as_array()
-                        .ok_or_else(|| SpaceError(format!("{name:?}: \"options\" must be an array")))?
+                    let options = dim
+                        .array_field("options")
+                        .map_err(in_dim)?
                         .iter()
                         .map(|o| {
                             o.as_str().map(str::to_string).ok_or_else(|| {

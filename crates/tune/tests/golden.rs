@@ -43,7 +43,7 @@ fn pinned_search_renders_the_committed_leaderboard() {
     );
     assert!(
         validate_report(&doc).is_empty(),
-        "the golden report must satisfy the tune_check schema: {:?}",
+        "the golden report must satisfy the `seer check tune` schema: {:?}",
         validate_report(&doc)
     );
     let computed = doc.to_string_pretty() + "\n";
