@@ -50,10 +50,8 @@ fn assert_sink_is_pure_observer(cell: Cell) {
     assert_eq!(untraced.trace_hash, collected.trace_hash);
     assert!(!memory.lifecycle.is_empty());
 
-    // The incremental engine changed who fills the trace rows (cached
-    // fits replayed through `RowFit::into_row_trace`, pair buffers drawn
-    // from the recycled pool): every inference record must still carry
-    // one row per atomic block, each with its fitted Gaussian. The bench
+    // Every inference record must carry one row per atomic block, each
+    // with its fitted Gaussian and one verdict per pair. The bench
     // cell is too small to hit a periodic round, so this check runs a
     // contended cell at a scale that does (same shape as the conformance
     // decision snapshot).

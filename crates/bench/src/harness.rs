@@ -22,9 +22,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use seer::inference::MIN_DISCRIMINATIVE_SIGMA;
-use seer::stats::MergedStats;
-use seer::{infer_conflict_pairs, InferenceEngine, Thresholds};
 use seer_harness::{parallel_map, Cell, Json, PolicyKind, ToJson};
 use seer_scenario::RunRequest;
 use seer_sim::{Cycles, EventQueue, SimRng};
@@ -53,27 +50,22 @@ const QUEUE_OPS_FULL: usize = 2_000_000;
 /// the structural O(log n) vs O(1) difference dominates the signal.
 pub const QUEUE_SIZES: [usize; 2] = [10_000, 100_000];
 
-/// How hard `seer bench` works: a quick CI-sized pass, a fuller local
-/// one, or the inference-only group.
+/// How hard `seer bench` works: a quick CI-sized pass or a fuller local
+/// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BenchMode {
     /// CI-sized: small workload scale, few repeats, seconds of wall clock.
     Smoke,
     /// Local: larger scale and more repeats for tighter numbers.
     Full,
-    /// Only the full-vs-incremental inference group — the CI perf job's
-    /// quick check that the incremental engine still pays for itself. No
-    /// queue or cell tables; the report carries only the inference rows.
-    Inference,
 }
 
 impl BenchMode {
-    /// Parses `smoke` / `full` / `inference`.
+    /// Parses `smoke` / `full`.
     pub fn parse(name: &str) -> Option<Self> {
         match name {
             "smoke" => Some(BenchMode::Smoke),
             "full" => Some(BenchMode::Full),
-            "inference" => Some(BenchMode::Inference),
             _ => None,
         }
     }
@@ -83,14 +75,13 @@ impl BenchMode {
         match self {
             BenchMode::Smoke => "smoke",
             BenchMode::Full => "full",
-            BenchMode::Inference => "inference",
         }
     }
 
     /// Workload scale for the cell matrix.
     pub fn scale(self) -> f64 {
         match self {
-            BenchMode::Smoke | BenchMode::Inference => 0.05,
+            BenchMode::Smoke => 0.05,
             BenchMode::Full => 0.25,
         }
     }
@@ -98,25 +89,18 @@ impl BenchMode {
     /// Default timing repeats per measurement (the minimum is kept).
     pub fn default_repeats(self) -> usize {
         match self {
-            BenchMode::Smoke | BenchMode::Inference => 2,
+            BenchMode::Smoke => 2,
             BenchMode::Full => 3,
         }
     }
 
     fn queue_ops(self) -> usize {
         match self {
-            BenchMode::Smoke | BenchMode::Inference => QUEUE_OPS_SMOKE,
+            BenchMode::Smoke => QUEUE_OPS_SMOKE,
             BenchMode::Full => QUEUE_OPS_FULL,
         }
     }
 
-    /// Inference rounds timed per `(blocks, variant)` measurement.
-    fn inference_rounds(self) -> usize {
-        match self {
-            BenchMode::Smoke | BenchMode::Inference => 64,
-            BenchMode::Full => 512,
-        }
-    }
 }
 
 /// The pinned workload matrix: 4 benchmarks × 2 policies × 2 thread
@@ -265,36 +249,15 @@ pub struct CellBench {
     pub wall_ms: f64,
 }
 
-/// One row of the inference microbench: full-recompute vs incremental
-/// decision rounds at one block count under a sparse update stream.
-#[derive(Debug, Clone)]
-pub struct InferenceBench {
-    /// Atomic blocks (`n`; a round covers `n²` pairs).
-    pub blocks: usize,
-    /// Rows dirtied between consecutive rounds (≤ 10% of `blocks`).
-    pub dirty_rows: usize,
-    /// Full-recompute rounds per second — the baseline fact, retained so
-    /// later reports can see both absolute trajectories.
-    pub full_rounds_per_sec: f64,
-    /// Incremental-engine rounds per second over the same update stream.
-    pub incremental_rounds_per_sec: f64,
-    /// `incremental_rounds_per_sec / full_rounds_per_sec` — the gated
-    /// ratio (host-independent: both sides run in the same process).
-    pub speedup_vs_full: f64,
-}
-
 /// A full `seer bench` report.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     /// The mode the numbers were measured under.
     pub mode: BenchMode,
-    /// Queue microbench rows, one per [`QUEUE_SIZES`] entry (empty in
-    /// inference mode).
+    /// Queue microbench rows, one per [`QUEUE_SIZES`] entry.
     pub queue: Vec<QueueBench>,
-    /// One row per cell of [`bench_matrix`] (empty in inference mode).
+    /// One row per cell of [`bench_matrix`].
     pub cells: Vec<CellBench>,
-    /// Inference microbench rows, one per [`INFERENCE_SIZES`] entry.
-    pub inference: Vec<InferenceBench>,
 }
 
 impl BenchReport {
@@ -328,19 +291,6 @@ impl BenchReport {
                 ])
             })
             .collect();
-        let inference: Vec<Json> = self
-            .inference
-            .iter()
-            .map(|r| {
-                Json::object([
-                    ("blocks", r.blocks.to_json()),
-                    ("dirty_rows", r.dirty_rows.to_json()),
-                    ("full_rounds_per_sec", r.full_rounds_per_sec.to_json()),
-                    ("incremental_rounds_per_sec", r.incremental_rounds_per_sec.to_json()),
-                    ("speedup_vs_full", r.speedup_vs_full.to_json()),
-                ])
-            })
-            .collect();
         let total_events: u64 = self.cells.iter().map(|c| c.events).sum();
         let total_secs: f64 = self.cells.iter().map(|c| c.wall_ms / 1e3).sum();
         let totals = Json::object([
@@ -354,7 +304,6 @@ impl BenchReport {
             ("mode", self.mode.name().to_json()),
             ("queue", Json::Array(queue)),
             ("cells", Json::Array(cells)),
-            ("inference", Json::Array(inference)),
             ("totals", totals),
         ])
     }
@@ -380,14 +329,10 @@ fn safe_rate(amount: f64, secs: f64) -> f64 {
 /// and only ratios/determinism facts are gated, so parallel noise cannot
 /// fail CI).
 pub fn run_bench(mode: BenchMode, repeats: usize, jobs: usize) -> BenchReport {
-    let inference = inference_microbench(mode, repeats);
-    if mode == BenchMode::Inference {
-        return BenchReport { mode, queue: Vec::new(), cells: Vec::new(), inference };
-    }
     let queue = queue_microbench(mode.queue_ops(), repeats);
     let matrix = bench_matrix();
     let cells = parallel_map(&matrix, jobs, |&cell| time_cell(cell, mode, repeats));
-    BenchReport { mode, queue, cells, inference }
+    BenchReport { mode, queue, cells }
 }
 
 /// Times one cell: `repeats` identical runs, keeping the fastest.
@@ -478,129 +423,6 @@ fn queue_microbench(ops: usize, repeats: usize) -> Vec<QueueBench> {
         .collect()
 }
 
-/// Block counts of the inference microbench — spanning STAMP-sized rows
-/// (where incrementality is mostly assembly overhead) to the many-blocks
-/// regime (`synth@blocks=256`) where the `O(n²)` full recompute bites.
-pub const INFERENCE_SIZES: [usize; 3] = [16, 64, 256];
-
-/// Deterministically populated merged matrices (xorshift event stream) —
-/// every row carries signal, so a full recompute does real work.
-fn populated_stats(blocks: usize, seed: u64) -> MergedStats {
-    let mut m = MergedStats::new(blocks);
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for _ in 0..blocks * 16 {
-        let x = next() as usize % blocks;
-        let y = next() as usize % blocks;
-        if next() % 3 == 0 {
-            m.add_commit(x, [y].into_iter());
-        } else {
-            m.add_abort(x, [y].into_iter());
-        }
-    }
-    m
-}
-
-/// The full-vs-incremental inference microbench: for each
-/// [`INFERENCE_SIZES`] block count, replay the same sparse update stream
-/// (≤ 10% of rows dirtied per round) through (a) a full Alg. 5 recompute
-/// per round and (b) the persistent [`InferenceEngine`]; report rounds
-/// per second for both and their ratio. A correctness pre-pass asserts
-/// the two produce identical pair lists at every round before anything
-/// is timed.
-pub fn inference_microbench(mode: BenchMode, repeats: usize) -> Vec<InferenceBench> {
-    let rounds = mode.inference_rounds();
-    let th = Thresholds::default();
-    INFERENCE_SIZES
-        .iter()
-        .map(|&n| {
-            let dirty_rows = (n / 10).max(1);
-            let base = populated_stats(n, 0x5EE2);
-            // Pre-drawn sparse update stream: `dirty_rows` distinct rows
-            // register one abort each between consecutive rounds.
-            let mut state = 0x0BAD_5EEDu64 | 1;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let stream: Vec<Vec<(usize, usize)>> = (0..rounds)
-                .map(|_| {
-                    let mut xs: Vec<usize> = Vec::with_capacity(dirty_rows);
-                    while xs.len() < dirty_rows {
-                        let x = next() as usize % n;
-                        if !xs.contains(&x) {
-                            xs.push(x);
-                        }
-                    }
-                    xs.into_iter().map(|x| (x, next() as usize % n)).collect()
-                })
-                .collect();
-            let apply = |stats: &mut MergedStats, round: &[(usize, usize)]| {
-                for &(x, y) in round {
-                    stats.add_abort(x, [y].into_iter());
-                }
-            };
-
-            // Correctness pre-pass: the engine must match the reference
-            // at every round of the exact stream being timed.
-            {
-                let mut stats = base.clone();
-                let mut engine = InferenceEngine::new();
-                engine.round(&mut stats, th, MIN_DISCRIMINATIVE_SIGMA);
-                for round in &stream {
-                    apply(&mut stats, round);
-                    let reference =
-                        infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, None);
-                    let got = engine.round(&mut stats, th, MIN_DISCRIMINATIVE_SIGMA);
-                    assert_eq!(got, &reference[..], "incremental diverged at n={n}");
-                }
-            }
-
-            let full_secs = best_of(repeats, || {
-                let mut stats = base.clone();
-                for round in &stream {
-                    apply(&mut stats, round);
-                    std::hint::black_box(
-                        infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, None).len(),
-                    );
-                }
-            });
-            let incremental_secs = best_of(repeats, || {
-                let mut stats = base.clone();
-                let mut engine = InferenceEngine::new();
-                // The priming round is timed too — the engine pays it once
-                // per scheduler lifetime, the reference pays full price
-                // every round.
-                engine.round(&mut stats, th, MIN_DISCRIMINATIVE_SIGMA);
-                for round in &stream {
-                    apply(&mut stats, round);
-                    std::hint::black_box(engine.round(&mut stats, th, MIN_DISCRIMINATIVE_SIGMA).len());
-                }
-            });
-            let full_rounds_per_sec = safe_rate(rounds as f64, full_secs);
-            let incremental_rounds_per_sec = safe_rate(rounds as f64, incremental_secs);
-            InferenceBench {
-                blocks: n,
-                dirty_rows,
-                full_rounds_per_sec,
-                incremental_rounds_per_sec,
-                speedup_vs_full: if full_rounds_per_sec > 0.0 {
-                    incremental_rounds_per_sec / full_rounds_per_sec
-                } else {
-                    0.0
-                },
-            }
-        })
-        .collect()
-}
-
 fn best_of(repeats: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..repeats.max(1) {
@@ -630,11 +452,10 @@ fn positive_numbers(row: &Json, keys: &[&str], ctx: &str) -> Result<(), String> 
 }
 
 /// Checks a parsed report against the documented schema: version, mode,
-/// non-empty queue and cell tables with well-typed fields (inference
-/// mode instead requires a non-empty inference table and allows the
-/// others to be empty), and totals consistent with the cell rows. The
-/// `inference` section is optional in smoke/full reports — baselines
-/// committed before it existed (`BENCH_006.json`) still validate.
+/// non-empty queue and cell tables with well-typed fields, and totals
+/// consistent with the cell rows. An `inference` table (`BENCH_010.json`
+/// carries one, measured for an inference engine since deleted) is
+/// history: it is neither read nor gated.
 pub fn validate_report(report: &Json) -> Result<(), String> {
     let top = in_ctx("report");
     let version = report.u64_field("schema_version").map_err(&top)?;
@@ -642,13 +463,12 @@ pub fn validate_report(report: &Json) -> Result<(), String> {
         return Err(format!("report: schema_version {version} != {SCHEMA_VERSION}"));
     }
     let mode = report.str_field("mode").map_err(&top)?;
-    let Some(parsed_mode) = BenchMode::parse(mode) else {
+    if BenchMode::parse(mode).is_none() {
         return Err(format!("report: unknown mode {mode:?}"));
-    };
-    let inference_only = parsed_mode == BenchMode::Inference;
+    }
 
     let queue = report.array_field("queue").map_err(&top)?;
-    if queue.is_empty() && !inference_only {
+    if queue.is_empty() {
         return Err("report: queue table is empty".into());
     }
     for (i, row) in queue.iter().enumerate() {
@@ -668,7 +488,7 @@ pub fn validate_report(report: &Json) -> Result<(), String> {
     }
 
     let cells = report.array_field("cells").map_err(&top)?;
-    if cells.is_empty() && !inference_only {
+    if cells.is_empty() {
         return Err("report: cell table is empty".into());
     }
     let mut total_events = 0u64;
@@ -687,39 +507,6 @@ pub fn validate_report(report: &Json) -> Result<(), String> {
         total_events += row.u64_field("events").map_err(&err)?;
     }
 
-    // The inference table: mandatory (and non-empty) in inference mode,
-    // optional otherwise.
-    match report.get("inference") {
-        None if inference_only => return Err("report: inference table is missing".into()),
-        None => {}
-        Some(_) => {
-            let rows = report.array_field("inference").map_err(&top)?;
-            if rows.is_empty() && inference_only {
-                return Err("report: inference table is empty".into());
-            }
-            for (i, row) in rows.iter().enumerate() {
-                let ctx = format!("inference[{i}]");
-                let blocks = row.u64_field("blocks").map_err(in_ctx(&ctx))?;
-                if blocks == 0 {
-                    return Err(format!("{ctx}: blocks must be positive"));
-                }
-                let dirty = row.u64_field("dirty_rows").map_err(in_ctx(&ctx))?;
-                if dirty == 0 || dirty > blocks {
-                    return Err(format!("{ctx}: dirty_rows {dirty} out of range 1..={blocks}"));
-                }
-                positive_numbers(
-                    row,
-                    &[
-                        "full_rounds_per_sec",
-                        "incremental_rounds_per_sec",
-                        "speedup_vs_full",
-                    ],
-                    &ctx,
-                )?;
-            }
-        }
-    }
-
     let totals = report.field("totals").map_err(&top)?;
     let t_cells = totals.u64_field("cells").map_err(in_ctx("totals"))?;
     if t_cells as usize != cells.len() {
@@ -729,9 +516,7 @@ pub fn validate_report(report: &Json) -> Result<(), String> {
     if t_events != total_events {
         return Err(format!("totals: events {t_events} != sum of cell events {total_events}"));
     }
-    if !cells.is_empty() {
-        positive_numbers(totals, &["cells_per_sec", "events_per_sec"], "totals")?;
-    }
+    positive_numbers(totals, &["cells_per_sec", "events_per_sec"], "totals")?;
     Ok(())
 }
 
@@ -751,10 +536,7 @@ fn cell_key(row: &Json) -> (String, String, u64, u64) {
 /// * every baseline cell must reappear with *identical* `events` and
 ///   `trace_hash` (determinism facts; no tolerance);
 /// * every baseline queue row's `speedup_vs_heap` may drop at most
-///   `tolerance` (fraction, e.g. 0.25) below the baseline ratio;
-/// * likewise every baseline inference row's `speedup_vs_full` (keyed by
-///   `(blocks, dirty_rows)`); baselines without an inference section gate
-///   nothing there.
+///   `tolerance` (fraction, e.g. 0.25) below the baseline ratio.
 pub fn compare_reports(report: &Json, baseline: &Json, tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
 
@@ -812,36 +594,7 @@ pub fn compare_reports(report: &Json, baseline: &Json, tolerance: f64) -> Vec<St
             ));
         }
     }
-
-    let inference = report.array_field("inference").unwrap_or(&[]);
-    for base_row in baseline.array_field("inference").unwrap_or(&[]) {
-        let key = inference_key(base_row);
-        let Some(row) = inference.iter().find(|r| inference_key(r) == key) else {
-            violations.push(format!(
-                "inference row (blocks={}, dirty_rows={}) present in baseline but missing from report",
-                key.0, key.1
-            ));
-            continue;
-        };
-        let base_ratio = base_row.f64_field("speedup_vs_full").unwrap_or(0.0);
-        let ratio = row.f64_field("speedup_vs_full").unwrap_or(0.0);
-        let floor = base_ratio * (1.0 - tolerance);
-        if ratio < floor {
-            violations.push(format!(
-                "inference blocks={}: speedup_vs_full regressed to {ratio:.3} \
-                 (baseline {base_ratio:.3}, tolerance floor {floor:.3})",
-                key.0
-            ));
-        }
-    }
     violations
-}
-
-fn inference_key(row: &Json) -> (u64, u64) {
-    (
-        row.u64_field("blocks").unwrap_or(0),
-        row.u64_field("dirty_rows").unwrap_or(0),
-    )
 }
 
 /// Renders the performance *trajectory* from an older committed report
@@ -902,22 +655,6 @@ pub fn trend_lines(report: &Json, against: &Json) -> Result<Vec<String>, String>
             key.1,
             key.2,
             key.3,
-            pct(now, then)
-        ));
-    }
-    let inference = report.array_field("inference").unwrap_or(&[]);
-    for old_row in against.array_field("inference").unwrap_or(&[]) {
-        let key = inference_key(old_row);
-        let Some(row) = inference.iter().find(|r| inference_key(r) == key) else {
-            lines.push(format!("inference blocks={}: dropped from the matrix", key.0));
-            continue;
-        };
-        let then = old_row.f64_field("speedup_vs_full").unwrap_or(0.0);
-        let now = row.f64_field("speedup_vs_full").unwrap_or(0.0);
-        lines.push(format!(
-            "inference blocks={} (dirty {}): speedup_vs_full {then:.3} -> {now:.3} ({})",
-            key.0,
-            key.1,
             pct(now, then)
         ));
     }
@@ -996,13 +733,6 @@ mod tests {
                 trace_hash: 0xdead_beef,
                 events_per_sec: 5e5,
                 wall_ms: 2.5,
-            }],
-            inference: vec![InferenceBench {
-                blocks: 256,
-                dirty_rows: 25,
-                full_rounds_per_sec: 1e3,
-                incremental_rounds_per_sec: 8e3,
-                speedup_vs_full: 8.0,
             }],
         }
     }
@@ -1098,95 +828,24 @@ mod tests {
     }
 
     #[test]
-    fn inference_rows_gate_with_tolerance_against_a_sectioned_baseline() {
-        let base = tiny_report().to_json();
-
-        // Within tolerance passes, past it fails.
-        let mut slower = tiny_report();
-        slower.inference[0].speedup_vs_full = 6.5; // ~-19% of 8.0
-        assert!(compare_reports(&slower.to_json(), &base, 0.25).is_empty());
-        slower.inference[0].speedup_vs_full = 5.0; // -37.5%
-        let violations = compare_reports(&slower.to_json(), &base, 0.25);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("speedup_vs_full"));
-
-        // Dropping the row the baseline has is a violation.
-        let mut missing = tiny_report();
-        missing.inference.clear();
-        let violations = compare_reports(&missing.to_json(), &base, 0.25);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("inference row"));
-
-        // A baseline *without* the section (pre-existing BENCH_006-era
-        // reports) gates nothing about inference — and still validates.
+    fn historical_inference_table_is_neither_read_nor_gated() {
+        // BENCH_010.json carries an `inference` table from the deleted
+        // incremental engine. A report or baseline with one still
+        // validates and compares on its queue and cell rows alone.
         let mut old = tiny_report().to_json();
         if let Json::Object(fields) = &mut old {
-            fields.retain(|(k, _)| k != "inference");
+            fields.push(("inference".into(), Json::Array(vec![Json::Str("history".into())])));
         }
-        validate_report(&old).expect("section-less report must validate");
+        validate_report(&old).expect("a report with a history table must validate");
         assert!(compare_reports(&tiny_report().to_json(), &old, 0.25).is_empty());
-    }
-
-    #[test]
-    fn inference_mode_report_validates_without_queue_or_cells() {
-        let report = BenchReport {
-            mode: BenchMode::Inference,
-            queue: Vec::new(),
-            cells: Vec::new(),
-            inference: tiny_report().inference,
-        };
-        let json = Json::parse(&report.to_json().to_string_pretty()).unwrap();
-        validate_report(&json).expect("inference-mode report must validate");
-        // But an inference-mode report with nothing in it is rejected.
-        let empty = BenchReport {
-            mode: BenchMode::Inference,
-            queue: Vec::new(),
-            cells: Vec::new(),
-            inference: Vec::new(),
-        };
+        assert!(compare_reports(&old, &tiny_report().to_json(), 0.25).is_empty());
+        let lines = trend_lines(&tiny_report().to_json(), &old).unwrap();
+        assert!(lines.iter().all(|l| !l.contains("inference")), "{lines:?}");
+        // The retired mode name is no longer a mode, and every report must
+        // carry queue and cell rows.
+        assert_eq!(BenchMode::parse("inference"), None);
+        let mut empty = tiny_report();
+        empty.cells.clear();
         assert!(validate_report(&empty.to_json()).is_err());
-        // And a smoke report must still carry queue + cells.
-        let mut smoke = tiny_report();
-        smoke.cells.clear();
-        assert!(validate_report(&smoke.to_json()).is_err());
-    }
-
-    #[test]
-    fn inference_rows_are_malformation_checked() {
-        let mut bad = tiny_report();
-        bad.inference[0].dirty_rows = 0;
-        assert!(validate_report(&bad.to_json()).is_err());
-        let mut bad = tiny_report();
-        bad.inference[0].dirty_rows = 1_000; // > blocks
-        assert!(validate_report(&bad.to_json()).is_err());
-        let mut bad = tiny_report();
-        bad.inference[0].speedup_vs_full = f64::NAN;
-        assert!(validate_report(&bad.to_json()).is_err());
-    }
-
-    #[test]
-    fn inference_microbench_measures_and_agrees() {
-        // One tiny deterministic pass: structural assertions only (the
-        // ≥3× acceptance number is checked on the committed report, not
-        // on a loaded CI box). The correctness pre-pass inside asserts
-        // full == incremental at every round.
-        let rows = inference_microbench(BenchMode::Inference, 1);
-        assert_eq!(rows.len(), INFERENCE_SIZES.len());
-        for row in &rows {
-            assert!(row.dirty_rows * 10 <= row.blocks.max(10), "sparse stream: {row:?}");
-            assert!(row.full_rounds_per_sec > 0.0);
-            assert!(row.incremental_rounds_per_sec > 0.0);
-            assert!(row.speedup_vs_full > 0.0);
-        }
-    }
-
-    #[test]
-    fn trend_lines_cover_the_inference_section() {
-        let now = tiny_report().to_json();
-        let lines = trend_lines(&now, &now).unwrap();
-        assert!(
-            lines.iter().any(|l| l.contains("inference blocks=256")),
-            "{lines:?}"
-        );
     }
 }

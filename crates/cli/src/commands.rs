@@ -61,8 +61,8 @@ pub fn print_usage() {
          \x20                              [--json true] [--out TUNE.json]\n\
          \x20                              [--store DIR] [--resume] [--workers A1,A2]\n\
          \x20 serve    worker daemon       [--addr HOST:PORT]   (default 127.0.0.1:0)\n\
-         \x20 bench    perf measurement    [--mode smoke|full|inference]\n\
-         \x20          (see DESIGN.md §12) [--out BENCH_010.json] [--repeats N]\n\
+         \x20 bench    perf measurement    [--mode smoke|full]\n\
+         \x20          (see DESIGN.md §12) [--out bench.json] [--repeats N]\n\
          \x20                              [--jobs N] [--json true]\n\
          \x20 inspect  Seer's learned state --benchmark B --threads N [--txs N] [--seed N]\n\
          \x20 explain  decision history     --benchmark B --policy P --pair X,Y\n\
@@ -646,11 +646,11 @@ pub fn bench(args: &Args) -> Result<(), ParseError> {
     let mode_raw = args.get("mode").unwrap_or("smoke");
     let mode = BenchMode::parse(mode_raw).ok_or_else(|| {
         ParseError(format!(
-            "--mode must be \"smoke\", \"full\" or \"inference\", got {mode_raw:?}"
+            "--mode must be \"smoke\" or \"full\", got {mode_raw:?}"
         ))
     })?;
     let json: bool = args.get_parsed("json", false)?;
-    let out = args.get("out").unwrap_or("BENCH_010.json");
+    let out = args.get("out").unwrap_or("bench.json");
     let repeats = repeats_or_warn(args, mode.default_repeats());
     let jobs = jobs_or_warn(args);
 
@@ -662,37 +662,19 @@ pub fn bench(args: &Args) -> Result<(), ParseError> {
     if json {
         println!("{}", report.to_json().to_string_pretty());
     } else {
-        println!(
-            "inference round, full recompute vs incremental engine \
-             ({repeats} repeat(s), best kept):"
-        );
-        for i in &report.inference {
+        println!("event queue vs reference BinaryHeap ({repeats} repeat(s), best kept):");
+        for q in &report.queue {
             println!(
-                "  blocks={:<5} dirty={:<4} {:>10.0} full rounds/s  {:>12.0} incr rounds/s  speedup {:.2}x",
-                i.blocks,
-                i.dirty_rows,
-                i.full_rounds_per_sec,
-                i.incremental_rounds_per_sec,
-                i.speedup_vs_full
+                "  n={:<7} {:>12.0} events/s (heap {:>12.0})  speedup {:.2}x",
+                q.n, q.queue_events_per_sec, q.heap_events_per_sec, q.speedup_vs_heap
             );
         }
-        if !report.queue.is_empty() {
-            println!("\nevent queue vs reference BinaryHeap ({repeats} repeat(s), best kept):");
-            for q in &report.queue {
-                println!(
-                    "  n={:<7} {:>12.0} events/s (heap {:>12.0})  speedup {:.2}x",
-                    q.n, q.queue_events_per_sec, q.heap_events_per_sec, q.speedup_vs_heap
-                );
-            }
-        }
-        if !report.cells.is_empty() {
-            println!("\nworkload matrix ({} mode, scale {}):", mode.name(), mode.scale());
-            for c in &report.cells {
-                println!(
-                    "  {:<14} {:<6} {} thread(s)  {:>10} events  {:>12.0} events/s  {:>8.1} ms",
-                    c.benchmark, c.policy, c.threads, c.events, c.events_per_sec, c.wall_ms
-                );
-            }
+        println!("\nworkload matrix ({} mode, scale {}):", mode.name(), mode.scale());
+        for c in &report.cells {
+            println!(
+                "  {:<14} {:<6} {} thread(s)  {:>10} events  {:>12.0} events/s  {:>8.1} ms",
+                c.benchmark, c.policy, c.threads, c.events, c.events_per_sec, c.wall_ms
+            );
         }
     }
     eprintln!("bench: report written to {out}");
@@ -1330,9 +1312,11 @@ mod tests {
         assert!(bench(&a).is_err());
         let a = args(&["bench", "--json", "maybe"]);
         assert!(bench(&a).is_err());
-        // The hard error names all three accepted modes.
+        // The hard error names both accepted modes; the retired
+        // `inference` mode is rejected like any unknown one.
         let err = bench(&args(&["bench", "--mode", "warp"])).unwrap_err();
-        assert!(err.0.contains("inference"), "{}", err.0);
+        assert!(err.0.contains("smoke") && err.0.contains("full"), "{}", err.0);
+        assert!(bench(&args(&["bench", "--mode", "inference"])).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!             [--space F.json] [--seed N] [--jobs N] [--json true] [--out TUNE.json]
 //!             [--store DIR] [--resume] [--workers ...]   # parameter search over Seer's knobs
 //! seer serve  [--addr HOST:PORT]                         # worker daemon for --workers
-//! seer bench  [--mode smoke|full] [--out BENCH_006.json] [--repeats N] [--jobs N] [--json true]
+//! seer bench  [--mode smoke|full] [--out bench.json] [--repeats N] [--jobs N] [--json true]
 //! seer inspect --benchmark intruder --threads 8 [--txs N]   # Seer's learned state
 //! seer explain --benchmark genome --policy seer --pair 0,2  # decision history of one pair
 //! seer scenario list                                        # built-in disturbance scenarios

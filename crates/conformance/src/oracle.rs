@@ -10,7 +10,7 @@
 
 use seer::gaussian::std_normal_cdf;
 use seer::inference::MIN_DISCRIMINATIVE_SIGMA;
-use seer::stats::{MergedStats, ThreadStats};
+use seer::stats::MergedStats;
 use seer::Thresholds;
 use seer_runtime::BlockId;
 use seer_sim::SimRng;
@@ -159,27 +159,25 @@ pub fn stats_violations(stats: &MergedStats, max_concurrent: u64) -> Vec<String>
     violations
 }
 
-/// A realizable randomized statistics matrix: `threads` per-thread tables
-/// filled through the real `REGISTER-COMMIT` / `REGISTER-ABORT` paths and
-/// merged, so every conservation law of [`stats_violations`] holds by
+/// A realizable randomized statistics matrix: `threads` bursts of events
+/// registered through the real `REGISTER-COMMIT` / `REGISTER-ABORT` paths,
+/// so every conservation law of [`stats_violations`] holds by
 /// construction.
 pub fn random_stats(rng: &mut SimRng, blocks: usize, threads: usize) -> MergedStats {
-    let mut per_thread: Vec<ThreadStats> = (0..threads).map(|_| ThreadStats::new(blocks)).collect();
-    for table in &mut per_thread {
+    let mut stats = MergedStats::new(blocks);
+    for _ in 0..threads {
         let events = rng.below(60);
         for _ in 0..events {
             let x = rng.below(blocks as u64) as usize;
             let concurrent: Vec<usize> = (0..blocks).filter(|_| rng.chance(0.35)).collect();
             if rng.chance(0.5) {
-                table.register_abort(x, concurrent.into_iter());
+                stats.add_abort(x, concurrent.into_iter());
             } else {
-                table.register_commit(x, concurrent.into_iter());
+                stats.add_commit(x, concurrent.into_iter());
             }
         }
     }
-    let mut merged = MergedStats::new(blocks);
-    merged.merge_from(per_thread.iter());
-    merged
+    stats
 }
 
 #[cfg(test)]
@@ -206,8 +204,10 @@ mod tests {
 
     #[test]
     fn stats_violations_detects_fabricated_counts() {
+        // A duplicated partner in one scan: a(0,1) = 2 with e(0) = 1, which
+        // no scan of distinct announced blocks can produce.
         let mut m = MergedStats::new(2);
-        m.abort[1] = 5; // a(0,1) = 5 with e(0) = 0: impossible.
+        m.add_abort(0, [1, 1].into_iter());
         let v = stats_violations(&m, 1);
         assert_eq!(v.len(), 1, "{v:?}");
     }

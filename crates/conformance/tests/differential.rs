@@ -14,7 +14,7 @@
 use seer::gaussian::{gaussian_percentile, std_normal_cdf};
 use seer::inference::{
     conditional_abort_probability, conjunctive_abort_probability, infer_conflict_pairs,
-    MIN_DISCRIMINATIVE_SIGMA,
+    InferenceScratch, MIN_DISCRIMINATIVE_SIGMA,
 };
 use seer::Thresholds;
 use seer_conformance::{
@@ -31,6 +31,9 @@ fn inference_agrees_with_reference_on_randomized_matrices() {
     let mut pairs_checked = 0u64;
     let mut serialized_seen = 0u64;
     let mut boundary_disagreements = 0u64;
+    // One scratch for every matrix, as the scheduler reuses its own across
+    // rounds: no round may see a previous round's rows.
+    let mut scratch = InferenceScratch::default();
 
     for case in 0..MATRICES {
         let blocks = 2 + rng.below(7) as usize; // 2..=8
@@ -46,8 +49,9 @@ fn inference_agrees_with_reference_on_randomized_matrices() {
             th2: 0.05 + rng.unit() * 0.9,
         };
         let subject: BTreeSet<(usize, usize)> =
-            infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, None)
-                .into_iter()
+            infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, &mut scratch, None)
+                .iter()
+                .copied()
                 .collect();
 
         for x in 0..blocks {
@@ -145,6 +149,9 @@ fn degenerate_rows_agree_between_paths() {
     // An empty matrix serializes nothing under either path.
     let stats = random_stats(&mut SimRng::new(1), 4, 0);
     let th = Thresholds::default();
-    assert!(infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, None).is_empty());
+    let mut scratch = InferenceScratch::default();
+    assert!(
+        infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, &mut scratch, None).is_empty()
+    );
     assert!(seer_conformance::reference_infer(&stats, Thresholds::default()).is_empty());
 }

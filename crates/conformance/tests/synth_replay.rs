@@ -21,8 +21,8 @@ const FIXTURES: &str = concat!(
     "/tests/fixtures/synth_trace_hashes.txt"
 );
 
-/// The synth cell under full Seer — the configuration where the
-/// incremental engine does the most work per round.
+/// The synth cell under full Seer — the configuration where each
+/// inference round does the most work.
 const CELL: Cell = Cell {
     benchmark: Benchmark::Synth { blocks: 128 },
     policy: PolicyKind::Seer,

@@ -11,7 +11,7 @@
 //! tolerance of a decision boundary.
 
 use proptest::prelude::*;
-use seer::inference::{infer_conflict_pairs, MIN_DISCRIMINATIVE_SIGMA};
+use seer::inference::{infer_conflict_pairs, InferenceScratch, MIN_DISCRIMINATIVE_SIGMA};
 use seer::Thresholds;
 use seer_conformance::{random_stats, reference_decision};
 use seer_runtime::trace::RowTrace;
@@ -38,7 +38,14 @@ proptest! {
         let th = Thresholds { th1, th2 };
 
         let mut rows: Vec<RowTrace> = Vec::new();
-        let pairs = infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, Some(&mut |r| rows.push(r)));
+        let mut scratch = InferenceScratch::default();
+        let pairs = infer_conflict_pairs(
+            &stats,
+            th,
+            MIN_DISCRIMINATIVE_SIGMA,
+            &mut scratch,
+            Some(&mut |r| rows.push(r)),
+        );
 
         // One row per block, one decision per ordered pair — the
         // self-pair (x, x) included: x‖x is two threads in the same block.

@@ -83,90 +83,68 @@ pub fn conjunctive_abort_probability(stats: &MergedStats, x: BlockId, y: BlockId
 /// the paper does not specify behaviour for degenerate rows.)
 pub const MIN_DISCRIMINATIVE_SIGMA: f64 = 0.05;
 
-/// The serialization pairs implied by `stats` under `th`: every `(x, y)`
-/// meeting both conditions of Alg. 5 line 72. Pairs are returned once per
-/// direction evaluated (the caller applies the symmetric lock assignment of
-/// lines 73–74).
+/// Caller-owned scratch of an inference round: the conditional
+/// probabilities of the row being evaluated, that row's serialized
+/// partners, and the round's output. Reusing one scratch across rounds
+/// makes a steady-state untraced round allocate nothing once the buffers
+/// have reached their working sizes.
+#[derive(Debug, Clone, Default)]
+pub struct InferenceScratch {
+    cond: Vec<f64>,
+    row_pairs: Vec<BlockId>,
+    out: Vec<(BlockId, BlockId)>,
+}
+
+/// One full round of Alg. 5: the serialization pairs implied by `stats`
+/// under `th`, i.e. every `(x, y)` meeting both conditions of line 72, in
+/// ascending `(x, y)` order. Pairs are returned once per direction
+/// evaluated (the caller applies the symmetric lock assignment of lines
+/// 73–74). The result lives in `scratch` until its next round.
 ///
 /// `min_sigma` is the discriminative-sigma floor: the paper-default paths
 /// pass [`MIN_DISCRIMINATIVE_SIGMA`]; the tuner searches other values.
 ///
-/// With `on_row`, the function also reports decision provenance: one
+/// With `on_row`, the round also reports decision provenance: one
 /// [`RowTrace`] per atomic block carrying the fitted Gaussian, the
 /// percentile cutoff actually used and every pair's probabilities and
 /// [`Verdict`]. The serialize decisions and the emitted verdicts come
 /// from the *same* comparisons and can never diverge; the trace
 /// structures are only built when a callback is present (zero cost
 /// otherwise).
-pub fn infer_conflict_pairs(
+pub fn infer_conflict_pairs<'s>(
     stats: &MergedStats,
     th: Thresholds,
     min_sigma: f64,
+    scratch: &'s mut InferenceScratch,
     mut on_row: Option<&mut dyn FnMut(RowTrace)>,
-) -> Vec<(BlockId, BlockId)> {
-    let n = stats.blocks();
-    let mut pairs = Vec::new();
-    let mut cond = Vec::with_capacity(n);
-    let mut row_pairs: Vec<BlockId> = Vec::with_capacity(n);
-    for x in 0..n {
-        let mut trace = on_row.as_ref().map(|_| Vec::with_capacity(n));
-        let fit = compute_row(stats, x, th, min_sigma, &mut cond, &mut row_pairs, trace.as_mut());
-        pairs.extend(row_pairs.iter().map(|&y| (x, y)));
+) -> &'s [(BlockId, BlockId)] {
+    let InferenceScratch { cond, row_pairs, out } = scratch;
+    out.clear();
+    for x in 0..stats.blocks() {
+        let trace = compute_row(stats, x, th, min_sigma, cond, row_pairs, on_row.is_some());
+        out.extend(row_pairs.iter().map(|&y| (x, y)));
         if let (Some(cb), Some(tr)) = (on_row.as_mut(), trace) {
-            cb(fit.into_row_trace(x, tr));
+            cb(tr);
         }
     }
-    pairs
+    out
 }
 
-/// The cacheable per-row summary of one Alg. 5 row: the fitted Gaussian,
-/// the percentile cutoff actually compared against, and the sigma-floor
-/// verdict. Everything a [`RowTrace`] carries except the pair list.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RowFit {
-    /// Fitted mean `η` of the row's conditional probabilities.
-    pub eta: f64,
-    /// Fitted variance `σ²` of the row's conditional probabilities.
-    pub sigma2: f64,
-    /// The `Th2`-percentile cutoff of the fitted Gaussian.
-    pub cutoff: f64,
-    /// Whether `σ` cleared the discriminative floor (Th2 participates).
-    pub discriminative: bool,
-}
-
-impl RowFit {
-    /// Rehydrates a full [`RowTrace`] from the cached fit plus a pair list.
-    pub fn into_row_trace(self, x: BlockId, pairs: Vec<PairDecision>) -> RowTrace {
-        RowTrace {
-            x,
-            eta: self.eta,
-            sigma2: self.sigma2,
-            cutoff: self.cutoff,
-            discriminative: self.discriminative,
-            pairs,
-        }
-    }
-}
-
-/// The single shared row kernel of Alg. 5: fills `cond` with row `x`'s
-/// conditional probabilities, fits the Gaussian, and rewrites `out_pairs`
-/// with the serialized partners `y` of `x` (in ascending `y`). When
-/// `trace` is given, one [`PairDecision`] per `y` is appended to it — the
-/// verdicts come from the *same* comparisons that emitted the pairs, so
-/// traced and untraced decisions can never diverge.
-///
-/// Every inference entry point — the free full-recompute functions above
-/// and the incremental [`crate::InferenceEngine`] — funnels through this
-/// kernel, which is what makes cached rows bit-identical to fresh ones.
-pub(crate) fn compute_row(
+/// The row kernel of Alg. 5: fills `cond` with row `x`'s conditional
+/// probabilities, fits the Gaussian, and rewrites `out_pairs` with the
+/// serialized partners `y` of `x` (in ascending `y`). When `traced`, it
+/// also returns the row's [`RowTrace`], one [`PairDecision`] per `y` —
+/// the verdicts come from the *same* comparisons that emitted the pairs,
+/// so traced and untraced decisions can never diverge.
+fn compute_row(
     stats: &MergedStats,
     x: BlockId,
     th: Thresholds,
     min_sigma: f64,
     cond: &mut Vec<f64>,
     out_pairs: &mut Vec<BlockId>,
-    mut trace: Option<&mut Vec<PairDecision>>,
-) -> RowFit {
+    traced: bool,
+) -> Option<RowTrace> {
     let commit_row = stats.commit_row(x);
     let abort_row = stats.abort_row(x);
     cond.clear();
@@ -186,6 +164,7 @@ pub(crate) fn compute_row(
     // per-pair (`a / e_x`) — a reciprocal multiply would round differently
     // and break fixture bit-identity.
     let e = stats.e(x) as f64;
+    let mut trace = traced.then(|| Vec::with_capacity(cond.len()));
     out_pairs.clear();
     for (y, &cond_p) in cond.iter().enumerate() {
         let conj = if e == 0.0 { 0.0 } else { abort_row[y] as f64 / e };
@@ -205,40 +184,43 @@ pub(crate) fn compute_row(
             });
         }
     }
-    RowFit {
+    trace.map(|pairs| RowTrace {
+        x,
         eta,
         sigma2,
         cutoff,
         discriminative,
-    }
+        pairs,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::ThreadStats;
 
-    /// Builds merged stats where block 0 aborted `a01` times with 1 active
-    /// and committed `c01` times with 1 active, out of `e0` executions.
-    fn stats_pairwise(blocks: usize, fill: impl Fn(&mut ThreadStats)) -> MergedStats {
-        let mut t = ThreadStats::new(blocks);
-        fill(&mut t);
+    /// Statistics over `blocks` blocks, registered by `fill`.
+    fn stats_pairwise(blocks: usize, fill: impl Fn(&mut MergedStats)) -> MergedStats {
         let mut m = MergedStats::new(blocks);
-        m.merge_from([&t].into_iter());
+        fill(&mut m);
         m
+    }
+
+    /// One untraced round on fresh scratch, as an owned list.
+    fn infer(stats: &MergedStats, th: Thresholds, min_sigma: f64) -> Vec<(BlockId, BlockId)> {
+        infer_conflict_pairs(stats, th, min_sigma, &mut InferenceScratch::default(), None).to_vec()
     }
 
     #[test]
     fn probabilities_match_definitions() {
         let m = stats_pairwise(2, |t| {
             for _ in 0..30 {
-                t.register_abort(0, [1].into_iter());
+                t.add_abort(0, [1].into_iter());
             }
             for _ in 0..10 {
-                t.register_commit(0, [1].into_iter());
+                t.add_commit(0, [1].into_iter());
             }
             for _ in 0..60 {
-                t.register_commit(0, [].into_iter());
+                t.add_commit(0, [].into_iter());
             }
         });
         // a01=30, c01=10, e0=100.
@@ -258,23 +240,23 @@ mod tests {
         // Block 0 aborts heavily when 1 is around, rarely when 2 is around.
         let m = stats_pairwise(3, |t| {
             for _ in 0..40 {
-                t.register_abort(0, [1].into_iter());
+                t.add_abort(0, [1].into_iter());
             }
             for _ in 0..2 {
-                t.register_abort(0, [2].into_iter());
+                t.add_abort(0, [2].into_iter());
             }
             for _ in 0..5 {
-                t.register_commit(0, [1].into_iter());
+                t.add_commit(0, [1].into_iter());
             }
             for _ in 0..30 {
-                t.register_commit(0, [2].into_iter());
+                t.add_commit(0, [2].into_iter());
             }
             for _ in 0..23 {
-                t.register_commit(0, [].into_iter());
+                t.add_commit(0, [].into_iter());
             }
         });
         // e0 = 100; conj(0,1) = 0.40 > Th1; conj(0,2) = 0.02 < Th1.
-        let pairs = infer_conflict_pairs(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA, None);
+        let pairs = infer(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA);
         assert!(pairs.contains(&(0, 1)), "pairs = {pairs:?}");
         assert!(!pairs.contains(&(0, 2)));
         assert!(!pairs.contains(&(0, 0)));
@@ -286,24 +268,23 @@ mod tests {
         // but it only happened twice in 100 executions: conjunctive 0.02.
         let m = stats_pairwise(2, |t| {
             for _ in 0..2 {
-                t.register_abort(0, [1].into_iter());
+                t.add_abort(0, [1].into_iter());
             }
             for _ in 0..98 {
-                t.register_commit(0, [].into_iter());
+                t.add_commit(0, [].into_iter());
             }
         });
         assert_eq!(conditional_abort_probability(&m, 0, 1), 1.0);
-        let pairs = infer_conflict_pairs(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA, None);
+        let pairs = infer(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA);
         assert!(pairs.is_empty(), "pairs = {pairs:?}");
         // Lowering Th1 lets the pair through.
-        let pairs = infer_conflict_pairs(
+        let pairs = infer(
             &m,
             Thresholds {
                 th1: 0.01,
                 th2: 0.8,
             },
             MIN_DISCRIMINATIVE_SIGMA,
-            None,
         );
         assert!(pairs.contains(&(0, 1)));
     }
@@ -315,31 +296,30 @@ mod tests {
         // percentile cut must single out block 1.
         let m = stats_pairwise(5, |t| {
             for _ in 0..35 {
-                t.register_abort(0, [1].into_iter());
+                t.add_abort(0, [1].into_iter());
             }
             for y in 2..5usize {
                 for _ in 0..4 {
-                    t.register_abort(0, [y].into_iter());
+                    t.add_abort(0, [y].into_iter());
                 }
             }
             for _ in 0..5 {
-                t.register_commit(0, [1].into_iter());
+                t.add_commit(0, [1].into_iter());
             }
             for y in 2..5usize {
                 for _ in 0..16 {
-                    t.register_commit(0, [y].into_iter());
+                    t.add_commit(0, [y].into_iter());
                 }
             }
         });
         // e0 = 35+12+5+48 = 100. cond(0,1)=0.875, cond(0,y)=0.2.
-        let pairs = infer_conflict_pairs(
+        let pairs = infer(
             &m,
             Thresholds {
                 th1: 0.03,
                 th2: 0.8,
             },
             MIN_DISCRIMINATIVE_SIGMA,
-            None,
         );
         assert!(pairs.contains(&(0, 1)), "pairs = {pairs:?}");
         for y in 2..5 {
@@ -352,13 +332,13 @@ mod tests {
         // x = y is allowed: a block contending with instances of itself.
         let m = stats_pairwise(2, |t| {
             for _ in 0..50 {
-                t.register_abort(0, [0].into_iter());
+                t.add_abort(0, [0].into_iter());
             }
             for _ in 0..50 {
-                t.register_commit(0, [].into_iter());
+                t.add_commit(0, [].into_iter());
             }
         });
-        let pairs = infer_conflict_pairs(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA, None);
+        let pairs = infer(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA);
         assert!(pairs.contains(&(0, 0)), "pairs = {pairs:?}");
     }
 
@@ -366,29 +346,31 @@ mod tests {
     fn traced_inference_agrees_with_untraced() {
         let m = stats_pairwise(5, |t| {
             for _ in 0..35 {
-                t.register_abort(0, [1].into_iter());
+                t.add_abort(0, [1].into_iter());
             }
             for y in 2..5usize {
                 for _ in 0..4 {
-                    t.register_abort(0, [y].into_iter());
+                    t.add_abort(0, [y].into_iter());
                 }
             }
             for _ in 0..5 {
-                t.register_commit(0, [1].into_iter());
+                t.add_commit(0, [1].into_iter());
             }
             for y in 2..5usize {
                 for _ in 0..16 {
-                    t.register_commit(0, [y].into_iter());
+                    t.add_commit(0, [y].into_iter());
                 }
             }
         });
         let th = Thresholds { th1: 0.03, th2: 0.8 };
-        let plain = infer_conflict_pairs(&m, th, MIN_DISCRIMINATIVE_SIGMA, None);
+        let plain = infer(&m, th, MIN_DISCRIMINATIVE_SIGMA);
         let mut rows = Vec::new();
+        let mut scratch = InferenceScratch::default();
         let traced = infer_conflict_pairs(
             &m,
             th,
             MIN_DISCRIMINATIVE_SIGMA,
+            &mut scratch,
             Some(&mut |r| rows.push(r)),
         );
         assert_eq!(plain, traced);
@@ -421,27 +403,27 @@ mod tests {
         // row's sigma disables the filter and lets every Th1 survivor in.
         let m = stats_pairwise(5, |t| {
             for _ in 0..35 {
-                t.register_abort(0, [1].into_iter());
+                t.add_abort(0, [1].into_iter());
             }
             for y in 2..5usize {
                 for _ in 0..4 {
-                    t.register_abort(0, [y].into_iter());
+                    t.add_abort(0, [y].into_iter());
                 }
             }
             for _ in 0..5 {
-                t.register_commit(0, [1].into_iter());
+                t.add_commit(0, [1].into_iter());
             }
             for y in 2..5usize {
                 for _ in 0..16 {
-                    t.register_commit(0, [y].into_iter());
+                    t.add_commit(0, [y].into_iter());
                 }
             }
         });
         let th = Thresholds { th1: 0.03, th2: 0.8 };
-        let strict = infer_conflict_pairs(&m, th, MIN_DISCRIMINATIVE_SIGMA, None);
+        let strict = infer(&m, th, MIN_DISCRIMINATIVE_SIGMA);
         assert!(!strict.contains(&(0, 2)));
         // A floor above any realistic sigma: Th2 never participates.
-        let lax = infer_conflict_pairs(&m, th, 10.0, None);
+        let lax = infer(&m, th, 10.0);
         assert!(lax.contains(&(0, 2)), "pairs = {lax:?}");
     }
 

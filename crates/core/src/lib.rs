@@ -10,10 +10,13 @@
 //! 1. [`active::ActiveTxs`] — threads announce the atomic block they are
 //!    executing in a synchronization-free array;
 //! 2. [`stats`] — every commit/abort scans the announcements into
-//!    per-thread frequency matrices;
-//! 3. [`inference`] — periodically, conditional and conjunctive abort
-//!    probabilities are derived per block pair, and a pair is declared
-//!    conflicting when `P(x aborts ∧ x‖y) > Th1` and `P(x aborts | x‖y)`
+//!    commit/abort frequency matrices. The paper keeps one set per thread
+//!    and sums them, because real threads register concurrently; the
+//!    simulator runs on one host thread, so it keeps the one summed set
+//!    and writes it directly;
+//! 3. [`inference`] — periodically, one full round derives conditional
+//!    and conjunctive abort probabilities per block pair, and a pair is
+//!    declared conflicting when `P(x aborts ∧ x‖y) > Th1` and `P(x aborts | x‖y)`
 //!    exceeds the `Th2`-th percentile of a Gaussian fitted to the row
 //!    ([`gaussian`]);
 //! 4. [`locktable::LockTable`] — the inferred pairs become a dynamic
@@ -48,7 +51,6 @@
 
 pub mod active;
 pub mod config;
-pub mod engine;
 pub mod gaussian;
 pub mod hillclimb;
 pub mod inference;
@@ -57,8 +59,7 @@ pub mod scheduler;
 pub mod stats;
 
 pub use config::{ProfilingCosts, SeerConfig, SeerParams};
-pub use engine::InferenceEngine;
 pub use hillclimb::HillClimber;
-pub use inference::{infer_conflict_pairs, RowFit, Thresholds};
+pub use inference::{infer_conflict_pairs, InferenceScratch, Thresholds};
 pub use locktable::LockTable;
 pub use scheduler::{Seer, SeerCounters, UpdateRecord};

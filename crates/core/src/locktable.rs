@@ -70,7 +70,7 @@ impl LockTable {
         let blocks = self.rows.len();
         // Rows are cleared and refilled in place: after the first few
         // rounds their capacities stabilize and a rebuild allocates
-        // nothing (the steady-state discipline of DESIGN.md §16).
+        // nothing (the steady-state discipline of DESIGN.md §12.3).
         for row in &mut self.rows {
             row.clear();
         }

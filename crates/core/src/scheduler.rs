@@ -32,11 +32,10 @@ use seer_sim::{Cycles, ThreadId};
 
 use crate::active::ActiveTxs;
 use crate::config::SeerConfig;
-use crate::engine::InferenceEngine;
 use crate::hillclimb::HillClimber;
-use crate::inference::Thresholds;
+use crate::inference::{infer_conflict_pairs, InferenceScratch, Thresholds};
 use crate::locktable::LockTable;
-use crate::stats::{MergedStats, ThreadStats};
+use crate::stats::MergedStats;
 
 /// One recomputation of the locking scheme, for convergence analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +69,6 @@ pub struct Seer {
     threads: usize,
     blocks: usize,
     active: ActiveTxs,
-    per_thread: Vec<ThreadStats>,
     merged: MergedStats,
     table: LockTable,
     climber: HillClimber,
@@ -96,10 +94,9 @@ pub struct Seer {
     /// sampled commit/abort registration — the hottest Seer path, so it
     /// must not allocate per event.
     scan_buf: Vec<BlockId>,
-    /// Persistent incremental evaluator of Alg. 5: caches per-row results
-    /// and recomputes only the rows dirtied since the previous update, so
-    /// a steady-state round costs `O(dirty · n)` and allocates nothing.
-    engine: InferenceEngine,
+    /// Reused buffers of the Alg. 5 round, so a steady-state untraced
+    /// update allocates nothing.
+    scratch: InferenceScratch,
 }
 
 impl Seer {
@@ -114,7 +111,6 @@ impl Seer {
             threads,
             blocks,
             active: ActiveTxs::new(threads),
-            per_thread: (0..threads).map(|_| ThreadStats::new(blocks)).collect(),
             merged: MergedStats::new(blocks),
             table: LockTable::new(blocks),
             thresholds,
@@ -130,7 +126,7 @@ impl Seer {
             skip_inference_rounds: 0,
             last_event_sampled: true,
             scan_buf: Vec::new(),
-            engine: InferenceEngine::new(),
+            scratch: InferenceScratch::default(),
         }
     }
 
@@ -178,7 +174,7 @@ impl Seer {
         self.history.iter().rev().find(|r| r.changed).map(|r| r.at)
     }
 
-    /// Merged statistics (rebuilt on every update).
+    /// The statistics matrices every sampled registration writes.
     pub fn merged_stats(&self) -> &MergedStats {
         &self.merged
     }
@@ -199,37 +195,30 @@ impl Seer {
         self.table.rebuild(pairs);
     }
 
-    /// UPDATE-Seer-LOCKS (Alg. 5): merge per-thread statistics, recompute
-    /// the conflict pairs under the current thresholds, swap the table.
+    /// UPDATE-Seer-LOCKS (Alg. 5): recompute the conflict pairs from the
+    /// statistics under the current thresholds, swap the table.
     pub fn force_update(&mut self) {
         self.update_with_trace(None);
     }
 
     /// The update, optionally emitting one [`InferenceTrace`] to `sink`
     /// stamped with virtual time `now`. The traced and untraced paths run
-    /// the same inference kernel (through [`InferenceEngine`]), so the
-    /// emitted verdicts are the decisions, not a reconstruction.
+    /// the same inference round, so the emitted verdicts are the
+    /// decisions, not a reconstruction.
     fn update_with_trace(&mut self, trace: Option<(&mut dyn TraceSink, Cycles)>) {
-        // `self.merged` is maintained incrementally: every sampled
-        // registration is folded into it alongside the owning thread's
-        // table (`MergedStats::add_commit` / `add_abort`), so an inference
-        // round starts from current matrices without re-summing every
-        // per-thread table — and each registration marks its row dirty, so
-        // the persistent engine recomputes only changed rows and reuses
-        // its own scratch (zero steady-state allocations). The only
-        // operation the dual-write cannot track is decay, which resyncs
-        // explicitly below (dirtying every row).
         let th = self.thresholds;
         let min_sigma = self.cfg.min_sigma;
         let pairs = match trace {
             Some((sink, now)) if sink.enabled() => {
-                // A trace record carries every row, so the traced round
-                // recomputes all of them (refreshing the cache in passing).
                 let digest = self.merged.digest();
                 let mut rows = Vec::with_capacity(self.blocks);
-                let pairs =
-                    self.engine
-                        .round_traced(&mut self.merged, th, min_sigma, &mut |r| rows.push(r));
+                let pairs = infer_conflict_pairs(
+                    &self.merged,
+                    th,
+                    min_sigma,
+                    &mut self.scratch,
+                    Some(&mut |r| rows.push(r)),
+                );
                 sink.inference(InferenceTrace {
                     round: self.counters.updates + 1,
                     at: now,
@@ -241,20 +230,14 @@ impl Seer {
                 });
                 pairs
             }
-            _ => self.engine.round(&mut self.merged, th, min_sigma),
+            _ => infer_conflict_pairs(&self.merged, th, min_sigma, &mut self.scratch, None),
         };
         self.table.rebuild(pairs);
         self.counters.updates += 1;
         self.execs_at_last_update = self.total_execs;
         if let Some(every) = self.cfg.decay_every_updates {
             if self.counters.updates.is_multiple_of(every) {
-                for t in &mut self.per_thread {
-                    t.decay();
-                }
-                // Integer halving does not distribute over the sum, so the
-                // incremental merge cannot mirror decay; rebuild once per
-                // decay (rare) to re-anchor the merged view.
-                self.merged.merge_from(self.per_thread.iter());
+                self.merged.decay();
             }
         }
     }
@@ -380,7 +363,6 @@ impl Scheduler for Seer {
         self.last_event_sampled = self.cfg.sampling >= 1.0 || env.rng.chance(self.cfg.sampling);
         if self.last_event_sampled {
             self.scan_concurrent(thread);
-            self.per_thread[thread].register_abort(block, self.scan_buf.iter().copied());
             self.merged.add_abort(block, self.scan_buf.iter().copied());
             self.total_execs += 1;
             self.counters.aborts_registered += 1;
@@ -433,7 +415,6 @@ impl Scheduler for Seer {
         self.last_event_sampled = self.cfg.sampling >= 1.0 || env.rng.chance(self.cfg.sampling);
         if self.last_event_sampled {
             self.scan_concurrent(thread);
-            self.per_thread[thread].register_commit(block, self.scan_buf.iter().copied());
             self.merged.add_commit(block, self.scan_buf.iter().copied());
             self.total_execs += 1;
             self.counters.commits_registered += 1;
@@ -473,9 +454,6 @@ impl Scheduler for Seer {
                 // Stats amnesia: the learned profile is gone; the lock
                 // table stays (stale) until the next inference round
                 // rebuilds it from the post-wipe evidence.
-                for t in &mut self.per_thread {
-                    *t = ThreadStats::new(self.blocks);
-                }
                 self.merged = MergedStats::new(self.blocks);
             }
             SchedFault::KickThresholds { th1, th2 } => {
@@ -550,10 +528,11 @@ mod tests {
         s.on_tx_start(1, 2, &mut e);
         s.on_tx_start(2, 3, &mut e);
         s.on_abort(0, 1, XStatus::conflict(), 4, &mut e);
-        assert_eq!(s.per_thread[0].aborts(1, 2), 1);
-        assert_eq!(s.per_thread[0].aborts(1, 3), 1);
-        assert_eq!(s.per_thread[0].aborts(1, 1), 0);
-        assert_eq!(s.per_thread[0].executions(1), 1);
+        let m = s.merged_stats();
+        assert_eq!(m.a(1, 2), 1);
+        assert_eq!(m.a(1, 3), 1);
+        assert_eq!(m.a(1, 1), 0);
+        assert_eq!(m.e(1), 1);
     }
 
     #[test]
@@ -698,14 +677,11 @@ mod tests {
         );
         // Fabricate strong evidence that block 0 conflicts with block 1.
         for _ in 0..60 {
-            s.per_thread[0].register_abort(0, [1].into_iter());
+            s.merged.add_abort(0, [1].into_iter());
         }
         for _ in 0..40 {
-            s.per_thread[0].register_commit(0, [].into_iter());
+            s.merged.add_commit(0, [].into_iter());
         }
-        // Fabricated directly into the per-thread table, bypassing the
-        // hooks' incremental dual-write — sync the merged view by hand.
-        s.merged.merge_from(s.per_thread.iter());
         s.total_execs = 100;
         s.force_update();
         assert_eq!(s.lock_table().row(0), &[1]);
@@ -726,13 +702,11 @@ mod tests {
             2,
         );
         for _ in 0..60 {
-            s.per_thread[0].register_abort(0, [1].into_iter());
+            s.merged.add_abort(0, [1].into_iter());
         }
         for _ in 0..40 {
-            s.per_thread[0].register_commit(0, [].into_iter());
+            s.merged.add_commit(0, [].into_iter());
         }
-        // As above: fabricated stats need an explicit merged-view sync.
-        s.merged.merge_from(s.per_thread.iter());
         s.total_execs = 100;
         let bank = LockBank::new(4, 2);
         let mut rng = SimRng::new(0);
@@ -758,14 +732,13 @@ mod tests {
     }
 
     #[test]
-    fn incremental_merge_tracks_the_per_thread_tables() {
-        // Drive registrations through the public hooks and check the
-        // incrementally maintained merge equals a from-scratch rebuild —
-        // including across a decay round, which the dual-write cannot
-        // mirror and must resync explicitly.
+    fn decay_round_halves_the_registered_counters() {
+        // Registrations through the public hooks, then a due update with
+        // decay every round: the update must halve every counter the hooks
+        // wrote, and the hooks must keep writing the same matrices after.
         let mut s = Seer::new(
             SeerConfig {
-                update_period_execs: 3,
+                update_period_execs: 5,
                 ..SeerConfig::with_decay(1)
             },
             3,
@@ -778,21 +751,29 @@ mod tests {
         s.on_tx_start(1, 2, &mut e);
         s.on_tx_start(2, 3, &mut e);
         s.on_abort(0, 1, XStatus::conflict(), 4, &mut e);
-        s.on_htm_commit(1, 2, &mut e);
+        s.on_abort(0, 1, XStatus::conflict(), 3, &mut e);
+        s.on_abort(0, 1, XStatus::conflict(), 2, &mut e);
         s.on_abort(2, 3, XStatus::capacity(), 4, &mut e);
         s.on_htm_commit(0, 1, &mut e);
+        let before = s.merged_stats().clone();
+        assert_eq!((before.a(1, 2), before.c(1, 2), before.e(1)), (3, 1, 4));
+        assert_eq!((before.a(3, 1), before.e(3)), (1, 1));
         s.on_periodic(&mut e); // due update -> inference + decay
         assert_eq!(s.counters().updates, 1);
-        s.on_tx_start(1, 0, &mut e);
-        s.on_tx_start(2, 2, &mut e);
-        s.on_abort(1, 0, XStatus::conflict(), 4, &mut e);
-        s.on_htm_commit(2, 2, &mut e);
-        let mut rebuilt = MergedStats::new(4);
-        rebuilt.merge_from(s.per_thread.iter());
-        assert_eq!(rebuilt.commit, s.merged_stats().commit);
-        assert_eq!(rebuilt.abort, s.merged_stats().abort);
-        assert_eq!(rebuilt.executions, s.merged_stats().executions);
-        assert_eq!(rebuilt.digest(), s.merged_stats().digest());
+        let after = s.merged_stats();
+        for x in 0..4 {
+            assert_eq!(after.e(x), before.e(x) / 2, "e({x})");
+            for y in 0..4 {
+                assert_eq!(after.a(x, y), before.a(x, y) / 2, "a({x},{y})");
+                assert_eq!(after.c(x, y), before.c(x, y) / 2, "c({x},{y})");
+            }
+        }
+        assert_eq!((after.a(1, 2), after.c(1, 2), after.e(1)), (1, 0, 2));
+        assert_eq!((after.a(3, 1), after.e(3)), (0, 0));
+        // Registration resumes on the decayed matrices.
+        s.on_tx_start(0, 1, &mut e);
+        s.on_abort(0, 1, XStatus::conflict(), 4, &mut e);
+        assert_eq!((s.merged_stats().a(1, 2), s.merged_stats().e(1)), (2, 3));
     }
 
     #[test]
@@ -828,9 +809,9 @@ mod tests {
         s.on_tx_start(0, 0, &mut e);
         s.on_tx_start(1, 1, &mut e);
         s.on_abort(0, 0, XStatus::conflict(), 4, &mut e);
-        assert_eq!(s.per_thread[0].executions(0), 1);
+        assert_eq!(s.merged_stats().e(0), 1);
         s.on_fault(&SchedFault::WipeStats, &mut e);
-        assert_eq!(s.per_thread[0].executions(0), 0, "profile must be wiped");
+        assert_eq!(s.merged_stats().e(0), 0, "profile must be wiped");
         assert_eq!(s.merged_stats().digest(), MergedStats::new(2).digest());
     }
 
@@ -888,6 +869,6 @@ mod tests {
         s.on_fallback_commit(0, 1, &mut e);
         assert_eq!(s.active.get(0), None);
         assert_eq!(s.counters().commits_registered, 0);
-        assert_eq!(s.per_thread[0].executions(1), 0);
+        assert_eq!(s.merged_stats().e(1), 0);
     }
 }

@@ -1,26 +1,39 @@
 //! Commit/abort statistics matrices (paper Table 2, Fig. 2 steps 3–5).
 //!
-//! Each thread owns private `commitStats` / `abortStats` matrices and an
-//! `executions` array, updated without synchronization on every commit and
-//! abort by scanning `activeTxs` (Alg. 3). Periodically the per-thread
-//! matrices are summed into merged global matrices that feed the
-//! probabilistic inference (Alg. 5). Entry `[x][y]` counts events of block
-//! `x` during which block `y` was observed running concurrently.
+//! Every sampled commit and abort scans `activeTxs` (Alg. 3) into a pair
+//! of `blocks × blocks` frequency matrices plus an `executions` array;
+//! entry `[x][y]` counts events of block `x` during which block `y` was
+//! observed running concurrently. These are the matrices the
+//! probabilistic inference (Alg. 5) reads.
+//!
+//! The paper gives each thread private single-writer matrices and sums
+//! them into a global view before each inference round, because real
+//! threads register concurrently and must not contend on shared counters.
+//! The simulator runs every simulated thread on one host thread, so there
+//! is nothing to synchronize: registrations write one matrix set — the
+//! summed view the paper's inference reads — and decay halves that set in
+//! place (DESIGN.md §5 item 8).
 
 use seer_runtime::BlockId;
 
-/// One thread's private statistics (a row-major `blocks × blocks` pair of
-/// matrices plus the executions vector).
+/// The statistics matrices (`commitStats`, `abortStats`, `executions`)
+/// summed over all threads.
+///
+/// The counters are private: they change only through the registration
+/// paths ([`MergedStats::add_commit`], [`MergedStats::add_abort`]) and
+/// [`MergedStats::decay`], so every instance is realizable by some event
+/// stream. Readers use [`MergedStats::c`], [`MergedStats::a`],
+/// [`MergedStats::e`], the row slices and [`MergedStats::digest`].
 #[derive(Debug, Clone)]
-pub struct ThreadStats {
+pub struct MergedStats {
     blocks: usize,
     commit: Vec<u64>,
     abort: Vec<u64>,
     executions: Vec<u64>,
 }
 
-impl ThreadStats {
-    /// Zeroed statistics over `blocks` atomic blocks.
+impl MergedStats {
+    /// Zeroed matrices over `blocks` atomic blocks.
     pub fn new(blocks: usize) -> Self {
         Self {
             blocks,
@@ -32,7 +45,7 @@ impl ThreadStats {
 
     /// REGISTER-COMMIT: block `x` committed while `concurrent` blocks were
     /// announced by other threads.
-    pub fn register_commit(&mut self, x: BlockId, concurrent: impl Iterator<Item = BlockId>) {
+    pub fn add_commit(&mut self, x: BlockId, concurrent: impl Iterator<Item = BlockId>) {
         self.executions[x] += 1;
         for y in concurrent {
             self.commit[x * self.blocks + y] += 1;
@@ -41,26 +54,11 @@ impl ThreadStats {
 
     /// REGISTER-ABORT: block `x` aborted while `concurrent` blocks were
     /// announced by other threads.
-    pub fn register_abort(&mut self, x: BlockId, concurrent: impl Iterator<Item = BlockId>) {
+    pub fn add_abort(&mut self, x: BlockId, concurrent: impl Iterator<Item = BlockId>) {
         self.executions[x] += 1;
         for y in concurrent {
             self.abort[x * self.blocks + y] += 1;
         }
-    }
-
-    /// Raw commit count for the pair `(x, y)`.
-    pub fn commits(&self, x: BlockId, y: BlockId) -> u64 {
-        self.commit[x * self.blocks + y]
-    }
-
-    /// Raw abort count for the pair `(x, y)`.
-    pub fn aborts(&self, x: BlockId, y: BlockId) -> u64 {
-        self.abort[x * self.blocks + y]
-    }
-
-    /// Total executions (commits + aborts) of block `x`.
-    pub fn executions(&self, x: BlockId) -> u64 {
-        self.executions[x]
     }
 
     /// Halves every counter (integer division). Applied periodically, this
@@ -76,95 +74,6 @@ impl ThreadStats {
             .chain(self.executions.iter_mut())
         {
             *v /= 2;
-        }
-    }
-}
-
-/// The merged global matrices (Fig. 2 step 5).
-///
-/// Besides the counters, the merge tracks **dirty rows**: which block rows
-/// changed since [`MergedStats::clear_dirty`] was last called. Row `x` of
-/// the inference (Alg. 5) reads only `commit[x·n..]`, `abort[x·n..]` and
-/// `executions[x]`, so [`MergedStats::add_commit`]/[`MergedStats::add_abort`]
-/// dirty exactly row `x`, while [`MergedStats::merge_from`] (the decay
-/// resync path) conservatively dirties every row. The incremental
-/// [`crate::InferenceEngine`] uses these bits to skip untouched rows.
-///
-/// The matrix fields stay `pub` for diagnostic reads; code that *writes*
-/// them directly (bypassing the methods) must call
-/// [`MergedStats::mark_all_dirty`] afterwards or cached inference rows go
-/// stale.
-#[derive(Debug, Clone)]
-pub struct MergedStats {
-    blocks: usize,
-    /// Merged `commitStats`.
-    pub commit: Vec<u64>,
-    /// Merged `abortStats`.
-    pub abort: Vec<u64>,
-    /// Merged `executions`.
-    pub executions: Vec<u64>,
-    dirty: Vec<bool>,
-    all_dirty: bool,
-}
-
-impl MergedStats {
-    /// Zeroed merged matrices over `blocks` atomic blocks. Every row starts
-    /// dirty: a consumer that has never seen these stats has no valid cache.
-    pub fn new(blocks: usize) -> Self {
-        Self {
-            blocks,
-            commit: vec![0; blocks * blocks],
-            abort: vec![0; blocks * blocks],
-            executions: vec![0; blocks],
-            dirty: vec![false; blocks],
-            all_dirty: true,
-        }
-    }
-
-    /// Recomputes the merge as the element-wise sum of `threads`' matrices.
-    /// Every row may have changed (this is the decay/resync path), so all
-    /// rows are marked dirty.
-    pub fn merge_from<'a>(&mut self, threads: impl Iterator<Item = &'a ThreadStats>) {
-        self.all_dirty = true;
-        self.commit.iter_mut().for_each(|v| *v = 0);
-        self.abort.iter_mut().for_each(|v| *v = 0);
-        self.executions.iter_mut().for_each(|v| *v = 0);
-        for t in threads {
-            debug_assert_eq!(t.blocks, self.blocks, "mismatched block counts");
-            for (dst, src) in self.commit.iter_mut().zip(&t.commit) {
-                *dst += *src;
-            }
-            for (dst, src) in self.abort.iter_mut().zip(&t.abort) {
-                *dst += *src;
-            }
-            for (dst, src) in self.executions.iter_mut().zip(&t.executions) {
-                *dst += *src;
-            }
-        }
-    }
-
-    /// Folds one commit registration directly into the merged matrices —
-    /// the same arithmetic as [`ThreadStats::register_commit`], applied at
-    /// the merged level. Registering every event through both tables keeps
-    /// the merge incrementally up to date, so an inference round starts
-    /// from the current matrices instead of re-summing every per-thread
-    /// table (an `O(threads × blocks²)` scan per round).
-    pub fn add_commit(&mut self, x: BlockId, concurrent: impl Iterator<Item = BlockId>) {
-        self.dirty[x] = true;
-        self.executions[x] += 1;
-        for y in concurrent {
-            self.commit[x * self.blocks + y] += 1;
-        }
-    }
-
-    /// Folds one abort registration directly into the merged matrices; the
-    /// incremental counterpart of [`ThreadStats::register_abort`]. See
-    /// [`MergedStats::add_commit`].
-    pub fn add_abort(&mut self, x: BlockId, concurrent: impl Iterator<Item = BlockId>) {
-        self.dirty[x] = true;
-        self.executions[x] += 1;
-        for y in concurrent {
-            self.abort[x * self.blocks + y] += 1;
         }
     }
 
@@ -198,25 +107,6 @@ impl MergedStats {
         &self.abort[x * self.blocks..(x + 1) * self.blocks]
     }
 
-    /// Has row `x` changed since [`MergedStats::clear_dirty`]?
-    pub fn is_dirty(&self, x: BlockId) -> bool {
-        self.all_dirty || self.dirty[x]
-    }
-
-    /// Marks every row dirty. Required after any direct write to the `pub`
-    /// matrix fields that bypasses the registration methods.
-    pub fn mark_all_dirty(&mut self) {
-        self.all_dirty = true;
-    }
-
-    /// Acknowledges all pending changes: every row reads as clean until the
-    /// next mutation. Called by the inference engine once its caches have
-    /// absorbed the current matrices.
-    pub fn clear_dirty(&mut self) {
-        self.all_dirty = false;
-        self.dirty.iter_mut().for_each(|d| *d = false);
-    }
-
     /// Total executions over all blocks (the "enough samples" signal for
     /// the self-tuning mechanism).
     pub fn total_executions(&self) -> u64 {
@@ -248,127 +138,68 @@ mod tests {
 
     #[test]
     fn register_paths_update_matrices() {
-        let mut s = ThreadStats::new(3);
-        s.register_abort(0, [1, 2].into_iter());
-        s.register_abort(0, [1].into_iter());
-        s.register_commit(0, [1].into_iter());
-        s.register_commit(2, [].into_iter());
-        assert_eq!(s.aborts(0, 1), 2);
-        assert_eq!(s.aborts(0, 2), 1);
-        assert_eq!(s.commits(0, 1), 1);
-        assert_eq!(s.executions(0), 3);
-        assert_eq!(s.executions(2), 1);
-        assert_eq!(s.executions(1), 0);
+        let mut s = MergedStats::new(3);
+        s.add_abort(0, [1, 2].into_iter());
+        s.add_abort(0, [1].into_iter());
+        s.add_commit(0, [1].into_iter());
+        s.add_commit(2, [].into_iter());
+        assert_eq!(s.a(0, 1), 2);
+        assert_eq!(s.a(0, 2), 1);
+        assert_eq!(s.c(0, 1), 1);
+        assert_eq!(s.e(0), 3);
+        assert_eq!(s.e(2), 1);
+        assert_eq!(s.e(1), 0);
+        assert_eq!(s.total_executions(), 4);
     }
 
     #[test]
-    fn merge_is_elementwise_sum() {
-        let mut a = ThreadStats::new(2);
-        a.register_abort(0, [1].into_iter());
-        a.register_commit(1, [0].into_iter());
-        let mut b = ThreadStats::new(2);
-        b.register_abort(0, [1].into_iter());
-        b.register_abort(1, [0].into_iter());
-
-        let mut m = MergedStats::new(2);
-        m.merge_from([&a, &b].into_iter());
-        assert_eq!(m.a(0, 1), 2);
-        assert_eq!(m.a(1, 0), 1);
-        assert_eq!(m.c(1, 0), 1);
-        assert_eq!(m.e(0), 2);
-        assert_eq!(m.e(1), 2);
-        assert_eq!(m.total_executions(), 4);
-    }
-
-    #[test]
-    fn decay_halves_all_counters() {
-        let mut s = ThreadStats::new(2);
-        for _ in 0..10 {
-            s.register_abort(0, [1].into_iter());
-        }
-        for _ in 0..5 {
-            s.register_commit(1, [0].into_iter());
-        }
-        s.decay();
-        assert_eq!(s.aborts(0, 1), 5);
-        assert_eq!(s.commits(1, 0), 2);
-        assert_eq!(s.executions(0), 5);
-        assert_eq!(s.executions(1), 2);
-        // Probabilities are (approximately) preserved under decay.
-        s.decay();
-        s.decay();
-        s.decay();
-        assert_eq!(s.aborts(0, 1), 0, "counters fade to zero");
-    }
-
-    #[test]
-    fn incremental_adds_match_a_full_rebuild() {
-        // Mirror the same event stream into per-thread tables (merged by a
-        // full rebuild) and into an incrementally maintained MergedStats;
-        // both views must be identical down to the digest.
-        let mut threads = [ThreadStats::new(3), ThreadStats::new(3)];
-        let mut incremental = MergedStats::new(3);
-        let events: &[(usize, BlockId, bool, &[BlockId])] = &[
-            (0, 0, false, &[1, 2]),
-            (1, 1, true, &[0]),
-            (0, 2, true, &[]),
-            (1, 0, false, &[2]),
-            (0, 1, false, &[0, 2]),
-            (1, 2, true, &[1]),
-        ];
-        for &(t, x, commit, concurrent) in events {
-            if commit {
-                threads[t].register_commit(x, concurrent.iter().copied());
-                incremental.add_commit(x, concurrent.iter().copied());
+    fn decay_halves_every_counter() {
+        // Odd and even counts in all three matrices: a(0,1)=7, a(0,2)=2,
+        // c(1,0)=5, c(1,2)=4, e(0)=7, e(1)=9, e(2)=1.
+        let mut s = MergedStats::new(3);
+        for i in 0..7 {
+            if i < 2 {
+                s.add_abort(0, [1, 2].into_iter());
             } else {
-                threads[t].register_abort(x, concurrent.iter().copied());
-                incremental.add_abort(x, concurrent.iter().copied());
+                s.add_abort(0, [1].into_iter());
             }
         }
-        let mut rebuilt = MergedStats::new(3);
-        rebuilt.merge_from(threads.iter());
-        assert_eq!(rebuilt.commit, incremental.commit);
-        assert_eq!(rebuilt.abort, incremental.abort);
-        assert_eq!(rebuilt.executions, incremental.executions);
-        assert_eq!(rebuilt.digest(), incremental.digest());
-    }
+        for i in 0..9 {
+            let partners: &[BlockId] = match i {
+                0..=3 => &[0, 2],
+                4 => &[0],
+                _ => &[],
+            };
+            s.add_commit(1, partners.iter().copied());
+        }
+        s.add_commit(2, [].into_iter());
+        let before = s.clone();
+        s.decay();
+        for x in 0..3 {
+            assert_eq!(s.e(x), before.e(x) / 2, "e({x})");
+            for y in 0..3 {
+                assert_eq!(s.a(x, y), before.a(x, y) / 2, "a({x},{y})");
+                assert_eq!(s.c(x, y), before.c(x, y) / 2, "c({x},{y})");
+            }
+        }
 
-    #[test]
-    fn dirty_rows_track_incremental_writes() {
-        let mut m = MergedStats::new(3);
-        // Fresh stats: no consumer has a valid cache, so every row is dirty.
-        assert!((0..3).all(|x| m.is_dirty(x)));
-        m.clear_dirty();
-        assert!((0..3).all(|x| !m.is_dirty(x)));
-        // Incremental registration dirties exactly the registering row:
-        // row x of the inference reads commit[x·n..], abort[x·n..] and
-        // executions[x], none of which change for other rows.
-        m.add_commit(1, [0, 2].into_iter());
-        assert!(!m.is_dirty(0));
-        assert!(m.is_dirty(1));
-        assert!(!m.is_dirty(2));
-        m.add_abort(2, [].into_iter());
-        assert!(m.is_dirty(2));
-        m.clear_dirty();
-        assert!(!m.is_dirty(1));
-    }
+        // The same matrix, registered directly with the halved counts:
+        // a(0,1)=3, a(0,2)=1, c(1,0)=2, c(1,2)=2, e(0)=3, e(1)=4, e(2)=0.
+        let mut halved = MergedStats::new(3);
+        halved.add_abort(0, [1, 2].into_iter());
+        halved.add_abort(0, [1].into_iter());
+        halved.add_abort(0, [1].into_iter());
+        halved.add_commit(1, [0, 2].into_iter());
+        halved.add_commit(1, [0, 2].into_iter());
+        halved.add_commit(1, [].into_iter());
+        halved.add_commit(1, [].into_iter());
+        assert_eq!(s.digest(), halved.digest());
 
-    #[test]
-    fn decay_resync_dirties_every_row() {
-        // The decay path halves per-thread counters and re-merges; any row
-        // may shrink, so the resync must dirty all of them.
-        let mut t = ThreadStats::new(2);
-        t.register_abort(0, [1].into_iter());
-        let mut m = MergedStats::new(2);
-        m.merge_from([&t].into_iter());
-        m.clear_dirty();
-        t.decay();
-        m.merge_from([&t].into_iter());
-        assert!(m.is_dirty(0) && m.is_dirty(1));
-        // mark_all_dirty covers direct writes to the pub fields.
-        m.clear_dirty();
-        m.mark_all_dirty();
-        assert!(m.is_dirty(1));
+        // Repeated decay fades every counter to zero.
+        for _ in 0..4 {
+            s.decay();
+        }
+        assert_eq!(s.digest(), MergedStats::new(3).digest());
     }
 
     #[test]
@@ -382,29 +213,5 @@ mod tests {
                 assert_eq!(m.abort_row(x)[y], m.a(x, y));
             }
         }
-    }
-
-    #[test]
-    fn digest_ignores_dirty_bits() {
-        // The digest fingerprints the *statistics*, not cache bookkeeping:
-        // two rounds reading the same matrices must agree even if one view
-        // has pending dirty bits and the other was acknowledged.
-        let mut a = MergedStats::new(2);
-        a.add_abort(0, [1].into_iter());
-        let mut b = a.clone();
-        b.clear_dirty();
-        assert_eq!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn merge_overwrites_previous_content() {
-        let mut t = ThreadStats::new(2);
-        t.register_abort(0, [1].into_iter());
-        let mut m = MergedStats::new(2);
-        m.merge_from([&t].into_iter());
-        m.merge_from([&t].into_iter());
-        // Re-merging the same input must not double-count.
-        assert_eq!(m.a(0, 1), 1);
-        assert_eq!(m.e(0), 1);
     }
 }

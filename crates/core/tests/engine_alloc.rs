@@ -1,18 +1,14 @@
 //! Zero steady-state allocation audit for the inference round
 //! (`crates/runtime/tests/scratch_reuse.rs` style, one layer up).
 //!
-//! PR 6 removed allocations from the simulation kernel's hot loops; this
-//! audit pins the same discipline onto the scheduler's periodic update.
-//! A counting global allocator measures three steady states after warm-up:
+//! A counting global allocator measures two steady states after warm-up:
 //!
-//! * engine, clean round — nothing dirty, the round is pure cached
-//!   assembly and must allocate nothing;
-//! * engine, sparse-dirty rounds — a converged cyclic update stream keeps
-//!   ≤ 10% of rows dirty per round; recomputation reuses the engine's
-//!   per-row scratch and must allocate nothing;
-//! * full `Seer` scheduler — event registration (`on_tx_start` /
+//! * the full Alg. 5 round at 64 and 256 blocks — once the caller-owned
+//!   [`InferenceScratch`] has reached its working sizes, an untraced
+//!   round must allocate nothing;
+//! * the full `Seer` scheduler — event registration (`on_tx_start` /
 //!   `on_htm_commit` / `on_abort`) plus `force_update` rounds, covering
-//!   the merged-stats dual write, the engine round, and the in-place
+//!   the statistics writes, the inference round, and the in-place
 //!   `LockTable::rebuild`.
 //!
 //! Everything here is deterministic (fixed streams, no hashing), so the
@@ -21,9 +17,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use seer::inference::{Thresholds, MIN_DISCRIMINATIVE_SIGMA};
+use seer::inference::{
+    infer_conflict_pairs, InferenceScratch, Thresholds, MIN_DISCRIMINATIVE_SIGMA,
+};
 use seer::stats::MergedStats;
-use seer::{InferenceEngine, Seer, SeerConfig};
+use seer::{Seer, SeerConfig};
 use seer_htm::XStatus;
 use seer_runtime::{LockBank, NullTraceSink, SchedEnv, Scheduler};
 use seer_sim::{SimRng, Topology};
@@ -63,8 +61,8 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
-/// A populated stats matrix (same xorshift scheme as the engine's own
-/// unit tests: deterministic, contended enough to emit pairs).
+/// A populated stats matrix (xorshift stream: deterministic, contended
+/// enough to emit pairs).
 fn populated(blocks: usize, seed: u64) -> MergedStats {
     let mut state = seed | 1;
     let mut next = move |bound: usize| {
@@ -89,54 +87,36 @@ fn populated(blocks: usize, seed: u64) -> MergedStats {
     m
 }
 
-/// One cyclic sparse update: dirties `dirty` fixed rows (≤ 10% of `n`)
-/// with abort registrations against a fixed partner set. Deterministic
-/// and convergent — after warm-up the emitted pair set is stable, so a
-/// steady-state round touches no new capacity.
-fn apply_sparse(stats: &mut MergedStats, n: usize, dirty: usize, round: usize) {
-    for i in 0..dirty {
-        let x = (i * (n / dirty)) % n;
-        let y = (x + 1 + (round + i) % 3) % n;
-        stats.add_abort(x, [y].into_iter());
-    }
-}
-
-/// All three audits share the binary-wide allocation counter, so they run
-/// as one sequential test rather than three racing ones.
+/// Both audits share the binary-wide allocation counter, so they run as
+/// one sequential test rather than two racing ones.
 #[test]
 fn steady_state_rounds_do_not_allocate() {
     let th = Thresholds::default();
     let min_sigma = MIN_DISCRIMINATIVE_SIGMA;
 
-    // --- engine, clean rounds ------------------------------------------
-    let n = 64;
-    let mut stats = populated(n, 0x5EED);
-    let mut engine = InferenceEngine::new();
-    let baseline = engine.round(&mut stats, th, min_sigma).len();
-    assert!(baseline > 0, "audit stats must emit pairs");
-    let clean = allocations_during(|| {
-        for _ in 0..50 {
-            std::hint::black_box(engine.round(&mut stats, th, min_sigma));
-        }
-    });
-    assert_eq!(clean, 0, "clean rounds must be pure cached assembly");
-
-    // --- engine, sparse-dirty rounds -----------------------------------
-    // Warm-up: run the cyclic stream long enough that every row's pair
-    // list and the concatenation buffer have reached their steady
-    // capacities (the stream's probability ratios converge monotonically).
-    let dirty = n / 10;
-    for round in 0..300 {
-        apply_sparse(&mut stats, n, dirty, round);
-        engine.round(&mut stats, th, min_sigma);
+    // --- full inference round over reused scratch -----------------------
+    for n in [64, 256] {
+        let mut stats = populated(n, 0x5EED);
+        let mut scratch = InferenceScratch::default();
+        let baseline = infer_conflict_pairs(&stats, th, min_sigma, &mut scratch, None).to_vec();
+        assert!(!baseline.is_empty(), "audit stats must emit pairs at n={n}");
+        // Registrations between rounds, as in a running scheduler: the
+        // round reads fresh counters but needs no new capacity.
+        let rounds = allocations_during(|| {
+            for round in 0..20 {
+                stats.add_commit(round % n, [(round + 1) % n].into_iter());
+                let pairs = infer_conflict_pairs(&stats, th, min_sigma, &mut scratch, None);
+                std::hint::black_box(pairs);
+            }
+        });
+        assert_eq!(rounds, 0, "steady-state rounds at n={n} must not allocate");
+        // The reused scratch still decides what fresh scratch decides.
+        let mut fresh = InferenceScratch::default();
+        assert_eq!(
+            infer_conflict_pairs(&stats, th, min_sigma, &mut scratch, None),
+            infer_conflict_pairs(&stats, th, min_sigma, &mut fresh, None)
+        );
     }
-    let sparse = allocations_during(|| {
-        for round in 300..360 {
-            apply_sparse(&mut stats, n, dirty, round);
-            std::hint::black_box(engine.round(&mut stats, th, min_sigma));
-        }
-    });
-    assert_eq!(sparse, 0, "sparse-dirty rounds must reuse engine scratch");
 
     // --- full scheduler: events + force_update -------------------------
     let threads = 4;

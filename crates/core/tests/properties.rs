@@ -3,28 +3,26 @@
 use proptest::prelude::*;
 use seer::gaussian::{gaussian_percentile, mean_variance, std_normal_cdf, std_normal_quantile};
 use seer::inference::{
-    conditional_abort_probability, conjunctive_abort_probability, infer_conflict_pairs, Thresholds,
-    MIN_DISCRIMINATIVE_SIGMA,
+    conditional_abort_probability, conjunctive_abort_probability, infer_conflict_pairs,
+    InferenceScratch, Thresholds, MIN_DISCRIMINATIVE_SIGMA,
 };
-use seer::stats::{MergedStats, ThreadStats};
+use seer::stats::MergedStats;
 use seer::{HillClimber, LockTable};
 use seer_sim::SimRng;
 
 fn arb_stats(blocks: usize) -> impl Strategy<Value = MergedStats> {
     prop::collection::vec((0u32..200, 0u32..200), blocks * blocks).prop_map(move |cells| {
-        let mut t = ThreadStats::new(blocks);
+        let mut m = MergedStats::new(blocks);
         for (idx, (aborts, commits)) in cells.into_iter().enumerate() {
             let x = idx / blocks;
             let y = idx % blocks;
             for _ in 0..aborts {
-                t.register_abort(x, [y].into_iter());
+                m.add_abort(x, [y].into_iter());
             }
             for _ in 0..commits {
-                t.register_commit(x, [y].into_iter());
+                m.add_commit(x, [y].into_iter());
             }
         }
-        let mut m = MergedStats::new(blocks);
-        m.merge_from([&t].into_iter());
         m
     })
 }
@@ -53,9 +51,11 @@ proptest! {
     fn th1_is_monotone(stats in arb_stats(4), lo in 0.0f64..0.5, delta in 0.0f64..0.5) {
         let th_lo = Thresholds { th1: lo, th2: 0.5 };
         let th_hi = Thresholds { th1: lo + delta, th2: 0.5 };
-        let pairs_lo = infer_conflict_pairs(&stats, th_lo, MIN_DISCRIMINATIVE_SIGMA, None);
-        let pairs_hi = infer_conflict_pairs(&stats, th_hi, MIN_DISCRIMINATIVE_SIGMA, None);
-        for p in &pairs_hi {
+        let mut scratch = InferenceScratch::default();
+        let pairs_lo =
+            infer_conflict_pairs(&stats, th_lo, MIN_DISCRIMINATIVE_SIGMA, &mut scratch, None).to_vec();
+        let pairs_hi = infer_conflict_pairs(&stats, th_hi, MIN_DISCRIMINATIVE_SIGMA, &mut scratch, None);
+        for p in pairs_hi {
             prop_assert!(pairs_lo.contains(p), "pair {p:?} appeared when Th1 rose");
         }
     }

@@ -68,7 +68,8 @@ pub fn env_config() -> HarnessConfig {
             None => WARNED.call_once(|| {
                 eprintln!(
                     "warning: ignoring invalid SEER_SCALE={raw:?} \
-                     (expected a positive, finite number); using default {:?}",
+                     (expected a positive number at most {}); using default {:?}",
+                    seer_stamp::MAX_SCALE,
                     cfg.scale
                 );
             }),
@@ -77,12 +78,12 @@ pub fn env_config() -> HarnessConfig {
     cfg
 }
 
-/// A work scale factor: positive and finite (the scenario spec's rule).
-/// An infinite scale would saturate every transaction count.
+/// A work scale factor under [`seer_stamp::check_scale`], the scenario
+/// spec's rule: positive, finite and at most [`seer_stamp::MAX_SCALE`].
 fn parse_scale(raw: &str) -> Option<f64> {
     raw.parse::<f64>()
         .ok()
-        .filter(|s| *s > 0.0 && s.is_finite())
+        .filter(|&s| seer_stamp::check_scale(s).is_ok())
 }
 
 #[cfg(test)]
@@ -90,11 +91,12 @@ mod tests {
     use super::parse_scale;
 
     #[test]
-    fn scale_must_be_positive_and_finite() {
-        for bad in ["inf", "NaN", "0", "-1", "abc", ""] {
+    fn scale_must_be_positive_finite_and_bounded() {
+        for bad in ["inf", "NaN", "0", "-1", "abc", "", "1e300", "1000.5"] {
             assert_eq!(parse_scale(bad), None, "{bad:?} must be rejected");
         }
         assert_eq!(parse_scale("0.05"), Some(0.05));
         assert_eq!(parse_scale("1"), Some(1.0));
+        assert_eq!(parse_scale("1000"), Some(1000.0));
     }
 }

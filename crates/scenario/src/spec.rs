@@ -194,9 +194,7 @@ impl ScenarioSpec {
                 self.threads
             ));
         }
-        if !(self.scale > 0.0 && self.scale.is_finite()) {
-            return Err(format!("scale must be positive and finite, got {}", self.scale));
-        }
+        seer_stamp::check_scale(self.scale)?;
         if self.window == 0 {
             return Err("window width must be positive".into());
         }
@@ -675,6 +673,8 @@ mod tests {
         let mut s = sample();
         s.scale = 0.0;
         assert!(s.validate().is_err());
+        s.scale = 1e300;
+        assert!(s.validate().unwrap_err().contains("at most"));
 
         let mut s = sample();
         s.phases[1].skew = 0.0;
@@ -694,6 +694,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("unknown fault kind"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_an_unbounded_scale() {
+        // A finite but enormous scale saturates every transaction count
+        // exactly like `inf`; the spec is refused before anything runs.
+        for scale in ["1e300", "1000.5", "0"] {
+            let err = ScenarioSpec::parse(&format!(
+                r#"{{"name":"x","benchmark":"ssca2","threads":2,"scale":{scale},"window":1000}}"#
+            ))
+            .unwrap_err();
+            assert!(err.contains("scale must be positive, finite and at most 1000"), "{err}");
+        }
     }
 
     #[test]

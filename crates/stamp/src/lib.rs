@@ -187,6 +187,26 @@ impl Benchmark {
     }
 }
 
+/// The largest work scale factor a run accepts. At 1000 the largest
+/// default transaction count (ssca2, 1200 per thread) becomes 1.2 M per
+/// thread: a long run, but one that ends. An unbounded scale saturates
+/// [`Benchmark::scaled_txs`] at `usize::MAX` and never finishes. The
+/// largest scale used in the tree is 5.
+pub const MAX_SCALE: f64 = 1000.0;
+
+/// The one rule for a work scale factor, shared by `SEER_SCALE` and
+/// scenario specs: positive, finite and at most [`MAX_SCALE`].
+pub fn check_scale(scale: f64) -> Result<(), String> {
+    // NaN fails both comparisons; infinity fails the upper bound.
+    if scale > 0.0 && scale <= MAX_SCALE {
+        Ok(())
+    } else {
+        Err(format!(
+            "scale must be positive, finite and at most {MAX_SCALE}, got {scale:?}"
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,5 +256,18 @@ mod tests {
         assert_eq!(Benchmark::from_spec("synth@blocks=bogus"), None);
         assert_eq!(Benchmark::from_spec("synth@lines=4"), None);
         assert_eq!(Benchmark::from_spec("nope"), None);
+    }
+
+    #[test]
+    fn scale_is_bounded_positive_and_finite() {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, MAX_SCALE * 2.0, 1e300] {
+            assert!(check_scale(bad).is_err(), "{bad} must be rejected");
+        }
+        for good in [0.05, 1.0, 5.0, MAX_SCALE] {
+            assert_eq!(check_scale(good), Ok(()));
+        }
+        // The bound keeps every transaction count far from saturation.
+        let largest = Benchmark::Ssca2.scaled_txs(MAX_SCALE);
+        assert_eq!(largest, ssca2::DEFAULT_TXS * 1000);
     }
 }

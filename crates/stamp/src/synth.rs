@@ -6,9 +6,8 @@
 //! conflict *clusters* of eight — blocks within a cluster share one
 //! region (and genuinely conflict), blocks in different clusters are
 //! disjoint. The conflict relation is therefore block-sparse no matter
-//! how large `N` grows, which is exactly the regime where incremental
-//! inference pays: between two rounds only the recently executed blocks'
-//! rows are dirty.
+//! how large `N` grows, while each inference round still evaluates all
+//! `N²` pairs.
 //!
 //! Not part of the paper's evaluation (the paper stops at STAMP); this is
 //! a scaling probe in the spirit of its §5.3 overhead analysis.
