@@ -53,17 +53,19 @@ fn conflict_probe_scaling(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(cpus), |b| {
             let mut m = HtmMachine::new(Topology::new(cpus, 1), HtmConfig::default());
             let mut rng = SimRng::new(1);
+            let (mut squeezed, mut victims) = (Vec::new(), Vec::new());
             for t in 0..cpus {
-                m.begin(t);
+                m.begin_into(t, &mut squeezed);
                 for _ in 0..32 {
                     // Disjoint footprints: the probe pays full cost but
                     // never aborts anyone.
-                    m.access(t, (t as u64) << 20 | rng.below(1 << 16), AccessKind::Read);
+                    let line = (t as u64) << 20 | rng.below(1 << 16);
+                    m.access_into(t, line, AccessKind::Read, &mut victims);
                 }
             }
             b.iter(|| {
-                let r = m.access(0, black_box(1 << 30), AccessKind::Write);
-                black_box(r.victims.len())
+                m.access_into(0, black_box(1 << 30), AccessKind::Write, &mut victims);
+                black_box(victims.len())
             });
         });
     }
@@ -76,10 +78,11 @@ fn tx_lifecycle(c: &mut Criterion) {
     for footprint in [8u64, 64, 256] {
         group.bench_function(BenchmarkId::from_parameter(footprint), |b| {
             let mut m = HtmMachine::new(Topology::haswell_e3(), HtmConfig::default());
+            let (mut squeezed, mut victims) = (Vec::new(), Vec::new());
             b.iter(|| {
-                m.begin(0);
+                m.begin_into(0, &mut squeezed);
                 for i in 0..footprint {
-                    m.access(0, i * 3, AccessKind::Write);
+                    m.access_into(0, i * 3, AccessKind::Write, &mut victims);
                 }
                 m.commit(0);
             });

@@ -3,11 +3,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seer::{Seer, SeerConfig};
-use seer_bench::BENCH_SCALE;
 use seer_runtime::{run, DriverConfig, Workload};
 use seer_sim::{EventQueue, SimRng};
 use seer_stamp::Benchmark;
 use std::hint::black_box;
+
+/// Workload scale of the ablation runs.
+const BENCH_SCALE: f64 = 0.05;
 
 fn event_queue_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");

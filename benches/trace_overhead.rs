@@ -9,11 +9,35 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use seer::{Seer, SeerConfig};
-use seer_bench::{bench_executor, simulate_cold, simulate_cold_traced};
-use seer_harness::{Cell, PolicyKind};
-use seer_runtime::{DriverConfig, MemoryTraceSink, NullTraceSink, Workload};
+use seer_harness::{Cell, CellExecutor, HarnessConfig, PolicyKind};
+use seer_runtime::{DriverConfig, MemoryTraceSink, NullTraceSink, RunMetrics, TraceSink, Workload};
+use seer_scenario::RunRequest;
 use seer_stamp::Benchmark;
 use std::hint::black_box;
+
+/// Workload scale of the timed cells.
+const BENCH_SCALE: f64 = 0.05;
+
+/// A cold cell executor at [`BENCH_SCALE`]: a fresh one per timed run
+/// makes every run a cache miss, so the simulation itself is timed.
+fn bench_executor() -> CellExecutor {
+    CellExecutor::new(HarnessConfig {
+        seeds: 1,
+        scale: BENCH_SCALE,
+        jobs: 1,
+    })
+}
+
+/// Simulates one cell at seed 0 through a cold executor.
+fn simulate_cold(cell: Cell) -> RunMetrics {
+    bench_executor().metrics(cell, 0)
+}
+
+/// The traced twin of [`simulate_cold`]: the same cell, seed and scale
+/// with the run's trace streams handed to `sink`.
+fn simulate_cold_traced(cell: Cell, sink: &mut dyn TraceSink) -> RunMetrics {
+    RunRequest::cell(cell).scale(BENCH_SCALE).traced(sink).run()
+}
 
 fn probe_cell() -> Cell {
     Cell {
@@ -25,7 +49,7 @@ fn probe_cell() -> Cell {
 
 /// The structural zero-overhead assertions, run once before timing.
 fn assert_sink_is_pure_observer(cell: Cell) {
-    let exec = bench_executor(1);
+    let exec = bench_executor();
     let untraced = exec.metrics(cell, 0);
     let misses_before = exec.misses();
 

@@ -1,4 +1,4 @@
-//! The CLI commands: `list`, `run`, `sweep`, `bench`, `inspect`,
+//! The CLI commands: `list`, `run`, `sweep`, `tune`, `inspect`,
 //! `explain`, `serve`, and the `scenario` family (`check` and
 //! `experiment` have modules of their own).
 
@@ -61,9 +61,6 @@ pub fn print_usage() {
          \x20                              [--json true] [--out TUNE.json]\n\
          \x20                              [--store DIR] [--resume] [--workers A1,A2]\n\
          \x20 serve    worker daemon       [--addr HOST:PORT]   (default 127.0.0.1:0)\n\
-         \x20 bench    perf measurement    [--mode smoke|full]\n\
-         \x20          (see DESIGN.md §12) [--out bench.json] [--repeats N]\n\
-         \x20                              [--jobs N] [--json true]\n\
          \x20 inspect  Seer's learned state --benchmark B --threads N [--txs N] [--seed N]\n\
          \x20 explain  decision history     --benchmark B --policy P --pair X,Y\n\
          \x20          for one block pair   [--threads N] [--seed N] [--txs N]\n\
@@ -76,9 +73,7 @@ pub fn print_usage() {
          \x20                              fig4, fig5, ablation-core-locks, accuracy,\n\
          \x20                              fine-grained, convergence (SEER_SEEDS,\n\
          \x20                              SEER_SCALE, SEER_JOBS, SEER_REPORT_JSON)\n\
-         \x20 check KIND   schema gate     --file F[,F...]   KIND: bench|trace|scenario|tune\n\
-         \x20                              bench only: [--baseline F] [--tolerance 0.25]\n\
-         \x20                              [--against F]\n\
+         \x20 check KIND   schema gate     --file F[,F...]   KIND: trace|scenario|tune\n\
          \n\
          Persistence: --store DIR attaches an on-disk result store (results load\n\
          before simulating and persist after); --resume is shorthand for\n\
@@ -216,45 +211,30 @@ pub fn run_one(args: &Args) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// Satellite behaviour: numeric *tuning* options (`--jobs`, `--repeats`)
-/// with an invalid value — unparsable or zero — warn once per process
-/// with the expected form and fall back to the default, instead of
-/// silently defaulting or aborting a script mid-sweep. (Options that pick
-/// *what* runs, like `--mode` or `--threads`, still hard-error: guessing
-/// there would silently measure the wrong thing.)
-fn positive_or_warn(
-    args: &Args,
-    key: &str,
-    default: usize,
-    warned: &'static Once,
-) -> usize {
-    match args.get(key) {
+/// `--jobs` is a *tuning* option: an invalid value — unparsable or
+/// zero — warns once per process with the expected form and falls back
+/// to [`default_jobs`], instead of silently defaulting or aborting a
+/// script mid-sweep. (Options that pick *what* runs, like `--threads`,
+/// still hard-error: guessing there would silently measure the wrong
+/// thing.)
+fn jobs_or_warn(args: &Args) -> usize {
+    static WARNED: Once = Once::new();
+    let default = default_jobs();
+    match args.get("jobs") {
         None => default,
         Some(raw) => match raw.parse::<usize>() {
             Ok(n) if n > 0 => n,
             _ => {
-                warned.call_once(|| {
+                WARNED.call_once(|| {
                     eprintln!(
-                        "warning: ignoring invalid --{key} {raw:?} \
-                         (usage: --{key} N, a positive integer); using default {default}"
+                        "warning: ignoring invalid --jobs {raw:?} \
+                         (usage: --jobs N, a positive integer); using default {default}"
                     );
                 });
                 default
             }
         },
     }
-}
-
-/// `--jobs` with warn-once fallback to [`default_jobs`].
-fn jobs_or_warn(args: &Args) -> usize {
-    static WARNED: Once = Once::new();
-    positive_or_warn(args, "jobs", default_jobs(), &WARNED)
-}
-
-/// `--repeats` with warn-once fallback to the mode's default.
-fn repeats_or_warn(args: &Args, default: usize) -> usize {
-    static WARNED: Once = Once::new();
-    positive_or_warn(args, "repeats", default, &WARNED)
 }
 
 /// Scale factor `seer sweep` runs at (a full sweep touches up to 88
@@ -632,52 +612,6 @@ pub fn tune(args: &Args) -> Result<(), ParseError> {
             outcome.failures.len() + default_failures.len(),
         )));
     }
-    Ok(())
-}
-
-/// `seer bench`: the perf-measurement harness (DESIGN.md §12). Runs the
-/// pinned workload matrix and the event-queue microbench, writes the JSON
-/// report to `--out`, and prints a summary (or, with `--json true`, the
-/// full report).
-pub fn bench(args: &Args) -> Result<(), ParseError> {
-    use seer_bench::harness::{run_bench, BenchMode};
-
-    args.allow_only(&["mode", "out", "repeats", "jobs", "json"])?;
-    let mode_raw = args.get("mode").unwrap_or("smoke");
-    let mode = BenchMode::parse(mode_raw).ok_or_else(|| {
-        ParseError(format!(
-            "--mode must be \"smoke\" or \"full\", got {mode_raw:?}"
-        ))
-    })?;
-    let json: bool = args.get_parsed("json", false)?;
-    let out = args.get("out").unwrap_or("bench.json");
-    let repeats = repeats_or_warn(args, mode.default_repeats());
-    let jobs = jobs_or_warn(args);
-
-    let report = run_bench(mode, repeats, jobs);
-    report
-        .write(out)
-        .map_err(|e| ParseError(format!("cannot write {out:?}: {e}")))?;
-
-    if json {
-        println!("{}", report.to_json().to_string_pretty());
-    } else {
-        println!("event queue vs reference BinaryHeap ({repeats} repeat(s), best kept):");
-        for q in &report.queue {
-            println!(
-                "  n={:<7} {:>12.0} events/s (heap {:>12.0})  speedup {:.2}x",
-                q.n, q.queue_events_per_sec, q.heap_events_per_sec, q.speedup_vs_heap
-            );
-        }
-        println!("\nworkload matrix ({} mode, scale {}):", mode.name(), mode.scale());
-        for c in &report.cells {
-            println!(
-                "  {:<14} {:<6} {} thread(s)  {:>10} events  {:>12.0} events/s  {:>8.1} ms",
-                c.benchmark, c.policy, c.threads, c.events, c.events_per_sec, c.wall_ms
-            );
-        }
-    }
-    eprintln!("bench: report written to {out}");
     Ok(())
 }
 
@@ -1292,31 +1226,10 @@ mod tests {
         // Missing → default; valid → parsed; invalid (zero or garbage) →
         // warn-once + default. The Once means only the first bad value
         // prints, but the fallback applies every time.
-        assert_eq!(jobs_or_warn(&args(&["bench"])), default_jobs());
-        assert_eq!(jobs_or_warn(&args(&["bench", "--jobs", "3"])), 3);
-        assert_eq!(jobs_or_warn(&args(&["bench", "--jobs", "0"])), default_jobs());
-        assert_eq!(jobs_or_warn(&args(&["bench", "--jobs", "lots"])), default_jobs());
-        assert_eq!(repeats_or_warn(&args(&["bench"]), 2), 2);
-        assert_eq!(repeats_or_warn(&args(&["bench", "--repeats", "5"]), 2), 5);
-        assert_eq!(repeats_or_warn(&args(&["bench", "--repeats", "-1"]), 2), 2);
-        assert_eq!(repeats_or_warn(&args(&["bench", "--repeats", "0"]), 3), 3);
-    }
-
-    #[test]
-    fn bench_command_validates_arguments() {
-        // --mode picks *what* is measured, so an invalid value is a hard
-        // error (unlike the tuning options above).
-        let a = args(&["bench", "--mode", "warp"]);
-        assert!(bench(&a).is_err());
-        let a = args(&["bench", "--bogus", "1"]);
-        assert!(bench(&a).is_err());
-        let a = args(&["bench", "--json", "maybe"]);
-        assert!(bench(&a).is_err());
-        // The hard error names both accepted modes; the retired
-        // `inference` mode is rejected like any unknown one.
-        let err = bench(&args(&["bench", "--mode", "warp"])).unwrap_err();
-        assert!(err.0.contains("smoke") && err.0.contains("full"), "{}", err.0);
-        assert!(bench(&args(&["bench", "--mode", "inference"])).is_err());
+        assert_eq!(jobs_or_warn(&args(&["sweep"])), default_jobs());
+        assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "3"])), 3);
+        assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "0"])), default_jobs());
+        assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "lots"])), default_jobs());
     }
 
     #[test]

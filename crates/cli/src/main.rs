@@ -10,7 +10,6 @@
 //!             [--space F.json] [--seed N] [--jobs N] [--json true] [--out TUNE.json]
 //!             [--store DIR] [--resume] [--workers ...]   # parameter search over Seer's knobs
 //! seer serve  [--addr HOST:PORT]                         # worker daemon for --workers
-//! seer bench  [--mode smoke|full] [--out bench.json] [--repeats N] [--jobs N] [--json true]
 //! seer inspect --benchmark intruder --threads 8 [--txs N]   # Seer's learned state
 //! seer explain --benchmark genome --policy seer --pair 0,2  # decision history of one pair
 //! seer scenario list                                        # built-in disturbance scenarios
@@ -18,7 +17,6 @@
 //!                   [--jobs N] [--json true] [--trace F.jsonl] [--store DIR] [--resume]
 //! seer experiment fig3                                      # regenerate a paper figure/table
 //! seer check trace --file F.jsonl[,F2...]                   # schema-check an artefact
-//!            [--baseline F] [--tolerance 0.25] [--against F]   (bench only)
 //! ```
 
 mod args;
@@ -77,7 +75,6 @@ fn run(mut raw: Vec<String>) -> Result<(), String> {
         "sweep" => commands::sweep(&args).map_err(|e| e.to_string()),
         "tune" => commands::tune(&args).map_err(|e| e.to_string()),
         "serve" => commands::serve(&args).map_err(|e| e.to_string()),
-        "bench" => commands::bench(&args).map_err(|e| e.to_string()),
         "inspect" => commands::inspect(&args).map_err(|e| e.to_string()),
         "explain" => commands::explain(&args).map_err(|e| e.to_string()),
         "scenario-list" => {
@@ -148,11 +145,16 @@ mod tests {
     fn unknown_check_kinds_and_experiments_list_the_valid_ones() {
         let err = run_words(&["check", "logs", "--file", "x"]).unwrap_err();
         assert!(
-            err.contains("\"logs\"") && err.contains("bench, trace, scenario, tune"),
+            err.contains("\"logs\"") && err.contains("(valid: trace, scenario, tune)"),
             "{err}"
         );
         let err = run_words(&["check", "--file", "x"]).unwrap_err();
-        assert!(err.contains("bench, trace, scenario, tune"), "{err}");
+        assert!(err.contains("one of trace, scenario, tune"), "{err}");
+        // `bench` is neither a check kind nor a command.
+        let err = run_words(&["check", "bench", "--file", "x"]).unwrap_err();
+        assert!(err.contains("unknown check kind \"bench\""), "{err}");
+        let err = run_words(&["bench"]).unwrap_err();
+        assert!(err.contains("unknown command \"bench\""), "{err}");
         let err = run_words(&["experiment", "fig9"]).unwrap_err();
         assert!(
             err.contains("\"fig9\"") && err.contains("fig3, table3"),
@@ -166,11 +168,13 @@ mod tests {
     fn check_validates_its_options_before_reading_files() {
         let err = run_words(&["check", "trace"]).unwrap_err();
         assert!(err.contains("--file"), "{err}");
-        // The bench gates are bench-only.
-        let err = run_words(&["check", "tune", "--file", "x", "--baseline", "y"]).unwrap_err();
-        assert!(err.contains("unknown option --baseline"), "{err}");
-        let err = run_words(&["check", "bench", "--file", "x", "--tolerance", "1.5"]);
-        assert!(err.unwrap_err().contains("--tolerance"));
+        // Every kind takes `--file` alone.
+        for kind in ["trace", "scenario", "tune"] {
+            for opt in ["--baseline", "--tolerance"] {
+                let err = run_words(&["check", kind, "--file", "x", opt, "y"]).unwrap_err();
+                assert!(err.contains(&format!("unknown option {opt}")), "{err}");
+            }
+        }
         let err = run_words(&["check", "trace", "--file", "/nonexistent/t.jsonl"]).unwrap_err();
         assert!(
             err.starts_with("/nonexistent/t.jsonl: cannot read"),
@@ -182,15 +186,13 @@ mod tests {
     fn check_accepts_committed_artefacts() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let file = |rel: &str| format!("{root}/{rel}");
-        let bench = file("BENCH_010.json");
-        let against = file("BENCH_006.json");
-        run_words(&["check", "bench", "--file", &bench, "--against", &against]).unwrap();
         let leaderboard = file("crates/tune/tests/fixtures/leaderboard.json");
         let tune = format!("{},{leaderboard}", file("TUNE_064.json"));
         run_words(&["check", "tune", "--file", &tune]).unwrap();
         let trace = file("crates/conformance/tests/fixtures/decision_trace.jsonl");
         run_words(&["check", "trace", "--file", &trace]).unwrap();
         // A file of the wrong kind is rejected.
-        assert!(run_words(&["check", "scenario", "--file", &bench]).is_err());
+        let err = run_words(&["check", "scenario", "--file", &file("TUNE_064.json")]);
+        assert!(err.is_err());
     }
 }

@@ -251,7 +251,10 @@ fn run_stream(topo: Topology, cfg: HtmConfig, ops: &[RawOp]) {
                 m.abort(t);
                 r.end(t);
             }
-            (14, _) => assert_eq!(m.kill_all(), r.kill_all(), "kill_all at op {step}"),
+            (14, _) => {
+                m.kill_all_into(&mut victims);
+                assert_eq!(victims, r.kill_all(), "kill_all at op {step}");
+            }
             _ => {
                 let cap = ((ways > 0).then_some(ways), (reads > 0).then_some(reads));
                 m.set_capacity_override(cap.0, cap.1);

@@ -30,7 +30,7 @@ pub mod status;
 
 pub use config::{ConflictResolution, CostModel, HtmConfig};
 pub use line::{LineAddr, LineSet};
-pub use machine::{AbortCause, AccessKind, AccessResult, HtmMachine};
+pub use machine::{AbortCause, AccessKind, HtmMachine};
 pub use status::{xabort_codes, XStatus};
 
 impl From<AbortCause> for XStatus {

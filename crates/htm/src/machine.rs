@@ -50,17 +50,6 @@ pub enum AbortCause {
     ReadCapacity,
 }
 
-/// Result of feeding one transactional access to the machine.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AccessResult {
-    /// Set when the *accessor itself* aborted (capacity overflow). Its slot
-    /// has already been cleared.
-    pub self_abort: Option<AbortCause>,
-    /// Other transactions killed by this access (data conflicts). Their
-    /// slots have already been cleared.
-    pub victims: Vec<ThreadId>,
-}
-
 /// Tracking state of one logical CPU's transaction. Whether a transaction
 /// is in flight at all is recorded only in [`HtmMachine`]'s `active` mask.
 #[derive(Debug, Clone)]
@@ -105,12 +94,13 @@ impl TxSlot {
 /// use seer_sim::Topology;
 ///
 /// let mut m = HtmMachine::new(Topology::haswell_e3(), HtmConfig::default());
-/// m.begin(0);
-/// m.begin(1);
-/// m.access(0, 42, AccessKind::Read);
+/// let (mut squeezed, mut victims) = (Vec::new(), Vec::new());
+/// m.begin_into(0, &mut squeezed);
+/// m.begin_into(1, &mut squeezed);
+/// m.access_into(0, 42, AccessKind::Read, &mut victims);
 /// // Thread 1 writes the line thread 0 read: requester wins, 0 aborts.
-/// let outcome = m.access(1, 42, AccessKind::Write);
-/// assert_eq!(outcome.victims, vec![0]);
+/// let self_abort = m.access_into(1, 42, AccessKind::Write, &mut victims);
+/// assert_eq!((self_abort, victims), (None, vec![0]));
 /// assert!(!m.in_tx(0));
 /// m.commit(1);
 /// ```
@@ -238,25 +228,12 @@ impl HtmMachine {
 
     /// Starts a transaction on `thread`.
     ///
-    /// Returns SMT siblings whose running transactions were squeezed over
-    /// their shrunken capacity budgets and therefore aborted (their slots
-    /// are cleared; report them as [`AbortCause::WriteCapacity`] /
-    /// [`AbortCause::ReadCapacity`] — the returned pairs carry the cause).
-    ///
-    /// Allocating convenience wrapper around [`HtmMachine::begin_into`];
-    /// per-event callers (the DES driver) pass a reusable scratch vector
-    /// to the latter instead.
-    ///
-    /// # Panics
-    /// If `thread` already has a transaction in flight.
-    pub fn begin(&mut self, thread: ThreadId) -> Vec<(ThreadId, AbortCause)> {
-        let mut squeezed = Vec::new();
-        self.begin_into(thread, &mut squeezed);
-        squeezed
-    }
-
-    /// [`HtmMachine::begin`] writing the squeezed siblings into `squeezed`
-    /// (cleared first) instead of allocating a fresh vector.
+    /// Writes into `squeezed` (cleared first) the SMT siblings whose
+    /// running transactions were squeezed over their shrunken capacity
+    /// budgets and therefore aborted (their slots are cleared; each pair
+    /// carries the cause, [`AbortCause::WriteCapacity`] or
+    /// [`AbortCause::ReadCapacity`]). Per-event callers (the DES driver)
+    /// reuse one scratch vector.
     ///
     /// # Panics
     /// If `thread` already has a transaction in flight.
@@ -284,19 +261,10 @@ impl HtmMachine {
 
     /// Feeds a transactional access by `thread` to `line`.
     ///
-    /// Allocating convenience wrapper around [`HtmMachine::access_into`].
-    ///
-    /// # Panics
-    /// If `thread` has no transaction in flight.
-    pub fn access(&mut self, thread: ThreadId, line: LineAddr, kind: AccessKind) -> AccessResult {
-        let mut victims = Vec::new();
-        let self_abort = self.access_into(thread, line, kind, &mut victims);
-        AccessResult { self_abort, victims }
-    }
-
-    /// [`HtmMachine::access`] writing conflict victims into `victims`
-    /// (cleared first) instead of allocating; returns the accessor's own
-    /// abort cause, if it aborted.
+    /// Writes into `victims` (cleared first) the other transactions this
+    /// access killed (data conflicts; their slots are cleared) and returns
+    /// the accessor's own abort cause if it aborted (its slot is cleared
+    /// too).
     ///
     /// # Panics
     /// If `thread` has no transaction in flight.
@@ -358,23 +326,8 @@ impl HtmMachine {
     }
 
     /// Feeds a *non-transactional* access (fall-back path, lock words).
-    /// Returns the transactions it kills; their slots are cleared.
-    ///
-    /// Allocating convenience wrapper around
-    /// [`HtmMachine::non_tx_access_into`].
-    pub fn non_tx_access(
-        &mut self,
-        thread: ThreadId,
-        line: LineAddr,
-        kind: AccessKind,
-    ) -> Vec<ThreadId> {
-        let mut victims = Vec::new();
-        self.non_tx_access_into(thread, line, kind, &mut victims);
-        victims
-    }
-
-    /// [`HtmMachine::non_tx_access`] writing the killed transactions into
-    /// `victims` (cleared first) instead of allocating.
+    /// Writes the transactions it kills into `victims` (cleared first);
+    /// their slots are cleared.
     pub fn non_tx_access_into(
         &mut self,
         thread: ThreadId,
@@ -407,19 +360,10 @@ impl HtmMachine {
         }
     }
 
-    /// Aborts every in-flight transaction and returns them — used when the
-    /// single-global fall-back lock is acquired, which every hardware
-    /// transaction subscribes to (reads) at begin.
-    ///
-    /// Allocating convenience wrapper around [`HtmMachine::kill_all_into`].
-    pub fn kill_all(&mut self) -> Vec<ThreadId> {
-        let mut killed = Vec::new();
-        self.kill_all_into(&mut killed);
-        killed
-    }
-
-    /// [`HtmMachine::kill_all`] writing the killed transactions into
-    /// `killed` (cleared first) instead of allocating, in ascending order.
+    /// Aborts every in-flight transaction and writes them into `killed`
+    /// (cleared first), in ascending order — used when the single-global
+    /// fall-back lock is acquired, which every hardware transaction
+    /// subscribes to (reads) at begin.
     pub fn kill_all_into(&mut self, killed: &mut Vec<ThreadId>) {
         killed.clear();
         for t in cpus_in(self.active) {
@@ -490,13 +434,49 @@ mod tests {
         HtmMachine::new(Topology::haswell_e3(), HtmConfig::default())
     }
 
+    /// What one transactional access did.
+    #[derive(Debug, Default, PartialEq)]
+    struct Access {
+        self_abort: Option<AbortCause>,
+        victims: Vec<ThreadId>,
+    }
+
+    fn begin(m: &mut HtmMachine, thread: ThreadId) -> Vec<(ThreadId, AbortCause)> {
+        let mut squeezed = Vec::new();
+        m.begin_into(thread, &mut squeezed);
+        squeezed
+    }
+
+    fn access(m: &mut HtmMachine, thread: ThreadId, line: LineAddr, kind: AccessKind) -> Access {
+        let mut victims = Vec::new();
+        let self_abort = m.access_into(thread, line, kind, &mut victims);
+        Access { self_abort, victims }
+    }
+
+    fn non_tx_access(
+        m: &mut HtmMachine,
+        thread: ThreadId,
+        line: LineAddr,
+        kind: AccessKind,
+    ) -> Vec<ThreadId> {
+        let mut victims = Vec::new();
+        m.non_tx_access_into(thread, line, kind, &mut victims);
+        victims
+    }
+
+    fn kill_all(m: &mut HtmMachine) -> Vec<ThreadId> {
+        let mut killed = Vec::new();
+        m.kill_all_into(&mut killed);
+        killed
+    }
+
     #[test]
     fn write_kills_concurrent_reader() {
         let mut m = machine();
-        m.begin(0);
-        m.begin(1);
-        assert_eq!(m.access(0, 100, AccessKind::Read), AccessResult::default());
-        let r = m.access(1, 100, AccessKind::Write);
+        begin(&mut m, 0);
+        begin(&mut m, 1);
+        assert_eq!(access(&mut m, 0, 100, AccessKind::Read), Access::default());
+        let r = access(&mut m, 1, 100, AccessKind::Write);
         assert_eq!(r.victims, vec![0]);
         assert!(r.self_abort.is_none());
         assert!(!m.in_tx(0), "victim slot cleared");
@@ -506,24 +486,24 @@ mod tests {
     #[test]
     fn write_kills_concurrent_writer() {
         let mut m = machine();
-        m.begin(0);
-        m.begin(1);
-        m.access(0, 7, AccessKind::Write);
-        let r = m.access(1, 7, AccessKind::Write);
+        begin(&mut m, 0);
+        begin(&mut m, 1);
+        access(&mut m, 0, 7, AccessKind::Write);
+        let r = access(&mut m, 1, 7, AccessKind::Write);
         assert_eq!(r.victims, vec![0]);
     }
 
     #[test]
     fn read_kills_concurrent_writer_but_not_reader() {
         let mut m = machine();
-        m.begin(0);
-        m.begin(1);
-        m.begin(2);
-        m.access(0, 9, AccessKind::Write);
-        m.access(1, 9, AccessKind::Read); // killed 0? no: read of 9 kills writer 0
+        begin(&mut m, 0);
+        begin(&mut m, 1);
+        begin(&mut m, 2);
+        access(&mut m, 0, 9, AccessKind::Write);
+        access(&mut m, 1, 9, AccessKind::Read); // killed 0? no: read of 9 kills writer 0
         assert!(!m.in_tx(0));
         // Thread 2 reads the same line: 1 only *read* it, so no kill.
-        let r = m.access(2, 9, AccessKind::Read);
+        let r = access(&mut m, 2, 9, AccessKind::Read);
         assert!(r.victims.is_empty());
         assert!(m.in_tx(1));
     }
@@ -531,10 +511,10 @@ mod tests {
     #[test]
     fn read_read_sharing_is_fine() {
         let mut m = machine();
-        m.begin(0);
-        m.begin(1);
-        m.access(0, 5, AccessKind::Read);
-        let r = m.access(1, 5, AccessKind::Read);
+        begin(&mut m, 0);
+        begin(&mut m, 1);
+        access(&mut m, 0, 5, AccessKind::Read);
+        let r = access(&mut m, 1, 5, AccessKind::Read);
         assert!(r.victims.is_empty());
         assert!(m.in_tx(0) && m.in_tx(1));
     }
@@ -542,31 +522,31 @@ mod tests {
     #[test]
     fn non_tx_write_kills_readers_and_writers() {
         let mut m = machine();
-        m.begin(0);
-        m.begin(1);
-        m.access(0, 11, AccessKind::Read);
-        m.access(1, 11, AccessKind::Write);
+        begin(&mut m, 0);
+        begin(&mut m, 1);
+        access(&mut m, 0, 11, AccessKind::Read);
+        access(&mut m, 1, 11, AccessKind::Write);
         assert!(!m.in_tx(0)); // killed by 1's write
-        m.begin(2);
-        m.access(2, 11, AccessKind::Read);
+        begin(&mut m, 2);
+        access(&mut m, 2, 11, AccessKind::Read);
         assert!(!m.in_tx(1)); // 2's read downgraded writer 1
-        let victims = m.non_tx_access(3, 11, AccessKind::Write);
+        let victims = non_tx_access(&mut m, 3, 11, AccessKind::Write);
         assert_eq!(victims, vec![2]);
     }
 
     #[test]
     fn commit_clears_sets() {
         let mut m = machine();
-        m.begin(0);
-        m.access(0, 1, AccessKind::Write);
-        m.access(0, 2, AccessKind::Read);
+        begin(&mut m, 0);
+        access(&mut m, 0, 1, AccessKind::Write);
+        access(&mut m, 0, 2, AccessKind::Read);
         assert_eq!(m.write_set_len(0), 1);
         assert_eq!(m.read_set_len(0), 1);
         m.commit(0);
         assert!(!m.in_tx(0));
         // A new transaction does not see stale lines.
-        m.begin(1);
-        let r = m.access(1, 1, AccessKind::Write);
+        begin(&mut m, 1);
+        let r = access(&mut m, 1, 1, AccessKind::Write);
         assert!(r.victims.is_empty());
     }
 
@@ -578,12 +558,12 @@ mod tests {
             ..HtmConfig::default()
         };
         let mut m = HtmMachine::new(Topology::new(2, 1), cfg);
-        m.begin(0);
+        begin(&mut m, 0);
         // Lines 0, 4, 8 all map to set 0 with 4 sets; ways = 2, so the third
         // distinct line in the set overflows.
-        assert!(m.access(0, 0, AccessKind::Write).self_abort.is_none());
-        assert!(m.access(0, 4, AccessKind::Write).self_abort.is_none());
-        let r = m.access(0, 8, AccessKind::Write);
+        assert!(access(&mut m, 0, 0, AccessKind::Write).self_abort.is_none());
+        assert!(access(&mut m, 0, 4, AccessKind::Write).self_abort.is_none());
+        let r = access(&mut m, 0, 8, AccessKind::Write);
         assert_eq!(r.self_abort, Some(AbortCause::WriteCapacity));
         assert!(!m.in_tx(0));
     }
@@ -595,11 +575,11 @@ mod tests {
             ..HtmConfig::default()
         };
         let mut m = HtmMachine::new(Topology::new(2, 1), cfg);
-        m.begin(0);
+        begin(&mut m, 0);
         for l in 0..3u64 {
-            assert!(m.access(0, l, AccessKind::Read).self_abort.is_none());
+            assert!(access(&mut m, 0, l, AccessKind::Read).self_abort.is_none());
         }
-        let r = m.access(0, 3, AccessKind::Read);
+        let r = access(&mut m, 0, 3, AccessKind::Read);
         assert_eq!(r.self_abort, Some(AbortCause::ReadCapacity));
     }
 
@@ -610,9 +590,9 @@ mod tests {
             ..HtmConfig::default()
         };
         let mut m = HtmMachine::new(Topology::new(2, 1), cfg);
-        m.begin(0);
+        begin(&mut m, 0);
         for _ in 0..100 {
-            assert!(m.access(0, 42, AccessKind::Read).self_abort.is_none());
+            assert!(access(&mut m, 0, 42, AccessKind::Read).self_abort.is_none());
         }
         assert_eq!(m.read_set_len(0), 1);
     }
@@ -626,14 +606,14 @@ mod tests {
         };
         // 1 physical core, 2 hyper-threads: threads 0 and 1 are siblings.
         let mut m = HtmMachine::new(Topology::new(1, 2), cfg);
-        m.begin(0);
+        begin(&mut m, 0);
         // Occupy 6 of 8 ways: fine while alone.
         for l in 0..6u64 {
-            assert!(m.access(0, l, AccessKind::Write).self_abort.is_none());
+            assert!(access(&mut m, 0, l, AccessKind::Write).self_abort.is_none());
         }
         // Sibling starts a transaction: effective ways drop to 4 and the
         // running transaction (occupancy 6) is squeezed out.
-        let squeezed = m.begin(1);
+        let squeezed = begin(&mut m, 1);
         assert_eq!(squeezed, vec![(0, AbortCause::WriteCapacity)]);
         assert!(!m.in_tx(0));
         assert!(m.in_tx(1));
@@ -647,11 +627,11 @@ mod tests {
             ..HtmConfig::default()
         };
         let mut m = HtmMachine::new(Topology::new(2, 1), cfg);
-        m.begin(0);
+        begin(&mut m, 0);
         for l in 0..6u64 {
-            m.access(0, l, AccessKind::Write);
+            access(&mut m, 0, l, AccessKind::Write);
         }
-        let squeezed = m.begin(1);
+        let squeezed = begin(&mut m, 1);
         assert!(squeezed.is_empty());
         assert!(m.in_tx(0));
     }
@@ -664,32 +644,32 @@ mod tests {
             ..HtmConfig::default()
         };
         let mut m = HtmMachine::new(Topology::new(1, 2), cfg);
-        m.begin(0);
-        m.begin(1);
+        begin(&mut m, 0);
+        begin(&mut m, 1);
         // With a co-resident tx, effective ways = 2.
-        assert!(m.access(0, 0, AccessKind::Write).self_abort.is_none());
-        assert!(m.access(0, 1, AccessKind::Write).self_abort.is_none());
-        let r = m.access(0, 2, AccessKind::Write);
+        assert!(access(&mut m, 0, 0, AccessKind::Write).self_abort.is_none());
+        assert!(access(&mut m, 0, 1, AccessKind::Write).self_abort.is_none());
+        let r = access(&mut m, 0, 2, AccessKind::Write);
         assert_eq!(r.self_abort, Some(AbortCause::WriteCapacity));
     }
 
     #[test]
     fn kill_all_clears_every_tx() {
         let mut m = machine();
-        m.begin(0);
-        m.begin(3);
-        m.begin(5);
-        let mut killed = m.kill_all();
+        begin(&mut m, 0);
+        begin(&mut m, 3);
+        begin(&mut m, 5);
+        let mut killed = kill_all(&mut m);
         killed.sort_unstable();
         assert_eq!(killed, vec![0, 3, 5]);
         assert!(!m.in_tx(0) && !m.in_tx(3) && !m.in_tx(5));
-        assert!(m.kill_all().is_empty());
+        assert!(kill_all(&mut m).is_empty());
     }
 
     #[test]
     fn abort_is_idempotent() {
         let mut m = machine();
-        m.begin(2);
+        begin(&mut m, 2);
         m.abort(2);
         m.abort(2);
         assert!(!m.in_tx(2));
@@ -699,8 +679,8 @@ mod tests {
     #[should_panic(expected = "nested xbegin")]
     fn nested_begin_panics() {
         let mut m = machine();
-        m.begin(0);
-        m.begin(0);
+        begin(&mut m, 0);
+        begin(&mut m, 0);
     }
 
     #[test]
@@ -717,17 +697,17 @@ mod tests {
             ..HtmConfig::default()
         };
         let mut m = HtmMachine::new(Topology::haswell_e3(), cfg);
-        m.begin(0);
-        m.begin(1);
-        m.access(0, 100, AccessKind::Read);
-        let r = m.access(1, 100, AccessKind::Write);
+        begin(&mut m, 0);
+        begin(&mut m, 1);
+        access(&mut m, 0, 100, AccessKind::Read);
+        let r = access(&mut m, 1, 100, AccessKind::Write);
         assert_eq!(r.self_abort, Some(AbortCause::Conflict));
         assert!(r.victims.is_empty());
         assert!(m.in_tx(0), "holder survives under requester-aborts");
         assert!(!m.in_tx(1));
         // Read-read still fine.
-        m.begin(2);
-        let r = m.access(2, 100, AccessKind::Read);
+        begin(&mut m, 2);
+        let r = access(&mut m, 2, 100, AccessKind::Read);
         assert!(r.self_abort.is_none());
     }
 
@@ -742,23 +722,23 @@ mod tests {
         let mut m = HtmMachine::new(Topology::new(2, 1), cfg);
         // Clamped to 2 ways / 3 read lines: the third write overflows.
         m.set_capacity_override(Some(2), Some(3));
-        m.begin(0);
-        assert!(m.access(0, 0, AccessKind::Write).self_abort.is_none());
-        assert!(m.access(0, 1, AccessKind::Write).self_abort.is_none());
-        let r = m.access(0, 2, AccessKind::Write);
+        begin(&mut m, 0);
+        assert!(access(&mut m, 0, 0, AccessKind::Write).self_abort.is_none());
+        assert!(access(&mut m, 0, 1, AccessKind::Write).self_abort.is_none());
+        let r = access(&mut m, 0, 2, AccessKind::Write);
         assert_eq!(r.self_abort, Some(AbortCause::WriteCapacity));
         // Read budget clamps independently.
-        m.begin(0);
+        begin(&mut m, 0);
         for l in 10..13u64 {
-            assert!(m.access(0, l, AccessKind::Read).self_abort.is_none());
+            assert!(access(&mut m, 0, l, AccessKind::Read).self_abort.is_none());
         }
-        let r = m.access(0, 13, AccessKind::Read);
+        let r = access(&mut m, 0, 13, AccessKind::Read);
         assert_eq!(r.self_abort, Some(AbortCause::ReadCapacity));
         // Lifting the override restores the configured geometry.
         m.set_capacity_override(None, None);
-        m.begin(0);
+        begin(&mut m, 0);
         for l in 0..8u64 {
-            assert!(m.access(0, l, AccessKind::Write).self_abort.is_none());
+            assert!(access(&mut m, 0, l, AccessKind::Write).self_abort.is_none());
         }
         m.commit(0);
     }
@@ -772,11 +752,11 @@ mod tests {
         let mut m = HtmMachine::new(Topology::new(2, 1), cfg);
         // A clamp above the configured budget is a no-op (min, not set).
         m.set_capacity_override(None, Some(1000));
-        m.begin(0);
+        begin(&mut m, 0);
         for l in 0..3u64 {
-            assert!(m.access(0, l, AccessKind::Read).self_abort.is_none());
+            assert!(access(&mut m, 0, l, AccessKind::Read).self_abort.is_none());
         }
-        let r = m.access(0, 3, AccessKind::Read);
+        let r = access(&mut m, 0, 3, AccessKind::Read);
         assert_eq!(r.self_abort, Some(AbortCause::ReadCapacity));
     }
 
@@ -788,16 +768,16 @@ mod tests {
             ..HtmConfig::default()
         };
         let mut m = HtmMachine::new(Topology::new(1, 2), cfg);
-        m.begin(0);
+        begin(&mut m, 0);
         for l in 0..3u64 {
-            assert!(m.access(0, l, AccessKind::Write).self_abort.is_none());
+            assert!(access(&mut m, 0, l, AccessKind::Write).self_abort.is_none());
         }
         // Override lands mid-transaction: occupancy 3 > clamp 2, but the
         // clamp only bites at the next budget check — here the sibling's
         // begin-time squeeze.
         m.set_capacity_override(Some(2), None);
         assert!(m.in_tx(0));
-        let squeezed = m.begin(1);
+        let squeezed = begin(&mut m, 1);
         assert_eq!(squeezed, vec![(0, AbortCause::WriteCapacity)]);
     }
 
@@ -810,9 +790,9 @@ mod tests {
         };
         let mut m = HtmMachine::new(Topology::new(2, 1), cfg);
         for _ in 0..10 {
-            m.begin(0);
-            assert!(m.access(0, 0, AccessKind::Write).self_abort.is_none());
-            assert!(m.access(0, 2, AccessKind::Write).self_abort.is_none());
+            begin(&mut m, 0);
+            assert!(access(&mut m, 0, 0, AccessKind::Write).self_abort.is_none());
+            assert!(access(&mut m, 0, 2, AccessKind::Write).self_abort.is_none());
             m.commit(0);
         }
     }

@@ -44,22 +44,24 @@ proptest! {
         let mut reads: Vec<HashSet<u64>> = vec![HashSet::new(); 4];
         let mut writes: Vec<HashSet<u64>> = vec![HashSet::new(); 4];
         let mut live = [false; 4];
+        let mut squeezed = Vec::new();
+        let mut victims = Vec::new();
         for (t, line, is_write) in accesses {
             if !live[t] {
-                let squeezed = m.begin(t);
+                m.begin_into(t, &mut squeezed);
                 prop_assert!(squeezed.is_empty(), "no SMT in this topology");
                 live[t] = true;
                 reads[t].clear();
                 writes[t].clear();
             }
             let kind = if is_write { AccessKind::Write } else { AccessKind::Read };
-            let result = m.access(t, line, kind);
-            for v in &result.victims {
+            let self_abort = m.access_into(t, line, kind, &mut victims);
+            for v in &victims {
                 live[*v] = false;
                 reads[*v].clear();
                 writes[*v].clear();
             }
-            if result.self_abort.is_some() {
+            if self_abort.is_some() {
                 live[t] = false;
                 reads[t].clear();
                 writes[t].clear();
@@ -96,14 +98,14 @@ proptest! {
             ..HtmConfig::default()
         };
         let mut m = HtmMachine::new(Topology::new(1, 1), cfg);
-        m.begin(0);
+        m.begin_into(0, &mut Vec::new());
         let k = ways + extra;
         let mut aborted_at = None;
+        let mut victims = Vec::new();
         for i in 0..k {
             // Same set: stride by the set count.
             let line = (i as u64) * 8;
-            let r = m.access(0, line, AccessKind::Write);
-            if r.self_abort.is_some() {
+            if m.access_into(0, line, AccessKind::Write, &mut victims).is_some() {
                 aborted_at = Some(i);
                 break;
             }
@@ -115,18 +117,19 @@ proptest! {
         }
     }
 
-    /// kill_all returns exactly the set of in-flight transactions.
+    /// kill_all_into reports exactly the set of in-flight transactions.
     #[test]
     fn kill_all_is_exhaustive(mask in 0u8..16) {
         let mut m = HtmMachine::new(Topology::new(4, 1), HtmConfig::default());
         let mut expect = Vec::new();
         for t in 0..4 {
             if mask & (1 << t) != 0 {
-                m.begin(t);
+                m.begin_into(t, &mut Vec::new());
                 expect.push(t);
             }
         }
-        let mut killed = m.kill_all();
+        let mut killed = Vec::new();
+        m.kill_all_into(&mut killed);
         killed.sort_unstable();
         prop_assert_eq!(killed, expect);
         for t in 0..4 {

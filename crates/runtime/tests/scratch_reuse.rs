@@ -6,10 +6,10 @@
 //! Reuse is only sound if stale contents from a previous event can never
 //! leak into the next one. These tests audit exactly that, at both layers:
 //!
-//! * machine level — replaying one access script through the allocating
-//!   wrappers on a fresh machine and through `_into` methods with
-//!   deliberately dirtied, reused buffers (on a machine reused across
-//!   episodes) must produce identical squeezes, victims and self-aborts;
+//! * machine level — replaying one access script through the `_into`
+//!   methods on a fresh machine with empty buffers, and again with
+//!   deliberately dirtied buffers on a machine reused across episodes,
+//!   must produce identical squeezes, victims and self-aborts;
 //! * driver level — back-to-back full simulations of the same
 //!   configuration must be bit-identical in every metric, event count and
 //!   trace hash, even though the second run's process state (allocator,
@@ -64,7 +64,7 @@ fn reused_dirty_buffers_match_fresh_allocations() {
     let topo = Topology::haswell_e3();
     let cfg = HtmConfig::default();
 
-    // Reference: a fresh machine per episode, fresh buffers every call.
+    // Reference: a fresh machine and fresh, empty buffers.
     let fresh_log = {
         let mut m = HtmMachine::new(topo, cfg);
         let mut log = Vec::new();

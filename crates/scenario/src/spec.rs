@@ -285,6 +285,12 @@ impl ScenarioSpec {
                     if restore_after == 0 {
                         return Err(format!("fault {i}: restore_after must be >= 1"));
                     }
+                    if f.at.checked_add(restore_after).is_none() {
+                        return Err(format!(
+                            "fault {i}: restore time {} + {restore_after} overflows the cycle counter",
+                            f.at
+                        ));
+                    }
                 }
             }
         }
@@ -364,7 +370,7 @@ impl ScenarioSpec {
         let mut out: Vec<(Cycles, String)> = Vec::new();
         for (at, label) in raw {
             match out.last() {
-                Some((kept, _)) if at < kept + self.window => {}
+                Some((kept, _)) if at - kept < self.window => {}
                 _ => out.push((at, label)),
             }
         }

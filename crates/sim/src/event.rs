@@ -25,9 +25,9 @@
 //! equal-time events share a day (hence a bucket), where the full
 //! `(time, seq)` key — not just the time — decides both the lazy sort and
 //! the sorted-insert path, so the FIFO tie-break and therefore every
-//! committed golden trace hash is preserved exactly. `seer bench` measures
-//! this implementation against a faithful `BinaryHeap` reference
-//! (`seer_bench::harness::ReferenceHeapQueue`) and CI gates the ratio.
+//! committed golden trace hash is preserved exactly. `tests/queue_props.rs`
+//! checks the pop order against a `BinaryHeap` reference; host cost is
+//! measured on real cells by `benchmark/` (`DESIGN.md` §12).
 
 use crate::Cycles;
 

@@ -44,11 +44,16 @@ pub fn midpoint(space: &ParamSpace) -> Point {
         .iter()
         .map(|dim| match &dim.kind {
             DimKind::Int { min, max } => ParamValue::Int(min + (max - min) / 2),
-            DimKind::Float { min, max, log } => ParamValue::Float(if *log {
-                (min * max).sqrt()
-            } else {
-                (min + max) / 2.0
-            }),
+            DimKind::Float { min, max, log } => {
+                let mid = if *log {
+                    (min * max).sqrt()
+                } else {
+                    (min + max) / 2.0
+                };
+                // At the edges of f64 the product underflows or the sum
+                // overflows; inside the range the clamp is the identity.
+                ParamValue::Float(mid.clamp(*min, *max))
+            }
             DimKind::Choice { .. } => ParamValue::Choice(0),
         })
         .collect()

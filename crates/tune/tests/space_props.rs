@@ -11,13 +11,17 @@
 //!   that parses back (the cache/wire identity).
 //! * **Never panic** — arbitrary dimension lists either validate or
 //!   return a `SpaceError`; malformed ranges (inverted, NaN, empty
-//!   choices, unknown knobs) are rejected, not mis-sampled.
+//!   choices, unknown knobs) are rejected, not mis-sampled. The same
+//!   holds one level down, for space *files* (`seer tune --space`): the
+//!   built-in space's JSON truncated at any offset, bit-flipped anywhere
+//!   or with random bytes spliced in either parses to a valid space or
+//!   returns a `SpaceError`.
 
 use proptest::prelude::*;
 use seer_sim::SimRng;
 use seer_tune::{
     sampler::{midpoint, neighbors, sample},
-    Dim, DimKind, ParamSpace,
+    Dim, DimKind, ParamSpace, SpaceError,
 };
 
 /// Raw material for one *valid* dimension of the knob picked by `sel`.
@@ -107,6 +111,137 @@ fn raw_dim_strategy() -> impl Strategy<Value = RawDim> {
         0u64..100,
         any::<bool>(),
     )
+}
+
+/// The built-in space as a space file.
+fn default_space_text() -> String {
+    ParamSpace::default_space().to_json().to_string_pretty()
+}
+
+/// Parses arbitrary bytes as a space file would be read, and checks that
+/// whatever parses is a valid space that round-trips and samples in
+/// bounds.
+fn parse_bytes(bytes: &[u8]) -> Result<ParamSpace, SpaceError> {
+    let space = ParamSpace::parse(&String::from_utf8_lossy(bytes))?;
+    assert_eq!(
+        ParamSpace::new(space.dims().to_vec()).as_ref(),
+        Ok(&space),
+        "re-validates"
+    );
+    let again = ParamSpace::parse(&space.to_json().to_string_pretty()).expect("re-parses");
+    assert_eq!(again, space, "a parsed space round-trips");
+    let mut points = vec![midpoint(&space), sample(&space, &mut SimRng::new(0))];
+    points.extend(neighbors(&space, &points[0]));
+    for point in &points {
+        for (d, v) in point.iter().enumerate() {
+            assert!(space.contains(d, v), "dim {d} out of range: {v:?}");
+        }
+        space.policy(point);
+    }
+    Ok(space)
+}
+
+/// Every truncation and every single-bit flip at every offset of the
+/// built-in space file. A strict prefix never closes the top-level
+/// object, so truncations must all be errors.
+#[test]
+fn space_file_corruption_sweep_at_every_offset() {
+    let text = default_space_text();
+    let bytes = text.as_bytes();
+    assert_eq!(parse_bytes(bytes).unwrap(), ParamSpace::default_space());
+    for cut in 0..bytes.len() {
+        assert!(parse_bytes(&bytes[..cut]).is_err(), "truncation at {cut}");
+    }
+    for pos in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut mangled = bytes.to_vec();
+            mangled[pos] ^= 1 << bit;
+            let _ = parse_bytes(&mangled);
+        }
+    }
+}
+
+/// Range bounds at the edges of their types never panic the parser, the
+/// validator or the samplers.
+#[test]
+fn space_file_extreme_bounds_never_panic() {
+    let base = default_space_text();
+    let extremes = [
+        "0",
+        "-1",
+        "1e308",
+        "-1e308",
+        "5e-324",
+        "18446744073709551615",
+        "18446744073709551616",
+        "null",
+        "\"x\"",
+        "[]",
+    ];
+    for key in ["\"min\": ", "\"max\": "] {
+        for (start, _) in base.match_indices(key) {
+            let value_start = start + key.len();
+            let value_end = value_start
+                + base[value_start..]
+                    .find([',', '\n', '}'])
+                    .expect("every value is terminated");
+            for value in extremes {
+                let text = format!("{}{value}{}", &base[..value_start], &base[value_end..]);
+                let _ = parse_bytes(text.as_bytes());
+            }
+        }
+    }
+}
+
+/// Regression: float midpoints at the edges of f64 left the range — a
+/// subnormal log-range minimum underflowed the geometric mean to 0, and
+/// two huge bounds overflowed the arithmetic mean to infinity.
+#[test]
+fn midpoints_of_extreme_float_ranges_stay_in_bounds() {
+    for (min, max, log) in [
+        (5e-324, 0.2, true),
+        (1e308, 1e308, false),
+        (1e308, f64::MAX, false),
+    ] {
+        let space = ParamSpace::new(vec![Dim {
+            name: "min-sigma".into(),
+            kind: DimKind::Float { min, max, log },
+        }])
+        .expect("a finite, ordered, positive range validates");
+        let mid = midpoint(&space);
+        assert!(space.contains(0, &mid[0]), "[{min}, {max}] log={log}: {:?}", mid[0]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random bytes replacing a random span of the built-in space file.
+    #[test]
+    fn space_file_splices_never_panic(
+        at_seed in any::<u64>(),
+        len_seed in any::<u64>(),
+        insert in prop::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let mut bytes = default_space_text().into_bytes();
+        let at = (at_seed % bytes.len() as u64) as usize;
+        let end = at + (len_seed % 8) as usize;
+        bytes.splice(at..end.min(bytes.len()), insert);
+        let _ = parse_bytes(&bytes);
+    }
+
+    /// Several bit flips at once, anywhere in the built-in space file.
+    #[test]
+    fn space_file_bit_flips_never_panic(
+        flips in prop::collection::vec((any::<u64>(), 0u8..8), 1..6),
+    ) {
+        let mut bytes = default_space_text().into_bytes();
+        for (pos_seed, bit) in flips {
+            let pos = (pos_seed % bytes.len() as u64) as usize;
+            bytes[pos] ^= 1 << bit;
+        }
+        let _ = parse_bytes(&bytes);
+    }
 }
 
 proptest! {
