@@ -2,59 +2,22 @@
 //! conflict-resolution ablation (DESIGN.md §5, item 1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use seer_htm::{AccessKind, HtmConfig, HtmMachine, LineSet};
+use seer_htm::{AccessKind, HtmConfig, HtmMachine};
 use seer_sim::{SimRng, Topology};
 use std::hint::black_box;
 
-fn line_set_ops(c: &mut Criterion) {
-    let mut group = c.benchmark_group("line_set");
-    group.bench_function("insert_512_distinct", |b| {
-        b.iter(|| {
-            let mut s = LineSet::with_capacity(512);
-            for i in 0..512u64 {
-                s.insert(black_box(i * 37));
-            }
-            black_box(s.len())
-        });
-    });
-    group.bench_function("contains_hit_and_miss", |b| {
-        let mut s = LineSet::with_capacity(512);
-        for i in 0..512u64 {
-            s.insert(i * 37);
-        }
-        b.iter(|| {
-            let mut hits = 0;
-            for i in 0..1024u64 {
-                if s.contains(black_box(i * 37)) {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        });
-    });
-    group.bench_function("clear_and_reuse", |b| {
-        let mut s = LineSet::with_capacity(512);
-        b.iter(|| {
-            for i in 0..128u64 {
-                s.insert(i);
-            }
-            s.clear();
-            black_box(s.len())
-        });
-    });
-    group.finish();
-}
-
-/// Ablation: the cost of conflict probing as the number of concurrently
-/// transactional CPUs grows (the kill-scan is O(cpus) per access).
-fn conflict_probe_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("htm_conflict_probe");
-    for cpus in [2usize, 4, 8] {
+/// `access_into` with 1, 4 and 8 CPUs in flight. CPU 0 reads a batch of
+/// fresh lines and commits, while the other CPUs hold disjoint 32-line
+/// footprints: with one line directory for all CPUs, the conflict check
+/// is one probe whatever the number in flight.
+fn access_into_in_flight(c: &mut Criterion) {
+    let mut group = c.benchmark_group("htm_access_into");
+    for cpus in [1usize, 4, 8] {
         group.bench_function(BenchmarkId::from_parameter(cpus), |b| {
-            let mut m = HtmMachine::new(Topology::new(cpus, 1), HtmConfig::default());
+            let mut m = HtmMachine::new(Topology::new(8, 1), HtmConfig::default());
             let mut rng = SimRng::new(1);
             let (mut squeezed, mut victims) = (Vec::new(), Vec::new());
-            for t in 0..cpus {
+            for t in 1..cpus {
                 m.begin_into(t, &mut squeezed);
                 for _ in 0..32 {
                     // Disjoint footprints: the probe pays full cost but
@@ -63,8 +26,14 @@ fn conflict_probe_scaling(c: &mut Criterion) {
                     m.access_into(t, line, AccessKind::Read, &mut victims);
                 }
             }
+            let mut next = 0u64;
             b.iter(|| {
-                m.access_into(0, black_box(1 << 30), AccessKind::Write, &mut victims);
+                m.begin_into(0, &mut squeezed);
+                for _ in 0..64 {
+                    next += 1;
+                    m.access_into(0, black_box(1 << 30 | next), AccessKind::Read, &mut victims);
+                }
+                m.commit(0);
                 black_box(victims.len())
             });
         });
@@ -125,6 +94,6 @@ fn conflict_policy_ablation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().without_plots();
-    targets = line_set_ops, conflict_probe_scaling, tx_lifecycle, conflict_policy_ablation
+    targets = access_into_in_flight, tx_lifecycle, conflict_policy_ablation
 }
 criterion_main!(benches);

@@ -45,12 +45,25 @@ impl Scheduler for Scm {
 
     fn pre_attempt_gates(
         &mut self,
+        thread: ThreadId,
+        block: usize,
+        attempts_left: u32,
+        env: &mut SchedEnv<'_>,
+    ) -> Vec<Gate> {
+        let mut gates = Vec::new();
+        self.pre_attempt_gates_into(thread, block, attempts_left, env, &mut gates);
+        gates
+    }
+
+    fn pre_attempt_gates_into(
+        &mut self,
         _thread: ThreadId,
         _block: usize,
         _attempts_left: u32,
         _env: &mut SchedEnv<'_>,
-    ) -> Vec<Gate> {
-        vec![Gate::WaitWhileLocked(LockId::Sgl)]
+        gates: &mut Vec<Gate>,
+    ) {
+        gates.push(Gate::WaitWhileLocked(LockId::Sgl));
     }
 
     fn on_abort(

@@ -17,6 +17,12 @@
 //! operation reported (victims in order, the accessor's own abort cause,
 //! squeezed siblings with their causes) and on every CPU's `in_tx`,
 //! read/write set sizes and `co_resident_txs`.
+//!
+//! The machine keeps every CPU's sets in one line directory that grows
+//! and deletes entries by backward shift. Footprint-shaped streams keep
+//! hundreds of lines per CPU live at once, so the directory grows far
+//! past its initial capacity and every transaction end deletes long runs
+//! of entries, wrapped probe runs included.
 
 use std::collections::{HashMap, HashSet};
 
@@ -165,6 +171,16 @@ impl RefMachine {
         (overflow, victims)
     }
 
+    /// Distinct lines held by some in-flight transaction.
+    fn live_lines(&self) -> usize {
+        let mut live: HashSet<LineAddr> = HashSet::new();
+        for t in 0..self.cpus() {
+            live.extend(&self.reads[t]);
+            live.extend(&self.writes[t]);
+        }
+        live.len()
+    }
+
     fn kill_all(&mut self) -> Vec<ThreadId> {
         let killed: Vec<ThreadId> = (0..self.cpus()).filter(|&t| self.active[t]).collect();
         for &t in &killed {
@@ -210,11 +226,14 @@ fn assert_same_state(m: &HtmMachine, r: &RefMachine, step: usize) {
 /// `cpu` is reduced modulo the topology's CPU count.
 type RawOp = (u8, usize, u64, bool, usize, usize);
 
-fn run_stream(topo: Topology, cfg: HtmConfig, ops: &[RawOp]) {
+/// Runs `ops` against both machines, comparing after every op, and
+/// returns the most distinct lines held at once (sampled every 64 ops).
+fn run_stream(topo: Topology, cfg: HtmConfig, ops: &[RawOp]) -> usize {
     let mut m = HtmMachine::new(topo, cfg);
     let mut r = RefMachine::new(topo, cfg);
     let n = topo.logical_cpus();
     let (mut squeezed, mut victims) = (Vec::new(), Vec::new());
+    let mut peak = 0;
     for (step, &(kind, cpu, line, is_write, ways, reads)) in ops.iter().enumerate() {
         let t = cpu % n;
         let access = if is_write {
@@ -263,7 +282,54 @@ fn run_stream(topo: Topology, cfg: HtmConfig, ops: &[RawOp]) {
             }
         }
         assert_same_state(&m, &r, step);
+        if step % 64 == 0 {
+            peak = peak.max(r.live_lines());
+        }
     }
+    peak
+}
+
+/// A stream shaped to load the line directory: CPUs `0..in_flight` run
+/// transactions of about `footprint` lines each, drawn from a wide line
+/// range so that almost every access adds a line. One access in 64 goes
+/// to 32 hot lines, which keeps conflicts, and the kills they cause
+/// mid-transaction, coming. One access in `write_one_in` is a write.
+fn footprint_stream(
+    in_flight: usize,
+    footprint: u64,
+    write_one_in: u64,
+    len: usize,
+    mut seed: u64,
+) -> Vec<RawOp> {
+    seed |= 1;
+    let mut next = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    };
+    (0..len)
+        .map(|_| {
+            let (r, s) = (next(), next());
+            let cpu = (r % in_flight as u64) as usize;
+            // Roughly `footprint` accesses per commit, and rarely an
+            // abort, a non-transactional write or a full kill.
+            let kind = match s % (footprint + 3) {
+                x if x < footprint => 0,
+                x if x == footprint => 11,
+                x if x == footprint + 1 => 10,
+                _ if s >> 32 & 255 == 0 => 14,
+                _ => 13,
+            };
+            let line = if r >> 20 & 63 == 0 {
+                r >> 24 & 31
+            } else {
+                1_000 + (r >> 24 & 0xffff)
+            };
+            let is_write = (r >> 44) % write_one_in == 0 || kind == 10;
+            (kind, cpu, line, is_write, 0, 0)
+        })
+        .collect()
 }
 
 proptest! {
@@ -308,6 +374,44 @@ proptest! {
         ),
     ) {
         run_stream(topology(topo), HtmConfig::default(), &ops);
+    }
+}
+
+fn policy(requester_aborts: bool) -> HtmConfig {
+    HtmConfig {
+        conflict_resolution: if requester_aborts {
+            ConflictResolution::RequesterAborts
+        } else {
+            ConflictResolution::RequesterWins
+        },
+        ..HtmConfig::default()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Eight CPUs with yada-sized footprints (over 400 lines each): the
+    /// directory holds thousands of lines at its peak.
+    #[test]
+    fn machine_matches_reference_with_large_footprints(
+        seed in any::<u64>(),
+        requester_aborts in any::<bool>(),
+    ) {
+        let ops = footprint_stream(8, 450, 16, 8 * 450 * 3, seed);
+        let peak = run_stream(Topology::haswell_e3(), policy(requester_aborts), &ops);
+        prop_assert!(peak > 1_000, "directory barely grew: peak {}", peak);
+    }
+
+    /// All 64 CPUs of the 16 × 4 machine in flight at once.
+    #[test]
+    fn machine_matches_reference_with_64_cpus_in_flight(
+        seed in any::<u64>(),
+        requester_aborts in any::<bool>(),
+    ) {
+        let ops = footprint_stream(64, 48, 24, 64 * 48 * 3, seed);
+        let peak = run_stream(Topology::new(16, 4), policy(requester_aborts), &ops);
+        prop_assert!(peak > 1_000, "directory barely grew: peak {}", peak);
     }
 }
 

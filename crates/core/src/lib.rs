@@ -62,4 +62,4 @@ pub use config::{ProfilingCosts, SeerConfig, SeerParams};
 pub use hillclimb::HillClimber;
 pub use inference::{infer_conflict_pairs, InferenceScratch, Thresholds};
 pub use locktable::LockTable;
-pub use scheduler::{Seer, SeerCounters, UpdateRecord};
+pub use scheduler::{Seer, SeerCounters};

@@ -37,17 +37,6 @@ use crate::inference::{infer_conflict_pairs, InferenceScratch, Thresholds};
 use crate::locktable::LockTable;
 use crate::stats::MergedStats;
 
-/// One recomputation of the locking scheme, for convergence analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateRecord {
-    /// Virtual time of the recomputation.
-    pub at: Cycles,
-    /// Total (block, lock) entries in the new table.
-    pub entries: usize,
-    /// Whether the table's content differed from the previous one.
-    pub changed: bool,
-}
-
 /// Counters describing Seer's internal activity over a run (not part of
 /// the paper's tables; used by tests, the accuracy experiment and docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,7 +70,9 @@ pub struct Seer {
     commits_in_window: u64,
     window_start: Cycles,
     counters: SeerCounters,
-    history: Vec<UpdateRecord>,
+    /// Virtual time of the last in-run recomputation that changed the
+    /// table (see [`Seer::converged_at`]).
+    last_change: Option<Cycles>,
     /// Inference rounds still to be dropped (scenario staleness fault:
     /// [`SchedFault::DelayInference`]). While positive, due updates are
     /// skipped — the stats keep accumulating but the lock tables go stale.
@@ -122,7 +113,7 @@ impl Seer {
             commits_in_window: 0,
             window_start: 0,
             counters: SeerCounters::default(),
-            history: Vec::new(),
+            last_change: None,
             skip_inference_rounds: 0,
             last_event_sampled: true,
             scan_buf: Vec::new(),
@@ -161,17 +152,11 @@ impl Seer {
         self.counters
     }
 
-    /// Chronological record of the in-run lock-scheme recomputations
-    /// (convergence analysis; `force_update` calls made by external code
-    /// after the run are not recorded).
-    pub fn update_history(&self) -> &[UpdateRecord] {
-        &self.history
-    }
-
-    /// Virtual time at which the locking scheme last *changed*, if it ever
-    /// did — the convergence point of the inference.
+    /// Virtual time at which the locking scheme last *changed* in the
+    /// run, if it ever did — the convergence point of the inference.
+    /// (`force_update` calls made by external code are not recorded.)
     pub fn converged_at(&self) -> Option<Cycles> {
-        self.history.iter().rev().find(|r| r.changed).map(|r| r.at)
+        self.last_change
     }
 
     /// The statistics matrices every sampled registration writes.
@@ -266,12 +251,9 @@ impl Seer {
                 let before = self.table_checksum();
                 let now = env.now;
                 self.update_with_trace(Some((&mut *env.trace, now)));
-                let changed = self.table_checksum() != before;
-                self.history.push(UpdateRecord {
-                    at: env.now,
-                    entries: self.table.total_entries(),
-                    changed,
-                });
+                if self.table_checksum() != before {
+                    self.last_change = Some(env.now);
+                }
             }
         }
         if self.cfg.hill_climbing
@@ -330,18 +312,30 @@ impl Scheduler for Seer {
         &mut self,
         thread: ThreadId,
         block: BlockId,
-        _attempts_left: u32,
+        attempts_left: u32,
         env: &mut SchedEnv<'_>,
     ) -> Vec<Gate> {
+        let mut gates = Vec::new();
+        self.pre_attempt_gates_into(thread, block, attempts_left, env, &mut gates);
+        gates
+    }
+
+    fn pre_attempt_gates_into(
+        &mut self,
+        thread: ThreadId,
+        block: BlockId,
+        _attempts_left: u32,
+        env: &mut SchedEnv<'_>,
+        gates: &mut Vec<Gate>,
+    ) {
         // WAIT-Seer-LOCKS (Alg. 4 lines 50-58).
-        let mut gates = vec![Gate::WaitWhileLocked(LockId::Sgl)];
+        gates.push(Gate::WaitWhileLocked(LockId::Sgl));
         if self.cfg.tx_locks && !self.acquired_tx_locks[thread] {
             gates.push(Gate::WaitWhileLocked(LockId::Tx(block)));
         }
         if self.cfg.core_locks && !self.acquired_core_lock[thread] {
             gates.push(Gate::WaitWhileLocked(LockId::Core(env.topology.core_of(thread))));
         }
-        gates
     }
 
     fn on_abort(

@@ -4,11 +4,14 @@
 //! *scheduler* interacts with (the substrate the Seer paper runs on — see
 //! `DESIGN.md` §2 for the hardware→simulator substitution argument):
 //!
-//! * [`machine::HtmMachine`] — per-logical-CPU transaction slots with
+//! * [`machine::HtmMachine`] — per-logical-CPU transactions with
 //!   cache-line read/write sets, eager invalidation-based conflict
 //!   detection (requester-wins), a sets×ways write-capacity model and a
 //!   flat read budget, both shared (divided) between SMT siblings that are
-//!   simultaneously transactional.
+//!   simultaneously transactional. The sets live in one line directory
+//!   (`line → (readers, writers)` CPU masks, in [`line`]), so a conflict
+//!   check is one probe however many transactions are in flight, and
+//!   ending a transaction costs its footprint, not the table size.
 //! * [`status::XStatus`] — the TSX status word: `_XBEGIN_STARTED` or a
 //!   coarse abort mask (conflict / capacity / explicit / retry / none). The
 //!   machine never reveals *which* transaction caused an abort; the
@@ -29,7 +32,7 @@ pub mod machine;
 pub mod status;
 
 pub use config::{ConflictResolution, CostModel, HtmConfig};
-pub use line::{LineAddr, LineSet};
+pub use line::LineAddr;
 pub use machine::{AbortCause, AccessKind, HtmMachine};
 pub use status::{xabort_codes, XStatus};
 

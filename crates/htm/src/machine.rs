@@ -1,9 +1,12 @@
 //! The best-effort HTM conflict/capacity engine.
 //!
 //! [`HtmMachine`] tracks, per logical CPU, whether a hardware transaction is
-//! in flight and its read/write line sets. The DES driver feeds it every
-//! transactional access in global time order; the machine answers with the
-//! consequences:
+//! in flight and its read/write line sets. The sets live in one line
+//! directory (`line → (readers, writers)` CPU masks), so asking who holds a
+//! line is one probe however many transactions are in flight; each CPU
+//! keeps only the list of lines it added, which is what ending its
+//! transaction walks. The DES driver feeds the machine every transactional
+//! access in global time order; the machine answers with the consequences:
 //!
 //! * **conflicts** — eager, invalidation-based, requester-wins. A
 //!   transactional (or non-transactional) *write* to line `L` kills every
@@ -28,7 +31,7 @@
 use seer_sim::{ThreadId, Topology};
 
 use crate::config::{ConflictResolution, HtmConfig};
-use crate::line::{LineAddr, LineSet};
+use crate::line::{LineAddr, LineDirectory};
 
 /// Kind of a memory access within (or outside) a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,11 +54,15 @@ pub enum AbortCause {
 }
 
 /// Tracking state of one logical CPU's transaction. Whether a transaction
-/// is in flight at all is recorded only in [`HtmMachine`]'s `active` mask.
+/// is in flight at all is recorded only in [`HtmMachine`]'s `active` mask;
+/// which lines it holds, in the machine's directory.
 #[derive(Debug, Clone)]
 struct TxSlot {
-    read_set: LineSet,
-    write_set: LineSet,
+    /// The read set's lines, in insertion order: exactly the lines whose
+    /// directory reader mask has this CPU's bit.
+    reads: Vec<LineAddr>,
+    /// The write set's lines, likewise for the writer mask.
+    writes: Vec<LineAddr>,
     /// Occupancy of each write-set cache set.
     set_occupancy: Vec<u8>,
     /// Cache sets touched by the current transaction (for O(touched) clear).
@@ -68,8 +75,8 @@ struct TxSlot {
 impl TxSlot {
     fn new(write_sets: usize) -> Self {
         Self {
-            read_set: LineSet::with_capacity(256),
-            write_set: LineSet::with_capacity(64),
+            reads: Vec::with_capacity(64),
+            writes: Vec::with_capacity(16),
             set_occupancy: vec![0; write_sets],
             touched_sets: Vec::with_capacity(64),
             max_occupancy: 0,
@@ -77,8 +84,8 @@ impl TxSlot {
     }
 
     fn clear(&mut self) {
-        self.read_set.clear();
-        self.write_set.clear();
+        self.reads.clear();
+        self.writes.clear();
         for &s in &self.touched_sets {
             self.set_occupancy[s as usize] = 0;
         }
@@ -109,6 +116,11 @@ pub struct HtmMachine {
     topo: Topology,
     cfg: HtmConfig,
     slots: Vec<TxSlot>,
+    /// Every line an in-flight transaction holds, with the CPUs holding
+    /// it. Only [`HtmMachine::access_into`] adds bits and only
+    /// [`HtmMachine::end_tx`] drops them, so the masks never name a CPU
+    /// outside `active`.
+    dir: LineDirectory,
     /// Bit `t` set iff logical CPU `t` has a transaction in flight. The
     /// only record of that fact: every slot clear goes through
     /// [`HtmMachine::end_tx`], which drops the bit with it.
@@ -116,6 +128,15 @@ pub struct HtmMachine {
     /// `core_mask[t]` has the bit of every logical CPU on `t`'s physical
     /// core, `t` included. Built once from [`Topology::siblings`].
     core_mask: Vec<u64>,
+    /// `core_of[t]` is the physical core of logical CPU `t`.
+    core_of: Vec<usize>,
+    /// `resident[c]` is the number of in-flight transactions on physical
+    /// core `c`, the popcount of `active & core_mask[t]` for every `t` on
+    /// `c`. It is counted rather than recomputed because every access
+    /// needs it, and the baseline x86-64 target has no popcount
+    /// instruction. `begin_into` and `end_tx`, the only places a bit of
+    /// `active` changes, keep it.
+    resident: Vec<usize>,
     /// `budgets[co]` is the `(ways, read_lines)` budget of a transaction
     /// sharing its core with `co` in-flight transactions (itself
     /// included), for `co` in `0..=smt_ways`, after the override clamp.
@@ -143,12 +164,16 @@ impl HtmMachine {
         let core_mask = (0..cpus)
             .map(|t| topo.siblings(t).fold(0, |mask, s| mask | 1 << s))
             .collect();
+        let core_of = (0..cpus).map(|t| topo.core_of(t)).collect();
         let mut machine = Self {
             topo,
             cfg,
             slots,
+            dir: LineDirectory::new(),
             active: 0,
             core_mask,
+            core_of,
+            resident: vec![0; topo.physical_cores()],
             budgets: Vec::new(),
             capacity_override: (None, None),
         };
@@ -208,11 +233,24 @@ impl HtmMachine {
         1 << thread
     }
 
-    /// Ends `thread`'s transaction: drops its `active` bit and clears its
-    /// tracked sets.
+    /// Ends `thread`'s transaction: drops its `active` bit and its bits
+    /// in the directory, line by line, and clears its slot.
     fn end_tx(&mut self, thread: ThreadId) {
-        self.active &= !self.bit(thread);
-        self.slots[thread].clear();
+        let me = self.bit(thread);
+        debug_assert!(
+            self.active & me != 0,
+            "cpu {thread} has no transaction to end"
+        );
+        self.active &= !me;
+        self.resident[self.core_of[thread]] -= 1;
+        let slot = &mut self.slots[thread];
+        for &line in &slot.reads {
+            self.dir.release(line, me, AccessKind::Read);
+        }
+        for &line in &slot.writes {
+            self.dir.release(line, me, AccessKind::Write);
+        }
+        slot.clear();
     }
 
     /// True when `thread` has a transaction in flight (`xtest`).
@@ -223,7 +261,7 @@ impl HtmMachine {
     /// Number of in-flight transactions on the physical core of `thread`,
     /// including `thread`'s own if active.
     pub fn co_resident_txs(&self, thread: ThreadId) -> usize {
-        (self.active & self.core_mask[thread]).count_ones() as usize
+        self.resident[self.core_of[thread]]
     }
 
     /// Starts a transaction on `thread`.
@@ -245,13 +283,14 @@ impl HtmMachine {
         squeezed.clear();
         let me = self.bit(thread);
         self.active |= me;
+        self.resident[self.core_of[thread]] += 1;
         if self.cfg.smt_capacity_sharing {
             let (ways, reads) = self.budgets[self.co_resident_txs(thread)];
             for s in cpus_in(self.active & self.core_mask[thread] & !me) {
                 if usize::from(self.slots[s].max_occupancy) > ways {
                     self.end_tx(s);
                     squeezed.push((s, AbortCause::WriteCapacity));
-                } else if self.slots[s].read_set.len() > reads {
+                } else if self.slots[s].reads.len() > reads {
                     self.end_tx(s);
                     squeezed.push((s, AbortCause::ReadCapacity));
                 }
@@ -280,17 +319,24 @@ impl HtmMachine {
             "thread {thread} transactional access outside a transaction"
         );
         victims.clear();
+        let me = self.bit(thread);
 
         // 1. Conflict pass. Under requester-wins (TSX), this access
         //    invalidates (write) or downgrades (read) the line in every
         //    other in-flight transaction; under requester-aborts, hitting
         //    a line another transaction owns kills *this* transaction.
-        match self.cfg.conflict_resolution {
-            ConflictResolution::RequesterWins => {
-                self.kill_conflicting(thread, line, kind, victims);
-            }
-            ConflictResolution::RequesterAborts => {
-                if self.someone_else_owns(thread, line, kind) {
+        //    The line is probed once up front, so an access that kills no
+        //    one (the common case) costs one probe in total.
+        let mut probe = self.dir.probe(line);
+        let holders = self.dir.holders(probe, kind) & self.active & !me;
+        if holders != 0 {
+            match self.cfg.conflict_resolution {
+                ConflictResolution::RequesterWins => {
+                    self.kill(holders, victims);
+                    // Kills delete and shift entries: probe again.
+                    probe = self.dir.probe(line);
+                }
+                ConflictResolution::RequesterAborts => {
                     self.end_tx(thread);
                     return Some(AbortCause::Conflict);
                 }
@@ -301,12 +347,13 @@ impl HtmMachine {
         //    looked up after the conflict pass, so the co-resident count
         //    excludes siblings it just killed, exactly as in `begin`.
         let (ways_budget, read_budget) = self.budgets[self.co_resident_txs(thread)];
+        if !self.dir.add(probe, me, kind) {
+            return None;
+        }
         let slot = &mut self.slots[thread];
         let overflow = match kind {
             AccessKind::Write => {
-                if !slot.write_set.insert(line) {
-                    return None;
-                }
+                slot.writes.push(line);
                 let set_idx = (line % self.cfg.write_sets as u64) as usize;
                 if slot.set_occupancy[set_idx] == 0 {
                     slot.touched_sets.push(set_idx as u32);
@@ -316,8 +363,10 @@ impl HtmMachine {
                 (usize::from(slot.set_occupancy[set_idx]) > ways_budget)
                     .then_some(AbortCause::WriteCapacity)
             }
-            AccessKind::Read => (slot.read_set.insert(line) && slot.read_set.len() > read_budget)
-                .then_some(AbortCause::ReadCapacity),
+            AccessKind::Read => {
+                slot.reads.push(line);
+                (slot.reads.len() > read_budget).then_some(AbortCause::ReadCapacity)
+            }
         };
         if overflow.is_some() {
             self.end_tx(thread);
@@ -336,7 +385,8 @@ impl HtmMachine {
         victims: &mut Vec<ThreadId>,
     ) {
         victims.clear();
-        self.kill_conflicting(thread, line, kind, victims);
+        let holders = self.dir.holders(self.dir.probe(line), kind);
+        self.kill(holders & self.active & !self.bit(thread), victims);
     }
 
     /// Commits the transaction on `thread` (`xend`), clearing its tracking.
@@ -374,41 +424,22 @@ impl HtmMachine {
 
     /// Current read-set size of `thread`'s transaction.
     pub fn read_set_len(&self, thread: ThreadId) -> usize {
-        self.slots[thread].read_set.len()
+        self.slots[thread].reads.len()
     }
 
     /// Current write-set size of `thread`'s transaction.
     pub fn write_set_len(&self, thread: ThreadId) -> usize {
-        self.slots[thread].write_set.len()
+        self.slots[thread].writes.len()
     }
 
-    /// True when `slot` holds `line` in a way that conflicts with an
-    /// access of `kind`.
-    fn conflicts(slot: &TxSlot, line: LineAddr, kind: AccessKind) -> bool {
-        slot.write_set.contains(line) || (kind == AccessKind::Write && slot.read_set.contains(line))
-    }
-
-    /// True when any other in-flight transaction holds `line` in a way
-    /// that conflicts with an access of `kind`.
-    fn someone_else_owns(&self, thread: ThreadId, line: LineAddr, kind: AccessKind) -> bool {
-        cpus_in(self.active & !self.bit(thread))
-            .any(|t| Self::conflicts(&self.slots[t], line, kind))
-    }
-
-    fn kill_conflicting(
-        &mut self,
-        thread: ThreadId,
-        line: LineAddr,
-        kind: AccessKind,
-        victims: &mut Vec<ThreadId>,
-    ) {
-        // The mask is read once, before any kill. A kill only clears the
-        // CPU being visited, so this matches re-reading it at every step.
-        for t in cpus_in(self.active & !self.bit(thread)) {
-            if Self::conflicts(&self.slots[t], line, kind) {
-                self.end_tx(t);
-                victims.push(t);
-            }
+    /// Ends the transaction of every CPU in `holders`, lowest first, and
+    /// records each in `victims`. The mask is read once, before any kill:
+    /// a kill only drops the killed CPU's own bits, so the other holders
+    /// stay holders.
+    fn kill(&mut self, holders: u64, victims: &mut Vec<ThreadId>) {
+        for t in cpus_in(holders) {
+            self.end_tx(t);
+            victims.push(t);
         }
     }
 }
@@ -709,6 +740,41 @@ mod tests {
         begin(&mut m, 2);
         let r = access(&mut m, 2, 100, AccessKind::Read);
         assert!(r.self_abort.is_none());
+    }
+
+    #[test]
+    fn directory_empties_once_every_transaction_ends() {
+        for conflict_resolution in [
+            ConflictResolution::RequesterWins,
+            ConflictResolution::RequesterAborts,
+        ] {
+            let cfg = HtmConfig {
+                conflict_resolution,
+                ..HtmConfig::default()
+            };
+            let mut m = HtmMachine::new(Topology::haswell_e3(), cfg);
+            for t in 0..4 {
+                begin(&mut m, t);
+            }
+            access(&mut m, 0, 100, AccessKind::Read);
+            access(&mut m, 1, 100, AccessKind::Write); // conflict on a held line
+            access(&mut m, 2, 200, AccessKind::Write);
+            let capacity = m.cfg.read_lines as LineAddr;
+            for line in 1_000..1_000 + 2 * capacity {
+                if access(&mut m, 3, line, AccessKind::Read)
+                    .self_abort
+                    .is_some()
+                {
+                    break;
+                }
+            }
+            assert!(!m.in_tx(3), "read capacity overflowed");
+            if m.in_tx(2) {
+                m.commit(2);
+            }
+            kill_all(&mut m);
+            assert_eq!(m.dir.len(), 0, "{conflict_resolution:?}");
+        }
     }
 
     #[test]

@@ -1,36 +1,11 @@
 //! Property-based tests for the HTM model.
 
 use proptest::prelude::*;
-use seer_htm::{AccessKind, HtmConfig, HtmMachine, LineSet};
+use seer_htm::{AccessKind, HtmConfig, HtmMachine};
 use seer_sim::Topology;
 use std::collections::HashSet;
 
 proptest! {
-    /// `LineSet` behaves exactly like a `HashSet<u64>` under inserts,
-    /// membership queries and clears.
-    #[test]
-    fn line_set_matches_hash_set(ops in prop::collection::vec((0u64..500, 0u8..3), 0..400)) {
-        let mut ours = LineSet::new();
-        let mut model = HashSet::new();
-        for (line, op) in ops {
-            match op {
-                0 => {
-                    prop_assert_eq!(ours.insert(line), model.insert(line));
-                }
-                1 => {
-                    prop_assert_eq!(ours.contains(line), model.contains(&line));
-                }
-                _ => {
-                    ours.clear();
-                    model.clear();
-                }
-            }
-            prop_assert_eq!(ours.len(), model.len());
-        }
-        let collected: HashSet<u64> = ours.iter().collect();
-        prop_assert_eq!(collected, model);
-    }
-
     /// Single-writer invariant: after any access sequence, no cache line is
     /// in the write set of one in-flight transaction and in any set of
     /// another — conflicting co-existence is impossible because the machine

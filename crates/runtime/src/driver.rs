@@ -172,7 +172,11 @@ enum Event {
 }
 
 struct ThreadCtx {
-    req: Option<TxRequest>,
+    /// The current transaction. One request per thread, rewritten in
+    /// place by [`Workload::next_into`] at every transaction boundary; it
+    /// is meaningful while the thread is Thinking, Gating, Running or
+    /// FallbackRunning, and stale once it is Parked or Done.
+    req: TxRequest,
     attempts_left: u32,
     attempts_used: u32,
     epoch: u64,
@@ -181,6 +185,8 @@ struct ThreadCtx {
     /// boundary (`next_tx`), cleared by [`Directive::Unpark`].
     suspend_requested: bool,
     held: Vec<LockId>,
+    /// The gates to pass before the next attempt or the fall-back. Built
+    /// in place for every attempt, so its buffer is reused.
     pending_gates: Vec<Gate>,
     after_gates: AfterGates,
     gates_entered_at: Cycles,
@@ -193,7 +199,7 @@ struct ThreadCtx {
 impl ThreadCtx {
     fn new() -> Self {
         Self {
-            req: None,
+            req: TxRequest::default(),
             attempts_left: 0,
             attempts_used: 0,
             epoch: 0,
@@ -211,7 +217,7 @@ impl ThreadCtx {
     }
 
     fn block(&self) -> usize {
-        self.req.as_ref().expect("thread has no active request").block
+        self.req.block
     }
 }
 
@@ -289,7 +295,6 @@ struct Driver<'w, 's, 't> {
     /// filled and drained within a single dispatch (taken with
     /// `mem::take`, restored afterwards so the capacity survives), which
     /// keeps steady-state event handling free of heap allocation.
-    scratch_gates: Vec<Gate>,
     scratch_needed: Vec<LockId>,
     scratch_squeezed: Vec<(ThreadId, seer_htm::AbortCause)>,
     scratch_victims: Vec<ThreadId>,
@@ -336,7 +341,6 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
             live_threads,
             budget,
             smt_factor,
-            scratch_gates: Vec::new(),
             scratch_needed: Vec::new(),
             scratch_squeezed: Vec::new(),
             scratch_victims: Vec::new(),
@@ -345,14 +349,13 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         }
     }
 
-    /// Stretches a request's timing by the thread's SMT sharing factor.
-    /// Sequential cost accounting always uses the unscaled trace.
-    fn scale_req(&self, th: ThreadId, req: &mut TxRequest) {
-        let f = self.smt_factor[th];
+    /// Stretches a request's body — access offsets and duration — by the
+    /// SMT sharing factor `f`. Sequential cost accounting always uses the
+    /// unscaled trace.
+    fn stretch_body(f: f64, req: &mut TxRequest) {
         if f <= 1.0 {
             return;
         }
-        req.think = (req.think as f64 * f) as Cycles;
         req.duration = (req.duration as f64 * f).ceil() as Cycles;
         for a in &mut req.accesses {
             a.offset = (a.offset as f64 * f) as Cycles;
@@ -453,26 +456,12 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
                     "thread {th} records {l:?} as held but the bank disagrees"
                 );
             }
-            // Phase / request consistency.
-            match ctx.phase {
-                Phase::Thinking | Phase::Gating | Phase::Running | Phase::FallbackRunning => {
-                    assert!(
-                        ctx.req.is_some(),
-                        "thread {th} in {:?} without an active request",
-                        ctx.phase
-                    );
-                }
-                Phase::Parked => {
-                    assert!(ctx.req.is_none(), "parked thread {th} still has a request");
-                    assert!(
-                        ctx.held.is_empty(),
-                        "parked thread {th} holds locks: {:?}",
-                        ctx.held
-                    );
-                }
-                Phase::Done => {
-                    assert!(ctx.req.is_none(), "finished thread {th} still has a request");
-                }
+            if ctx.phase == Phase::Parked {
+                assert!(
+                    ctx.held.is_empty(),
+                    "parked thread {th} holds locks: {:?}",
+                    ctx.held
+                );
             }
             if ctx.phase == Phase::FallbackRunning {
                 assert!(
@@ -669,31 +658,33 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
             ctx.epoch += 1;
             return;
         }
-        let next = self.workload.next(th, &mut self.rng);
-        match next {
-            None => {
-                self.threads[th].phase = Phase::Done;
-                self.threads[th].finished_at = self.now;
-                self.bump(th);
-                self.live_threads -= 1;
-            }
-            Some(mut req) => {
-                debug_assert!(req.is_well_formed(), "malformed trace from workload");
-                debug_assert!(req.block < self.workload.num_blocks());
-                self.metrics.sequential_cycles += req.think + req.duration;
-                self.scale_req(th, &mut req);
-                let think = req.think;
-                let ctx = &mut self.threads[th];
-                ctx.req = Some(req);
-                ctx.attempts_left = self.budget;
-                ctx.attempts_used = 0;
-                ctx.phase = Phase::Thinking;
-                ctx.epoch += 1;
-                let epoch = ctx.epoch;
-                self.queue
-                    .push(self.now + extra_delay + think, Event::ThinkDone { th, epoch });
-            }
+        let ctx = &mut self.threads[th];
+        if !self.workload.next_into(th, &mut self.rng, &mut ctx.req) {
+            ctx.phase = Phase::Done;
+            ctx.finished_at = self.now;
+            ctx.epoch += 1;
+            self.live_threads -= 1;
+            return;
         }
+        let req = &mut ctx.req;
+        debug_assert!(req.is_well_formed(), "malformed trace from workload");
+        debug_assert!(req.block < self.workload.num_blocks());
+        self.metrics.sequential_cycles += req.think + req.duration;
+        // Think time is stretched here, once per transaction; a retry
+        // re-stretches only the regenerated body.
+        let f = self.smt_factor[th];
+        if f > 1.0 {
+            req.think = (req.think as f64 * f) as Cycles;
+        }
+        Self::stretch_body(f, req);
+        let think = req.think;
+        ctx.attempts_left = self.budget;
+        ctx.attempts_used = 0;
+        ctx.phase = Phase::Thinking;
+        ctx.epoch += 1;
+        let epoch = ctx.epoch;
+        self.queue
+            .push(self.now + extra_delay + think, Event::ThinkDone { th, epoch });
     }
 
     /// Alg. 1 START: announce, decide pre-tx serialization, gate, attempt.
@@ -706,21 +697,28 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
             self.enter_fallback_path(th);
             self.threads[th].pending_delay += start_overhead;
         } else {
-            let attempts_left = self.threads[th].attempts_left;
-            let gates =
-                self.with_env(|sched, env| sched.pre_attempt_gates(th, block, attempts_left, env));
-            self.install_gates(th, gates, AfterGates::BeginAttempt);
+            self.install_attempt_gates(th, block, Vec::new());
             self.threads[th].pending_delay += start_overhead;
             self.process_gates(th);
         }
     }
 
-    fn install_gates(&mut self, th: ThreadId, gates: Vec<Gate>, after: AfterGates) {
+    /// Installs the gates to pass before the next hardware attempt: `first`
+    /// (an abort decision's retry gates, or none), then the scheduler's
+    /// pre-attempt gates, built in the thread's pending-gate storage.
+    fn install_attempt_gates(&mut self, th: ThreadId, block: usize, first: Vec<Gate>) {
+        let attempts_left = self.threads[th].attempts_left;
+        let mut gates = std::mem::take(&mut self.threads[th].pending_gates);
+        gates.clear();
+        gates.extend(first);
+        self.with_env(|sched, env| {
+            sched.pre_attempt_gates_into(th, block, attempts_left, env, &mut gates)
+        });
         self.threads[th].pending_gates = gates;
-        self.finish_install(th, after);
+        self.finish_install(th, AfterGates::BeginAttempt);
     }
 
-    /// [`Driver::install_gates`] for a single gate, reusing the thread's
+    /// Makes `gate` the thread's only pending gate, reusing the
     /// pending-gate storage instead of allocating a fresh list.
     fn install_single_gate(&mut self, th: ThreadId, gate: Gate, after: AfterGates) {
         let ctx = &mut self.threads[th];
@@ -759,11 +757,11 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
     fn process_gates(&mut self, th: ThreadId) {
         debug_assert_eq!(self.threads[th].phase, Phase::Gating);
         // The gate list must stay pending (a parked thread re-enters here
-        // from the top), but processing mutates thread state — so iterate
-        // a working copy, held in reused scratch storage rather than a
-        // fresh allocation per wake.
-        let mut gates = std::mem::take(&mut self.scratch_gates);
-        gates.clone_from(&self.threads[th].pending_gates);
+        // from the top), but processing mutates thread state — so take
+        // the list out and put it back afterwards. Nothing below installs
+        // gates for `th`, and the one edit made to the list, sorting an
+        // `AcquireMany`'s locks, is idempotent on re-entry.
+        let mut gates = std::mem::take(&mut self.threads[th].pending_gates);
         let patience_deadline = self.threads[th].gates_entered_at + self.cfg.wait_patience;
         let mut parked = false;
         for gate in gates.iter_mut() {
@@ -802,7 +800,6 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
                 }
                 Gate::AcquireMany { locks, via_htm } => {
                     let via_htm = *via_htm;
-                    // `locks` is our working copy: sort it in place.
                     locks.sort_unstable();
                     locks.dedup();
                     let mut needed = std::mem::take(&mut self.scratch_needed);
@@ -878,7 +875,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
                 Gate::ReleaseHeld => self.release_all_held(th),
             }
         }
-        self.scratch_gates = gates;
+        self.threads[th].pending_gates = gates;
         if parked {
             return;
         }
@@ -1027,7 +1024,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
 
         let (duration, first_access, epoch) = {
             let ctx = &self.threads[th];
-            let req = ctx.req.as_ref().expect("running thread without request");
+            let req = &ctx.req;
             (
                 req.duration,
                 req.accesses.first().map(|a| a.offset),
@@ -1057,8 +1054,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
     fn do_access(&mut self, th: ThreadId, idx: usize) {
         debug_assert_eq!(self.threads[th].phase, Phase::Running);
         let (line, kind, my_block) = {
-            let ctx = &self.threads[th];
-            let req = ctx.req.as_ref().expect("access without request");
+            let req = &self.threads[th].req;
             let a = req.accesses[idx];
             (a.line, a.kind, req.block)
         };
@@ -1078,7 +1074,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         }
         // Schedule the next step of the body.
         let ctx = &self.threads[th];
-        let req = ctx.req.as_ref().expect("access without request");
+        let req = &ctx.req;
         let epoch = ctx.epoch;
         let body_start = ctx.body_start;
         if idx + 1 < req.accesses.len() {
@@ -1114,8 +1110,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         }
 
         self.release_all_held(th);
-        let req = self.threads[th].req.take().expect("commit without request");
-        self.workload.commit(th, &req, &mut self.rng);
+        self.workload.commit(th, &self.threads[th].req, &mut self.rng);
         self.next_tx(th, self.sched.overhead(HookPoint::HtmCommit));
     }
 
@@ -1175,22 +1170,17 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         if attempts_left == 0 || matches!(decision, AbortDecision::Fallback) {
             self.enter_fallback_path_at(th, resume_at);
         } else {
-            let AbortDecision::Retry { gates } = decision else {
+            let AbortDecision::Retry { gates: retry_gates } = decision else {
                 unreachable!()
             };
             // Re-generate the trace: a re-executed transaction re-reads the
-            // (possibly changed) data structures.
-            let mut req = self.threads[th].req.take().expect("abort without request");
-            self.workload.regenerate(th, &mut req, &mut self.rng);
+            // (possibly changed) data structures. Its think time is spent,
+            // so only the body is stretched again.
+            let req = &mut self.threads[th].req;
+            self.workload.regenerate(th, req, &mut self.rng);
             debug_assert!(req.is_well_formed());
-            self.scale_req(th, &mut req);
-            self.threads[th].req = Some(req);
-
-            let mut all_gates = gates;
-            let more = self
-                .with_env(|sched, env| sched.pre_attempt_gates(th, block, attempts_left, env));
-            all_gates.extend(more);
-            self.install_gates(th, all_gates, AfterGates::BeginAttempt);
+            Self::stretch_body(self.smt_factor[th], req);
+            self.install_attempt_gates(th, block, retry_gates);
             let epoch = self.threads[th].epoch;
             self.queue.push(resume_at, Event::GateResume { th, epoch });
         }
@@ -1236,7 +1226,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         }
         self.scratch_victims = killed;
         let delay = std::mem::take(&mut self.threads[th].pending_delay);
-        let duration = self.threads[th].req.as_ref().expect("fallback without request").duration;
+        let duration = self.threads[th].req.duration;
         let epoch = self.threads[th].epoch;
         self.queue
             .push(self.now + delay + duration, Event::FallbackDone { th, epoch });
@@ -1263,8 +1253,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         }
         self.release_lock(th, LockId::Sgl);
         self.threads[th].held.retain(|&l| l != LockId::Sgl);
-        let req = self.threads[th].req.take().expect("fallback without request");
-        self.workload.commit(th, &req, &mut self.rng);
+        self.workload.commit(th, &self.threads[th].req, &mut self.rng);
         self.next_tx(th, self.sched.overhead(HookPoint::FallbackCommit));
     }
 }
@@ -1513,6 +1502,41 @@ mod tests {
             traced.commits - sgl_commits
         );
         assert!(traced.fallbacks > 0, "test workload must exercise the fall-back");
+    }
+
+    #[test]
+    fn retries_stretch_think_time_once() {
+        // 8 threads on 4 two-way SMT cores: every request's timing is
+        // stretched by 1.5 at issue. Retries re-stretch the regenerated
+        // body, but the think time was spent before the first attempt.
+        struct ThinkRecorder {
+            inner: Uniform,
+            thinks: Vec<Cycles>,
+        }
+        impl Workload for ThinkRecorder {
+            fn name(&self) -> &str {
+                "think-recorder"
+            }
+            fn num_blocks(&self) -> usize {
+                self.inner.num_blocks()
+            }
+            fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest> {
+                self.inner.next(thread, rng)
+            }
+            fn commit(&mut self, _thread: ThreadId, req: &TxRequest, _rng: &mut SimRng) {
+                self.thinks.push(req.think);
+            }
+        }
+        let mut w = ThinkRecorder {
+            inner: Uniform::new(8, 30, 1, true, true),
+            thinks: Vec::new(),
+        };
+        let mut s = NullScheduler::new(5);
+        let m = run(&mut w, &mut s, &quiet_config(8));
+        assert!(m.aborts.conflict > 0, "the shared line must force retries");
+        assert_eq!(w.thinks.len(), 240);
+        // Uniform's think time is 50 cycles: 75 once stretched.
+        assert!(w.thinks.iter().all(|&t| t == 75), "thinks: {:?}", w.thinks);
     }
 
     #[test]

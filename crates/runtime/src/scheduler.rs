@@ -149,6 +149,23 @@ pub trait Scheduler {
         Vec::new()
     }
 
+    /// [`Scheduler::pre_attempt_gates`], appended to a caller-owned list
+    /// (which may already hold an abort decision's retry gates). The
+    /// driver calls only this, so a policy that overrides it — and has
+    /// `pre_attempt_gates` return through it, keeping one gate path —
+    /// gates attempts without allocating. The default extends `gates`
+    /// with `pre_attempt_gates`.
+    fn pre_attempt_gates_into(
+        &mut self,
+        thread: ThreadId,
+        block: BlockId,
+        attempts_left: u32,
+        env: &mut SchedEnv<'_>,
+        gates: &mut Vec<Gate>,
+    ) {
+        gates.extend(self.pre_attempt_gates(thread, block, attempts_left, env));
+    }
+
     /// A hardware attempt aborted with `status`; `attempts_left` is the
     /// remaining budget (0 means the driver forces the fall-back regardless
     /// of the returned decision).

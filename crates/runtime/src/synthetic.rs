@@ -189,19 +189,20 @@ impl Workload for SyntheticWorkload {
     }
 
     fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest> {
+        let mut req = TxRequest::default();
+        self.next_into(thread, rng, &mut req).then_some(req)
+    }
+
+    fn next_into(&mut self, thread: ThreadId, rng: &mut SimRng, req: &mut TxRequest) -> bool {
         if self.issued[thread] >= self.spec.txs_per_thread {
-            return None;
+            return false;
         }
         self.issued[thread] += 1;
-        let block = self.pick_block(rng);
-        let mut req = TxRequest {
-            block,
-            accesses: Vec::with_capacity(self.spec.blocks[block].accesses as usize),
-            duration: 0,
-            think: 0,
-        };
-        self.fill_trace(thread, &mut req, rng);
-        Some(req)
+        req.block = self.pick_block(rng);
+        req.accesses.clear();
+        req.accesses.reserve(self.spec.blocks[req.block].accesses as usize);
+        self.fill_trace(thread, req, rng);
+        true
     }
 
     fn regenerate(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {

@@ -29,8 +29,10 @@ pub struct Access {
     pub offset: Cycles,
 }
 
-/// A transaction instance: one dynamic execution of an atomic block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A transaction instance: one dynamic execution of an atomic block. The
+/// default is empty (block 0, no accesses, zero timing): the storage a
+/// [`Workload::next_into`] call fills.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TxRequest {
     /// Which atomic block this instance executes.
     pub block: BlockId,
@@ -73,6 +75,23 @@ pub trait Workload {
     /// Produces the next transaction for `thread`, or `None` when the
     /// thread has finished its share of the work.
     fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest>;
+
+    /// [`Workload::next`] into a caller-owned request, the way
+    /// [`Clone::clone_from`] relates to `clone`: on `true`, `req` holds
+    /// exactly the request `next` would have returned (whatever it held
+    /// before); on `false` the thread is done and `req` is unspecified.
+    /// The driver keeps one request per thread and calls only this, so a
+    /// workload that overrides it to rewrite `req` in place issues
+    /// transactions without allocating. The default forwards to `next`.
+    fn next_into(&mut self, thread: ThreadId, rng: &mut SimRng, req: &mut TxRequest) -> bool {
+        match self.next(thread, rng) {
+            Some(next) => {
+                *req = next;
+                true
+            }
+            None => false,
+        }
+    }
 
     /// Refreshes `req`'s trace for a retry after an abort. The default
     /// keeps the trace unchanged (re-execution touches the same data).

@@ -114,18 +114,25 @@ impl Workload for ScenarioWorkload {
     }
 
     fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest> {
+        let mut req = TxRequest::default();
+        self.next_into(thread, rng, &mut req).then_some(req)
+    }
+
+    fn next_into(&mut self, thread: ThreadId, rng: &mut SimRng, req: &mut TxRequest) -> bool {
         if self.remaining[thread] == 0 {
-            return None;
+            return false;
         }
         let model = self.phase_model[self.active];
         // Every model's capacity equals the whole-run quota, so the active
         // model cannot run dry before the scenario's own budget does.
-        let mut req = self.models[model].next(thread, rng)?;
+        if !self.models[model].next_into(thread, rng, req) {
+            return false;
+        }
         self.remaining[thread] -= 1;
         self.issued_by[thread] = model;
         req.think = (req.think as f64 * self.phase_think[self.active]) as Cycles;
-        self.apply_skew(&mut req);
-        Some(req)
+        self.apply_skew(req);
+        true
     }
 
     fn regenerate(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {

@@ -60,16 +60,35 @@ fn key<E>(e: &EventEntry<E>) -> u128 {
     (u128::from(e.time) << 64) | u128::from(e.seq)
 }
 
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `PRIME_POWERS[k]` is `FNV_PRIME` to the `k`-th power (wrapping).
+const PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
 /// FNV-1a over the eight little-endian bytes of `word`, continuing from
 /// digest `h`. Byte `i` of the little-endian encoding is `(word >> 8i) &
 /// 0xff`, so this folds the same bytes in the same order as iterating
 /// `word.to_le_bytes()`, without materialising the array.
+///
+/// Folding a zero byte is `h ^ 0 = h` followed by one multiply, so the
+/// `k` zero bytes above the highest nonzero one fold as a single multiply
+/// by `FNV_PRIME^k`. Event times and sequence numbers have mostly zero
+/// high bytes, which roughly halves the serial multiply chain per pop.
 #[inline]
 fn fnv1a_word(mut h: u64, word: u64) -> u64 {
-    for i in 0..8 {
-        h = (h ^ ((word >> (8 * i)) & 0xff)).wrapping_mul(0x0000_0100_0000_01B3);
+    let significant = ((71 - word.leading_zeros()) / 8) as usize;
+    for i in 0..significant {
+        h = (h ^ ((word >> (8 * i)) & 0xff)).wrapping_mul(FNV_PRIME);
     }
-    h
+    h.wrapping_mul(PRIME_POWERS[8 - significant])
 }
 
 /// A single scheduled event: payload plus its firing time and tie-break key.
@@ -410,6 +429,29 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn word_fold_equals_the_byte_wise_fold() {
+        let byte_wise = |mut h: u64, word: u64| {
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            }
+            h
+        };
+        // Words with 0..=8 significant bytes: 0, then for each width the
+        // smallest, an interior and the largest word of that width.
+        let mut words = vec![0u64, u64::MAX];
+        for bytes in 1..=8u32 {
+            let lo = 1u64 << (8 * (bytes - 1));
+            let hi = if bytes == 8 { u64::MAX } else { (1u64 << (8 * bytes)) - 1 };
+            words.extend([lo, lo | 0x5a, hi, hi ^ (lo >> 1)]);
+        }
+        for h in [0xcbf2_9ce4_8422_2325, 0, u64::MAX, 0x0123_4567_89ab_cdef] {
+            for &w in &words {
+                assert_eq!(fnv1a_word(h, w), byte_wise(h, w), "h={h:#x} word={w:#x}");
+            }
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

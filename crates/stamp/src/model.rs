@@ -96,6 +96,8 @@ pub struct StampModel {
     weights_cdf: Vec<f64>,
     zipf: Vec<Vec<Arc<ZipfTable>>>,
     picks: Vec<(u64, AccessKind)>,
+    /// The longest trace any block can draw.
+    longest: usize,
     remaining: Vec<usize>,
     private_cursor: Vec<u64>,
 }
@@ -141,14 +143,15 @@ impl StampModel {
                     .collect()
             })
             .collect();
-        let longest = blocks.iter().map(StampBlock::max_accesses).max();
-        let picks = Vec::with_capacity(longest.unwrap_or(0));
+        let longest = blocks.iter().map(StampBlock::max_accesses).max().unwrap_or(0);
+        let picks = Vec::with_capacity(longest);
         Self {
             name: name.into(),
             blocks,
             weights_cdf,
             zipf,
             picks,
+            longest,
             remaining: vec![txs_per_thread; threads],
             private_cursor: (0..threads as u64).map(|t| t * PRIVATE_STRIDE).collect(),
         }
@@ -229,19 +232,21 @@ impl Workload for StampModel {
     }
 
     fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest> {
+        let mut req = TxRequest::default();
+        self.next_into(thread, rng, &mut req).then_some(req)
+    }
+
+    fn next_into(&mut self, thread: ThreadId, rng: &mut SimRng, req: &mut TxRequest) -> bool {
         if self.remaining[thread] == 0 {
-            return None;
+            return false;
         }
         self.remaining[thread] -= 1;
-        let block = self.pick_block(rng);
-        let mut req = TxRequest {
-            block,
-            accesses: Vec::with_capacity(self.blocks[block].max_accesses()),
-            duration: 0,
-            think: 0,
-        };
-        self.fill_trace(thread, &mut req, rng);
-        Some(req)
+        req.block = self.pick_block(rng);
+        // Sized once for the longest trace, a reused request never grows.
+        req.accesses.clear();
+        req.accesses.reserve(self.longest);
+        self.fill_trace(thread, req, rng);
+        true
     }
 
     fn regenerate(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {

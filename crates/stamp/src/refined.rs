@@ -49,12 +49,7 @@ impl<W: Workload> RefinedModel<W> {
             structures,
             name,
             counts: Vec::new(),
-            base: TxRequest {
-                block: 0,
-                accesses: Vec::new(),
-                duration: 0,
-                think: 0,
-            },
+            base: TxRequest::default(),
         }
     }
 
@@ -111,10 +106,17 @@ impl<W: Workload> Workload for RefinedModel<W> {
     }
 
     fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest> {
-        let mut req = self.inner.next(thread, rng)?;
+        let mut req = TxRequest::default();
+        self.next_into(thread, rng, &mut req).then_some(req)
+    }
+
+    fn next_into(&mut self, thread: ThreadId, rng: &mut SimRng, req: &mut TxRequest) -> bool {
+        if !self.inner.next_into(thread, rng, req) {
+            return false;
+        }
         debug_assert!(req.block < self.inner.num_blocks());
-        self.refine(&mut req);
-        Some(req)
+        self.refine(req);
+        true
     }
 
     fn regenerate(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {

@@ -1,11 +1,13 @@
 //! Per-transaction allocation audit for the workload models
 //! (`crates/core/tests/engine_alloc.rs` style, one layer over).
 //!
-//! A transaction's trace is the one thing a workload must hand over, so
-//! `next` allocates exactly its access vector, sized for the block's
-//! longest trace. Everything else reuses model-owned scratch: `regenerate`
-//! rewrites the request in place and allocates nothing, and so does the
-//! refinement adapter's `commit`. The counts are exact, not statistical.
+//! The driver keeps one request per thread, and `next_into` rewrites it
+//! in place: once the request has grown to the model's longest trace,
+//! issuing a transaction allocates nothing. The owning `next` allocates
+//! exactly the returned request's access vector. Everything else reuses
+//! model-owned scratch: `regenerate` rewrites the request in place and
+//! allocates nothing, and so does the refinement adapter's `commit`. The
+//! counts are exact, not statistical.
 //!
 //! In-place regeneration must also be blind to what the request held
 //! before: a stale, SMT-stretched, over-long request regenerates to the
@@ -101,21 +103,25 @@ fn models() -> Vec<(String, Make)> {
 }
 
 #[test]
-fn next_allocates_once_and_regenerate_and_commit_never() {
+fn next_into_regenerate_and_commit_never_allocate_once_warm() {
     for (name, make) in models() {
         let mut w = make();
         let mut rng = SimRng::new(0xA110C);
-        // Warm-up: lets lazily grown scratch (the refinement adapter's
-        // region counts) reach its steady size.
+        let mut req = TxRequest::default();
+        // Warm-up: lets the reused request and lazily grown scratch (the
+        // refinement adapter's region counts) reach their steady sizes.
         for _ in 0..50 {
-            let mut req = w.next(0, &mut rng).expect("quota");
+            assert!(w.next_into(0, &mut rng, &mut req), "quota");
             w.regenerate(0, &mut req, &mut rng);
             w.commit(0, &req, &mut rng);
         }
         for _ in 0..100 {
-            let (allocs, next) = allocations_during(|| w.next(1, &mut rng));
-            let mut req = next.expect("quota");
+            let (allocs, next) = allocations_during(|| w.next(0, &mut rng));
+            assert!(next.is_some(), "quota");
             assert_eq!(allocs, 1, "{name}: next allocates only its access vector");
+            let (allocs, issued) = allocations_during(|| w.next_into(1, &mut rng, &mut req));
+            assert!(issued, "quota");
+            assert_eq!(allocs, 0, "{name}: next_into rewrites the request in place");
             for _ in 0..3 {
                 let (allocs, ()) = allocations_during(|| w.regenerate(1, &mut req, &mut rng));
                 assert_eq!(allocs, 0, "{name}: regenerate rewrites in place");
