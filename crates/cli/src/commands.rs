@@ -1,15 +1,14 @@
 //! The CLI commands: `list`, `run`, `sweep`, `tune`, `inspect`,
-//! `explain`, `serve`, and the `scenario` family (`check` and
-//! `experiment` have modules of their own).
+//! `explain`, and the `scenario` family (`check` and `experiment` have
+//! modules of their own).
 
-use std::sync::{Arc, Once};
+use std::sync::Once;
 
 use seer::{Seer, SeerConfig};
 use seer_harness::{
-    default_jobs, write_chrome_trace, write_trace_jsonl, Cell, CellExecutor, HarnessConfig,
-    Plan, PolicyKind, Store,
+    default_jobs, write_chrome_trace, write_trace_jsonl, Cell, CellExecutor, ExecReport,
+    HarnessConfig, Plan, PolicyKind, Store,
 };
-use seer_remote::{PoolConfig, WorkerPool};
 use seer_runtime::{run, DriverConfig, MemoryTraceSink, RunMetrics, TxMode, Workload};
 use seer_scenario::RunRequest;
 use seer_stamp::Benchmark;
@@ -54,13 +53,12 @@ pub fn print_usage() {
          \x20                              [--trace F.jsonl] [--chrome F.json]\n\
          \x20 sweep    thread sweep        --benchmark B [--policies hle,rtm,scm,seer]\n\
          \x20                              [--max-threads N] [--seed N] [--jobs N]\n\
-         \x20                              [--store DIR] [--resume] [--workers A1,A2]\n\
+         \x20                              [--store DIR] [--resume]\n\
          \x20 tune     parameter search    [--driver random|halving|climb] [--budget N]\n\
          \x20          over Seer's knobs   [--objective throughput|robustness|combined]\n\
          \x20          (see DESIGN.md §15) [--space F.json] [--seed N] [--jobs N]\n\
          \x20                              [--json true] [--out TUNE.json]\n\
-         \x20                              [--store DIR] [--resume] [--workers A1,A2]\n\
-         \x20 serve    worker daemon       [--addr HOST:PORT]   (default 127.0.0.1:0)\n\
+         \x20                              [--store DIR] [--resume]\n\
          \x20 inspect  Seer's learned state --benchmark B --threads N [--txs N] [--seed N]\n\
          \x20 explain  decision history     --benchmark B --policy P --pair X,Y\n\
          \x20          for one block pair   [--threads N] [--seed N] [--txs N]\n\
@@ -68,7 +66,6 @@ pub fn print_usage() {
          \x20 scenario run                  [--name S | --spec F.json] [--policy P]\n\
          \x20          recovery scoring     [--seed N] [--jobs N] [--json true]\n\
          \x20                               [--trace F.jsonl] [--store DIR] [--resume]\n\
-         \x20                               [--workers A1,A2]\n\
          \x20 experiment NAME              regenerate a paper table/figure: fig3, table3,\n\
          \x20                              fig4, fig5, ablation-core-locks, accuracy,\n\
          \x20                              fine-grained, convergence (SEER_SEEDS,\n\
@@ -79,12 +76,6 @@ pub fn print_usage() {
          before simulating and persist after); --resume is shorthand for\n\
          --store .seer-store. A killed sweep re-run with --resume recomputes only\n\
          the gap and is byte-identical to an uninterrupted run.\n\
-         \n\
-         Distribution: start workers with `seer serve --addr HOST:PORT`, then pass\n\
-         --workers HOST:PORT,... (or set SEER_WORKERS) to fan uncached work out to\n\
-         them. Results are identical to a local run and land in the same store;\n\
-         dead workers are retried elsewhere and, with none left, the sweep\n\
-         finishes locally.\n\
          \n\
          Simulated machine: 4 physical cores x 2 hyper-threads (the paper's\n\
          Haswell Xeon E3-1275); all results are in simulated cycles."
@@ -262,66 +253,53 @@ fn store_dir_from_args(args: &Args) -> Option<&str> {
     }
 }
 
-/// Resolves `--workers addr,addr` (or the `SEER_WORKERS` environment
-/// variable) into a connected worker pool. Returns `None` when no
-/// workers are configured — the sweep then runs purely locally, with no
-/// change in output or report format.
-fn pool_from_args(args: &Args) -> Option<Arc<WorkerPool>> {
-    let raw = args
-        .get("workers")
-        .map(str::to_string)
-        .or_else(|| std::env::var("SEER_WORKERS").ok())?;
-    let addrs: Vec<String> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
-    if addrs.is_empty() {
-        return None;
+/// Where one batch's results came from: the coverage line `sweep`,
+/// `tune` and `scenario run` print on stderr after `… planned — `.
+struct Coverage {
+    /// `None` where the executor is fresh, so a memo hit cannot happen.
+    memoized: Option<u64>,
+    from_disk: u64,
+    computed: u64,
+    failed: u64,
+}
+
+impl Coverage {
+    fn of<K>(report: &ExecReport<K>) -> Self {
+        Self {
+            memoized: Some(report.memo_hits),
+            from_disk: report.disk_hits,
+            computed: report.computed,
+            failed: report.failed.len() as u64,
+        }
     }
-    Some(Arc::new(WorkerPool::connect(&addrs, PoolConfig::from_env())))
+
+    fn of_tune(report: &seer_tune::TuneExecReport) -> Self {
+        Self {
+            memoized: Some(report.memo_hits),
+            from_disk: report.disk_hits,
+            computed: report.computed,
+            failed: report.failed,
+        }
+    }
 }
 
-/// One-line pool summary printed after a distributed run (the chaos
-/// suite asserts on sweeps through these counters).
-fn print_pool_summary(kind: &str, pool: &WorkerPool) {
-    let s = pool.stats();
-    eprintln!(
-        "{kind}: workers — {} configured, {} alive; {} dispatched, {} completed, {} failed, {} retried, {} lost",
-        pool.addrs().len(),
-        pool.alive_workers(),
-        s.dispatched,
-        s.completed,
-        s.failed,
-        s.retried,
-        s.workers_lost,
-    );
-}
-
-/// `seer serve`: the worker daemon. Binds `--addr` (default
-/// `127.0.0.1:0`, an ephemeral port), prints the *resolved* address as
-/// `serve: listening on HOST:PORT` (coordinator scripts parse that
-/// line), and serves until killed.
-pub fn serve(args: &Args) -> Result<(), ParseError> {
-    use std::io::Write;
-
-    args.allow_only(&["addr"])?;
-    let addr = args.get("addr").unwrap_or("127.0.0.1:0");
-    let listener = seer_remote::bind(addr)
-        .map_err(|e| ParseError(format!("cannot bind {addr}: {e}")))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| ParseError(format!("cannot resolve bound address: {e}")))?;
-    println!("serve: listening on {local}");
-    std::io::stdout().flush().ok();
-    seer_remote::serve(listener).map_err(|e| ParseError(format!("serve failed: {e}")))
+impl std::fmt::Display for Coverage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(memoized) = self.memoized {
+            write!(f, "{memoized} memoized, ")?;
+        }
+        write!(
+            f,
+            "{} from disk, {} computed, {} failed",
+            self.from_disk, self.computed, self.failed
+        )
+    }
 }
 
 /// `seer sweep`.
 pub fn sweep(args: &Args) -> Result<(), ParseError> {
     args.allow_only(&[
-        "benchmark", "policies", "max-threads", "seed", "jobs", "store", "resume", "workers",
+        "benchmark", "policies", "max-threads", "seed", "jobs", "store", "resume",
     ])?;
     let benchmark = parse_benchmark(args.get("benchmark").unwrap_or("genome"))?;
     let max_threads: usize = args.get_parsed("max-threads", 8)?;
@@ -337,13 +315,7 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
             .collect::<Result<_, _>>()?,
     };
 
-    // With a worker pool attached, local fan-out must cover the pool's
-    // in-flight capacity too, or remote windows sit idle.
-    let pool = pool_from_args(args);
-    let jobs = match &pool {
-        Some(pool) => jobs_or_warn(args).max(pool.capacity()),
-        None => jobs_or_warn(args),
-    };
+    let jobs = jobs_or_warn(args);
 
     // Declare the whole grid up front and fan it out across `jobs` OS
     // threads; the printed table then assembles from cache in row order
@@ -353,13 +325,10 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
         scale: SWEEP_SCALE,
         jobs,
     };
-    let mut exec = match store_from_args(args) {
+    let exec = match store_from_args(args) {
         Some(store) => CellExecutor::with_store(cfg, store),
         None => CellExecutor::new(cfg),
     };
-    if let Some(pool) = &pool {
-        exec = exec.with_remote(pool.clone());
-    }
     let mut plan = Plan::new();
     for threads in 1..=max_threads {
         for &policy in &policies {
@@ -375,27 +344,11 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
         }
     }
     let report = exec.execute(&plan);
-    if let Some(pool) = &pool {
-        // The remote segment appears only on distributed runs, keeping
-        // the local report format (and everything that greps it) stable.
+    if exec.store().is_some() || !report.complete() {
         eprintln!(
-            "sweep: {} cell(s) planned — {} memoized, {} from disk, {} remote, {} computed, {} failed",
+            "sweep: {} cell(s) planned — {}",
             report.planned,
-            report.memo_hits,
-            report.disk_hits,
-            report.remote_hits,
-            report.computed,
-            report.failed.len(),
-        );
-        print_pool_summary("sweep", pool);
-    } else if exec.store().is_some() || !report.complete() {
-        eprintln!(
-            "sweep: {} cell(s) planned — {} memoized, {} from disk, {} computed, {} failed",
-            report.planned,
-            report.memo_hits,
-            report.disk_hits,
-            report.computed,
-            report.failed.len(),
+            Coverage::of(&report)
         );
     }
 
@@ -448,9 +401,9 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
 /// `seer tune`: deterministic parameter search over Seer's scheduling
 /// knobs (DESIGN.md §15). Proposes configurations with the chosen
 /// driver, evaluates them through the same executor stack as `sweep`
-/// (memo, `--store`/`--resume`, `--jobs`, `--workers`), and prints a
-/// ranked leaderboard plus a per-dimension sensitivity table. The
-/// result is bit-identical for any `--jobs` value and any worker count.
+/// (memo, `--store`/`--resume`, `--jobs`), and prints a ranked
+/// leaderboard plus a per-dimension sensitivity table. The result is
+/// bit-identical for any `--jobs` value.
 pub fn tune(args: &Args) -> Result<(), ParseError> {
     use seer_harness::Json;
     use seer_scenario::ScenarioPlan;
@@ -458,7 +411,7 @@ pub fn tune(args: &Args) -> Result<(), ParseError> {
 
     args.allow_only(&[
         "space", "driver", "budget", "objective", "seed", "jobs", "json", "out", "store",
-        "resume", "workers",
+        "resume",
     ])?;
     let space = match args.get("space") {
         None => ParamSpace::default_space(),
@@ -487,15 +440,8 @@ pub fn tune(args: &Args) -> Result<(), ParseError> {
     })?;
     let json: bool = args.get_parsed("json", false)?;
 
-    let pool = pool_from_args(args);
-    let jobs = match &pool {
-        Some(pool) => jobs_or_warn(args).max(pool.capacity()),
-        None => jobs_or_warn(args),
-    };
-    let mut exec = seer_tune::TuneExecutor::with_store_dir(jobs, store_dir_from_args(args));
-    if let Some(pool) = &pool {
-        exec = exec.with_remote(pool.clone(), pool.clone());
-    }
+    let exec =
+        seer_tune::TuneExecutor::with_store_dir(jobs_or_warn(args), store_dir_from_args(args));
 
     let outcome = run_search(
         &space,
@@ -505,10 +451,7 @@ pub fn tune(args: &Args) -> Result<(), ParseError> {
         objective.as_ref(),
         &exec,
         &mut |what, r| {
-            eprintln!(
-                "tune: batch {what} — {} run(s), {} memoized, {} from disk, {} remote, {} computed, {} failed",
-                r.planned, r.memo_hits, r.disk_hits, r.remote_hits, r.computed, r.failed,
-            );
+            eprintln!("tune: batch {what} — {} run(s), {}", r.planned, Coverage::of_tune(r));
         },
     );
 
@@ -533,13 +476,10 @@ pub fn tune(args: &Args) -> Result<(), ParseError> {
     // Cumulative coverage, in the sweep-report vocabulary (the CI tune
     // job greps a `--resume` second pass for pure-disk counters here).
     eprintln!(
-        "tune: {} run(s) planned — {} memoized, {} from disk, {} remote, {} computed, {} failed",
-        total.planned, total.memo_hits, total.disk_hits, total.remote_hits, total.computed,
-        total.failed,
+        "tune: {} run(s) planned — {}",
+        total.planned,
+        Coverage::of_tune(&total)
     );
-    if let Some(pool) = &pool {
-        print_pool_summary("tune", pool);
-    }
 
     let doc = report_json(
         &space,
@@ -890,7 +830,7 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
     use seer_scenario::{library, ScenarioPlan, ScenarioSpec};
 
     args.allow_only(&[
-        "name", "spec", "policy", "seed", "jobs", "json", "trace", "store", "resume", "workers",
+        "name", "spec", "policy", "seed", "jobs", "json", "trace", "store", "resume",
     ])?;
     let policy = parse_policy(args.get("policy").unwrap_or("seer"))?;
     let seed: u64 = args.get_parsed("seed", 0)?;
@@ -939,10 +879,6 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
                     // traced run is always live.
                     eprintln!("scenario: --trace requested; running live (store not consulted)");
                 }
-                if args.get("workers").is_some() || std::env::var("SEER_WORKERS").is_ok() {
-                    // Remote workers return values, not event streams.
-                    eprintln!("scenario: --trace runs live; workers not consulted");
-                }
                 let mut sink = MemoryTraceSink::new();
                 let outcome = RunRequest::scenario(&spec)
                     .policy(policy)
@@ -954,38 +890,19 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
                 }
                 outcome
             }
-            None => match (store, &builtin_name, pool_from_args(args)) {
-                (store, Some(name), pool) if store.is_some() || pool.is_some() => {
-                    // Built-in by name with a store and/or worker pool:
-                    // go through the executor so the result persists
-                    // and/or computes remotely.
-                    let mut exec = match store {
-                        Some(store) => seer_scenario::ScenarioExecutor::with_store(1, store),
-                        None => seer_scenario::ScenarioExecutor::new(1),
-                    };
-                    if let Some(pool) = &pool {
-                        exec = exec.with_remote(pool.clone());
-                    }
+            None => match (store, &builtin_name) {
+                (Some(store), Some(name)) => {
+                    // Built-in by name with a store: go through the
+                    // executor so the result persists.
+                    let exec = seer_scenario::ScenarioExecutor::with_store(1, store);
                     let mut plan = ScenarioPlan::new();
                     plan.add(name, policy, seed);
                     let report = exec.execute(&plan);
-                    if let Some(pool) = &pool {
-                        eprintln!(
-                            "scenario: 1 planned — {} from disk, {} remote, {} computed, {} failed",
-                            report.disk_hits,
-                            report.remote_hits,
-                            report.computed,
-                            report.failed.len(),
-                        );
-                        print_pool_summary("scenario", pool);
-                    } else {
-                        eprintln!(
-                            "scenario: 1 planned — {} from disk, {} computed, {} failed",
-                            report.disk_hits,
-                            report.computed,
-                            report.failed.len(),
-                        );
-                    }
+                    let coverage = Coverage {
+                        memoized: None,
+                        ..Coverage::of(&report)
+                    };
+                    eprintln!("scenario: 1 planned — {coverage}");
                     match exec.cached(name, policy, seed) {
                         Some(outcome) => outcome,
                         None => {
@@ -997,17 +914,10 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
                         }
                     }
                 }
-                (store, name, pool) => {
+                (store, _) => {
                     if store.is_some() {
                         eprintln!(
                             "scenario: --spec runs are not persisted (the store keys built-in names); running live"
-                        );
-                    }
-                    if pool.is_some() && name.is_none() {
-                        // A file path is not a stable identity, so a
-                        // --spec run cannot be described to a worker.
-                        eprintln!(
-                            "scenario: --workers needs a built-in scenario name; running locally"
                         );
                     }
                     RunRequest::scenario(&spec).policy(policy).seed(seed).run()
@@ -1032,42 +942,20 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
     if jobs == 0 {
         return Err(ParseError("--jobs must be at least 1".into()));
     }
-    let pool = pool_from_args(args);
-    let jobs = match &pool {
-        Some(pool) => jobs.max(pool.capacity()),
-        None => jobs,
-    };
-    let mut exec = match store_from_args(args) {
+    let exec = match store_from_args(args) {
         Some(store) => seer_scenario::ScenarioExecutor::with_store(jobs, store),
         None => seer_scenario::ScenarioExecutor::new(jobs),
     };
-    if let Some(pool) = &pool {
-        exec = exec.with_remote(pool.clone());
-    }
     let mut plan = ScenarioPlan::new();
     for name in library::BUILTIN_NAMES {
         plan.add(name, policy, seed);
     }
     let report = exec.execute(&plan);
-    if let Some(pool) = &pool {
+    if exec.store().is_some() || !report.complete() {
         eprintln!(
-            "scenario: {} planned — {} memoized, {} from disk, {} remote, {} computed, {} failed",
+            "scenario: {} planned — {}",
             report.planned,
-            report.memo_hits,
-            report.disk_hits,
-            report.remote_hits,
-            report.computed,
-            report.failed.len(),
-        );
-        print_pool_summary("scenario", pool);
-    } else if exec.store().is_some() || !report.complete() {
-        eprintln!(
-            "scenario: {} planned — {} memoized, {} from disk, {} computed, {} failed",
-            report.planned,
-            report.memo_hits,
-            report.disk_hits,
-            report.computed,
-            report.failed.len(),
+            Coverage::of(&report)
         );
     }
     // Assemble from cache only, so one failed scenario yields a partial
@@ -1250,6 +1138,23 @@ mod tests {
     fn unknown_options_are_rejected() {
         let a = args(&["run", "--bogus", "1"]);
         assert!(run_one(&a).is_err());
+    }
+
+    #[test]
+    fn workers_option_is_rejected_by_every_executing_command() {
+        // Execution is local only: a script still passing `--workers`
+        // must learn that, not silently compute on this host.
+        type Command = fn(&Args) -> Result<(), ParseError>;
+        let commands: [(&str, Command); 3] = [
+            ("sweep", sweep),
+            ("tune", tune),
+            ("scenario-run", scenario_run),
+        ];
+        for (name, command) in commands {
+            let a = args(&[name, "--workers", "127.0.0.1:1", "--seed", "0"]);
+            let ParseError(msg) = command(&a).expect_err(name);
+            assert!(msg.starts_with("unknown option --workers"), "{name}: {msg}");
+        }
     }
 
     #[test]

@@ -5,11 +5,9 @@
 //! seer run    --benchmark genome --policy seer --threads 8 [--seed N] [--txs N] [--json true]
 //! seer sweep  --benchmark vacation-high [--policies hle,rtm,scm,seer] [--max-threads 8]
 //!             [--store DIR] [--resume]                   # persistent, resumable results
-//!             [--workers HOST:PORT,...]                  # distributed execution
 //! seer tune   [--driver random|halving|climb] [--budget N] [--objective combined]
 //!             [--space F.json] [--seed N] [--jobs N] [--json true] [--out TUNE.json]
-//!             [--store DIR] [--resume] [--workers ...]   # parameter search over Seer's knobs
-//! seer serve  [--addr HOST:PORT]                         # worker daemon for --workers
+//!             [--store DIR] [--resume]                   # parameter search over Seer's knobs
 //! seer inspect --benchmark intruder --threads 8 [--txs N]   # Seer's learned state
 //! seer explain --benchmark genome --policy seer --pair 0,2  # decision history of one pair
 //! seer scenario list                                        # built-in disturbance scenarios
@@ -74,7 +72,6 @@ fn run(mut raw: Vec<String>) -> Result<(), String> {
         "run" => commands::run_one(&args).map_err(|e| e.to_string()),
         "sweep" => commands::sweep(&args).map_err(|e| e.to_string()),
         "tune" => commands::tune(&args).map_err(|e| e.to_string()),
-        "serve" => commands::serve(&args).map_err(|e| e.to_string()),
         "inspect" => commands::inspect(&args).map_err(|e| e.to_string()),
         "explain" => commands::explain(&args).map_err(|e| e.to_string()),
         "scenario-list" => {
@@ -155,6 +152,9 @@ mod tests {
         assert!(err.contains("unknown check kind \"bench\""), "{err}");
         let err = run_words(&["bench"]).unwrap_err();
         assert!(err.contains("unknown command \"bench\""), "{err}");
+        // Nor is `serve`: execution is local only.
+        let err = run_words(&["serve", "--addr", "127.0.0.1:0"]).unwrap_err();
+        assert!(err.contains("unknown command \"serve\""), "{err}");
         let err = run_words(&["experiment", "fig9"]).unwrap_err();
         assert!(
             err.contains("\"fig9\"") && err.contains("fig3, table3"),

@@ -94,12 +94,29 @@ fn shared_tables_are_one_instance_per_key() {
     assert!(!Arc::ptr_eq(&a, &b));
     assert_eq!(a.cdf(), ZipfTable::new(777, theta).cdf());
 
-    // Executor workers racing on the same keys all get the same instances.
+    // Four threads racing on the same keys all get the same instances:
+    // every 16-key chunk holds all eight keys twice over.
     let up = f64::from_bits(0.81f64.to_bits() + 1);
     let keys: Vec<(usize, f64)> = (0..64)
         .map(|i| (1_000 + i % 4, if i % 8 < 4 { 0.81 } else { up }))
         .collect();
-    let tables = seer_store::parallel_map(&keys, 4, |&(n, theta)| ZipfTable::shared(n, theta));
+    let tables: Vec<Arc<ZipfTable>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = keys
+            .chunks(16)
+            .map(|chunk| {
+                scope.spawn(move || {
+                    chunk
+                        .iter()
+                        .map(|&(n, theta)| ZipfTable::shared(n, theta))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("racing thread panicked"))
+            .collect()
+    });
     for (&(n, theta), table) in keys.iter().zip(&tables) {
         let again = ZipfTable::shared(n, theta);
         assert!(Arc::ptr_eq(table, &again), "n={n} theta={theta:e}");

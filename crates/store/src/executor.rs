@@ -3,29 +3,24 @@
 //! PR 2 built a memoizing parallel executor for harness cells; PR 4
 //! copied the pattern for scenarios. This module is the deduplication:
 //! a [`Plan<K>`] is a deduplicated, insertion-ordered set of keys, and an
-//! [`Executor<K, V>`] turns plans into values through four layers, in
-//! order:
+//! [`Executor<K, V>`] turns plans into values through three layers, in
+//! order, plus an account of what is left:
 //!
 //! 1. **memo cache** — per-key results for the executor's lifetime
 //!    (counted by [`Executor::hits`]),
 //! 2. **disk store** — shards from previous processes, if a [`Store`] is
 //!    attached (counted by [`Executor::disk_hits`]),
-//! 3. **remote compute** — a [`RemoteResolver`] (normally `seer-remote`'s
-//!    worker pool), if attached (counted by [`Executor::remote_hits`]);
-//!    an unreachable or dying pool falls through to the next stage,
-//! 4. **supervised compute** — the run function under retry/deadline/
+//! 3. **supervised compute** — the run function under retry/deadline/
 //!    panic isolation (successes counted by [`Executor::misses`]),
-//! 5. **failure accounting** — items that kept failing end up in the
+//! 4. **failure accounting** — items that kept failing end up in the
 //!    [`ExecReport`], so a sweep degrades into a partial report instead
 //!    of aborting.
 //!
 //! Determinism: the run function is a pure function of the key, results
 //! land in the cache keyed by their coordinates, and assembly order is
 //! dictated by the caller — so any fan-out width, warm or cold store,
-//! remote or local compute, first run or resume, produces bit-identical
-//! values. The conformance suite pins this against the committed
-//! trace-hash fixtures, with remote compute covered by
-//! `crates/conformance/tests/remote.rs`.
+//! first run or resume, produces bit-identical values. The conformance
+//! suite pins this against the committed trace-hash fixtures.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -129,36 +124,6 @@ where
         .collect()
 }
 
-/// What a [`RemoteResolver`] did with one work item.
-#[derive(Debug, Clone)]
-pub enum RemoteOutcome<V> {
-    /// A worker computed the value (checksum-verified by the resolver).
-    Computed(V),
-    /// No worker could take the item (pool exhausted, all workers dead,
-    /// connection storms): the executor falls through to local compute.
-    Unavailable,
-    /// A worker ran the item and reported the computation itself failed
-    /// (e.g. the simulation panicked). The executor falls through to
-    /// *local* supervised compute: a deterministic failure reproduces
-    /// locally with full retry/attempt accounting, and a worker-side
-    /// environment flake gets a second chance.
-    Failed(String),
-}
-
-/// The remote stage of the executor's resolution order: something that
-/// may be able to compute `K → V` on another process or machine.
-///
-/// Implementations must preserve the executor's determinism contract: a
-/// `Computed` value must be bit-identical to what the local run function
-/// would produce for the same key (the worker runs the same pure
-/// function on the same kernel, and the pool verifies fingerprints at
-/// handshake and checksums per result).
-pub trait RemoteResolver<K, V>: Send + Sync {
-    /// Tries to resolve `key` remotely. Must never panic and never
-    /// block forever — degrade to [`RemoteOutcome::Unavailable`] instead.
-    fn resolve_remote(&self, key: &K) -> RemoteOutcome<V>;
-}
-
 /// One item the supervisor gave up on.
 #[derive(Debug, Clone)]
 pub struct FailedItem<K> {
@@ -180,8 +145,6 @@ pub struct ExecReport<K> {
     pub memo_hits: u64,
     /// Items served from the disk store.
     pub disk_hits: u64,
-    /// Items computed by remote workers this call.
-    pub remote_hits: u64,
     /// Items computed locally (successfully) this call.
     pub computed: u64,
     /// Items the supervisor gave up on — the coverage gap.
@@ -202,7 +165,6 @@ impl<K> ExecReport<K> {
 
 enum Source<V> {
     Disk(V),
-    Remote(V),
     Computed(V),
     Failed(RunFailure, u32),
 }
@@ -219,9 +181,7 @@ pub struct Executor<K: PlanKey + StoreKey, V> {
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
-    remote_hits: AtomicU64,
     store: Option<Store>,
-    remote: Option<Arc<dyn RemoteResolver<K, V>>>,
     supervisor: SupervisorConfig,
 }
 
@@ -241,9 +201,7 @@ where
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
-            remote_hits: AtomicU64::new(0),
             store: None,
-            remote: None,
             supervisor: SupervisorConfig::from_env(),
         }
     }
@@ -252,15 +210,6 @@ where
     /// save to it after.
     pub fn with_store(mut self, store: Store) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Attaches a remote resolution stage, consulted after the disk
-    /// store and before local compute. Remote results persist to the
-    /// attached store exactly like locally computed ones, so a killed
-    /// coordinator resumes from the same shards either way.
-    pub fn with_remote(mut self, remote: Arc<dyn RemoteResolver<K, V>>) -> Self {
-        self.remote = Some(remote);
         self
     }
 
@@ -300,7 +249,6 @@ where
             planned: plan.len(),
             memo_hits,
             disk_hits: 0,
-            remote_hits: 0,
             computed: 0,
             failed: Vec::new(),
         };
@@ -313,10 +261,6 @@ where
             match outcome {
                 Source::Disk(v) => {
                     report.disk_hits += 1;
-                    cache.insert(key, v);
-                }
-                Source::Remote(v) => {
-                    report.remote_hits += 1;
                     cache.insert(key, v);
                 }
                 Source::Computed(v) => {
@@ -338,22 +282,6 @@ where
             if let Some(v) = store.load::<K, V>(key) {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 return Source::Disk(v);
-            }
-        }
-        if let Some(remote) = &self.remote {
-            match remote.resolve_remote(key) {
-                RemoteOutcome::Computed(v) => {
-                    self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(store) = &self.store {
-                        store.save(key, &v);
-                    }
-                    return Source::Remote(v);
-                }
-                // Both degradations fall through to local compute: the
-                // sweep must finish with whatever capacity is left, and
-                // a deterministic failure will reproduce under the
-                // supervisor with proper attempt accounting.
-                RemoteOutcome::Unavailable | RemoteOutcome::Failed(_) => {}
             }
         }
         let run = self.run.clone();
@@ -432,11 +360,6 @@ where
         self.disk_hits.load(Ordering::Relaxed)
     }
 
-    /// Results computed by remote workers instead of locally.
-    pub fn remote_hits(&self) -> u64 {
-        self.remote_hits.load(Ordering::Relaxed)
-    }
-
     /// Number of memoized results.
     pub fn cached_len(&self) -> usize {
         self.cache.lock().expect("executor cache poisoned").len()
@@ -451,9 +374,7 @@ impl<K: PlanKey + StoreKey, V> std::fmt::Debug for Executor<K, V> {
             .field("hits", &self.hits.load(Ordering::Relaxed))
             .field("misses", &self.misses.load(Ordering::Relaxed))
             .field("disk_hits", &self.disk_hits.load(Ordering::Relaxed))
-            .field("remote_hits", &self.remote_hits.load(Ordering::Relaxed))
             .field("store", &self.store)
-            .field("remote", &self.remote.as_ref().map(|_| "attached"))
             .finish()
     }
 }
@@ -558,80 +479,6 @@ mod tests {
         // The healthy items are all there.
         assert_eq!(exec.cached(&NumKey(1)), Some(1));
         assert_eq!(exec.cached(&NumKey(2)), None);
-    }
-
-    /// A scripted remote stage: answers for even keys, reports key 5 as
-    /// failed, and is unavailable for everything else.
-    struct FakeRemote {
-        served: AtomicU64,
-    }
-
-    impl RemoteResolver<NumKey, u64> for FakeRemote {
-        fn resolve_remote(&self, key: &NumKey) -> RemoteOutcome<u64> {
-            if key.0 == 5 {
-                RemoteOutcome::Failed("worker saw the simulation panic".into())
-            } else if key.0.is_multiple_of(2) {
-                self.served.fetch_add(1, Ordering::Relaxed);
-                RemoteOutcome::Computed(key.0 * key.0)
-            } else {
-                RemoteOutcome::Unavailable
-            }
-        }
-    }
-
-    #[test]
-    fn remote_stage_resolves_between_disk_and_local() {
-        let remote = Arc::new(FakeRemote {
-            served: AtomicU64::new(0),
-        });
-        let exec = squarer(2).with_remote(remote.clone());
-        let report = exec.execute(&plan(0..6));
-        assert!(report.complete(), "{report:?}");
-        // Evens (0, 2, 4) remote; odds (1, 3) and the remote-failed 5
-        // fall through to local compute.
-        assert_eq!(report.remote_hits, 3, "{report:?}");
-        assert_eq!(report.computed, 3, "{report:?}");
-        assert_eq!(exec.remote_hits(), 3);
-        assert_eq!(exec.misses(), 3);
-        assert_eq!(remote.served.load(Ordering::Relaxed), 3);
-        // Values identical regardless of which stage produced them.
-        for n in 0..6 {
-            assert_eq!(exec.cached(&NumKey(n)), Some(n * n), "key {n}");
-        }
-        // Second pass: all memoized, remote untouched.
-        let report = exec.execute(&plan(0..6));
-        assert_eq!(report.memo_hits, 6);
-        assert_eq!(report.remote_hits, 0);
-        assert_eq!(remote.served.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn remote_results_persist_to_the_attached_store() {
-        let root = std::env::temp_dir().join(format!(
-            "seer-store-remote-test-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let remote = Arc::new(FakeRemote {
-            served: AtomicU64::new(0),
-        });
-        let first = squarer(2)
-            .with_store(Store::open(&root))
-            .with_remote(remote.clone());
-        let report = first.execute(&plan(0..4));
-        assert_eq!(report.remote_hits, 2, "{report:?}");
-        drop(first);
-
-        // A warm restart serves everything — remote results included —
-        // from disk, dispatching nothing.
-        let second = squarer(2)
-            .with_store(Store::open(&root))
-            .with_remote(remote.clone());
-        let report = second.execute(&plan(0..4));
-        assert_eq!(report.disk_hits, 4, "{report:?}");
-        assert_eq!(report.remote_hits, 0, "{report:?}");
-        assert_eq!(remote.served.load(Ordering::Relaxed), 2, "no new dispatches");
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! names match what `serde` would have produced, so downstream plotting
 //! scripts are unaffected. The parser ([`Json::parse`]) and the
 //! required-field readers ([`Json::u64_field`] and friends) serve every
-//! reader: the `seer check` schema validators, the store's shard codecs
-//! and the remote wire protocol.
+//! reader: the `seer check` schema validators and the store's shard
+//! codecs.
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]

@@ -35,9 +35,7 @@ pub mod persist;
 pub mod store;
 pub mod supervisor;
 
-pub use executor::{
-    parallel_map, ExecReport, Executor, FailedItem, Plan, PlanKey, RemoteOutcome, RemoteResolver,
-};
+pub use executor::{parallel_map, ExecReport, Executor, FailedItem, Plan, PlanKey};
 pub use json::{Json, ToJson};
 pub use persist::{fnv1a, Persist, StoreKey};
 pub use store::{kernel_fingerprint, Store, StoreStats};

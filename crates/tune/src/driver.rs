@@ -4,16 +4,16 @@
 //! ## Determinism under fan-out
 //!
 //! Every driver is a pure function of `(space, objective, seed)`. The
-//! discipline that makes this hold at any `--jobs` or worker count:
+//! discipline that makes this hold at any `--jobs` value:
 //!
 //! 1. **Propose before executing.** Each round's candidate points are
 //!    drawn from [`SimRng`] streams derived from the search seed and
 //!    the proposal index — never from anything an evaluation produced
 //!    out of order.
 //! 2. **Execute as one batch.** All runs a round needs go into a single
-//!    deduplicated plan; the executor may compute them in any order on
-//!    any substrate (threads, disk, remote workers) because results are
-//!    keyed, not positional.
+//!    deduplicated plan; the executor may resolve them in any order,
+//!    from memo, disk or any of its threads, because results are keyed,
+//!    not positional.
 //! 3. **Score from the cache.** After the batch, scores are pure folds
 //!    over memoized values, and every tie-break is by proposal index.
 

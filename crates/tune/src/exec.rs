@@ -5,18 +5,15 @@
 //! tuned policy travels inside [`CellKey`]/[`ScenarioKey`] as its
 //! textual spec — so every mechanism the execution stack already has
 //! applies verbatim: memoization, the content-addressed disk store
-//! (`--store`/`--resume`), supervised local fan-out (`--jobs`), and the
-//! remote worker pool (`--workers`) with **zero new wire messages**
-//! (workers parse the spec back into a policy with `FromStr`).
+//! (`--store`/`--resume`) and supervised local fan-out (`--jobs`),
+//! with no new key kind (a stored spec parses back into a policy with
+//! `FromStr`).
 
 use std::path::Path;
-use std::sync::Arc;
 
 use seer_harness::{CellExecutor, HarnessConfig, Plan, Store};
-use seer_runtime::RunMetrics;
 use seer_harness::{CellKey, FailedItem};
-use seer_scenario::{ScenarioExecutor, ScenarioKey, ScenarioOutcome, ScenarioPlan};
-use seer_store::RemoteResolver;
+use seer_scenario::{ScenarioExecutor, ScenarioKey, ScenarioPlan};
 
 /// Aggregated coverage counters for one evaluation batch (cells and
 /// scenarios summed), in the same vocabulary as a sweep's report.
@@ -28,8 +25,6 @@ pub struct TuneExecReport {
     pub memo_hits: u64,
     /// Served from the disk store.
     pub disk_hits: u64,
-    /// Computed by remote workers.
-    pub remote_hits: u64,
     /// Simulated locally.
     pub computed: u64,
     /// Runs the supervisor gave up on (the coverage gap).
@@ -42,7 +37,6 @@ impl TuneExecReport {
         self.planned += other.planned;
         self.memo_hits += other.memo_hits;
         self.disk_hits += other.disk_hits;
-        self.remote_hits += other.remote_hits;
         self.computed += other.computed;
         self.failed += other.failed;
     }
@@ -84,18 +78,6 @@ impl TuneExecutor {
         }
     }
 
-    /// Attaches remote resolvers (typically two clones of one
-    /// `Arc<WorkerPool>`, which implements both) to both executors.
-    pub fn with_remote(
-        mut self,
-        cells: Arc<dyn RemoteResolver<CellKey, RunMetrics>>,
-        scenarios: Arc<dyn RemoteResolver<ScenarioKey, ScenarioOutcome>>,
-    ) -> Self {
-        self.cells = self.cells.with_remote(cells);
-        self.scenarios = self.scenarios.with_remote(scenarios);
-        self
-    }
-
     /// Runs every not-yet-cached item of both plans and returns the
     /// summed coverage counters plus the individual failures.
     pub fn execute(
@@ -110,7 +92,6 @@ impl TuneExecutor {
             report.planned += r.planned;
             report.memo_hits += r.memo_hits;
             report.disk_hits += r.disk_hits;
-            report.remote_hits += r.remote_hits;
             report.computed += r.computed;
             report.failed += r.failed.len() as u64;
             failures.extend(r.failed.iter().map(describe_cell_failure));
@@ -120,7 +101,6 @@ impl TuneExecutor {
             report.planned += r.planned;
             report.memo_hits += r.memo_hits;
             report.disk_hits += r.disk_hits;
-            report.remote_hits += r.remote_hits;
             report.computed += r.computed;
             report.failed += r.failed.len() as u64;
             failures.extend(r.failed.iter().map(describe_scenario_failure));

@@ -3,7 +3,7 @@
 //!
 //! Everything here is a pure function of the search outcome — no
 //! execution counters, no timings, no fan-out detail — so the rendered
-//! JSON is bit-identical for serial, `--jobs N`, and remote-pool runs
+//! JSON is bit-identical for serial, `--jobs N`, and store-warmed runs
 //! of the same `(space, driver, budget, objective, seed)`.
 
 use seer_store::{Json, ToJson};
