@@ -55,7 +55,13 @@ fn gaussian_math(c: &mut Criterion) {
         b.iter(|| black_box(std_normal_quantile(black_box(0.8))));
     });
     group.bench_function("percentile", |b| {
-        b.iter(|| black_box(gaussian_percentile(black_box(0.4), black_box(0.02), black_box(0.8))));
+        b.iter(|| {
+            black_box(gaussian_percentile(
+                black_box(0.4),
+                black_box(0.02),
+                black_box(0.8),
+            ))
+        });
     });
     group.finish();
 }

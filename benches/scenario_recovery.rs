@@ -30,14 +30,22 @@ fn stationary() -> ScenarioSpec {
 }
 
 fn assert_faults_conserve_work() {
-    let with_fault = RunRequest::scenario(&faulted()).policy(PolicyKind::Seer).run();
-    let without = RunRequest::scenario(&stationary()).policy(PolicyKind::Seer).run();
+    let with_fault = RunRequest::scenario(&faulted())
+        .policy(PolicyKind::Seer)
+        .run();
+    let without = RunRequest::scenario(&stationary())
+        .policy(PolicyKind::Seer)
+        .run();
     assert_eq!(
         with_fault.metrics.commits, without.metrics.commits,
         "a fault may reschedule work, never add or drop it"
     );
     assert!(
-        with_fault.report.scores.iter().any(|s| s.time_to_reconverge.is_some()),
+        with_fault
+            .report
+            .scores
+            .iter()
+            .any(|s| s.time_to_reconverge.is_some()),
         "the benched scenario must actually exercise recovery scoring"
     );
 }
@@ -52,11 +60,27 @@ fn scenario_recovery(c: &mut Criterion) {
 
     group.bench_function("stationary", |b| {
         let spec = stationary();
-        b.iter(|| black_box(RunRequest::scenario(&spec).policy(PolicyKind::Seer).run().metrics.commits));
+        b.iter(|| {
+            black_box(
+                RunRequest::scenario(&spec)
+                    .policy(PolicyKind::Seer)
+                    .run()
+                    .metrics
+                    .commits,
+            )
+        });
     });
     group.bench_function("stats-amnesia", |b| {
         let spec = faulted();
-        b.iter(|| black_box(RunRequest::scenario(&spec).policy(PolicyKind::Seer).run().metrics.commits));
+        b.iter(|| {
+            black_box(
+                RunRequest::scenario(&spec)
+                    .policy(PolicyKind::Seer)
+                    .run()
+                    .metrics
+                    .commits,
+            )
+        });
     });
     group.finish();
 }

@@ -42,7 +42,11 @@ fn multi_cas_ablation(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_millis(1500));
     for via_htm in [false, true] {
-        let label = if via_htm { "htm_multi_cas" } else { "per_lock_cas" };
+        let label = if via_htm {
+            "htm_multi_cas"
+        } else {
+            "per_lock_cas"
+        };
         group.bench_function(label, |b| {
             b.iter(|| {
                 let threads = 8;
@@ -52,7 +56,11 @@ fn multi_cas_ablation(c: &mut Criterion) {
                 let mut cfg = SeerConfig::plus_core_locks();
                 cfg.htm_lock_acquisition = via_htm;
                 let mut sched = Seer::new(cfg, threads, blocks);
-                let m = run(&mut w, &mut sched, &DriverConfig::paper_machine(threads, 21));
+                let m = run(
+                    &mut w,
+                    &mut sched,
+                    &DriverConfig::paper_machine(threads, 21),
+                );
                 black_box(m.speedup())
             });
         });
@@ -70,7 +78,11 @@ fn capacity_retry_ablation(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_millis(1500));
     for respect_hint in [false, true] {
-        let label = if respect_hint { "give_up" } else { "retry_anyway" };
+        let label = if respect_hint {
+            "give_up"
+        } else {
+            "retry_anyway"
+        };
         group.bench_function(label, |b| {
             b.iter(|| {
                 let threads = 8;
@@ -81,7 +93,11 @@ fn capacity_retry_ablation(c: &mut Criterion) {
                 } else {
                     Rtm::new(5)
                 };
-                let m = run(&mut w, &mut sched, &DriverConfig::paper_machine(threads, 77));
+                let m = run(
+                    &mut w,
+                    &mut sched,
+                    &DriverConfig::paper_machine(threads, 77),
+                );
                 black_box(m.speedup())
             });
         });

@@ -83,12 +83,25 @@ fn assert_sink_is_pure_observer(cell: Cell) {
     let blocks = w.num_blocks();
     let mut sched = Seer::new(SeerConfig::full(), 8, blocks);
     let mut rounds = MemoryTraceSink::new();
-    seer_runtime::run_traced(&mut w, &mut sched, &DriverConfig::paper_machine(8, 1), &mut rounds);
-    assert!(!rounds.inference.is_empty(), "traced run recorded no inference rounds");
+    seer_runtime::run_traced(
+        &mut w,
+        &mut sched,
+        &DriverConfig::paper_machine(8, 1),
+        &mut rounds,
+    );
+    assert!(
+        !rounds.inference.is_empty(),
+        "traced run recorded no inference rounds"
+    );
     for inf in &rounds.inference {
         assert_eq!(inf.rows.len(), blocks, "inference record is missing rows");
         for row in &inf.rows {
-            assert_eq!(row.pairs.len(), blocks, "row {} is missing pair verdicts", row.x);
+            assert_eq!(
+                row.pairs.len(),
+                blocks,
+                "row {} is missing pair verdicts",
+                row.x
+            );
             assert!(row.sigma2 >= 0.0);
         }
     }

@@ -9,7 +9,7 @@
 //! real lock, every concurrent transaction aborts on the lock-line
 //! subscription, exhausts its small budget, and piles onto the lock too.
 
-use seer_runtime::{Scheduler, SchedEnv};
+use seer_runtime::{SchedEnv, Scheduler};
 use seer_sim::ThreadId;
 
 /// The HLE baseline scheduler.
@@ -50,9 +50,9 @@ impl Scheduler for Hle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seer_htm::XStatus;
     use seer_runtime::scheduler::AbortDecision;
     use seer_runtime::LockBank;
-    use seer_htm::XStatus;
     use seer_sim::{SimRng, Topology};
 
     #[test]

@@ -33,7 +33,12 @@ fn low_contention_spec(txs: usize) -> SyntheticSpec {
     SyntheticSpec::low_contention_hashmap(txs)
 }
 
-fn run_with(sched: &mut dyn Scheduler, spec: SyntheticSpec, threads: usize, seed: u64) -> RunMetrics {
+fn run_with(
+    sched: &mut dyn Scheduler,
+    spec: SyntheticSpec,
+    threads: usize,
+    seed: u64,
+) -> RunMetrics {
     let mut w = SyntheticWorkload::new(spec, threads);
     let mut cfg = DriverConfig::paper_machine(threads, seed);
     cfg.costs.async_abort_per_cycle = 0.0;

@@ -70,11 +70,7 @@ impl Args {
     }
 
     /// A typed option with a default; malformed values are errors.
-    pub fn get_parsed<T: std::str::FromStr>(
-        &self,
-        key: &str,
-        default: T,
-    ) -> Result<T, ParseError> {
+    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ParseError> {
         match self.options.get(key) {
             None => Ok(default),
             Some(raw) => raw

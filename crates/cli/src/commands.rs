@@ -86,9 +86,15 @@ pub fn print_usage() {
 pub fn list() {
     println!("benchmarks:");
     for b in benchmarks() {
-        println!("  {:<14} ({} txs/thread by default)", b.name(), b.default_txs());
+        println!(
+            "  {:<14} ({} txs/thread by default)",
+            b.name(),
+            b.default_txs()
+        );
     }
-    let synth = Benchmark::Synth { blocks: seer_stamp::synth::DEFAULT_BLOCKS };
+    let synth = Benchmark::Synth {
+        blocks: seer_stamp::synth::DEFAULT_BLOCKS,
+    };
     println!(
         "  {:<14} ({} txs/thread by default; many-blocks scaling probe,\n\
          \x20                use synth@blocks=N for N atomic blocks, default {})",
@@ -137,7 +143,14 @@ fn metrics_summary(m: &RunMetrics) -> String {
 /// `seer run`.
 pub fn run_one(args: &Args) -> Result<(), ParseError> {
     args.allow_only(&[
-        "benchmark", "policy", "threads", "seed", "txs", "json", "trace", "chrome",
+        "benchmark",
+        "policy",
+        "threads",
+        "seed",
+        "txs",
+        "json",
+        "trace",
+        "chrome",
     ])?;
     let benchmark = parse_benchmark(args.get("benchmark").unwrap_or("genome"))?;
     let policy = parse_policy(args.get("policy").unwrap_or("seer"))?;
@@ -196,7 +209,11 @@ pub fn run_one(args: &Args) -> Result<(), ParseError> {
         ]);
         println!("{}", out.to_string_pretty());
     } else {
-        println!("{} under {} with {threads} thread(s), seed {seed}:", benchmark.spec(), policy.label());
+        println!(
+            "{} under {} with {threads} thread(s), seed {seed}:",
+            benchmark.spec(),
+            policy.label()
+        );
         println!("{}", metrics_summary(&m));
     }
     Ok(())
@@ -299,7 +316,13 @@ impl std::fmt::Display for Coverage {
 /// `seer sweep`.
 pub fn sweep(args: &Args) -> Result<(), ParseError> {
     args.allow_only(&[
-        "benchmark", "policies", "max-threads", "seed", "jobs", "store", "resume",
+        "benchmark",
+        "policies",
+        "max-threads",
+        "seed",
+        "jobs",
+        "store",
+        "resume",
     ])?;
     let benchmark = parse_benchmark(args.get("benchmark").unwrap_or("genome"))?;
     let max_threads: usize = args.get_parsed("max-threads", 8)?;
@@ -352,7 +375,10 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
         );
     }
 
-    println!("{} — speedup over sequential (seed {seed})", benchmark.spec());
+    println!(
+        "{} — speedup over sequential (seed {seed})",
+        benchmark.spec()
+    );
     print!("{:>8}", "threads");
     for p in &policies {
         print!("{:>12}", p.label());
@@ -410,7 +436,15 @@ pub fn tune(args: &Args) -> Result<(), ParseError> {
     use seer_tune::{objective_by_name, report_json, run_search, DriverKind, ParamSpace};
 
     args.allow_only(&[
-        "space", "driver", "budget", "objective", "seed", "jobs", "json", "out", "store",
+        "space",
+        "driver",
+        "budget",
+        "objective",
+        "seed",
+        "jobs",
+        "json",
+        "out",
+        "store",
         "resume",
     ])?;
     let space = match args.get("space") {
@@ -418,8 +452,7 @@ pub fn tune(args: &Args) -> Result<(), ParseError> {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| ParseError(format!("cannot read --space {path:?}: {e}")))?;
-            ParamSpace::parse(&text)
-                .map_err(|e| ParseError(format!("--space {path:?}: {e}")))?
+            ParamSpace::parse(&text).map_err(|e| ParseError(format!("--space {path:?}: {e}")))?
         }
     };
     let driver: DriverKind = args
@@ -451,7 +484,11 @@ pub fn tune(args: &Args) -> Result<(), ParseError> {
         objective.as_ref(),
         &exec,
         &mut |what, r| {
-            eprintln!("tune: batch {what} — {} run(s), {}", r.planned, Coverage::of_tune(r));
+            eprintln!(
+                "tune: batch {what} — {} run(s), {}",
+                r.planned,
+                Coverage::of_tune(r)
+            );
         },
     );
 
@@ -578,7 +615,10 @@ pub fn inspect(args: &Args) -> Result<(), ParseError> {
     );
     sched.force_update();
 
-    println!("{} under full Seer, {threads} thread(s):\n", benchmark.spec());
+    println!(
+        "{} under full Seer, {threads} thread(s):\n",
+        benchmark.spec()
+    );
     println!("{}\n", metrics_summary(&m));
     println!(
         "thresholds          Th1 = {:.2}, Th2 = {:.2} ({} updates, {} climb steps)",
@@ -619,7 +659,11 @@ pub fn inspect(args: &Args) -> Result<(), ParseError> {
 
 /// Parses `--pair X,Y` into block indices.
 fn parse_pair(raw: &str) -> Result<(usize, usize), ParseError> {
-    let err = || ParseError(format!("--pair {raw:?} is not of the form X,Y (block indices)"));
+    let err = || {
+        ParseError(format!(
+            "--pair {raw:?} is not of the form X,Y (block indices)"
+        ))
+    };
     let (x, y) = raw.split_once(',').ok_or_else(err)?;
     Ok((
         x.trim().parse().map_err(|_| err())?,
@@ -688,15 +732,14 @@ pub fn explain_text(cell: Cell, seed: u64, scale: f64, x: usize, y: usize) -> St
              inference round covering it\n(only the Seer-family policies infer; \
              try --policy seer)\n",
         );
-    } else if let Some(last) = sink
-        .inference
-        .iter()
-        .rev()
-        .find_map(|tr| tr.decision(x, y))
-    {
+    } else if let Some(last) = sink.inference.iter().rev().find_map(|tr| tr.decision(x, y)) {
         out.push_str(&format!(
             "\nfinal scheme: pair ({x}, {y}) {}serialized\n",
-            if last.1.verdict.serialize() { "" } else { "NOT " }
+            if last.1.verdict.serialize() {
+                ""
+            } else {
+                "NOT "
+            }
         ));
     }
     out
@@ -839,7 +882,9 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
     let mut builtin_name: Option<String> = None;
     let spec = match (args.get("name"), args.get("spec")) {
         (Some(_), Some(_)) => {
-            return Err(ParseError("--name and --spec are mutually exclusive".into()));
+            return Err(ParseError(
+                "--name and --spec are mutually exclusive".into(),
+            ));
         }
         (Some(name), None) => match library::builtin(name) {
             Some(spec) => {
@@ -936,7 +981,9 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
     // No --name/--spec: the whole built-in library through the memoizing
     // executor, fanned out over --jobs.
     if args.get("trace").is_some() {
-        return Err(ParseError("--trace needs a single scenario (--name or --spec)".into()));
+        return Err(ParseError(
+            "--trace needs a single scenario (--name or --spec)".into(),
+        ));
     }
     let jobs: usize = args.get_parsed("jobs", default_jobs())?;
     if jobs == 0 {
@@ -1012,7 +1059,10 @@ mod tests {
     #[test]
     fn benchmark_and_policy_lookup() {
         assert_eq!(parse_benchmark("genome").unwrap().name(), "genome");
-        assert_eq!(parse_benchmark("hashmap-low").unwrap().name(), "hashmap-low");
+        assert_eq!(
+            parse_benchmark("hashmap-low").unwrap().name(),
+            "hashmap-low"
+        );
         assert!(parse_benchmark("nope").is_err());
         assert_eq!(parse_policy("SEER").unwrap(), PolicyKind::Seer);
         assert_eq!(parse_policy("hle").unwrap(), PolicyKind::Hle);
@@ -1023,7 +1073,9 @@ mod tests {
     fn benchmark_lookup_accepts_synth_specs() {
         assert_eq!(
             parse_benchmark("synth").unwrap(),
-            Benchmark::Synth { blocks: seer_stamp::synth::DEFAULT_BLOCKS }
+            Benchmark::Synth {
+                blocks: seer_stamp::synth::DEFAULT_BLOCKS
+            }
         );
         assert_eq!(
             parse_benchmark("synth@blocks=48").unwrap(),
@@ -1051,9 +1103,27 @@ mod tests {
 
     #[test]
     fn run_command_executes() {
-        let a = args(&["run", "--benchmark", "ssca2", "--threads", "2", "--txs", "40"]);
+        let a = args(&[
+            "run",
+            "--benchmark",
+            "ssca2",
+            "--threads",
+            "2",
+            "--txs",
+            "40",
+        ]);
         run_one(&a).expect("run should succeed");
-        let a = args(&["run", "--benchmark", "ssca2", "--threads", "2", "--txs", "40", "--json", "true"]);
+        let a = args(&[
+            "run",
+            "--benchmark",
+            "ssca2",
+            "--threads",
+            "2",
+            "--txs",
+            "40",
+            "--json",
+            "true",
+        ]);
         run_one(&a).expect("json run should succeed");
     }
 
@@ -1116,21 +1186,41 @@ mod tests {
         // prints, but the fallback applies every time.
         assert_eq!(jobs_or_warn(&args(&["sweep"])), default_jobs());
         assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "3"])), 3);
-        assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "0"])), default_jobs());
-        assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "lots"])), default_jobs());
+        assert_eq!(
+            jobs_or_warn(&args(&["sweep", "--jobs", "0"])),
+            default_jobs()
+        );
+        assert_eq!(
+            jobs_or_warn(&args(&["sweep", "--jobs", "lots"])),
+            default_jobs()
+        );
     }
 
     #[test]
     fn run_command_executes_on_synth_spec() {
         let a = args(&[
-            "run", "--benchmark", "synth@blocks=24", "--threads", "2", "--txs", "30",
+            "run",
+            "--benchmark",
+            "synth@blocks=24",
+            "--threads",
+            "2",
+            "--txs",
+            "30",
         ]);
         run_one(&a).expect("synth run should succeed");
     }
 
     #[test]
     fn inspect_command_executes() {
-        let a = args(&["inspect", "--benchmark", "kmeans-high", "--threads", "4", "--txs", "60"]);
+        let a = args(&[
+            "inspect",
+            "--benchmark",
+            "kmeans-high",
+            "--threads",
+            "4",
+            "--txs",
+            "60",
+        ]);
         inspect(&a).expect("inspect should succeed");
     }
 

@@ -51,7 +51,11 @@ mod tests {
         let spec = SyntheticSpec::low_contention_hashmap(30);
         let mut workload = SyntheticWorkload::new(spec, threads);
         let mut sched = SglOnly;
-        run(&mut workload, &mut sched, &DriverConfig::paper_machine(threads, seed))
+        run(
+            &mut workload,
+            &mut sched,
+            &DriverConfig::paper_machine(threads, seed),
+        )
     }
 
     #[test]
@@ -74,7 +78,11 @@ mod tests {
         let spec = SyntheticSpec::low_contention_hashmap(30);
         let mut workload = SyntheticWorkload::new(spec, 4);
         let mut null = NullScheduler::new(5);
-        let htm = run(&mut workload, &mut null, &DriverConfig::paper_machine(4, 11));
+        let htm = run(
+            &mut workload,
+            &mut null,
+            &DriverConfig::paper_machine(4, 11),
+        );
         let sgl = run_sgl(4, 11);
         assert_eq!(htm.commits, sgl.commits);
     }

@@ -31,8 +31,14 @@ pub fn replay_cell(cell: Cell, seed: u64, scale: f64) -> RunMetrics {
         first.trace_hash, second.trace_hash,
         "replay diverged for {cell:?} seed {seed}: the event schedules differ"
     );
-    assert_eq!(first.commits, second.commits, "commits diverged for {cell:?}");
-    assert_eq!(first.makespan, second.makespan, "makespan diverged for {cell:?}");
+    assert_eq!(
+        first.commits, second.commits,
+        "commits diverged for {cell:?}"
+    );
+    assert_eq!(
+        first.makespan, second.makespan,
+        "makespan diverged for {cell:?}"
+    );
     assert_eq!(
         first.aborts.total(),
         second.aborts.total(),

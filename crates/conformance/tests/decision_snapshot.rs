@@ -78,9 +78,8 @@ fn decision_jsonl_is_byte_stable_and_matches_fixture() {
         std::fs::write(FIXTURE, &computed).expect("write decision fixture");
         return;
     }
-    let golden = std::fs::read_to_string(FIXTURE).expect(
-        "missing tests/fixtures/decision_trace.jsonl — run with SEER_BLESS=1 to create it",
-    );
+    let golden = std::fs::read_to_string(FIXTURE)
+        .expect("missing tests/fixtures/decision_trace.jsonl — run with SEER_BLESS=1 to create it");
     assert!(
         golden == computed,
         "decision JSONL drifted from the committed fixture \

@@ -92,7 +92,10 @@ fn inference_agrees_with_reference_on_randomized_matrices() {
     }
 
     // The sweep must actually exercise both outcomes to mean anything.
-    assert!(pairs_checked >= 1000 * 4, "only {pairs_checked} pairs checked");
+    assert!(
+        pairs_checked >= 1000 * 4,
+        "only {pairs_checked} pairs checked"
+    );
     assert!(
         serialized_seen > 500,
         "oracle never serialized enough pairs ({serialized_seen}) — generator too tame"

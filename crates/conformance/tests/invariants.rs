@@ -50,5 +50,8 @@ fn causality_violations_panic_under_the_feature() {
         q.pop();
         q.push(5, ()); // before the watermark: must panic, not clamp
     });
-    assert!(result.is_err(), "checker failed to fire on a causality violation");
+    assert!(
+        result.is_err(),
+        "checker failed to fire on a causality violation"
+    );
 }

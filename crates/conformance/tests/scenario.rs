@@ -151,13 +151,19 @@ fn seer_regresses_and_recovers_where_the_reference_cannot() {
         "Seer's inference must restabilize: {s:?}"
     );
 
-    assert_eq!(reference.metrics.htm_attempts, 0, "SGL-only never attempts HTM");
+    assert_eq!(
+        reference.metrics.htm_attempts, 0,
+        "SGL-only never attempts HTM"
+    );
     let r = &reference.report.scores[0];
     assert!(
         r.regression_depth < 0.05,
         "the capacity fault must be invisible to the reference: {r:?}"
     );
-    assert!(r.pairs_stable_at.is_none(), "no inference stream to stabilize");
+    assert!(
+        r.pairs_stable_at.is_none(),
+        "no inference stream to stabilize"
+    );
     assert!(
         seer.report.throughput > reference.report.throughput,
         "even with the cliff, Seer beats full serialization over the run"

@@ -54,10 +54,7 @@ impl ActiveTxs {
 
     /// Scans the array the way REGISTER-ABORT/COMMIT do (Alg. 3): yields
     /// the blocks announced by every thread other than `scanner`.
-    pub fn scan_others<'a>(
-        &'a self,
-        scanner: ThreadId,
-    ) -> impl Iterator<Item = BlockId> + 'a {
+    pub fn scan_others<'a>(&'a self, scanner: ThreadId) -> impl Iterator<Item = BlockId> + 'a {
         self.slots
             .iter()
             .enumerate()

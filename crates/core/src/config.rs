@@ -307,7 +307,10 @@ mod tests {
     fn default_params_equal_the_paper_configuration() {
         // The identity the replay fixtures lean on: routing the default
         // knobs through the params bridge changes nothing.
-        assert_eq!(SeerConfig::with_params(SeerParams::default()), SeerConfig::full());
+        assert_eq!(
+            SeerConfig::with_params(SeerParams::default()),
+            SeerConfig::full()
+        );
         assert_eq!(SeerConfig::full().params(), SeerParams::default());
     }
 

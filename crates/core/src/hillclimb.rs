@@ -118,7 +118,11 @@ impl HillClimber {
             };
             return;
         }
-        let delta = if rng.chance(0.5) { self.step } else { -self.step };
+        let delta = if rng.chance(0.5) {
+            self.step
+        } else {
+            -self.step
+        };
         let mut next = self.current;
         if rng.chance(0.5) {
             next.th1 += delta;
@@ -165,7 +169,7 @@ mod tests {
         // Baseline at high throughput.
         h.observe(100.0, &mut rng);
         let good = h.previous; // the accepted point the proposal starts from
-        // The next window is much worse: the move is reverted.
+                               // The next window is much worse: the move is reverted.
         h.observe(1.0, &mut rng);
         assert_eq!(h.previous, good, "harmful move was not reverted");
     }
@@ -280,7 +284,10 @@ mod tests {
     #[test]
     fn nudge_clamps_out_of_range_thresholds() {
         let mut h = HillClimber::new();
-        h.nudge(Thresholds { th1: 7.0, th2: -3.0 });
+        h.nudge(Thresholds {
+            th1: 7.0,
+            th2: -3.0,
+        });
         let t = h.thresholds();
         assert!((0.0..=1.0).contains(&t.th1));
         assert!((0.0..=1.0).contains(&t.th2));

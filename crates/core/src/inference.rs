@@ -118,7 +118,11 @@ pub fn infer_conflict_pairs<'s>(
     scratch: &'s mut InferenceScratch,
     mut on_row: Option<&mut dyn FnMut(RowTrace)>,
 ) -> &'s [(BlockId, BlockId)] {
-    let InferenceScratch { cond, row_pairs, out } = scratch;
+    let InferenceScratch {
+        cond,
+        row_pairs,
+        out,
+    } = scratch;
     out.clear();
     for x in 0..stats.blocks() {
         let trace = compute_row(stats, x, th, min_sigma, cond, row_pairs, on_row.is_some());
@@ -167,7 +171,11 @@ fn compute_row(
     let mut trace = traced.then(|| Vec::with_capacity(cond.len()));
     out_pairs.clear();
     for (y, &cond_p) in cond.iter().enumerate() {
-        let conj = if e == 0.0 { 0.0 } else { abort_row[y] as f64 / e };
+        let conj = if e == 0.0 {
+            0.0
+        } else {
+            abort_row[y] as f64 / e
+        };
         // Strict inequalities as in the paper; the Th2 percentile only
         // participates when the row carries discriminative signal.
         let conjunctive_ok = conj > th.th1;
@@ -362,7 +370,10 @@ mod tests {
                 }
             }
         });
-        let th = Thresholds { th1: 0.03, th2: 0.8 };
+        let th = Thresholds {
+            th1: 0.03,
+            th2: 0.8,
+        };
         let plain = infer(&m, th, MIN_DISCRIMINATIVE_SIGMA);
         let mut rows = Vec::new();
         let mut scratch = InferenceScratch::default();
@@ -419,7 +430,10 @@ mod tests {
                 }
             }
         });
-        let th = Thresholds { th1: 0.03, th2: 0.8 };
+        let th = Thresholds {
+            th1: 0.03,
+            th2: 0.8,
+        };
         let strict = infer(&m, th, MIN_DISCRIMINATIVE_SIGMA);
         assert!(!strict.contains(&(0, 2)));
         // A floor above any realistic sigma: Th2 never participates.
@@ -429,7 +443,11 @@ mod tests {
 
     #[test]
     fn thresholds_clamp() {
-        let t = Thresholds { th1: -0.2, th2: 1.7 }.clamped();
+        let t = Thresholds {
+            th1: -0.2,
+            th2: 1.7,
+        }
+        .clamped();
         assert_eq!(t.th1, 0.0);
         assert_eq!(t.th2, 1.0);
     }

@@ -334,7 +334,9 @@ impl Scheduler for Seer {
             gates.push(Gate::WaitWhileLocked(LockId::Tx(block)));
         }
         if self.cfg.core_locks && !self.acquired_core_lock[thread] {
-            gates.push(Gate::WaitWhileLocked(LockId::Core(env.topology.core_of(thread))));
+            gates.push(Gate::WaitWhileLocked(LockId::Core(
+                env.topology.core_of(thread),
+            )));
         }
     }
 
@@ -617,8 +619,8 @@ mod tests {
         let mut e = env(&bank, &mut rng);
         s.on_tx_start(0, 0, &mut e);
         let _ = s.on_abort(0, 0, XStatus::conflict(), 1, &mut e); // takes Tx(2)
-        // The last attempt dies of capacity: core lock must join the set,
-        // via release + ordered re-acquisition.
+                                                                  // The last attempt dies of capacity: core lock must join the set,
+                                                                  // via release + ordered re-acquisition.
         let d = s.on_abort(0, 0, XStatus::capacity(), 1, &mut e);
         match d {
             AbortDecision::Retry { gates } => {
@@ -815,15 +817,36 @@ mod tests {
         let bank = LockBank::new(4, 2);
         let mut rng = SimRng::new(0);
         let mut e = env(&bank, &mut rng);
-        s.on_fault(&SchedFault::KickThresholds { th1: 0.95, th2: 0.05 }, &mut e);
-        assert_eq!(s.thresholds(), Thresholds { th1: 0.95, th2: 0.05 });
+        s.on_fault(
+            &SchedFault::KickThresholds {
+                th1: 0.95,
+                th2: 0.05,
+            },
+            &mut e,
+        );
+        assert_eq!(
+            s.thresholds(),
+            Thresholds {
+                th1: 0.95,
+                th2: 0.05
+            }
+        );
         assert_eq!(
             s.climber.thresholds(),
-            Thresholds { th1: 0.95, th2: 0.05 },
+            Thresholds {
+                th1: 0.95,
+                th2: 0.05
+            },
             "the climber must be re-seated at the kicked point"
         );
         // Out-of-range kicks are clamped, not trusted.
-        s.on_fault(&SchedFault::KickThresholds { th1: 9.0, th2: -1.0 }, &mut e);
+        s.on_fault(
+            &SchedFault::KickThresholds {
+                th1: 9.0,
+                th2: -1.0,
+            },
+            &mut e,
+        );
         let t = s.thresholds();
         assert!((0.0..=1.0).contains(&t.th1) && (0.0..=1.0).contains(&t.th2));
     }

@@ -107,6 +107,8 @@ fn with_decay_stale_conflicts_fade() {
     assert!(
         sched.lock_table().is_empty(),
         "decayed Seer should have forgotten the phase-A relation: {:?}",
-        (0..2).map(|x| sched.lock_table().row(x).to_vec()).collect::<Vec<_>>()
+        (0..2)
+            .map(|x| sched.lock_table().row(x).to_vec())
+            .collect::<Vec<_>>()
     );
 }

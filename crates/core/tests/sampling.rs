@@ -13,7 +13,11 @@ fn run_with_sampling(p: f64, txs: usize) -> (Seer, seer_runtime::RunMetrics) {
     let mut cfg = SeerConfig::with_sampling(p);
     cfg.hill_climbing = false; // isolate the sampling effect
     let mut sched = Seer::new(cfg, threads, blocks);
-    let m = run(&mut w, &mut sched, &DriverConfig::paper_machine(threads, 13));
+    let m = run(
+        &mut w,
+        &mut sched,
+        &DriverConfig::paper_machine(threads, 13),
+    );
     (sched, m)
 }
 
@@ -33,8 +37,7 @@ fn sampling_reduces_registration_volume_proportionally() {
     let (full, _) = run_with_sampling(1.0, 300);
     let (quarter, _) = run_with_sampling(0.25, 300);
     let full_regs = full.counters().commits_registered + full.counters().aborts_registered;
-    let quarter_regs =
-        quarter.counters().commits_registered + quarter.counters().aborts_registered;
+    let quarter_regs = quarter.counters().commits_registered + quarter.counters().aborts_registered;
     // Not exactly 1/4 (the runs diverge dynamically), but far fewer.
     assert!(
         (quarter_regs as f64) < 0.45 * full_regs as f64,

@@ -35,7 +35,12 @@ fn cell(benchmark: Benchmark, policy: PolicyKind, threads: usize) -> Cell {
 /// (panels a–h) plus the geometric-mean panel (i).
 pub fn figure3(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
     let mut plan = Plan::new();
-    plan.add_grid(&Benchmark::STAMP, &PolicyKind::FIGURE3, threads, exec.config());
+    plan.add_grid(
+        &Benchmark::STAMP,
+        &PolicyKind::FIGURE3,
+        threads,
+        exec.config(),
+    );
     exec.execute(&plan);
 
     let mut panels = Vec::new();
@@ -87,7 +92,12 @@ pub fn figure3(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
 pub fn table3(exec: &CellExecutor, threads: &[usize]) -> (Vec<PercentTable>, Option<f64>) {
     use seer_runtime::TxMode;
     let mut plan = Plan::new();
-    plan.add_grid(&Benchmark::STAMP, &PolicyKind::FIGURE3, threads, exec.config());
+    plan.add_grid(
+        &Benchmark::STAMP,
+        &PolicyKind::FIGURE3,
+        threads,
+        exec.config(),
+    );
     exec.execute(&plan);
 
     let mut tables = Vec::new();
@@ -184,7 +194,12 @@ pub fn figure4(exec: &CellExecutor, threads: &[usize]) -> Panel {
 /// thread count, plus the geometric-mean panel.
 pub fn figure5(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
     let mut plan = Plan::new();
-    plan.add_grid(&Benchmark::STAMP, &PolicyKind::FIGURE5, threads, exec.config());
+    plan.add_grid(
+        &Benchmark::STAMP,
+        &PolicyKind::FIGURE5,
+        threads,
+        exec.config(),
+    );
     exec.execute(&plan);
 
     let mut panels = Vec::new();
@@ -193,7 +208,10 @@ pub fn figure5(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
     for &benchmark in &Benchmark::STAMP {
         let base: Vec<f64> = threads
             .iter()
-            .map(|&t| exec.cell(cell(benchmark, PolicyKind::SeerProfileOnly, t)).speedup)
+            .map(|&t| {
+                exec.cell(cell(benchmark, PolicyKind::SeerProfileOnly, t))
+                    .speedup
+            })
             .collect();
         let mut series = Vec::new();
         for (vi, &policy) in variants.iter().enumerate() {
@@ -307,7 +325,11 @@ pub fn inference_accuracy(threads: usize, scale: f64, significance: f64) -> Vec<
         let mut workload = benchmark.instantiate_scaled(threads, scale);
         let blocks = workload.num_blocks();
         let mut sched = Seer::new(SeerConfig::full(), threads, blocks);
-        let metrics = run(&mut workload, &mut sched, &DriverConfig::paper_machine(threads, 7));
+        let metrics = run(
+            &mut workload,
+            &mut sched,
+            &DriverConfig::paper_machine(threads, 7),
+        );
         sched.force_update();
 
         // Symmetrized ground truth: a pair is significant if its kills (in
@@ -318,7 +340,11 @@ pub fn inference_accuracy(threads: usize, scale: f64, significance: f64) -> Vec<
         for v in 0..blocks {
             for k in v..blocks {
                 let kills = metrics.ground_truth.get(v, k)
-                    + if v == k { 0 } else { metrics.ground_truth.get(k, v) };
+                    + if v == k {
+                        0
+                    } else {
+                        metrics.ground_truth.get(k, v)
+                    };
                 if kills >= min_kills {
                     truth.push((v, k));
                 }
@@ -462,7 +488,11 @@ pub fn convergence(threads: usize, scale: f64) -> Vec<ConvergenceResult> {
         let mut workload = benchmark.instantiate_scaled(threads, scale);
         let blocks = workload.num_blocks();
         let mut sched = Seer::new(SeerConfig::full(), threads, blocks);
-        let m = run(&mut workload, &mut sched, &DriverConfig::paper_machine(threads, 31));
+        let m = run(
+            &mut workload,
+            &mut sched,
+            &DriverConfig::paper_machine(threads, 31),
+        );
         let converged_at = sched.converged_at();
         ConvergenceResult {
             benchmark: benchmark.name().to_string(),
@@ -515,7 +545,11 @@ mod tests {
             assert_eq!(t.columns, vec!["4t"]);
             // Percentages per column sum to ~100.
             let col_total: f64 = t.rows.iter().map(|(_, v)| v[0]).sum();
-            assert!((col_total - 1.0).abs() < 1e-6, "{} sums to {col_total}", t.title);
+            assert!(
+                (col_total - 1.0).abs() < 1e-6,
+                "{} sums to {col_total}",
+                t.title
+            );
         }
     }
 

@@ -31,9 +31,18 @@ impl TunedParams {
     /// `Some(0)` sneaks in — all states the validated `ParamSpace` can
     /// never produce.
     pub fn from_params(params: SeerParams) -> Self {
-        assert!(params.update_period_execs > 0, "update period must be positive");
-        assert!(params.climb_period_execs > 0, "climb period must be positive");
-        assert!(params.decay_every_updates != Some(0), "decay period must be positive");
+        assert!(
+            params.update_period_execs > 0,
+            "update period must be positive"
+        );
+        assert!(
+            params.climb_period_execs > 0,
+            "climb period must be positive"
+        );
+        assert!(
+            params.decay_every_updates != Some(0),
+            "decay period must be positive"
+        );
         assert!(
             params.min_sigma.is_finite() && params.th1.is_finite() && params.th2.is_finite(),
             "tuned knobs must be finite"
@@ -258,7 +267,9 @@ impl PolicyKind {
             PolicyKind::SeerPlusTxLocks => "Figure 5 cumulative: + transaction locks",
             PolicyKind::SeerPlusCoreLocks => "Figure 5 cumulative: + core locks",
             PolicyKind::SeerPlusHtmLocks => "Figure 5 cumulative: + HTM multi-CAS locks",
-            PolicyKind::SeerPlusHillClimbing => "Figure 5 cumulative: + hill climbing (= full Seer)",
+            PolicyKind::SeerPlusHillClimbing => {
+                "Figure 5 cumulative: + hill climbing (= full Seer)"
+            }
             PolicyKind::SeerCoreLocksOnly => "Seer with only per-core locks (§5.3 ablation)",
             PolicyKind::SeerTuned(_) => "full Seer with searched knobs (see `seer tune`)",
         }
@@ -291,9 +302,11 @@ impl PolicyKind {
             PolicyKind::SeerCoreLocksOnly => {
                 Box::new(Seer::new(SeerConfig::core_locks_only(), threads, blocks))
             }
-            PolicyKind::SeerTuned(t) => {
-                Box::new(Seer::new(SeerConfig::with_params(t.params()), threads, blocks))
-            }
+            PolicyKind::SeerTuned(t) => Box::new(Seer::new(
+                SeerConfig::with_params(t.params()),
+                threads,
+                blocks,
+            )),
         }
     }
 }
@@ -389,7 +402,10 @@ mod tests {
         let p = PolicyKind::SeerTuned(TunedParams::from_params(params));
         assert_eq!(p.name(), "seer-tuned");
         let spec = p.spec();
-        assert!(spec.starts_with("seer@window=137,climb=850,decay=16,"), "{spec}");
+        assert!(
+            spec.starts_with("seer@window=137,climb=850,decay=16,"),
+            "{spec}"
+        );
         let back: PolicyKind = spec.parse().unwrap();
         assert_eq!(back, p, "shortest-round-trip floats must survive the spec");
         // And the canonical form is a fixed point of parse → spec.

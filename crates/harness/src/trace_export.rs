@@ -123,7 +123,10 @@ pub fn inference_json(tr: &InferenceTrace) -> Json {
         ("type", Json::Str("inference".to_string())),
         ("at", Json::UInt(tr.at)),
         ("round", Json::UInt(tr.round)),
-        ("stats_digest", Json::Str(format!("{:#018x}", tr.stats_digest))),
+        (
+            "stats_digest",
+            Json::Str(format!("{:#018x}", tr.stats_digest)),
+        ),
         ("th1", Json::Num(tr.th1)),
         ("th2", Json::Num(tr.th2)),
         ("total_execs", Json::UInt(tr.total_execs)),
@@ -188,7 +191,9 @@ pub fn chrome_trace(sink: &MemoryTraceSink) -> Json {
         let tid = e.thread() as u64;
         max_thread = max_thread.max(e.thread());
         match e {
-            LifecycleEvent::AttemptBegin { at, block, attempt, .. } => {
+            LifecycleEvent::AttemptBegin {
+                at, block, attempt, ..
+            } => {
                 events.push(ev(
                     format!("attempt b{block}"),
                     "B",
@@ -218,7 +223,9 @@ pub fn chrome_trace(sink: &MemoryTraceSink) -> Json {
                     vec![("outcome".to_string(), Json::Str("commit".to_string()))],
                 ));
             }
-            LifecycleEvent::LockWait { at, lock, holder, .. } => {
+            LifecycleEvent::LockWait {
+                at, lock, holder, ..
+            } => {
                 events.push(ev(
                     format!("wait {lock}"),
                     "i",
@@ -273,7 +280,10 @@ pub fn chrome_trace(sink: &MemoryTraceSink) -> Json {
             tr.at,
             inference_tid,
             vec![
-                ("serialized_pairs".to_string(), Json::UInt(serialized as u64)),
+                (
+                    "serialized_pairs".to_string(),
+                    Json::UInt(serialized as u64),
+                ),
                 ("th1".to_string(), Json::Num(tr.th1)),
                 ("th2".to_string(), Json::Num(tr.th2)),
             ],
@@ -476,8 +486,16 @@ mod tests {
             thread: 0,
             locks: vec![LockId::Core(0), LockId::Tx(1)],
         });
-        s.lifecycle.push(LifecycleEvent::SglFallback { at: 30, thread: 0, block: 1 });
-        s.lifecycle.push(LifecycleEvent::FallbackCommit { at: 40, thread: 0, block: 1 });
+        s.lifecycle.push(LifecycleEvent::SglFallback {
+            at: 30,
+            thread: 0,
+            block: 1,
+        });
+        s.lifecycle.push(LifecycleEvent::FallbackCommit {
+            at: 40,
+            thread: 0,
+            block: 1,
+        });
         s.inference.push(InferenceTrace {
             round: 1,
             at: 20,
@@ -512,7 +530,13 @@ mod tests {
         let types: Vec<String> = lines
             .iter()
             .map(|l| {
-                Json::parse(l).unwrap().get("type").unwrap().as_str().unwrap().to_string()
+                Json::parse(l)
+                    .unwrap()
+                    .get("type")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .to_string()
             })
             .collect();
         assert_eq!(
@@ -545,7 +569,10 @@ mod tests {
         assert_eq!(abort.get("cause").unwrap().as_str(), Some("capacity"));
         assert_eq!(abort.get("attempts_left").unwrap().as_u64(), Some(2));
         let inf = Json::parse(jsonl.lines().nth(3).unwrap()).unwrap();
-        assert_eq!(inf.get("stats_digest").unwrap().as_str(), Some("0x000000000000abcd"));
+        assert_eq!(
+            inf.get("stats_digest").unwrap().as_str(),
+            Some("0x000000000000abcd")
+        );
         let row = &inf.get("rows").unwrap().as_array().unwrap()[0];
         assert_eq!(row.get("cutoff").unwrap().as_f64(), Some(0.26));
         let pair = &row.get("pairs").unwrap().as_array().unwrap()[0];
@@ -575,7 +602,13 @@ mod tests {
         // Inference rides a synthetic tid above all simulated threads.
         let inf = events
             .iter()
-            .find(|e| e.get("name").unwrap().as_str().unwrap().starts_with("inference"))
+            .find(|e| {
+                e.get("name")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .starts_with("inference")
+            })
             .unwrap();
         assert_eq!(inf.get("tid").unwrap().as_u64(), Some(2));
         // ts is in microseconds under the 1 GHz nominal clock.
@@ -585,10 +618,19 @@ mod tests {
     #[test]
     fn unwritable_path_warns_instead_of_panicking() {
         let sink = sample_sink();
-        assert!(!write_trace_jsonl("/nonexistent-dir/deep/trace.jsonl", &sink));
-        assert!(!write_chrome_trace("/nonexistent-dir/deep/trace.json", &sink));
+        assert!(!write_trace_jsonl(
+            "/nonexistent-dir/deep/trace.jsonl",
+            &sink
+        ));
+        assert!(!write_chrome_trace(
+            "/nonexistent-dir/deep/trace.json",
+            &sink
+        ));
         // Repeat: the Once means no second warning, and still no panic.
-        assert!(!write_trace_jsonl("/nonexistent-dir/deep/trace.jsonl", &sink));
+        assert!(!write_trace_jsonl(
+            "/nonexistent-dir/deep/trace.jsonl",
+            &sink
+        ));
     }
 
     #[test]

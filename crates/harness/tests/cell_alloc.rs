@@ -66,7 +66,12 @@ fn run_allocations(benchmark: Benchmark, policy: PolicyKind, txs: usize) -> (u64
     let before = ALLOCATIONS.with(Cell::get);
     let metrics = run(&mut workload, sched.as_mut(), &cfg);
     let allocs = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!(metrics.aborts.total(), 0, "{policy:?} on {}: aborted", benchmark.name());
+    assert_eq!(
+        metrics.aborts.total(),
+        0,
+        "{policy:?} on {}: aborted",
+        benchmark.name()
+    );
     (allocs, metrics.commits)
 }
 

@@ -481,7 +481,10 @@ mod tests {
     fn access(m: &mut HtmMachine, thread: ThreadId, line: LineAddr, kind: AccessKind) -> Access {
         let mut victims = Vec::new();
         let self_abort = m.access_into(thread, line, kind, &mut victims);
-        Access { self_abort, victims }
+        Access {
+            self_abort,
+            victims,
+        }
     }
 
     fn non_tx_access(

@@ -158,17 +158,38 @@ enum AfterGates {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    ThinkDone { th: ThreadId, epoch: u64 },
-    GateResume { th: ThreadId, epoch: u64 },
-    Access { th: ThreadId, epoch: u64, idx: usize },
-    AsyncAbort { th: ThreadId, epoch: u64 },
-    CommitPoint { th: ThreadId, epoch: u64 },
-    FallbackDone { th: ThreadId, epoch: u64 },
+    ThinkDone {
+        th: ThreadId,
+        epoch: u64,
+    },
+    GateResume {
+        th: ThreadId,
+        epoch: u64,
+    },
+    Access {
+        th: ThreadId,
+        epoch: u64,
+        idx: usize,
+    },
+    AsyncAbort {
+        th: ThreadId,
+        epoch: u64,
+    },
+    CommitPoint {
+        th: ThreadId,
+        epoch: u64,
+    },
+    FallbackDone {
+        th: ThreadId,
+        epoch: u64,
+    },
     Tick,
     /// `cfg.script[idx]` fires. Scheduled once per script entry at
     /// bootstrap, so pending directives also keep the queue non-empty
     /// while parked threads wait for their `Unpark`.
-    Directive { idx: usize },
+    Directive {
+        idx: usize,
+    },
 }
 
 struct ThreadCtx {
@@ -321,7 +342,11 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         let smt_factor = (0..cfg.threads)
             .map(|t| {
                 let shared = (0..cfg.threads).any(|o| cfg.topology.are_smt_siblings(t, o));
-                if shared { cfg.smt_slowdown.max(1.0) } else { 1.0 }
+                if shared {
+                    cfg.smt_slowdown.max(1.0)
+                } else {
+                    1.0
+                }
             })
             .collect();
         let trace_on = sink.enabled();
@@ -583,8 +608,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
     /// the lowest-id live thread. A no-op when every thread is done or
     /// parked.
     fn stall_lock_holder(&mut self, cycles: Cycles) {
-        let eligible =
-            |ctx: &ThreadCtx| !matches!(ctx.phase, Phase::Done | Phase::Parked);
+        let eligible = |ctx: &ThreadCtx| !matches!(ctx.phase, Phase::Done | Phase::Parked);
         let target = self
             .threads
             .iter()
@@ -608,9 +632,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         match self.threads[th].phase {
             Phase::Thinking => self.queue.push(resume, Event::ThinkDone { th, epoch }),
             Phase::Gating => self.queue.push(resume, Event::GateResume { th, epoch }),
-            Phase::FallbackRunning => {
-                self.queue.push(resume, Event::FallbackDone { th, epoch })
-            }
+            Phase::FallbackRunning => self.queue.push(resume, Event::FallbackDone { th, epoch }),
             Phase::Running | Phase::Parked | Phase::Done => {
                 unreachable!("stall target in phase {:?}", self.threads[th].phase)
             }
@@ -683,8 +705,10 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         ctx.phase = Phase::Thinking;
         ctx.epoch += 1;
         let epoch = ctx.epoch;
-        self.queue
-            .push(self.now + extra_delay + think, Event::ThinkDone { th, epoch });
+        self.queue.push(
+            self.now + extra_delay + think,
+            Event::ThinkDone { th, epoch },
+        );
     }
 
     /// Alg. 1 START: announce, decide pre-tx serialization, gate, attempt.
@@ -786,8 +810,10 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
                         self.locks.get_mut(l).add_watcher(th);
                         self.park(th);
                         let epoch = self.threads[th].epoch;
-                        self.queue
-                            .push(patience_deadline.max(self.now + 1), Event::GateResume { th, epoch });
+                        self.queue.push(
+                            patience_deadline.max(self.now + 1),
+                            Event::GateResume { th, epoch },
+                        );
                         parked = true;
                         break;
                     }
@@ -963,7 +989,8 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
     fn release_lock(&mut self, th: ThreadId, l: LockId) {
         let mut acquirers = std::mem::take(&mut self.scratch_acquirers);
         let mut watchers = std::mem::take(&mut self.scratch_watchers);
-        self.locks.release_into(l, th, self.now, &mut acquirers, &mut watchers);
+        self.locks
+            .release_into(l, th, self.now, &mut acquirers, &mut watchers);
         let handoff = self.now + self.cfg.costs.lock_handoff;
         // Wake queued acquirers first (in FIFO order) and watchers after,
         // staggered: cache-line arbitration serializes the waiters'
@@ -1079,8 +1106,14 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         let body_start = ctx.body_start;
         if idx + 1 < req.accesses.len() {
             let at = body_start + req.accesses[idx + 1].offset;
-            self.queue
-                .push(at.max(self.now), Event::Access { th, epoch, idx: idx + 1 });
+            self.queue.push(
+                at.max(self.now),
+                Event::Access {
+                    th,
+                    epoch,
+                    idx: idx + 1,
+                },
+            );
         } else {
             let at = body_start + req.duration + self.cfg.costs.xend;
             self.queue
@@ -1110,7 +1143,8 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         }
 
         self.release_all_held(th);
-        self.workload.commit(th, &self.threads[th].req, &mut self.rng);
+        self.workload
+            .commit(th, &self.threads[th].req, &mut self.rng);
         self.next_tx(th, self.sched.overhead(HookPoint::HtmCommit));
     }
 
@@ -1205,7 +1239,8 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         self.release_all_held(th);
         self.install_single_gate(th, Gate::Acquire(LockId::Sgl), AfterGates::StartFallback);
         let epoch = self.threads[th].epoch;
-        self.queue.push(at.max(self.now), Event::GateResume { th, epoch });
+        self.queue
+            .push(at.max(self.now), Event::GateResume { th, epoch });
     }
 
     fn start_fallback(&mut self, th: ThreadId) {
@@ -1228,8 +1263,10 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         let delay = std::mem::take(&mut self.threads[th].pending_delay);
         let duration = self.threads[th].req.duration;
         let epoch = self.threads[th].epoch;
-        self.queue
-            .push(self.now + delay + duration, Event::FallbackDone { th, epoch });
+        self.queue.push(
+            self.now + delay + duration,
+            Event::FallbackDone { th, epoch },
+        );
     }
 
     fn fallback_done(&mut self, th: ThreadId) {
@@ -1253,7 +1290,8 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         }
         self.release_lock(th, LockId::Sgl);
         self.threads[th].held.retain(|&l| l != LockId::Sgl);
-        self.workload.commit(th, &self.threads[th].req, &mut self.rng);
+        self.workload
+            .commit(th, &self.threads[th].req, &mut self.rng);
         self.next_tx(th, self.sched.overhead(HookPoint::FallbackCommit));
     }
 }
@@ -1302,8 +1340,16 @@ mod tests {
                 return None;
             }
             self.issued[thread] += 1;
-            let base = if self.shared { 0 } else { (thread as u64 + 1) * 10_000 };
-            let kind = if self.writes { AccessKind::Write } else { AccessKind::Read };
+            let base = if self.shared {
+                0
+            } else {
+                (thread as u64 + 1) * 10_000
+            };
+            let kind = if self.writes {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
             let accesses = (0..self.lines)
                 .map(|i| Access {
                     line: base + i,
@@ -1413,9 +1459,7 @@ mod tests {
 
     #[test]
     fn conservation_laws_hold_across_contention_levels() {
-        for (shared, writes, threads) in
-            [(false, true, 4), (true, true, 8), (true, false, 4)]
-        {
+        for (shared, writes, threads) in [(false, true, 4), (true, true, 8), (true, false, 4)] {
             let mut w = Uniform::new(threads, 40, 8, shared, writes);
             let mut s = NullScheduler::new(3);
             let m = run(&mut w, &mut s, &quiet_config(threads));
@@ -1501,7 +1545,10 @@ mod tests {
             sink.count_kind("htm-commit") as u64,
             traced.commits - sgl_commits
         );
-        assert!(traced.fallbacks > 0, "test workload must exercise the fall-back");
+        assert!(
+            traced.fallbacks > 0,
+            "test workload must exercise the fall-back"
+        );
     }
 
     #[test]
@@ -1628,7 +1675,10 @@ mod tests {
         let m = run(
             &mut w,
             &mut s,
-            &scripted(2, vec![at(500, Directive::Unpark(1)), at(600, Directive::Park(7))]),
+            &scripted(
+                2,
+                vec![at(500, Directive::Unpark(1)), at(600, Directive::Park(7))],
+            ),
         );
         assert_eq!(m.commits, 40);
     }
@@ -1649,8 +1699,20 @@ mod tests {
             &scripted(
                 1,
                 vec![
-                    at(1_000, Directive::Capacity { ways: Some(2), read_lines: Some(2) }),
-                    at(20_000, Directive::Capacity { ways: None, read_lines: None }),
+                    at(
+                        1_000,
+                        Directive::Capacity {
+                            ways: Some(2),
+                            read_lines: Some(2),
+                        },
+                    ),
+                    at(
+                        20_000,
+                        Directive::Capacity {
+                            ways: None,
+                            read_lines: None,
+                        },
+                    ),
                 ],
             ),
         );
@@ -1667,7 +1729,10 @@ mod tests {
             run(&mut w, &mut s, &scripted(2, script))
         };
         let plain = run_with(Vec::new());
-        let stalled = run_with(vec![at(2_000, Directive::StallLockHolder { cycles: 80_000 })]);
+        let stalled = run_with(vec![at(
+            2_000,
+            Directive::StallLockHolder { cycles: 80_000 },
+        )]);
         assert_eq!(stalled.commits, plain.commits);
         assert!(
             stalled.makespan > plain.makespan,
@@ -1675,7 +1740,10 @@ mod tests {
             stalled.makespan,
             plain.makespan
         );
-        let again = run_with(vec![at(2_000, Directive::StallLockHolder { cycles: 80_000 })]);
+        let again = run_with(vec![at(
+            2_000,
+            Directive::StallLockHolder { cycles: 80_000 },
+        )]);
         assert_eq!(stalled.trace_hash, again.trace_hash);
     }
 
@@ -1697,7 +1765,10 @@ mod tests {
             }
         }
         let mut w = Uniform::new(2, 20, 4, false, true);
-        let mut s = FaultRecorder { inner: NullScheduler::new(5), seen: Vec::new() };
+        let mut s = FaultRecorder {
+            inner: NullScheduler::new(5),
+            seen: Vec::new(),
+        };
         let _ = run(
             &mut w,
             &mut s,
@@ -1705,13 +1776,19 @@ mod tests {
                 2,
                 vec![
                     at(1_000, Directive::Sched(SchedFault::WipeStats)),
-                    at(2_000, Directive::Sched(SchedFault::DelayInference { rounds: 3 })),
+                    at(
+                        2_000,
+                        Directive::Sched(SchedFault::DelayInference { rounds: 3 }),
+                    ),
                 ],
             ),
         );
         assert_eq!(
             s.seen,
-            vec![SchedFault::WipeStats, SchedFault::DelayInference { rounds: 3 }]
+            vec![
+                SchedFault::WipeStats,
+                SchedFault::DelayInference { rounds: 3 }
+            ]
         );
     }
 
@@ -1744,7 +1821,10 @@ mod tests {
         let _ = run(
             &mut w,
             &mut s,
-            &scripted(2, vec![at(500, Directive::Phase(1)), at(1_500, Directive::Phase(2))]),
+            &scripted(
+                2,
+                vec![at(500, Directive::Phase(1)), at(1_500, Directive::Phase(2))],
+            ),
         );
         assert_eq!(*phases.borrow(), vec![1, 2]);
     }

@@ -122,7 +122,8 @@ impl LockBank {
         acquirers: &mut Vec<ThreadId>,
         watchers: &mut Vec<ThreadId>,
     ) {
-        self.get_mut(id).release_into(thread, now, acquirers, watchers);
+        self.get_mut(id)
+            .release_into(thread, now, acquirers, watchers);
     }
 
     /// Number of transaction locks in the bank.

@@ -320,7 +320,10 @@ impl RunMetrics {
         let hist_total: u64 = self.attempts_histogram.iter().sum();
         check(
             hist_total == self.commits,
-            format!("attempt histogram must partition commits: {hist_total} != {}", self.commits),
+            format!(
+                "attempt histogram must partition commits: {hist_total} != {}",
+                self.commits
+            ),
         );
         let last_bucket = self.attempts_histogram.last().copied().unwrap_or(0);
         check(
@@ -539,7 +542,10 @@ impl WindowedMetrics {
         }
         check(
             commits == totals.commits,
-            format!("window commits must sum to the run total: {commits} != {}", totals.commits),
+            format!(
+                "window commits must sum to the run total: {commits} != {}",
+                totals.commits
+            ),
         );
         check(
             aborts == totals.aborts.total(),
@@ -659,10 +665,19 @@ mod tests {
     #[test]
     fn windowed_metrics_bucket_by_time() {
         let events = vec![
-            LifecycleEvent::AttemptBegin { at: 5, thread: 0, block: 0, attempt: 0 },
+            LifecycleEvent::AttemptBegin {
+                at: 5,
+                thread: 0,
+                block: 0,
+                attempt: 0,
+            },
             commit_at(60),
             commit_at(140),
-            LifecycleEvent::FallbackCommit { at: 150, thread: 1, block: 0 },
+            LifecycleEvent::FallbackCommit {
+                at: 150,
+                thread: 1,
+                block: 0,
+            },
         ];
         let w = WindowedMetrics::from_lifecycle(&events, 100, 200);
         assert_eq!(w.windows().len(), 2);
@@ -686,7 +701,12 @@ mod tests {
     #[test]
     fn window_partition_check_catches_mismatch() {
         let events = vec![
-            LifecycleEvent::AttemptBegin { at: 10, thread: 0, block: 0, attempt: 0 },
+            LifecycleEvent::AttemptBegin {
+                at: 10,
+                thread: 0,
+                block: 0,
+                attempt: 0,
+            },
             commit_at(20),
         ];
         let w = WindowedMetrics::from_lifecycle(&events, 50, 50);

@@ -133,7 +133,12 @@ pub trait Scheduler {
 
     /// When true, skip hardware entirely and execute under the SGL (ATS's
     /// serialization mode when the contention factor is high).
-    fn pre_tx_fallback(&mut self, _thread: ThreadId, _block: BlockId, _env: &mut SchedEnv<'_>) -> bool {
+    fn pre_tx_fallback(
+        &mut self,
+        _thread: ThreadId,
+        _block: BlockId,
+        _env: &mut SchedEnv<'_>,
+    ) -> bool {
         false
     }
 

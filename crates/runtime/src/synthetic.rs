@@ -163,9 +163,7 @@ impl SyntheticWorkload {
                 *cursor += 1;
                 // Wrap within the thread's private window so the address
                 // space stays bounded over long runs.
-                PRIVATE_BASE
-                    + thread as u64 * PRIVATE_STRIDE
-                    + (*cursor % (PRIVATE_STRIDE / 2))
+                PRIVATE_BASE + thread as u64 * PRIVATE_STRIDE + (*cursor % (PRIVATE_STRIDE / 2))
             };
             let kind = if rng.chance(spec.write_fraction) {
                 AccessKind::Write
@@ -200,7 +198,8 @@ impl Workload for SyntheticWorkload {
         self.issued[thread] += 1;
         req.block = self.pick_block(rng);
         req.accesses.clear();
-        req.accesses.reserve(self.spec.blocks[req.block].accesses as usize);
+        req.accesses
+            .reserve(self.spec.blocks[req.block].accesses as usize);
         self.fill_trace(thread, req, rng);
         true
     }

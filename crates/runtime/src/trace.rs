@@ -396,7 +396,11 @@ mod tests {
     fn null_sink_is_disabled() {
         let mut s = NullTraceSink;
         assert!(!s.enabled());
-        s.lifecycle(LifecycleEvent::SglFallback { at: 0, thread: 0, block: 0 });
+        s.lifecycle(LifecycleEvent::SglFallback {
+            at: 0,
+            thread: 0,
+            block: 0,
+        });
         s.inference(InferenceTrace {
             round: 1,
             at: 0,
@@ -412,8 +416,18 @@ mod tests {
     fn memory_sink_collects_in_order() {
         let mut s = MemoryTraceSink::new();
         assert!(s.enabled());
-        s.lifecycle(LifecycleEvent::AttemptBegin { at: 10, thread: 1, block: 0, attempt: 0 });
-        s.lifecycle(LifecycleEvent::HtmCommit { at: 20, thread: 1, block: 0, attempts_used: 0 });
+        s.lifecycle(LifecycleEvent::AttemptBegin {
+            at: 10,
+            thread: 1,
+            block: 0,
+            attempt: 0,
+        });
+        s.lifecycle(LifecycleEvent::HtmCommit {
+            at: 20,
+            thread: 1,
+            block: 0,
+            attempts_used: 0,
+        });
         assert_eq!(s.lifecycle.len(), 2);
         assert_eq!(s.lifecycle[0].at(), 10);
         assert_eq!(s.lifecycle[0].kind(), "attempt-begin");
@@ -436,8 +450,14 @@ mod tests {
     #[test]
     fn abort_cause_classification_matches_status_words() {
         use seer_htm::xabort_codes;
-        assert_eq!(AbortCause::from_status(XStatus::conflict()), AbortCause::Conflict);
-        assert_eq!(AbortCause::from_status(XStatus::capacity()), AbortCause::Capacity);
+        assert_eq!(
+            AbortCause::from_status(XStatus::conflict()),
+            AbortCause::Conflict
+        );
+        assert_eq!(
+            AbortCause::from_status(XStatus::capacity()),
+            AbortCause::Capacity
+        );
         assert_eq!(
             AbortCause::from_status(XStatus::explicit(xabort_codes::SGL_LOCKED)),
             AbortCause::Explicit

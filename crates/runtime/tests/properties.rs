@@ -7,12 +7,12 @@ use seer_runtime::{run, DriverConfig, NullScheduler, RunMetrics};
 
 fn arb_block() -> impl Strategy<Value = BlockSpec> {
     (
-        1u64..30,        // accesses
-        0.0f64..1.0,     // write fraction
-        0u64..3,         // hot region
-        1u64..128,       // hot lines
-        0.0f64..0.9,     // hot probability
-        0.0f64..1.5,     // zipf theta
+        1u64..30,    // accesses
+        0.0f64..1.0, // write fraction
+        0u64..3,     // hot region
+        1u64..128,   // hot lines
+        0.0f64..0.9, // hot probability
+        0.0f64..1.5, // zipf theta
     )
         .prop_map(|(accesses, wf, region, lines, hp, theta)| BlockSpec {
             weight: 1.0,
@@ -27,13 +27,11 @@ fn arb_block() -> impl Strategy<Value = BlockSpec> {
 }
 
 fn arb_spec() -> impl Strategy<Value = SyntheticSpec> {
-    (prop::collection::vec(arb_block(), 1..5), 5usize..40).prop_map(|(blocks, txs)| {
-        SyntheticSpec {
-            name: "prop".into(),
-            blocks,
-            txs_per_thread: txs,
-            think: (20, 120),
-        }
+    (prop::collection::vec(arb_block(), 1..5), 5usize..40).prop_map(|(blocks, txs)| SyntheticSpec {
+        name: "prop".into(),
+        blocks,
+        txs_per_thread: txs,
+        think: (20, 120),
     })
 }
 

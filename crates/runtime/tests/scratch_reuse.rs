@@ -43,7 +43,9 @@ fn episode(
         (4, 12, AccessKind::Write),
     ] {
         let self_abort = m.access_into(t, line, kind, victims);
-        log.push(format!("access {t} line {line}: {self_abort:?} victims {victims:?}"));
+        log.push(format!(
+            "access {t} line {line}: {self_abort:?} victims {victims:?}"
+        ));
     }
     let alive: Vec<usize> = (0..8).filter(|&t| m.in_tx(t)).collect();
     log.push(format!("alive: {alive:?}"));
@@ -118,7 +120,10 @@ fn back_to_back_runs_are_bit_identical() {
     assert_eq!(a.aborts.total(), b.aborts.total());
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.events, b.events, "event counts must match exactly");
-    assert_eq!(a.trace_hash, b.trace_hash, "schedules must be bit-identical");
+    assert_eq!(
+        a.trace_hash, b.trace_hash,
+        "schedules must be bit-identical"
+    );
     assert_eq!(a.wait_cycles, b.wait_cycles);
     assert_eq!(a.tx_lock_acquisitions, b.tx_lock_acquisitions);
 }

@@ -103,11 +103,7 @@ impl ScenarioExecutor {
 
     /// Full-control constructor: explicit store attachment and
     /// supervision policy.
-    pub fn with_options(
-        jobs: usize,
-        store: Option<Store>,
-        supervisor: SupervisorConfig,
-    ) -> Self {
+    pub fn with_options(jobs: usize, store: Option<Store>, supervisor: SupervisorConfig) -> Self {
         let mut inner = Executor::new(jobs, |key: ScenarioKey| {
             let spec = library::builtin(&key.scenario)
                 .unwrap_or_else(|| panic!("unknown scenario {:?}", key.scenario));
@@ -217,8 +213,7 @@ mod tests {
     fn unknown_scenario_degrades_into_a_failed_item() {
         let mut plan = ScenarioPlan::new();
         plan.add("no-such-scenario", PolicyKind::Rtm, 0);
-        let exec =
-            ScenarioExecutor::with_options(1, None, SupervisorConfig::fail_fast());
+        let exec = ScenarioExecutor::with_options(1, None, SupervisorConfig::fail_fast());
         let report = exec.execute(&plan);
         assert!(!report.complete());
         assert_eq!(report.failed.len(), 1);

@@ -42,7 +42,5 @@ pub use persist::{report_from_json, validate_reports};
 pub use report::{RecoveryReport, RecoveryScore, RECOVERY_FRACTION};
 pub use request::{CellRun, RunRequest, ScenarioRun};
 pub use runner::{execute_scenario, ScenarioOutcome};
-pub use spec::{
-    benchmark_from_name, ChurnSpec, FaultKind, FaultSpec, PhaseSpec, ScenarioSpec,
-};
+pub use spec::{benchmark_from_name, ChurnSpec, FaultKind, FaultSpec, PhaseSpec, ScenarioSpec};
 pub use workload::ScenarioWorkload;

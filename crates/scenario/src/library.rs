@@ -63,9 +63,11 @@ fn phase_flip() -> ScenarioSpec {
 /// briefly no longer exists.
 fn churn_storm() -> ScenarioSpec {
     let mut spec = ScenarioSpec::stationary("churn-storm", Benchmark::Ssca2, 4, 1.5, WINDOW);
-    for (thread, park_at, unpark_at) in
-        [(1, 200_000, 380_000), (2, 260_000, 440_000), (3, 320_000, 500_000)]
-    {
+    for (thread, park_at, unpark_at) in [
+        (1, 200_000, 380_000),
+        (2, 260_000, 440_000),
+        (3, 320_000, 500_000),
+    ] {
         spec.churn.push(ChurnSpec {
             at: park_at,
             thread,
@@ -83,8 +85,7 @@ fn churn_storm() -> ScenarioSpec {
 /// Statistics wipe mid-run: the learned conflict profile vanishes and
 /// must be re-accumulated from scratch.
 fn stats_amnesia() -> ScenarioSpec {
-    let mut spec =
-        ScenarioSpec::stationary("stats-amnesia", Benchmark::KmeansHigh, 4, 2.0, WINDOW);
+    let mut spec = ScenarioSpec::stationary("stats-amnesia", Benchmark::KmeansHigh, 4, 2.0, WINDOW);
     spec.faults.push(FaultSpec {
         at: 500_000,
         fault: FaultKind::WipeStats,
@@ -99,7 +100,10 @@ fn threshold_kick() -> ScenarioSpec {
         ScenarioSpec::stationary("threshold-kick", Benchmark::VacationHigh, 4, 2.0, WINDOW);
     spec.faults.push(FaultSpec {
         at: 300_000,
-        fault: FaultKind::KickThresholds { th1: 0.99, th2: 0.99 },
+        fault: FaultKind::KickThresholds {
+            th1: 0.99,
+            th2: 0.99,
+        },
     });
     spec
 }
@@ -107,8 +111,7 @@ fn threshold_kick() -> ScenarioSpec {
 /// Capacity-pressure burst: the HTM budgets collapse for 200k cycles,
 /// shoving transactions onto the fall-back path, then restore.
 fn capacity_cliff() -> ScenarioSpec {
-    let mut spec =
-        ScenarioSpec::stationary("capacity-cliff", Benchmark::Genome, 4, 2.0, WINDOW);
+    let mut spec = ScenarioSpec::stationary("capacity-cliff", Benchmark::Genome, 4, 2.0, WINDOW);
     spec.faults.push(FaultSpec {
         at: 300_000,
         fault: FaultKind::CapacityShrink {
@@ -124,8 +127,7 @@ fn capacity_cliff() -> ScenarioSpec {
 /// later relaxes, moving the conflict probabilities without changing the
 /// block structure.
 fn hot_set_drift() -> ScenarioSpec {
-    let mut spec =
-        ScenarioSpec::stationary("hot-set-drift", Benchmark::Intruder, 4, 3.0, WINDOW);
+    let mut spec = ScenarioSpec::stationary("hot-set-drift", Benchmark::Intruder, 4, 3.0, WINDOW);
     spec.phases.push(PhaseSpec {
         at: 250_000,
         benchmark: None,

@@ -251,7 +251,10 @@ mod tests {
         // Through the tree and through the actual byte serialization.
         let back = ScenarioOutcome::from_store_json(&json).expect("round trip");
         assert_eq!(back.metrics.trace_hash, outcome.metrics.trace_hash);
-        assert_eq!(format!("{:?}", back.metrics), format!("{:?}", outcome.metrics));
+        assert_eq!(
+            format!("{:?}", back.metrics),
+            format!("{:?}", outcome.metrics)
+        );
         assert_eq!(back.windows, outcome.windows);
         assert_eq!(back.report, outcome.report);
         let reparsed = Json::parse(&json.to_string_compact()).expect("parse");
@@ -269,7 +272,8 @@ mod tests {
         if let Json::Object(fields) = &mut json {
             for (k, v) in fields.iter_mut() {
                 if k == "windows" {
-                    *v = Json::object([("width", 0u64.to_json()), ("windows", Json::Array(vec![]))]);
+                    *v =
+                        Json::object([("width", 0u64.to_json()), ("windows", Json::Array(vec![]))]);
                 }
             }
         }

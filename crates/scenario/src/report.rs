@@ -166,10 +166,7 @@ impl RecoveryReport {
                 continue;
             }
             let prev = if i == 0 { 0 } else { disturbances[i - 1].0 };
-            let next = disturbances
-                .get(i + 1)
-                .map(|d| d.0)
-                .unwrap_or(Cycles::MAX);
+            let next = disturbances.get(i + 1).map(|d| d.0).unwrap_or(Cycles::MAX);
             let baseline_ws: Vec<&MetricsWindow> = scored
                 .iter()
                 .filter(|w| w.from >= prev && w.to <= *at)
@@ -205,9 +202,7 @@ impl RecoveryReport {
             let reconverged_at = if baseline > 0.0 {
                 scored
                     .iter()
-                    .find(|w| {
-                        w.from >= *at && w.throughput() >= RECOVERY_FRACTION * baseline
-                    })
+                    .find(|w| w.from >= *at && w.throughput() >= RECOVERY_FRACTION * baseline)
                     .map(|w| w.to)
             } else {
                 None
@@ -232,22 +227,24 @@ impl RecoveryReport {
             });
         }
 
-        let steady_state_delta = if let (Some(first), Some(last)) =
-            (disturbances.first(), disturbances.last())
-        {
-            let pre: Vec<&MetricsWindow> =
-                scored.iter().filter(|w| w.to <= first.0).copied().collect();
-            let post: Vec<&MetricsWindow> =
-                scored.iter().filter(|w| w.from >= last.0).copied().collect();
-            let (pre_mean, post_mean) = (mean(&pre), mean(&post));
-            if pre_mean > 0.0 && !post.is_empty() {
-                post_mean / pre_mean - 1.0
+        let steady_state_delta =
+            if let (Some(first), Some(last)) = (disturbances.first(), disturbances.last()) {
+                let pre: Vec<&MetricsWindow> =
+                    scored.iter().filter(|w| w.to <= first.0).copied().collect();
+                let post: Vec<&MetricsWindow> = scored
+                    .iter()
+                    .filter(|w| w.from >= last.0)
+                    .copied()
+                    .collect();
+                let (pre_mean, post_mean) = (mean(&pre), mean(&post));
+                if pre_mean > 0.0 && !post.is_empty() {
+                    post_mean / pre_mean - 1.0
+                } else {
+                    0.0
+                }
             } else {
                 0.0
-            }
-        } else {
-            0.0
-        };
+            };
 
         let recovered = scores
             .iter()
@@ -311,7 +308,11 @@ mod tests {
     ) -> Vec<LifecycleEvent> {
         let mut events = Vec::new();
         for w in 0..windows {
-            let n = if dip_range.contains(&w) { dip } else { per_window };
+            let n = if dip_range.contains(&w) {
+                dip
+            } else {
+                per_window
+            };
             for k in 0..n {
                 events.push(LifecycleEvent::HtmCommit {
                     at: w * width + (k * width / n.max(1)),
@@ -325,8 +326,7 @@ mod tests {
     }
 
     fn spec_with_fault(at: Cycles) -> ScenarioSpec {
-        let mut spec =
-            ScenarioSpec::stationary("score-test", Benchmark::Ssca2, 2, 0.05, 1_000);
+        let mut spec = ScenarioSpec::stationary("score-test", Benchmark::Ssca2, 2, 0.05, 1_000);
         spec.faults.push(FaultSpec {
             at,
             fault: FaultKind::WipeStats,
@@ -374,7 +374,11 @@ mod tests {
         let s = &report.scores[0];
         assert_eq!(s.reconverged_at, None);
         assert!(!report.recovered);
-        assert!(report.steady_state_delta < -0.5, "{}", report.steady_state_delta);
+        assert!(
+            report.steady_state_delta < -0.5,
+            "{}",
+            report.steady_state_delta
+        );
     }
 
     #[test]

@@ -180,7 +180,13 @@ impl<'r> ScenarioRun<'r> {
             ScenarioDriver::Policy(policy) => {
                 let blocks = ScenarioWorkload::new(self.spec).num_blocks();
                 let mut sched = policy.build(self.spec.threads, blocks);
-                execute_scenario(self.spec, sched.as_mut(), policy.name(), self.seed, self.sink)
+                execute_scenario(
+                    self.spec,
+                    sched.as_mut(),
+                    policy.name(),
+                    self.seed,
+                    self.sink,
+                )
             }
         }
     }

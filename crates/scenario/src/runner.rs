@@ -78,7 +78,14 @@ pub fn execute_scenario(
         "windowed conservation laws violated in {}: {violations:?}",
         spec.name
     );
-    let report = RecoveryReport::build(spec, policy_label, seed, &metrics, &windows, &sink.inference);
+    let report = RecoveryReport::build(
+        spec,
+        policy_label,
+        seed,
+        &metrics,
+        &windows,
+        &sink.inference,
+    );
     ScenarioOutcome {
         metrics,
         windows,
@@ -158,12 +165,18 @@ mod tests {
         let seer = run_seer(&spec, PolicyKind::Seer, 0);
         let rtm = run_seer(&spec, PolicyKind::Rtm, 0);
         assert!(
-            seer.report.scores.iter().any(|s| s.pairs_stable_at.is_some()),
+            seer.report
+                .scores
+                .iter()
+                .any(|s| s.pairs_stable_at.is_some()),
             "Seer emits inference rounds: {:?}",
             seer.report.scores
         );
         assert!(
-            rtm.report.scores.iter().all(|s| s.pairs_stable_at.is_none()),
+            rtm.report
+                .scores
+                .iter()
+                .all(|s| s.pairs_stable_at.is_none()),
             "RTM has no inference stream"
         );
     }

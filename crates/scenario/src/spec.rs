@@ -320,10 +320,16 @@ impl ScenarioSpec {
                     script.push(td(f.at, Directive::Sched(SchedFault::WipeStats)));
                 }
                 FaultKind::DelayInference { rounds } => {
-                    script.push(td(f.at, Directive::Sched(SchedFault::DelayInference { rounds })));
+                    script.push(td(
+                        f.at,
+                        Directive::Sched(SchedFault::DelayInference { rounds }),
+                    ));
                 }
                 FaultKind::KickThresholds { th1, th2 } => {
-                    script.push(td(f.at, Directive::Sched(SchedFault::KickThresholds { th1, th2 })));
+                    script.push(td(
+                        f.at,
+                        Directive::Sched(SchedFault::KickThresholds { th1, th2 }),
+                    ));
                 }
                 FaultKind::StallLockHolder { cycles } => {
                     script.push(td(f.at, Directive::StallLockHolder { cycles }));
@@ -562,9 +568,7 @@ impl ScenarioSpec {
 fn opt_f64(json: &Json, key: &str, default: f64) -> Result<f64, String> {
     match json.get(key) {
         None | Some(Json::Null) => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| format!("non-numeric {key:?}")),
+        Some(v) => v.as_f64().ok_or_else(|| format!("non-numeric {key:?}")),
     }
 }
 
@@ -583,8 +587,7 @@ mod tests {
     use super::*;
 
     fn sample() -> ScenarioSpec {
-        let mut spec =
-            ScenarioSpec::stationary("sample", Benchmark::KmeansHigh, 4, 0.5, 100_000);
+        let mut spec = ScenarioSpec::stationary("sample", Benchmark::KmeansHigh, 4, 0.5, 100_000);
         spec.phases.push(PhaseSpec {
             at: 300_000,
             benchmark: Some(Benchmark::VacationHigh),
@@ -711,7 +714,10 @@ mod tests {
                 r#"{{"name":"x","benchmark":"ssca2","threads":2,"scale":{scale},"window":1000}}"#
             ))
             .unwrap_err();
-            assert!(err.contains("scale must be positive, finite and at most 1000"), "{err}");
+            assert!(
+                err.contains("scale must be positive, finite and at most 1000"),
+                "{err}"
+            );
         }
     }
 
@@ -724,7 +730,10 @@ mod tests {
         assert_eq!(spec.phases, vec![PhaseSpec::stationary()]);
         assert!(spec.churn.is_empty());
         assert!(spec.faults.is_empty());
-        assert!(spec.compile().is_empty(), "stationary specs compile to no script");
+        assert!(
+            spec.compile().is_empty(),
+            "stationary specs compile to no script"
+        );
     }
 
     #[test]

@@ -159,8 +159,7 @@ mod tests {
     use crate::spec::PhaseSpec;
 
     fn spec_two_phases() -> ScenarioSpec {
-        let mut spec =
-            ScenarioSpec::stationary("wl-test", Benchmark::Ssca2, 2, 0.05, 50_000);
+        let mut spec = ScenarioSpec::stationary("wl-test", Benchmark::Ssca2, 2, 0.05, 50_000);
         spec.phases.push(PhaseSpec {
             at: 10_000,
             benchmark: Some(Benchmark::KmeansHigh),
@@ -216,7 +215,9 @@ mod tests {
         let mut rng = SimRng::new(3);
         let mut saw_shared = false;
         for _ in 0..20 {
-            let Some(req) = w.next(0, &mut rng) else { break };
+            let Some(req) = w.next(0, &mut rng) else {
+                break;
+            };
             for a in &req.accesses {
                 if a.line < PRIVATE_BASE {
                     saw_shared = true;
@@ -265,6 +266,10 @@ mod tests {
         let mut r1 = SimRng::new(5);
         let a = w0.next(0, &mut r0).unwrap();
         let b = w1.next(0, &mut r1).unwrap();
-        assert_eq!(b.think, a.think * 10, "think time scales by the phase factor");
+        assert_eq!(
+            b.think,
+            a.think * 10,
+            "think time scales by the phase factor"
+        );
     }
 }

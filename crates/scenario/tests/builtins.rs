@@ -47,8 +47,11 @@ fn every_builtin_recovers_under_seer() {
 fn heavy_faults_cause_real_regressions() {
     // The disruptive built-ins must actually dent throughput — a scenario
     // whose fault is invisible in the windows scores nothing.
-    for (name, min_depth) in [("capacity-cliff", 0.3), ("churn-storm", 0.3), ("hot-set-drift", 0.2)]
-    {
+    for (name, min_depth) in [
+        ("capacity-cliff", 0.3),
+        ("churn-storm", 0.3),
+        ("hot-set-drift", 0.2),
+    ] {
         let spec = library::builtin(name).unwrap();
         let outcome = RunRequest::scenario(&spec).policy(PolicyKind::Seer).run();
         let deepest = outcome

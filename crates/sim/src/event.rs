@@ -443,7 +443,11 @@ mod tests {
         let mut words = vec![0u64, u64::MAX];
         for bytes in 1..=8u32 {
             let lo = 1u64 << (8 * (bytes - 1));
-            let hi = if bytes == 8 { u64::MAX } else { (1u64 << (8 * bytes)) - 1 };
+            let hi = if bytes == 8 {
+                u64::MAX
+            } else {
+                (1u64 << (8 * bytes)) - 1
+            };
             words.extend([lo, lo | 0x5a, hi, hi ^ (lo >> 1)]);
         }
         for h in [0xcbf2_9ce4_8422_2325, 0, u64::MAX, 0x0123_4567_89ab_cdef] {

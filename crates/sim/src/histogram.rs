@@ -48,7 +48,11 @@ impl CycleHistogram {
 
     /// Records one value.
     pub fn record(&mut self, v: Cycles) {
-        let idx = if v == 0 { 0 } else { (64 - v.leading_zeros()) as usize };
+        let idx = if v == 0 {
+            0
+        } else {
+            (64 - v.leading_zeros()) as usize
+        };
         self.buckets[idx] += 1;
         self.count += 1;
         // Saturate: a sum pinned at u64::MAX beats a debug-mode panic when

@@ -75,7 +75,19 @@ proptest! {
 fn guided_sample_matches_full_search_at_model_sizes() {
     // Every size class a built-in model uses (yada's 131 072, ssca2's
     // 65 536, the 2^17-bucket cap and its neighbours), up to 2^18.
-    for n in [1, 2, 3, 12, 96, 4096, 65_536, 131_071, 131_072, 131_073, 1 << 18] {
+    for n in [
+        1,
+        2,
+        3,
+        12,
+        96,
+        4096,
+        65_536,
+        131_071,
+        131_072,
+        131_073,
+        1 << 18,
+    ] {
         for theta in [0.0, 0.05, 0.1, 0.6, 1.0, 3.0] {
             assert_guided_matches_full(n, theta, n as u64, 2_000);
         }

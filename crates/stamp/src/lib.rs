@@ -121,7 +121,9 @@ impl Benchmark {
     /// `synth@blocks=N` with `N ≥ 1`.
     pub fn from_spec(s: &str) -> Option<Benchmark> {
         if s == "synth" {
-            return Some(Benchmark::Synth { blocks: synth::DEFAULT_BLOCKS });
+            return Some(Benchmark::Synth {
+                blocks: synth::DEFAULT_BLOCKS,
+            });
         }
         if let Some(rest) = s.strip_prefix("synth@blocks=") {
             let blocks: u16 = rest.parse().ok().filter(|&b| b >= 1)?;
@@ -244,13 +246,18 @@ mod tests {
             .iter()
             .copied()
             .chain([Benchmark::HashmapLow, Benchmark::Labyrinth])
-            .chain([Benchmark::Synth { blocks: 1 }, Benchmark::Synth { blocks: 256 }])
+            .chain([
+                Benchmark::Synth { blocks: 1 },
+                Benchmark::Synth { blocks: 256 },
+            ])
         {
             assert_eq!(Benchmark::from_spec(&b.spec()), Some(b), "{}", b.spec());
         }
         assert_eq!(
             Benchmark::from_spec("synth"),
-            Some(Benchmark::Synth { blocks: synth::DEFAULT_BLOCKS })
+            Some(Benchmark::Synth {
+                blocks: synth::DEFAULT_BLOCKS
+            })
         );
         assert_eq!(Benchmark::from_spec("synth@blocks=0"), None);
         assert_eq!(Benchmark::from_spec("synth@blocks=bogus"), None);

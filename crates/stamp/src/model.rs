@@ -143,7 +143,11 @@ impl StampModel {
                     .collect()
             })
             .collect();
-        let longest = blocks.iter().map(StampBlock::max_accesses).max().unwrap_or(0);
+        let longest = blocks
+            .iter()
+            .map(StampBlock::max_accesses)
+            .max()
+            .unwrap_or(0);
         let picks = Vec::with_capacity(longest);
         Self {
             name: name.into(),
@@ -202,7 +206,11 @@ impl StampModel {
         for i in 0..(pr + pw) {
             *cursor += 1;
             let line = PRIVATE_BASE + thread as u64 * PRIVATE_STRIDE + (*cursor % PRIVATE_WINDOW);
-            let kind = if i < pr { AccessKind::Read } else { AccessKind::Write };
+            let kind = if i < pr {
+                AccessKind::Read
+            } else {
+                AccessKind::Write
+            };
             picks.push((line, kind));
         }
         // Deterministic Fisher–Yates shuffle so reads/writes and regions

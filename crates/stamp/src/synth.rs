@@ -58,7 +58,12 @@ pub fn model(blocks: u16, threads: usize, txs_per_thread: usize) -> StampModel {
             }
         })
         .collect();
-    StampModel::new(format!("synth@blocks={blocks}"), specs, threads, txs_per_thread)
+    StampModel::new(
+        format!("synth@blocks={blocks}"),
+        specs,
+        threads,
+        txs_per_thread,
+    )
 }
 
 #[cfg(test)]
@@ -92,7 +97,10 @@ mod tests {
             }
         }
         assert!(!lines[0].is_empty() && !lines[1].is_empty());
-        assert!(lines[0].is_disjoint(&lines[1]), "clusters must not conflict");
+        assert!(
+            lines[0].is_disjoint(&lines[1]),
+            "clusters must not conflict"
+        );
     }
 
     #[test]
@@ -101,6 +109,9 @@ mod tests {
         let mut s = NullScheduler::new(5);
         let metrics = run(&mut m, &mut s, &DriverConfig::paper_machine(4, 1));
         assert_eq!(metrics.commits, 240);
-        assert!(metrics.aborts.total() > 0, "clustered writes should conflict");
+        assert!(
+            metrics.aborts.total() > 0,
+            "clustered writes should conflict"
+        );
     }
 }

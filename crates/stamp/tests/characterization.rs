@@ -45,9 +45,15 @@ fn transaction_length_ordering_matches_stamp() {
     let (yada, _) = footprint(Benchmark::Yada, 100);
     assert!(ssca2 < kmeans, "ssca2 {ssca2:.1} !< kmeans {kmeans:.1}");
     assert!(kmeans < genome, "kmeans {kmeans:.1} !< genome {genome:.1}");
-    assert!(genome < vacation, "genome {genome:.1} !< vacation {vacation:.1}");
+    assert!(
+        genome < vacation,
+        "genome {genome:.1} !< vacation {vacation:.1}"
+    );
     assert!(vacation < yada, "vacation {vacation:.1} !< yada {yada:.1}");
-    assert!(yada > 150.0, "yada mix must be dominated by large cavities: {yada:.1}");
+    assert!(
+        yada > 150.0,
+        "yada mix must be dominated by large cavities: {yada:.1}"
+    );
 }
 
 #[test]
@@ -57,7 +63,10 @@ fn read_write_balance_per_benchmark() {
     // write count.
     let (_, vacation_wf) = footprint(Benchmark::VacationLow, 300);
     let (_, kmeans_wf) = footprint(Benchmark::KmeansHigh, 300);
-    assert!(vacation_wf < 0.25, "vacation writes too much: {vacation_wf:.2}");
+    assert!(
+        vacation_wf < 0.25,
+        "vacation writes too much: {vacation_wf:.2}"
+    );
     assert!(kmeans_wf > 0.2, "kmeans writes too little: {kmeans_wf:.2}");
 }
 
@@ -65,7 +74,11 @@ fn read_write_balance_per_benchmark() {
 fn contention_regimes_at_eight_threads() {
     // ssca2 ~conflict-free; kmeans-high conflict-heavy; the rest between.
     let ssca2 = contended_run(Benchmark::Ssca2, 8);
-    assert!(ssca2.abort_ratio() < 0.05, "ssca2 aborts: {}", ssca2.abort_ratio());
+    assert!(
+        ssca2.abort_ratio() < 0.05,
+        "ssca2 aborts: {}",
+        ssca2.abort_ratio()
+    );
     let kmeans = contended_run(Benchmark::KmeansHigh, 8);
     assert!(
         kmeans.abort_ratio() > 0.8,

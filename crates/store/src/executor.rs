@@ -417,8 +417,7 @@ mod tests {
     }
 
     fn squarer(jobs: usize) -> Executor<NumKey, u64> {
-        Executor::new(jobs, |k: NumKey| k.0 * k.0)
-            .with_supervisor(SupervisorConfig::fail_fast())
+        Executor::new(jobs, |k: NumKey| k.0 * k.0).with_supervisor(SupervisorConfig::fail_fast())
     }
 
     #[test]
@@ -483,10 +482,8 @@ mod tests {
 
     #[test]
     fn disk_store_warms_a_second_executor() {
-        let root = std::env::temp_dir().join(format!(
-            "seer-store-exec-test-{}",
-            std::process::id()
-        ));
+        let root =
+            std::env::temp_dir().join(format!("seer-store-exec-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
 
         let cold = squarer(2).with_store(Store::open(&root));
@@ -515,10 +512,8 @@ mod tests {
 
     #[test]
     fn resume_after_partial_failure_completes_the_plan() {
-        let root = std::env::temp_dir().join(format!(
-            "seer-store-resume-test-{}",
-            std::process::id()
-        ));
+        let root =
+            std::env::temp_dir().join(format!("seer-store-resume-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
 
         // First process: one poisoned item, the rest persist.

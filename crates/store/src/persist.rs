@@ -62,13 +62,19 @@ pub trait Persist: Sized {
 fn u64_array(json: &Json, name: &str) -> Result<Vec<u64>, String> {
     json.array_field(name)?
         .iter()
-        .map(|v| v.as_u64().ok_or_else(|| format!("{name:?} holds a non-u64")))
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| format!("{name:?} holds a non-u64"))
+        })
         .collect()
 }
 
 fn histogram_json(h: &CycleHistogram) -> Json {
     Json::object([
-        ("buckets", Json::Array(h.buckets().iter().map(|&b| b.to_json()).collect())),
+        (
+            "buckets",
+            Json::Array(h.buckets().iter().map(|&b| b.to_json()).collect()),
+        ),
         ("count", h.count().to_json()),
         ("total", h.total().to_json()),
         ("max", h.max().to_json()),
@@ -110,7 +116,12 @@ impl Persist for RunMetrics {
             ("fallbacks", self.fallbacks.to_json()),
             (
                 "attempts_histogram",
-                Json::Array(self.attempts_histogram.iter().map(|&n| n.to_json()).collect()),
+                Json::Array(
+                    self.attempts_histogram
+                        .iter()
+                        .map(|&n| n.to_json())
+                        .collect(),
+                ),
             ),
             ("wait_cycles", self.wait_cycles.to_json()),
             ("wait_histogram", histogram_json(&self.wait_histogram)),
@@ -132,7 +143,13 @@ impl Persist for RunMetrics {
                     ("blocks", self.ground_truth.blocks().to_json()),
                     (
                         "kills",
-                        Json::Array(self.ground_truth.kills().iter().map(|&k| k.to_json()).collect()),
+                        Json::Array(
+                            self.ground_truth
+                                .kills()
+                                .iter()
+                                .map(|&k| k.to_json())
+                                .collect(),
+                        ),
                     ),
                 ]),
             ),

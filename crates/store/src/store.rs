@@ -185,7 +185,9 @@ impl Store {
         let recorded = shard.str_field("checksum")?;
         let actual = format!("{:#018x}", fnv1a(value.to_string_compact().as_bytes()));
         if recorded != actual {
-            return Err(format!("checksum mismatch: recorded {recorded}, actual {actual}"));
+            return Err(format!(
+                "checksum mismatch: recorded {recorded}, actual {actual}"
+            ));
         }
         V::from_store_json(value).map_err(|e| format!("undecodable value: {e}"))
     }
@@ -315,10 +317,8 @@ mod tests {
     }
 
     fn temp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "seer-store-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("seer-store-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -260,7 +260,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(500));
         });
         let (failure, _) = result.unwrap_err();
-        assert!(matches!(failure, RunFailure::TimedOut { .. }), "{failure:?}");
+        assert!(
+            matches!(failure, RunFailure::TimedOut { .. }),
+            "{failure:?}"
+        );
     }
 
     #[test]

@@ -21,8 +21,8 @@ use seer_sim::SimRng;
 
 use crate::exec::{TuneExecReport, TuneExecutor};
 use crate::objective::Objective;
-use crate::space::{ParamSpace, Point};
 use crate::sampler::{midpoint, neighbors, sample};
+use crate::space::{ParamSpace, Point};
 
 /// Which search algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,9 +57,7 @@ impl std::str::FromStr for DriverKind {
             "random" => Ok(DriverKind::Random),
             "halving" => Ok(DriverKind::Halving),
             "climb" => Ok(DriverKind::Climb),
-            other => Err(format!(
-                "unknown driver {other:?} (random, halving, climb)"
-            )),
+            other => Err(format!("unknown driver {other:?} (random, halving, climb)")),
         }
     }
 }
@@ -262,7 +260,8 @@ impl SearchState<'_> {
         let mut scenarios = seer_scenario::ScenarioPlan::new();
         for &i in idx {
             let policy = self.space.policy(&self.trials[i].point);
-            self.objective.plan(policy, fidelity, &mut cells, &mut scenarios);
+            self.objective
+                .plan(policy, fidelity, &mut cells, &mut scenarios);
         }
         let (report, failures) = self.exec.execute(&cells, &scenarios);
         progress(

@@ -80,11 +80,7 @@ impl TuneExecutor {
 
     /// Runs every not-yet-cached item of both plans and returns the
     /// summed coverage counters plus the individual failures.
-    pub fn execute(
-        &self,
-        cells: &Plan,
-        scenarios: &ScenarioPlan,
-    ) -> (TuneExecReport, Vec<String>) {
+    pub fn execute(&self, cells: &Plan, scenarios: &ScenarioPlan) -> (TuneExecReport, Vec<String>) {
         let mut report = TuneExecReport::default();
         let mut failures = Vec::new();
         if !cells.is_empty() {

@@ -40,7 +40,13 @@ pub trait Objective {
 
     /// Adds every run this objective needs for `policy` at `fidelity`
     /// (the number of harness seeds, `0..fidelity`) to the batch plans.
-    fn plan(&self, policy: PolicyKind, fidelity: u64, cells: &mut Plan, scenarios: &mut ScenarioPlan);
+    fn plan(
+        &self,
+        policy: PolicyKind,
+        fidelity: u64,
+        cells: &mut Plan,
+        scenarios: &mut ScenarioPlan,
+    );
 
     /// Folds the (now cached) results into a score; `None` when any
     /// needed run failed, which ranks the trial below every scored one.
@@ -161,7 +167,13 @@ impl Objective for CombinedObjective {
         "combined"
     }
 
-    fn plan(&self, policy: PolicyKind, fidelity: u64, cells: &mut Plan, scenarios: &mut ScenarioPlan) {
+    fn plan(
+        &self,
+        policy: PolicyKind,
+        fidelity: u64,
+        cells: &mut Plan,
+        scenarios: &mut ScenarioPlan,
+    ) {
         ThroughputObjective.plan(policy, fidelity, cells, scenarios);
         RobustnessObjective.plan(policy, fidelity, cells, scenarios);
     }

@@ -242,7 +242,9 @@ pub fn validate_report(json: &Json) -> Vec<String> {
                     // A null score (failed trial) must not precede a
                     // scored one.
                     (_, None) if rows[i..].iter().any(|r| r.f64_field("score").is_ok()) => {
-                        violations.push(format!("leaderboard[{i}]: failed trial ranked above a scored one"));
+                        violations.push(format!(
+                            "leaderboard[{i}]: failed trial ranked above a scored one"
+                        ));
                     }
                     _ => {}
                 }

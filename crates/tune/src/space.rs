@@ -475,14 +475,19 @@ mod tests {
                 "inverted int",
             ),
             (vec![float_dim("th1", 0.5, 0.2, false)], "inverted float"),
-            (vec![float_dim("min-sigma", 0.0, 0.1, true)], "log from zero"),
+            (
+                vec![float_dim("min-sigma", 0.0, 0.1, true)],
+                "log from zero",
+            ),
             (vec![float_dim("th2", 0.5, 1.5, false)], "threshold above 1"),
             (vec![float_dim("nope", 0.0, 1.0, false)], "unknown knob"),
             (vec![float_dim("window", 1.0, 2.0, false)], "float window"),
             (
                 vec![Dim {
                     name: "th1".into(),
-                    kind: DimKind::Choice { options: vec!["a".into()] },
+                    kind: DimKind::Choice {
+                        options: vec!["a".into()],
+                    },
                 }],
                 "choice threshold",
             ),
@@ -496,7 +501,9 @@ mod tests {
             (
                 vec![Dim {
                     name: "decay".into(),
-                    kind: DimKind::Choice { options: vec!["0".into()] },
+                    kind: DimKind::Choice {
+                        options: vec!["0".into()],
+                    },
                 }],
                 "zero decay option",
             ),

@@ -4,8 +4,7 @@
 //! outcome field plus the rendered report JSON must agree byte-for-byte.
 
 use seer_tune::{
-    report_json, run_search, CombinedObjective, DriverKind, ParamSpace, SearchOutcome,
-    TuneExecutor,
+    report_json, run_search, CombinedObjective, DriverKind, ParamSpace, SearchOutcome, TuneExecutor,
 };
 
 const DRIVER: DriverKind = DriverKind::Halving;
@@ -23,16 +22,8 @@ fn search(exec: &TuneExecutor) -> (SearchOutcome, String) {
         exec,
         &mut |_, _| {},
     );
-    let rendered = report_json(
-        &space,
-        DRIVER,
-        BUDGET,
-        SEED,
-        "combined",
-        &outcome,
-        None,
-    )
-    .to_string_pretty();
+    let rendered =
+        report_json(&space, DRIVER, BUDGET, SEED, "combined", &outcome, None).to_string_pretty();
     (outcome, rendered)
 }
 

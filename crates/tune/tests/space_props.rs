@@ -41,18 +41,27 @@ fn build_valid_dim(
     match sel % 6 {
         0 => Dim {
             name: "window".into(),
-            kind: DimKind::Int { min: int_lo, max: int_lo + int_span },
+            kind: DimKind::Int {
+                min: int_lo,
+                max: int_lo + int_span,
+            },
         },
         1 => Dim {
             name: "climb".into(),
-            kind: DimKind::Int { min: int_lo, max: int_lo + int_span },
+            kind: DimKind::Int {
+                min: int_lo,
+                max: int_lo + int_span,
+            },
         },
         2 => {
             let all = ["off", "2", "16", "64"];
             Dim {
                 name: "decay".into(),
                 kind: DimKind::Choice {
-                    options: all[..1 + n_choices % 4].iter().map(|s| s.to_string()).collect(),
+                    options: all[..1 + n_choices % 4]
+                        .iter()
+                        .map(|s| s.to_string())
+                        .collect(),
                 },
             }
         }
@@ -63,7 +72,11 @@ fn build_valid_dim(
             let ratio = 1.0 + ratio_tenths as f64 / 10.0;
             Dim {
                 name: "min-sigma".into(),
-                kind: DimKind::Float { min, max: min * ratio, log },
+                kind: DimKind::Float {
+                    min,
+                    max: min * ratio,
+                    log,
+                },
             }
         }
         4 => {
@@ -71,7 +84,11 @@ fn build_valid_dim(
             let max = (min + f_span_millis as f64 / 1000.0).min(1.0);
             Dim {
                 name: "th1".into(),
-                kind: DimKind::Float { min, max, log: false },
+                kind: DimKind::Float {
+                    min,
+                    max,
+                    log: false,
+                },
             }
         }
         _ => {
@@ -79,7 +96,11 @@ fn build_valid_dim(
             let max = (min + f_span_millis as f64 / 1000.0).min(1.0);
             Dim {
                 name: "th2".into(),
-                kind: DimKind::Float { min, max, log: false },
+                kind: DimKind::Float {
+                    min,
+                    max,
+                    log: false,
+                },
             }
         }
     }
@@ -209,7 +230,11 @@ fn midpoints_of_extreme_float_ranges_stay_in_bounds() {
         }])
         .expect("a finite, ordered, positive range validates");
         let mid = midpoint(&space);
-        assert!(space.contains(0, &mid[0]), "[{min}, {max}] log={log}: {:?}", mid[0]);
+        assert!(
+            space.contains(0, &mid[0]),
+            "[{min}, {max}] log={log}: {:?}",
+            mid[0]
+        );
     }
 }
 

@@ -25,10 +25,18 @@ fn run_variant(threads: usize, core_locks: bool) -> (f64, u64, u64) {
     let mut cfg = SeerConfig::full();
     cfg.core_locks = core_locks;
     let mut sched = Seer::new(cfg, threads, blocks);
-    let metrics = run(&mut workload, &mut sched, &DriverConfig::paper_machine(threads, 1234));
-    let core_lock_commits = metrics.modes.get(TxMode::HtmCoreLock)
-        + metrics.modes.get(TxMode::HtmTxAndCoreLocks);
-    (metrics.speedup(), metrics.aborts.capacity, core_lock_commits)
+    let metrics = run(
+        &mut workload,
+        &mut sched,
+        &DriverConfig::paper_machine(threads, 1234),
+    );
+    let core_lock_commits =
+        metrics.modes.get(TxMode::HtmCoreLock) + metrics.modes.get(TxMode::HtmTxAndCoreLocks);
+    (
+        metrics.speedup(),
+        metrics.aborts.capacity,
+        core_lock_commits,
+    )
 }
 
 fn main() {

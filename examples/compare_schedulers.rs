@@ -20,7 +20,9 @@ fn parse_benchmark(name: &str) -> Option<Benchmark> {
 }
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "vacation-high".into());
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "vacation-high".into());
     let Some(benchmark) = parse_benchmark(&name) else {
         eprintln!("unknown benchmark {name:?}; pick one of:");
         for b in Benchmark::STAMP {
@@ -49,10 +51,12 @@ fn main() {
         let mut fallbacks = String::new();
         for policy in policies {
             let m = RunRequest::cell(Cell {
-                    benchmark,
-                    policy,
-                    threads,
-                }).scale(0.5).run();
+                benchmark,
+                policy,
+                threads,
+            })
+            .scale(0.5)
+            .run();
             let s = m.speedup();
             if s > best.0 {
                 best = (s, policy.label());
@@ -61,7 +65,10 @@ fn main() {
             aborts += &format!("{:>5.1}", m.abort_ratio());
             fallbacks += &format!("{:>5.0}", m.fallback_fraction() * 100.0);
         }
-        println!("{threads:>8} {speedups:>22} {aborts:>12} {fallbacks:>12}   best: {}", best.1);
+        println!(
+            "{threads:>8} {speedups:>22} {aborts:>12} {fallbacks:>12}   best: {}",
+            best.1
+        );
     }
     println!("\ncolumns per group: HLE, RTM, SCM, ATS, Seer");
 }

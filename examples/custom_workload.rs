@@ -50,9 +50,7 @@ impl Exchange {
 
     fn book_line(&self, rng: &mut SimRng) -> u64 {
         let instrument = rng.zipf(&self.instrument_popularity) as u64;
-        BOOKS_BASE
-            + instrument * BOOK_LINES_PER_INSTRUMENT
-            + rng.below(BOOK_LINES_PER_INSTRUMENT)
+        BOOKS_BASE + instrument * BOOK_LINES_PER_INSTRUMENT + rng.below(BOOK_LINES_PER_INSTRUMENT)
     }
 
     fn build(&mut self, block: usize, rng: &mut SimRng) -> TxRequest {
@@ -156,10 +154,18 @@ fn main() {
     let tuned = run(&mut w, &mut seer, &config);
 
     let names = ["place-order", "match-orders", "snapshot"];
-    println!("exchange under RTM : speedup {:.2}x, {:.2} aborts/commit, {:.0}% fall-back",
-        base.speedup(), base.abort_ratio(), base.fallback_fraction() * 100.0);
-    println!("exchange under Seer: speedup {:.2}x, {:.2} aborts/commit, {:.0}% fall-back",
-        tuned.speedup(), tuned.abort_ratio(), tuned.fallback_fraction() * 100.0);
+    println!(
+        "exchange under RTM : speedup {:.2}x, {:.2} aborts/commit, {:.0}% fall-back",
+        base.speedup(),
+        base.abort_ratio(),
+        base.fallback_fraction() * 100.0
+    );
+    println!(
+        "exchange under Seer: speedup {:.2}x, {:.2} aborts/commit, {:.0}% fall-back",
+        tuned.speedup(),
+        tuned.abort_ratio(),
+        tuned.fallback_fraction() * 100.0
+    );
 
     println!("\nwhat Seer inferred (one lock per atomic block):");
     for x in 0..3 {

@@ -40,7 +40,10 @@ fn main() {
 
     // What did Seer learn? The lock table is the inferred conflict
     // relation: row x lists the blocks x must not run concurrently with.
-    println!("\ninferred locking scheme (thresholds {:?}):", scheduler.thresholds());
+    println!(
+        "\ninferred locking scheme (thresholds {:?}):",
+        scheduler.thresholds()
+    );
     for x in 0..blocks {
         let row = scheduler.lock_table().row(x);
         if !row.is_empty() {

@@ -5,18 +5,21 @@
 use seer::{Seer, SeerConfig};
 use seer_baselines::Hle;
 use seer_harness::{geometric_mean, Cell, PolicyKind};
-use seer_scenario::RunRequest;
 use seer_runtime::{run, DriverConfig, TxMode, Workload};
+use seer_scenario::RunRequest;
 use seer_stamp::Benchmark;
 
 const SCALE: f64 = 0.3;
 
 fn speedup(benchmark: Benchmark, policy: PolicyKind, threads: usize) -> f64 {
     RunRequest::cell(Cell {
-            benchmark,
-            policy,
-            threads,
-        }).seed(1).scale(SCALE).run()
+        benchmark,
+        policy,
+        threads,
+    })
+    .seed(1)
+    .scale(SCALE)
+    .run()
     .speedup()
 }
 
@@ -25,11 +28,18 @@ fn every_benchmark_completes_under_every_figure3_policy() {
     for benchmark in Benchmark::STAMP {
         for policy in PolicyKind::FIGURE3 {
             let m = RunRequest::cell(Cell {
-                    benchmark,
-                    policy,
-                    threads: 8,
-                }).scale(0.15).run();
-            assert!(!m.truncated, "{} under {} truncated", benchmark.name(), policy.label());
+                benchmark,
+                policy,
+                threads: 8,
+            })
+            .scale(0.15)
+            .run();
+            assert!(
+                !m.truncated,
+                "{} under {} truncated",
+                benchmark.name(),
+                policy.label()
+            );
             assert!(m.commits > 0);
             assert_eq!(m.modes.total(), m.commits);
         }
@@ -59,10 +69,12 @@ fn hle_collapses_at_high_thread_counts() {
     // The lemming effect: HLE ends up executing almost everything under
     // the elided lock at 8 threads on contended benchmarks.
     let m = RunRequest::cell(Cell {
-            benchmark: Benchmark::VacationHigh,
-            policy: PolicyKind::Hle,
-            threads: 8,
-        }).scale(SCALE).run();
+        benchmark: Benchmark::VacationHigh,
+        policy: PolicyKind::Hle,
+        threads: 8,
+    })
+    .scale(SCALE)
+    .run();
     assert!(
         m.fallback_fraction() > 0.5,
         "HLE should lemming: {:.3}",
@@ -79,18 +91,22 @@ fn seer_slashes_fallback_activation_versus_rtm() {
     for benchmark in Benchmark::STAMP {
         rtm_fb.push(
             RunRequest::cell(Cell {
-                    benchmark,
-                    policy: PolicyKind::Rtm,
-                    threads: 8,
-                }).scale(SCALE).run()
+                benchmark,
+                policy: PolicyKind::Rtm,
+                threads: 8,
+            })
+            .scale(SCALE)
+            .run()
             .fallback_fraction(),
         );
         seer_fb.push(
             RunRequest::cell(Cell {
-                    benchmark,
-                    policy: PolicyKind::Seer,
-                    threads: 8,
-                }).scale(SCALE).run()
+                benchmark,
+                policy: PolicyKind::Seer,
+                threads: 8,
+            })
+            .scale(SCALE)
+            .run()
             .fallback_fraction(),
         );
     }
@@ -100,22 +116,29 @@ fn seer_slashes_fallback_activation_versus_rtm() {
         seer_mean < rtm_mean / 3.0,
         "Seer fall-back ({seer_mean:.3}) should be far below RTM ({rtm_mean:.3})"
     );
-    assert!(seer_mean < 0.08, "Seer fall-back should be rare: {seer_mean:.3}");
+    assert!(
+        seer_mean < 0.08,
+        "Seer fall-back should be rare: {seer_mean:.3}"
+    );
 }
 
 #[test]
 fn scm_commits_under_aux_lock_but_seer_never_does() {
     let scm = RunRequest::cell(Cell {
-            benchmark: Benchmark::Genome,
-            policy: PolicyKind::Scm,
-            threads: 8,
-        }).scale(SCALE).run();
+        benchmark: Benchmark::Genome,
+        policy: PolicyKind::Scm,
+        threads: 8,
+    })
+    .scale(SCALE)
+    .run();
     assert!(scm.modes.get(TxMode::HtmAuxLock) > 0);
     let seer = RunRequest::cell(Cell {
-            benchmark: Benchmark::Genome,
-            policy: PolicyKind::Seer,
-            threads: 8,
-        }).scale(SCALE).run();
+        benchmark: Benchmark::Genome,
+        policy: PolicyKind::Seer,
+        threads: 8,
+    })
+    .scale(SCALE)
+    .run();
     assert_eq!(seer.modes.get(TxMode::HtmAuxLock), 0);
     assert!(
         seer.modes.get(TxMode::HtmTxLocks) + seer.modes.get(TxMode::HtmTxAndCoreLocks) > 0,
@@ -128,18 +151,25 @@ fn core_locks_engage_only_with_smt_sharing() {
     // At 4 threads each thread owns a physical core: no capacity squeeze,
     // so Seer should (almost) never take a core lock; at 8 threads it must.
     let at4 = RunRequest::cell(Cell {
-            benchmark: Benchmark::Yada,
-            policy: PolicyKind::Seer,
-            threads: 4,
-        }).scale(SCALE).run();
+        benchmark: Benchmark::Yada,
+        policy: PolicyKind::Seer,
+        threads: 4,
+    })
+    .scale(SCALE)
+    .run();
     let at8 = RunRequest::cell(Cell {
-            benchmark: Benchmark::Yada,
-            policy: PolicyKind::Seer,
-            threads: 8,
-        }).scale(SCALE).run();
+        benchmark: Benchmark::Yada,
+        policy: PolicyKind::Seer,
+        threads: 8,
+    })
+    .scale(SCALE)
+    .run();
     let core4 = at4.modes.get(TxMode::HtmCoreLock) + at4.modes.get(TxMode::HtmTxAndCoreLocks);
     let core8 = at8.modes.get(TxMode::HtmCoreLock) + at8.modes.get(TxMode::HtmTxAndCoreLocks);
-    assert!(core8 > core4, "core locks at 8t ({core8}) should exceed 4t ({core4})");
+    assert!(
+        core8 > core4,
+        "core locks at 8t ({core8}) should exceed 4t ({core4})"
+    );
     assert!(core8 > 0);
     assert!(at8.aborts.capacity > at4.aborts.capacity);
 }
@@ -166,10 +196,12 @@ fn seer_inference_finds_the_hot_pair_end_to_end() {
 #[test]
 fn profile_only_seer_never_acquires_its_locks() {
     let m = RunRequest::cell(Cell {
-            benchmark: Benchmark::Intruder,
-            policy: PolicyKind::SeerProfileOnly,
-            threads: 8,
-        }).scale(SCALE).run();
+        benchmark: Benchmark::Intruder,
+        policy: PolicyKind::SeerProfileOnly,
+        threads: 8,
+    })
+    .scale(SCALE)
+    .run();
     assert_eq!(m.modes.get(TxMode::HtmTxLocks), 0);
     assert_eq!(m.modes.get(TxMode::HtmCoreLock), 0);
     assert_eq!(m.modes.get(TxMode::HtmTxAndCoreLocks), 0);
@@ -197,7 +229,10 @@ fn raw_policies_agree_on_single_thread() {
     let rtm = speedup(Benchmark::Genome, PolicyKind::Rtm, 1);
     let seer = speedup(Benchmark::Genome, PolicyKind::Seer, 1);
     assert!((hle - rtm).abs() < 0.02, "hle {hle} vs rtm {rtm}");
-    assert!(rtm - seer < 0.08, "Seer 1-thread overhead too big: {seer} vs {rtm}");
+    assert!(
+        rtm - seer < 0.08,
+        "Seer 1-thread overhead too big: {seer} vs {rtm}"
+    );
     assert!(seer <= rtm + 0.02);
 }
 
@@ -222,10 +257,12 @@ fn hle_uses_hardware_at_low_threads() {
     // Paper Table 3: HLE commits 75% in hardware at 2 threads; the
     // collapse is a high-concurrency phenomenon.
     let m = RunRequest::cell(Cell {
-            benchmark: Benchmark::KmeansLow,
-            policy: PolicyKind::Hle,
-            threads: 2,
-        }).scale(SCALE).run();
+        benchmark: Benchmark::KmeansLow,
+        policy: PolicyKind::Hle,
+        threads: 2,
+    })
+    .scale(SCALE)
+    .run();
     assert!(
         m.modes.fraction(TxMode::HtmNoLocks) > 0.6,
         "2-thread HLE should mostly elide: {:.3}",
@@ -236,10 +273,12 @@ fn hle_uses_hardware_at_low_threads() {
 #[test]
 fn ats_is_available_as_extra_series() {
     let m = RunRequest::cell(Cell {
-            benchmark: Benchmark::Ssca2,
-            policy: PolicyKind::Ats,
-            threads: 4,
-        }).scale(0.15).run();
+        benchmark: Benchmark::Ssca2,
+        policy: PolicyKind::Ats,
+        threads: 4,
+    })
+    .scale(0.15)
+    .run();
     assert!(m.commits > 0);
     assert!(m.speedup() > 1.0);
 }
@@ -278,15 +317,19 @@ fn hle_reference_from_baselines_crate_matches_policy_kind() {
 #[test]
 fn rtm_wait_gate_reduces_explicit_aborts_versus_hle() {
     let hle = RunRequest::cell(Cell {
-            benchmark: Benchmark::Genome,
-            policy: PolicyKind::Hle,
-            threads: 8,
-        }).scale(SCALE).run();
+        benchmark: Benchmark::Genome,
+        policy: PolicyKind::Hle,
+        threads: 8,
+    })
+    .scale(SCALE)
+    .run();
     let rtm = RunRequest::cell(Cell {
-            benchmark: Benchmark::Genome,
-            policy: PolicyKind::Rtm,
-            threads: 8,
-        }).scale(SCALE).run();
+        benchmark: Benchmark::Genome,
+        policy: PolicyKind::Rtm,
+        threads: 8,
+    })
+    .scale(SCALE)
+    .run();
     // HLE begins blindly while the SGL is held (explicit subscription
     // aborts); RTM's wait-while-locked gate avoids most of those.
     let hle_rate = hle.aborts.explicit as f64 / hle.commits as f64;

@@ -56,7 +56,10 @@ fn workloads() -> Vec<(String, Make)> {
         spec.threads = THREADS;
         spec.scale = 0.005;
         let name = format!("scenario {}", spec.name);
-        out.push((name, Box::new(move || Box::new(ScenarioWorkload::new(&spec)))));
+        out.push((
+            name,
+            Box::new(move || Box::new(ScenarioWorkload::new(&spec))),
+        ));
     }
     out
 }
@@ -93,7 +96,11 @@ fn next_into_agrees_with_next_for_every_workload() {
             }
             let owned = a.next(thread, &mut rng_a);
             let filled = b.next_into(thread, &mut rng_b, &mut reused);
-            assert_eq!(owned.is_some(), filled, "{name} round {round}: quota disagrees");
+            assert_eq!(
+                owned.is_some(),
+                filled,
+                "{name} round {round}: quota disagrees"
+            );
             let Some(mut owned) = owned else { continue };
             issued += 1;
             assert_eq!(owned, reused, "{name} round {round}: requests differ");
@@ -101,7 +108,10 @@ fn next_into_agrees_with_next_for_every_workload() {
             // they feed back into generation stays in step as well.
             a.regenerate(thread, &mut owned, &mut rng_a);
             b.regenerate(thread, &mut reused, &mut rng_b);
-            assert_eq!(owned, reused, "{name} round {round}: regenerated requests differ");
+            assert_eq!(
+                owned, reused,
+                "{name} round {round}: regenerated requests differ"
+            );
             a.commit(thread, &owned, &mut rng_a);
             b.commit(thread, &reused, &mut rng_b);
             assert_eq!(
@@ -160,7 +170,11 @@ fn pre_attempt_gates_into_agrees_with_pre_attempt_gates_for_every_policy() {
             let mut into = vec![Gate::ReleaseHeld];
             b.pre_attempt_gates_into(thread, block, left, env_b, &mut into);
             assert_eq!(into[0], Gate::ReleaseHeld, "{policy:?}: prefix overwritten");
-            assert_eq!(into[1..], owned[..], "{policy:?} thread {thread} left {left}");
+            assert_eq!(
+                into[1..],
+                owned[..],
+                "{policy:?} thread {thread} left {left}"
+            );
         };
         for step in 0..400usize {
             let thread = step % CPUS;

@@ -4,18 +4,21 @@
 //! than the paper's absolute factor.
 
 use seer_harness::{geometric_mean, Cell, PolicyKind};
-use seer_scenario::RunRequest;
 use seer_runtime::TxMode;
+use seer_scenario::RunRequest;
 use seer_stamp::Benchmark;
 
 const SCALE: f64 = 0.25;
 
 fn cell(b: Benchmark, p: PolicyKind, t: usize, seed: u64) -> seer_runtime::RunMetrics {
     RunRequest::cell(Cell {
-            benchmark: b,
-            policy: p,
-            threads: t,
-        }).seed(seed).scale(SCALE).run()
+        benchmark: b,
+        policy: p,
+        threads: t,
+    })
+    .seed(seed)
+    .scale(SCALE)
+    .run()
 }
 
 /// §1: "Seer improves the performance of the Intel TSX HTM … in TM
