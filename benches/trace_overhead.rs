@@ -5,11 +5,12 @@
 //! simulation. Before timing anything the setup asserts the zero-cost
 //! claim structurally: the traced run's event-schedule digest is
 //! bit-identical to the untraced run's, and tracing adds no simulation
-//! work to the executor (its miss counter is untouched by traced runs).
+//! work to the executor (re-executing its plan after traced runs computes
+//! nothing).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use seer::{Seer, SeerConfig};
-use seer_harness::{Cell, CellExecutor, HarnessConfig, PolicyKind};
+use seer_harness::{Cell, CellExecutor, HarnessConfig, Plan, PolicyKind};
 use seer_runtime::{DriverConfig, MemoryTraceSink, NullTraceSink, RunMetrics, TraceSink, Workload};
 use seer_scenario::RunRequest;
 use seer_stamp::Benchmark;
@@ -18,19 +19,29 @@ use std::hint::black_box;
 /// Workload scale of the timed cells.
 const BENCH_SCALE: f64 = 0.05;
 
-/// A cold cell executor at [`BENCH_SCALE`]: a fresh one per timed run
-/// makes every run a cache miss, so the simulation itself is timed.
-fn bench_executor() -> CellExecutor {
-    CellExecutor::new(HarnessConfig {
-        seeds: 1,
-        scale: BENCH_SCALE,
-        jobs: 1,
-    })
+/// A cold cell executor at [`BENCH_SCALE`] with `cell` at seed 0
+/// executed: a fresh one per timed run makes every run a cache miss, so
+/// the simulation itself is timed.
+fn cold_executor(cell: Cell) -> (CellExecutor, Plan) {
+    let exec = CellExecutor::new(
+        HarnessConfig {
+            seeds: 1,
+            scale: BENCH_SCALE,
+            jobs: 1,
+        },
+        None,
+        None,
+    );
+    let mut plan = Plan::new();
+    plan.add_one(cell, 0, BENCH_SCALE);
+    assert!(exec.execute(&plan).complete(), "cold cell failed");
+    (exec, plan)
 }
 
 /// Simulates one cell at seed 0 through a cold executor.
 fn simulate_cold(cell: Cell) -> RunMetrics {
-    bench_executor().metrics(cell, 0)
+    let (exec, _) = cold_executor(cell);
+    exec.cached(cell, 0, BENCH_SCALE).expect("executed above")
 }
 
 /// The traced twin of [`simulate_cold`]: the same cell, seed and scale
@@ -49,9 +60,8 @@ fn probe_cell() -> Cell {
 
 /// The structural zero-overhead assertions, run once before timing.
 fn assert_sink_is_pure_observer(cell: Cell) {
-    let exec = bench_executor();
-    let untraced = exec.metrics(cell, 0);
-    let misses_before = exec.misses();
+    let (exec, plan) = cold_executor(cell);
+    let untraced = exec.cached(cell, 0, BENCH_SCALE).expect("executed above");
 
     let mut null = NullTraceSink;
     let traced = simulate_cold_traced(cell, &mut null);
@@ -61,9 +71,10 @@ fn assert_sink_is_pure_observer(cell: Cell) {
     );
     assert_eq!(untraced.commits, traced.commits);
     assert_eq!(untraced.makespan, traced.makespan);
+    let report = exec.execute(&plan);
     assert_eq!(
-        exec.misses(),
-        misses_before,
+        (report.computed, report.memo_hits),
+        (0, 1),
         "a traced run added simulation work to the executor"
     );
 

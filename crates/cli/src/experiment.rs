@@ -2,21 +2,35 @@
 //! paper's evaluation (`DESIGN.md` §4 has the index).
 //!
 //! Every experiment shares one frame: a [`CellExecutor`] over
-//! [`env_config`] (`SEER_SEEDS`, `SEER_SCALE`, `SEER_JOBS`), the
-//! configuration and cache lines on stderr, and the optional
-//! `SEER_REPORT_JSON` export. The table below adds only what differs —
-//! which `seer_harness` function runs and how its result prints.
+//! [`env_config`] (`SEER_SEEDS`, `SEER_SCALE`, `SEER_JOBS`) with the
+//! `SEER_CELL_TIMEOUT_MS` deadline, the configuration and coverage lines
+//! on stderr, the failed cells and a nonzero exit when a planned cell has
+//! no result, and the optional `SEER_REPORT_JSON` export. The table below
+//! adds only what differs — which `seer_harness` function runs and how
+//! its result prints.
 
 use seer_harness::{
     convergence, core_locks_only, env_config, figure3, figure4, figure5, fine_grained,
-    inference_accuracy, maybe_write_json, table3, CellExecutor, Json, ToJson, THREADS_FULL,
-    THREADS_TABLE,
+    inference_accuracy, maybe_write_json, table3, CellExecutor, CellKey, ExecReport, Json, Planned,
+    ToJson, THREADS_FULL, THREADS_TABLE,
 };
 
 use crate::args::{Args, ParseError};
+use crate::commands::{cell_deadline, coverage_loss};
 
-/// One experiment: prints its text rendering and returns its JSON report.
-type Experiment = fn(&CellExecutor) -> Json;
+/// What one experiment hands back to the frame: the executor's report
+/// when it planned cells (the extra experiments drive their own runs),
+/// and its JSON document unless a planned cell failed.
+type Produced = (Option<ExecReport<CellKey>>, Option<Json>);
+
+/// One experiment: prints its text rendering and returns what it produced.
+type Experiment = fn(&CellExecutor) -> Produced;
+
+/// Prints a planned experiment's figure with `show`, which returns its
+/// JSON — only if every planned cell has a result.
+fn shown<T>((report, figure): Planned<T>, show: impl FnOnce(T) -> Json) -> Produced {
+    (Some(report), figure.map(show))
+}
 
 /// Every experiment `seer experiment` runs, by name.
 pub const EXPERIMENTS: [(&str, Experiment); 8] = [
@@ -42,22 +56,19 @@ pub fn experiment(name: &str, args: &Args) -> Result<(), ParseError> {
         .find(|(n, _)| *n == name)
         .ok_or_else(|| ParseError(format!("unknown experiment {name:?} (valid: {})", names())))?;
     args.allow_only(&[])?;
-    let exec = CellExecutor::new(env_config());
+    let exec = CellExecutor::new(env_config(), None, cell_deadline());
     let cfg = exec.config();
     eprintln!(
         "{name}: seeds={} scale={} jobs={} (set SEER_SEEDS / SEER_SCALE / SEER_JOBS to adjust)",
         cfg.seeds, cfg.scale, cfg.jobs
     );
-    let report = run(&exec);
-    // The extra experiments drive their own runs rather than the executor.
-    if exec.misses() + exec.hits() > 0 {
-        eprintln!(
-            "{name}: {} cells simulated, {} cache hits",
-            exec.misses(),
-            exec.hits()
-        );
+    let (report, json) = run(&exec);
+    if let Some(report) = &report {
+        eprintln!("{name}: {} cell(s) planned — {report}", report.planned);
+        coverage_loss(name, report, "cell(s)", "no figure printed")?;
     }
-    let written = maybe_write_json(&report)
+    let Some(json) = json else { return Ok(()) };
+    let written = maybe_write_json(&json)
         .map_err(|e| ParseError(format!("cannot write $SEER_REPORT_JSON: {e}")))?;
     if written {
         eprintln!("{name}: JSON written to $SEER_REPORT_JSON");
@@ -65,62 +76,68 @@ pub fn experiment(name: &str, args: &Args) -> Result<(), ParseError> {
     Ok(())
 }
 
-fn fig3(exec: &CellExecutor) -> Json {
-    let panels = figure3(exec, &THREADS_FULL);
-    for p in &panels {
-        print!("{}", p.render());
-        println!();
-    }
-    panels.to_json()
+fn fig3(exec: &CellExecutor) -> Produced {
+    shown(figure3(exec, &THREADS_FULL), |panels| {
+        for p in &panels {
+            print!("{}", p.render());
+            println!();
+        }
+        panels.to_json()
+    })
 }
 
-fn table3_modes(exec: &CellExecutor) -> Json {
-    let (tables, lock_fraction) = table3(exec, &THREADS_TABLE);
-    for t in &tables {
-        print!("{}", t.render());
-        println!();
-    }
-    if let Some(f) = lock_fraction {
-        println!(
-            "Seer fine-granularity statistic (§5.2): when transaction locks are\n\
-             acquired, the median fraction of the available transaction locks\n\
-             taken is {:.0}% (the paper reports < 23% in 50% of the cases).",
-            f * 100.0
-        );
-    }
-    tables.to_json()
+fn table3_modes(exec: &CellExecutor) -> Produced {
+    shown(table3(exec, &THREADS_TABLE), |(tables, lock_fraction)| {
+        for t in &tables {
+            print!("{}", t.render());
+            println!();
+        }
+        if let Some(f) = lock_fraction {
+            println!(
+                "Seer fine-granularity statistic (§5.2): when transaction locks are\n\
+                 acquired, the median fraction of the available transaction locks\n\
+                 taken is {:.0}% (the paper reports < 23% in 50% of the cases).",
+                f * 100.0
+            );
+        }
+        tables.to_json()
+    })
 }
 
-fn fig4(exec: &CellExecutor) -> Json {
-    let panel = figure4(exec, &THREADS_FULL);
-    print!("{}", panel.render());
-    println!();
-    println!("Values below 1.0 are pure instrumentation overhead; the paper");
-    println!("reports a mean slowdown below 5% and at most 8%.");
-    panel.to_json()
+fn fig4(exec: &CellExecutor) -> Produced {
+    shown(figure4(exec, &THREADS_FULL), |panel| {
+        print!("{}", panel.render());
+        println!();
+        println!("Values below 1.0 are pure instrumentation overhead; the paper");
+        println!("reports a mean slowdown below 5% and at most 8%.");
+        panel.to_json()
+    })
 }
 
-fn fig5(exec: &CellExecutor) -> Json {
-    let panels = figure5(exec, &THREADS_TABLE);
-    for p in &panels {
-        print!("{}", p.render());
-        println!();
-    }
-    panels.to_json()
+fn fig5(exec: &CellExecutor) -> Produced {
+    shown(figure5(exec, &THREADS_TABLE), |panels| {
+        for p in &panels {
+            print!("{}", p.render());
+            println!();
+        }
+        panels.to_json()
+    })
 }
 
 /// §5.3: geometric-mean speedup of Seer with only core locks enabled,
 /// relative to profile-only Seer (the paper: +9% at 6, +22% at 8 threads).
-fn ablation_core_locks(exec: &CellExecutor) -> Json {
-    let panel = core_locks_only(exec, &[2, 4, 6, 8]);
-    print!("{}", panel.render());
-    panel.to_json()
+fn ablation_core_locks(exec: &CellExecutor) -> Produced {
+    shown(core_locks_only(exec, &[2, 4, 6, 8]), |panel| {
+        print!("{}", panel.render());
+        panel.to_json()
+    })
 }
 
 /// Seer's inferred serialization pairs against the simulator's true
 /// killers (pairs behind at least 5% of a run's kills), at 8 threads.
-fn accuracy(exec: &CellExecutor) -> Json {
-    let results = inference_accuracy(8, exec.config().scale, 0.05);
+fn accuracy(exec: &CellExecutor) -> Produced {
+    let cfg = exec.config();
+    let results = inference_accuracy(8, cfg.scale, 0.05, cfg.jobs);
     println!(
         "{:<16}{:>10}{:>10}{:>10}{:>8}",
         "benchmark", "precision", "recall", "inferred", "truth"
@@ -131,14 +148,14 @@ fn accuracy(exec: &CellExecutor) -> Json {
             r.benchmark, r.precision, r.recall, r.inferred, r.truth
         );
     }
-    results.to_json()
+    (None, Some(results.to_json()))
 }
 
 /// The paper's §6 future work: locks keyed by (atomic block × data
 /// structure) instead of atomic block alone, at 8 threads.
-fn fine_grained_locks(exec: &CellExecutor) -> Json {
+fn fine_grained_locks(exec: &CellExecutor) -> Produced {
     let cfg = exec.config();
-    let results = fine_grained(8, cfg.scale, cfg.seeds);
+    let results = fine_grained(8, cfg.scale, cfg.seeds, cfg.jobs);
     println!(
         "{:<16}{:>10}{:>10}{:>14}{:>15}",
         "benchmark", "plain", "refined", "plain pairs", "refined pairs"
@@ -151,13 +168,14 @@ fn fine_grained_locks(exec: &CellExecutor) -> Json {
     }
     println!("\nRefinement buys precision (pairs name structures, not whole blocks)");
     println!("at the cost of slower convergence (statistics spread over more cells).");
-    results.to_json()
+    (None, Some(results.to_json()))
 }
 
 /// When the inferred locking scheme last changed, per benchmark at 8
 /// threads — how much of a run the inference actually needs (§5.3).
-fn convergence_speed(exec: &CellExecutor) -> Json {
-    let results = convergence(8, exec.config().scale);
+fn convergence_speed(exec: &CellExecutor) -> Produced {
+    let cfg = exec.config();
+    let results = convergence(8, cfg.scale, cfg.jobs);
     println!(
         "{:<16}{:>16}{:>14}{:>12}{:>10}",
         "benchmark", "converged@cycle", "makespan", "fraction", "updates"
@@ -172,5 +190,5 @@ fn convergence_speed(exec: &CellExecutor) -> Json {
             r.benchmark, at, r.makespan, frac, r.updates
         );
     }
-    results.to_json()
+    (None, Some(results.to_json()))
 }

@@ -7,7 +7,7 @@
 //! this pins the acceptance criterion that all golden trace hashes pass
 //! unchanged with tracing enabled **and** disabled, with no re-bless.
 
-use seer_harness::{default_jobs, parallel_map, Cell, PolicyKind};
+use seer_harness::{env_config, parallel_map, Cell, PolicyKind};
 use seer_runtime::trace::AbortCause;
 use seer_runtime::{MemoryTraceSink, TxMode};
 use seer_scenario::RunRequest;
@@ -36,7 +36,7 @@ fn matrix() -> Vec<Cell> {
 #[test]
 fn lifecycle_events_reconcile_with_metrics_on_every_replay_cell() {
     let cells = matrix();
-    let lines = parallel_map(&cells, default_jobs(), |&cell| {
+    let lines = parallel_map(&cells, env_config().jobs, |&cell| {
         let mut sink = MemoryTraceSink::new();
         let m = RunRequest::cell(cell).scale(SCALE).traced(&mut sink).run();
         let violations = m.check_conservation();

@@ -13,7 +13,7 @@
 //! the change that shifted the schedules, explaining why in the message.
 
 use seer_conformance::replay::{fixture_line, replay_cell};
-use seer_harness::{default_jobs, parallel_map, Cell, PolicyKind};
+use seer_harness::{env_config, parallel_map, Cell, PolicyKind};
 use seer_stamp::Benchmark;
 
 const SCALE: f64 = 0.08;
@@ -43,7 +43,7 @@ fn every_cell_replays_bit_identically_and_matches_fixtures() {
     // parallel_map returns results in matrix order, so the fixture file is
     // byte-identical for any job count.
     let cells = matrix();
-    let lines = parallel_map(&cells, default_jobs(), |&cell| {
+    let lines = parallel_map(&cells, env_config().jobs, |&cell| {
         let metrics = replay_cell(cell, 0, SCALE);
         let violations = metrics.check_conservation();
         assert!(violations.is_empty(), "{cell:?}: {violations:#?}");
@@ -86,7 +86,7 @@ fn second_seed_replays_on_the_paper_policies() {
             })
         })
         .collect();
-    parallel_map(&cells, default_jobs(), |&cell| {
+    parallel_map(&cells, env_config().jobs, |&cell| {
         let m = replay_cell(cell, 1, SCALE);
         assert!(m.commits > 0, "{cell:?} committed nothing");
     });

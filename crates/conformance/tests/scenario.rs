@@ -45,15 +45,17 @@ fn builtin_library_is_deterministic_and_matches_fixtures() {
     // fixtures line for line.
     let mut plan = ScenarioPlan::new();
     plan.add_grid(&library::BUILTIN_NAMES, &[PolicyKind::Seer], SEEDS);
-    let serial = ScenarioExecutor::new(1);
-    let parallel = ScenarioExecutor::new(4);
-    serial.execute(&plan);
-    parallel.execute(&plan);
+    let serial = ScenarioExecutor::new(1, None, None);
+    let parallel = ScenarioExecutor::new(4, None, None);
+    assert!(serial.execute(&plan).complete());
+    assert!(parallel.execute(&plan).complete());
 
     let mut lines = Vec::new();
     for key in plan.items() {
-        let a = serial.outcome(&key.scenario, key.policy, key.seed);
-        let b = parallel.outcome(&key.scenario, key.policy, key.seed);
+        let a = serial.cached(&key.scenario, key.policy, key.seed).unwrap();
+        let b = parallel
+            .cached(&key.scenario, key.policy, key.seed)
+            .unwrap();
         let a_report = a.report.to_json().to_string_compact();
         let b_report = b.report.to_json().to_string_compact();
         assert_eq!(a.metrics.trace_hash, b.metrics.trace_hash, "{key:?}");

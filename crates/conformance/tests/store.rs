@@ -20,8 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use seer_conformance::replay::fixture_line;
 use seer_harness::{
-    default_jobs, execute_cell, Cell, CellExecutor, CellKey, HarnessConfig, Plan, PolicyKind,
-    Store, SupervisorConfig,
+    env_config, execute_cell, Cell, CellExecutor, CellKey, HarnessConfig, Plan, PolicyKind, Store,
 };
 use seer_stamp::Benchmark;
 
@@ -46,7 +45,7 @@ fn config() -> HarnessConfig {
     HarnessConfig {
         seeds: 1,
         scale: SCALE,
-        jobs: default_jobs(),
+        jobs: env_config().jobs,
     }
 }
 
@@ -94,7 +93,7 @@ fn warm_start_reproduces_the_replay_fixtures() {
     let plan = plan_of(&cells);
 
     // Cold pass: everything simulated, everything persisted.
-    let cold = CellExecutor::with_store(config(), Store::open(&root));
+    let cold = CellExecutor::new(config(), Some(Store::open(&root)), None);
     let report = cold.execute(&plan);
     assert!(report.complete(), "cold pass failed: {report:?}");
     assert_eq!(report.computed, cells.len() as u64);
@@ -103,7 +102,7 @@ fn warm_start_reproduces_the_replay_fixtures() {
 
     // Warm pass in a "new process": fresh executor, empty memo cache,
     // same store directory. Not one simulation may run.
-    let warm = CellExecutor::with_store(config(), Store::open(&root));
+    let warm = CellExecutor::new(config(), Some(Store::open(&root)), None);
     let report = warm.execute(&plan);
     assert!(report.complete(), "warm pass failed: {report:?}");
     assert_eq!(
@@ -138,21 +137,21 @@ fn interrupted_sweep_resumes_bit_identically() {
     let plan = plan_of(&cells);
 
     // The uninterrupted reference: no store, one executor, full plan.
-    let reference = CellExecutor::new(config());
+    let reference = CellExecutor::new(config(), None, None);
     assert!(reference.execute(&plan).complete());
 
     // The "crashed" run: a store-backed executor gets through only the
     // first half of the plan before the process dies (dropping the
     // executor loses the memo cache, exactly like a kill would).
     let half = cells.len() / 2;
-    let crashed = CellExecutor::with_store(config(), Store::open(&root));
+    let crashed = CellExecutor::new(config(), Some(Store::open(&root)), None);
     let report = crashed.execute(&plan_of(&cells[..half]));
     assert!(report.complete());
     drop(crashed);
 
     // Resume: same store, full plan. Completed shards are the
     // checkpoint — only the gap is simulated.
-    let resumed = CellExecutor::with_store(config(), Store::open(&root));
+    let resumed = CellExecutor::new(config(), Some(Store::open(&root)), None);
     let report = resumed.execute(&plan);
     assert!(report.complete(), "resume failed: {report:?}");
     assert_eq!(report.disk_hits, half as u64, "{report:?}");
@@ -186,12 +185,15 @@ fn poisoned_cell_degrades_into_a_partial_report() {
 
     // An executor whose run function panics on one cell: the fault is
     // isolated into a FailedItem, the siblings complete and persist.
-    let bad = seer_store::Executor::new(default_jobs(), move |key: CellKey| {
-        assert!(key != poisoned, "injected fault");
-        execute_cell(key.cell(), key.seed, key.scale(), None)
-    })
-    .with_store(Store::open(&root))
-    .with_supervisor(SupervisorConfig::fail_fast());
+    let bad = seer_store::Executor::new(
+        env_config().jobs,
+        Some(Store::open(&root)),
+        None,
+        move |key: CellKey| {
+            assert!(key != poisoned, "injected fault");
+            execute_cell(key.cell(), key.seed, key.scale(), None)
+        },
+    );
     let report = bad.execute(&generic_plan);
     assert!(!report.complete());
     assert_eq!(report.failed.len(), 1, "{report:?}");
@@ -200,7 +202,7 @@ fn poisoned_cell_degrades_into_a_partial_report() {
     drop(bad);
 
     // A healthy resume against the same store computes exactly the hole.
-    let healthy = CellExecutor::with_store(config(), Store::open(&root));
+    let healthy = CellExecutor::new(config(), Some(Store::open(&root)), None);
     let report = healthy.execute(&plan_of(&cells));
     assert!(report.complete(), "healthy resume failed: {report:?}");
     assert_eq!(report.disk_hits, (keys.len() - 1) as u64, "{report:?}");

@@ -12,7 +12,7 @@
 //! ```
 
 use seer_conformance::replay::{fixture_line, replay_cell};
-use seer_harness::{default_jobs, parallel_map, Cell, PolicyKind};
+use seer_harness::{env_config, parallel_map, Cell, PolicyKind};
 use seer_stamp::Benchmark;
 
 const SCALE: f64 = 0.08;
@@ -32,7 +32,7 @@ const CELL: Cell = Cell {
 #[test]
 fn synth_cell_replays_bit_identically_across_two_seeds() {
     let seeds = [0u64, 1];
-    let lines = parallel_map(&seeds, default_jobs(), |&seed| {
+    let lines = parallel_map(&seeds, env_config().jobs, |&seed| {
         let metrics = replay_cell(CELL, seed, SCALE);
         let violations = metrics.check_conservation();
         assert!(violations.is_empty(), "seed {seed}: {violations:#?}");

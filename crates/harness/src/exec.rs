@@ -8,14 +8,14 @@
 //! an experiment *declares* its grid as a [`Plan`] (a deduplicated set of
 //! `Cell × seed` work items) and hands it to a [`CellExecutor`].
 //!
-//! Since PR 7 the machinery behind the executor — deduplicating plans,
-//! `parallel_map` fan-out, the memo cache with hit/miss counters, the
-//! disk store and the supervision layer — lives in `seer-store`'s generic
-//! [`Executor`]; this module is the *cell-shaped* instantiation: it picks
-//! `K = CellKey`, `V = RunMetrics`, supplies the run function (the
-//! runner's `execute_cell`), and keeps the harness-flavoured plan sugar
-//! (`add`/`add_grid` expanding a `HarnessConfig`) and assembly helpers
-//! (`metrics`/`cell`).
+//! The machinery behind the executor — deduplicating plans,
+//! `parallel_map` fan-out, the memo cache, the disk store and the
+//! supervision layer — lives in `seer-store`'s generic [`Executor`]; this
+//! module is the *cell-shaped* instantiation: it picks `K = CellKey`,
+//! `V = RunMetrics`, supplies the run function (the runner's
+//! `execute_cell`), and keeps the harness-flavoured plan sugar
+//! (`add`/`add_grid` expanding a `HarnessConfig`) and the cache-only
+//! assembly reads (`cached`/`cell`).
 //!
 //! Every cell's discrete-event run is a pure function of
 //! `(cell, seed, scale)` — seeded via [`sim_seed`], sharing no state with
@@ -26,8 +26,10 @@
 //!
 //! [`sim_seed`]: crate::runner::sim_seed
 
+use std::time::Duration;
+
 use seer_runtime::RunMetrics;
-use seer_store::{ExecReport, Executor, Json, Store, SupervisorConfig, ToJson};
+use seer_store::{ExecReport, Executor, Json, Store, ToJson};
 
 use crate::runner::{execute_cell, Cell, CellResult, HarnessConfig};
 
@@ -110,6 +112,20 @@ impl seer_store::StoreKey for CellKey {
     }
 }
 
+/// `benchmark/policy/tN/sS`: how failure lists name a cell.
+impl std::fmt::Display for CellKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}/{}/t{}/s{}",
+            self.benchmark.spec(),
+            self.policy.spec(),
+            self.threads,
+            self.seed
+        )
+    }
+}
+
 /// A declarative, deduplicated set of `Cell × seed` work items.
 ///
 /// Experiments build a `Plan` up front (usually via [`Plan::add_grid`]),
@@ -134,8 +150,7 @@ impl Plan {
     }
 
     /// Adds `cell` under `cfg`: one item per seed `0..cfg.seeds` at
-    /// `cfg.scale` (the expansion [`crate::runner::run_cell`] averages
-    /// over).
+    /// `cfg.scale` (the expansion [`CellExecutor::cell`] averages over).
     pub fn add(&mut self, cell: Cell, cfg: &HarnessConfig) {
         for seed in 0..cfg.seeds {
             self.add_one(cell, seed, cfg.scale);
@@ -175,26 +190,16 @@ impl Plan {
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
-
-    /// The unique items, in insertion order.
-    pub fn items(&self) -> &[CellKey] {
-        self.inner.items()
-    }
-
-    /// The underlying generic plan.
-    pub fn as_generic(&self) -> &seer_store::Plan<CellKey> {
-        &self.inner
-    }
 }
 
-/// The parallel, memoizing executor behind every figure, table, bench and
+/// The parallel, memoizing executor behind every figure, table and
 /// sweep: the workspace's one way to turn a [`Plan`] into metrics.
 ///
 /// A thin instantiation of `seer-store`'s generic [`Executor`]: results
 /// are memoized per [`CellKey`] for the lifetime of the executor, served
 /// from an attached disk [`Store`] across processes, and computed under
-/// supervision (retry/deadline/panic isolation) when planned. The
-/// executor is `Sync`; its workers only ever write distinct keys, and
+/// supervision (panic isolation and the optional deadline) when planned.
+/// The executor is `Sync`; its workers only ever write distinct keys, and
 /// readers assemble results by key, which is why `--jobs N` is
 /// bit-identical to `--jobs 1` for every N.
 #[derive(Debug)]
@@ -206,30 +211,13 @@ pub struct CellExecutor {
 impl CellExecutor {
     /// An executor with an empty cache over `cfg` (which fixes the default
     /// seeds/scale for [`Plan::add`] expansion and `jobs` for fan-out).
-    /// No disk store; supervision from the environment knobs.
-    pub fn new(cfg: HarnessConfig) -> Self {
-        Self::with_options(cfg, None, SupervisorConfig::from_env())
-    }
-
-    /// [`CellExecutor::new`] plus a disk store: planned results load from
-    /// `store` before simulating and persist to it after.
-    pub fn with_store(cfg: HarnessConfig, store: Store) -> Self {
-        Self::with_options(cfg, Some(store), SupervisorConfig::from_env())
-    }
-
-    /// Fully explicit constructor.
-    pub fn with_options(
-        cfg: HarnessConfig,
-        store: Option<Store>,
-        supervisor: SupervisorConfig,
-    ) -> Self {
-        let mut inner = Executor::new(cfg.jobs, |key: CellKey| {
+    /// With a `store`, planned results load from it before simulating and
+    /// persist to it after; with a `deadline`, a cell still simulating
+    /// after that much wall-clock time fails as timed out.
+    pub fn new(cfg: HarnessConfig, store: Option<Store>, deadline: Option<Duration>) -> Self {
+        let inner = Executor::new(cfg.jobs, store, deadline, |key: CellKey| {
             execute_cell(key.cell(), key.seed, key.scale(), None)
-        })
-        .with_supervisor(supervisor);
-        if let Some(store) = store {
-            inner = inner.with_store(store);
-        }
+        });
         Self { cfg, inner }
     }
 
@@ -252,51 +240,21 @@ impl CellExecutor {
         self.inner.execute(&plan.inner)
     }
 
-    /// Raw metrics of one `(cell, seed)` run at an explicit scale,
-    /// simulating on a cache miss (serially — batch work belongs in a
-    /// [`Plan`]).
-    pub fn metrics_at(&self, cell: Cell, seed: u64, scale: f64) -> RunMetrics {
-        self.inner.get(CellKey::new(cell, seed, scale))
-    }
-
-    /// The memoized metrics of one item, without computing anything: the
-    /// non-panicking read used to assemble partial reports around failed
-    /// cells.
+    /// The metrics of one `(cell, seed, scale)` item an earlier
+    /// [`execute`](Self::execute) resolved, without computing anything;
+    /// `None` for an item that failed or was never planned.
     pub fn cached(&self, cell: Cell, seed: u64, scale: f64) -> Option<RunMetrics> {
         self.inner.cached(&CellKey::new(cell, seed, scale))
     }
 
-    /// Raw metrics of one `(cell, seed)` run at the executor's scale.
-    pub fn metrics(&self, cell: Cell, seed: u64) -> RunMetrics {
-        self.metrics_at(cell, seed, self.cfg.scale)
-    }
-
     /// Seed-averaged measurements of `cell` over the executor's
-    /// `cfg.seeds` at `cfg.scale` — the memoized equivalent of
-    /// [`crate::runner::run_cell`].
-    pub fn cell(&self, cell: Cell) -> CellResult {
-        let runs: Vec<RunMetrics> = (0..self.cfg.seeds)
-            .map(|seed| self.metrics(cell, seed))
-            .collect();
-        CellResult::average(&runs)
-    }
-
-    /// Memo-cache reads that were served without simulating.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits()
-    }
-
-    /// Simulations actually performed (the duplicate-work counter: after
-    /// any sequence of experiments this equals the number of unique
-    /// `(cell, seed, scale)` items they collectively declared, minus
-    /// anything the disk store already had).
-    pub fn misses(&self) -> u64 {
-        self.inner.misses()
-    }
-
-    /// Results served from the disk store instead of simulating.
-    pub fn disk_hits(&self) -> u64 {
-        self.inner.disk_hits()
+    /// `cfg.seeds` at `cfg.scale`, read from the cache; `None` unless
+    /// every seed has a result.
+    pub fn cell(&self, cell: Cell) -> Option<CellResult> {
+        let runs = (0..self.cfg.seeds)
+            .map(|seed| self.cached(cell, seed, self.cfg.scale))
+            .collect::<Option<Vec<RunMetrics>>>()?;
+        Some(CellResult::average(&runs))
     }
 }
 
@@ -339,23 +297,25 @@ mod tests {
             scale: 0.1,
             jobs: 2,
         };
-        let exec = CellExecutor::new(cfg);
+        let exec = CellExecutor::new(cfg, None, None);
+        assert_eq!(
+            exec.cell(cell(2)),
+            None,
+            "nothing is resolved before execute"
+        );
         let mut plan = Plan::new();
         plan.add(cell(2), &cfg);
-        exec.execute(&plan);
-        assert_eq!(exec.misses(), 2);
-        assert_eq!(exec.hits(), 0);
+        let report = exec.execute(&plan);
+        assert_eq!((report.computed, report.memo_hits), (2, 0));
         // Re-executing the same plan simulates nothing.
-        exec.execute(&plan);
-        assert_eq!(exec.misses(), 2);
-        assert_eq!(exec.hits(), 2);
-        // Assembly over the cached seeds is all hits.
-        let r = exec.cell(cell(2));
-        assert!(r.speedup > 0.0);
-        assert_eq!(exec.misses(), 2);
-        assert_eq!(exec.hits(), 4);
+        let report = exec.execute(&plan);
+        assert_eq!((report.computed, report.memo_hits), (0, 2));
         // No store attached: nothing can be a disk hit.
-        assert_eq!(exec.disk_hits(), 0);
+        assert_eq!(report.disk_hits, 0);
+        // Assembly reads the cached seeds.
+        let r = exec.cell(cell(2)).expect("both seeds cached");
+        assert!(r.speedup > 0.0);
+        assert_eq!(exec.cell(cell(4)), None, "unplanned cells stay unresolved");
     }
 
     #[test]
@@ -365,15 +325,60 @@ mod tests {
             scale: 0.1,
             jobs: 2,
         };
-        let exec = CellExecutor::new(cfg);
+        let exec = CellExecutor::new(cfg, None, None);
         let mut plan = Plan::new();
         plan.add(cell(4), &cfg);
         exec.execute(&plan);
-        let cached = exec.metrics(cell(4), 0);
+        let cached = exec.cached(cell(4), 0, 0.1).expect("planned");
         let fresh = execute_cell(cell(4), 0, 0.1, None);
         assert_eq!(cached.trace_hash, fresh.trace_hash);
         assert_eq!(cached.makespan, fresh.makespan);
         assert_eq!(cached.commits, fresh.commits);
+    }
+
+    /// Seed-averaged results of `cell` from a fresh executor.
+    fn cold_cell(cell: Cell, cfg: HarnessConfig) -> CellResult {
+        let exec = CellExecutor::new(cfg, None, None);
+        let mut plan = Plan::new();
+        plan.add(cell, &cfg);
+        assert!(exec.execute(&plan).complete());
+        exec.cell(cell).expect("every seed cached")
+    }
+
+    #[test]
+    fn run_cell_is_deterministic() {
+        let cfg = HarnessConfig {
+            seeds: 2,
+            scale: 0.1,
+            jobs: 1,
+        };
+        let a = cold_cell(cell(4), cfg);
+        let b = cold_cell(cell(4), cfg);
+        assert_eq!(a.speedup, b.speedup);
+        assert_eq!(a.abort_ratio, b.abort_ratio);
+        assert!(a.speedup > 0.0);
+    }
+
+    #[test]
+    fn mode_fractions_sum_to_one() {
+        let kmeans = Cell {
+            benchmark: Benchmark::KmeansHigh,
+            policy: PolicyKind::Seer,
+            threads: 4,
+        };
+        let cfg = HarnessConfig {
+            seeds: 1,
+            scale: 0.2,
+            jobs: 1,
+        };
+        let r = cold_cell(kmeans, cfg);
+        let total: f64 = r.mode_fractions.iter().sum();
+        assert!((total - 1.0).abs() < 1e-9, "fractions sum to {total}");
+    }
+
+    #[test]
+    fn cell_keys_render_their_coordinates() {
+        assert_eq!(CellKey::new(cell(2), 3, 0.1).to_string(), "ssca2/rtm/t2/s3");
     }
 
     #[test]

@@ -3,25 +3,40 @@
 //! Each function *declares* its grid as a [`Plan`], hands it to the shared
 //! [`CellExecutor`] (which deduplicates, memoizes, and fans work out across
 //! `cfg.jobs` OS threads), then assembles the figure from cached results;
-//! `seer experiment <name>` renders them. Tests and the Criterion benches
-//! call the same functions at reduced scale, so every number in
-//! `EXPERIMENTS.md` is regenerable from exactly one place — and figures
-//! sharing cells (Table 3 re-reads every Figure 3 cell; Figures 4/5 share
-//! the profile-only baselines) simulate each unique cell exactly once per
-//! executor.
+//! `seer experiment <name>` renders them. Tests call the same functions at
+//! reduced scale, so every number in `EXPERIMENTS.md` is regenerable from
+//! exactly one place — and figures sharing cells (Table 3 re-reads every
+//! Figure 3 cell; Figures 4/5 share the profile-only baselines) simulate
+//! each unique cell exactly once per executor.
+//!
+//! Every experiment that plans cells returns a [`Planned`]: the
+//! executor's report on its plan, and the figure only if every planned
+//! cell has a result. A failed cell is reported, never recomputed.
 
 use seer_stamp::Benchmark;
-use seer_store::{Json, ToJson};
+use seer_store::{ExecReport, Json, ToJson};
 
-use crate::exec::{parallel_map, CellExecutor, Plan};
+use crate::exec::{parallel_map, CellExecutor, CellKey, Plan};
 use crate::policy::PolicyKind;
 use crate::report::{Panel, PercentTable, Series};
-use crate::runner::{default_jobs, execute_cell, geometric_mean, Cell};
+use crate::runner::{geometric_mean, Cell};
 
 /// Thread counts swept by Figure 3 / Figure 4.
 pub const THREADS_FULL: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 /// Thread counts reported by Table 3 / Figure 5.
 pub const THREADS_TABLE: [usize; 4] = [2, 4, 6, 8];
+
+/// What an experiment that plans cells returns: the executor's report on
+/// its plan, and the figure — `None` when a planned cell failed.
+pub type Planned<T> = (ExecReport<CellKey>, Option<T>);
+
+/// Executes `plan`, then assembles the figure from the cache only if
+/// every planned cell has a result.
+fn planned<T>(exec: &CellExecutor, plan: &Plan, figure: impl FnOnce() -> Option<T>) -> Planned<T> {
+    let report = exec.execute(plan);
+    let figure = if report.complete() { figure() } else { None };
+    (report, figure)
+}
 
 fn cell(benchmark: Benchmark, policy: PolicyKind, threads: usize) -> Cell {
     Cell {
@@ -31,9 +46,14 @@ fn cell(benchmark: Benchmark, policy: PolicyKind, threads: usize) -> Cell {
     }
 }
 
+/// Seed-averaged speedup of one cached cell.
+fn speedup(exec: &CellExecutor, benchmark: Benchmark, policy: PolicyKind, t: usize) -> Option<f64> {
+    exec.cell(cell(benchmark, policy, t)).map(|r| r.speedup)
+}
+
 /// Figure 3: speedup of HLE/RTM/SCM/Seer over sequential, per benchmark
 /// (panels a–h) plus the geometric-mean panel (i).
-pub fn figure3(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
+pub fn figure3(exec: &CellExecutor, threads: &[usize]) -> Planned<Vec<Panel>> {
     let mut plan = Plan::new();
     plan.add_grid(
         &Benchmark::STAMP,
@@ -41,55 +61,55 @@ pub fn figure3(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
         threads,
         exec.config(),
     );
-    exec.execute(&plan);
-
-    let mut panels = Vec::new();
-    // Per-policy, per-thread speedups across benchmarks, for the geo-mean.
-    let mut all: Vec<Vec<Vec<f64>>> =
-        vec![vec![Vec::new(); threads.len()]; PolicyKind::FIGURE3.len()];
-    for &benchmark in &Benchmark::STAMP {
-        let mut series = Vec::new();
-        for (pi, &policy) in PolicyKind::FIGURE3.iter().enumerate() {
-            let mut points = Vec::new();
-            for (ti, &t) in threads.iter().enumerate() {
-                let r = exec.cell(cell(benchmark, policy, t));
-                points.push((t, r.speedup));
-                all[pi][ti].push(r.speedup);
+    planned(exec, &plan, || {
+        let mut panels = Vec::new();
+        // Per-policy, per-thread speedups across benchmarks, for the geo-mean.
+        let mut all: Vec<Vec<Vec<f64>>> =
+            vec![vec![Vec::new(); threads.len()]; PolicyKind::FIGURE3.len()];
+        for &benchmark in &Benchmark::STAMP {
+            let mut series = Vec::new();
+            for (pi, &policy) in PolicyKind::FIGURE3.iter().enumerate() {
+                let mut points = Vec::new();
+                for (ti, &t) in threads.iter().enumerate() {
+                    let s = speedup(exec, benchmark, policy, t)?;
+                    points.push((t, s));
+                    all[pi][ti].push(s);
+                }
+                series.push(Series {
+                    label: policy.label().to_string(),
+                    points,
+                });
             }
-            series.push(Series {
-                label: policy.label().to_string(),
-                points,
+            panels.push(Panel {
+                title: benchmark.name().to_string(),
+                series,
             });
         }
+        let geo_series = PolicyKind::FIGURE3
+            .iter()
+            .enumerate()
+            .map(|(pi, &policy)| Series {
+                label: policy.label().to_string(),
+                points: threads
+                    .iter()
+                    .enumerate()
+                    .map(|(ti, &t)| (t, geometric_mean(&all[pi][ti])))
+                    .collect(),
+            })
+            .collect();
         panels.push(Panel {
-            title: benchmark.name().to_string(),
-            series,
+            title: "geometric mean in STAMP".to_string(),
+            series: geo_series,
         });
-    }
-    let geo_series = PolicyKind::FIGURE3
-        .iter()
-        .enumerate()
-        .map(|(pi, &policy)| Series {
-            label: policy.label().to_string(),
-            points: threads
-                .iter()
-                .enumerate()
-                .map(|(ti, &t)| (t, geometric_mean(&all[pi][ti])))
-                .collect(),
-        })
-        .collect();
-    panels.push(Panel {
-        title: "geometric mean in STAMP".to_string(),
-        series: geo_series,
-    });
-    panels
+        Some(panels)
+    })
 }
 
 /// Table 3: breakdown of committed-transaction modes per policy at the
 /// reported thread counts, averaged across the STAMP benchmarks. Returns
 /// one table per policy, plus (as the paper's §5.2 text reports) the mean
 /// per-run median fraction of transaction locks Seer acquires.
-pub fn table3(exec: &CellExecutor, threads: &[usize]) -> (Vec<PercentTable>, Option<f64>) {
+pub fn table3(exec: &CellExecutor, threads: &[usize]) -> Planned<(Vec<PercentTable>, Option<f64>)> {
     use seer_runtime::TxMode;
     let mut plan = Plan::new();
     plan.add_grid(
@@ -98,56 +118,56 @@ pub fn table3(exec: &CellExecutor, threads: &[usize]) -> (Vec<PercentTable>, Opt
         threads,
         exec.config(),
     );
-    exec.execute(&plan);
-
-    let mut tables = Vec::new();
-    let mut seer_lock_fractions = Vec::new();
-    for &policy in &PolicyKind::FIGURE3 {
-        let mut rows: Vec<(String, Vec<f64>)> = TxMode::ALL
-            .iter()
-            .map(|m| (m.label().to_string(), Vec::new()))
-            .collect();
-        for &t in threads {
-            let mut mode_acc = [0.0f64; 6];
-            for &benchmark in &Benchmark::STAMP {
-                let r = exec.cell(cell(benchmark, policy, t));
-                for (acc, f) in mode_acc.iter_mut().zip(r.mode_fractions) {
-                    *acc += f;
-                }
-                if policy == PolicyKind::Seer {
-                    if let Some(f) = r.median_tx_lock_fraction {
-                        seer_lock_fractions.push(f);
+    planned(exec, &plan, || {
+        let mut tables = Vec::new();
+        let mut seer_lock_fractions = Vec::new();
+        for &policy in &PolicyKind::FIGURE3 {
+            let mut rows: Vec<(String, Vec<f64>)> = TxMode::ALL
+                .iter()
+                .map(|m| (m.label().to_string(), Vec::new()))
+                .collect();
+            for &t in threads {
+                let mut mode_acc = [0.0f64; 6];
+                for &benchmark in &Benchmark::STAMP {
+                    let r = exec.cell(cell(benchmark, policy, t))?;
+                    for (acc, f) in mode_acc.iter_mut().zip(r.mode_fractions) {
+                        *acc += f;
+                    }
+                    if policy == PolicyKind::Seer {
+                        if let Some(f) = r.median_tx_lock_fraction {
+                            seer_lock_fractions.push(f);
+                        }
                     }
                 }
+                for i in 0..6 {
+                    rows[i].1.push(mode_acc[i] / Benchmark::STAMP.len() as f64);
+                }
             }
-            for i in 0..6 {
-                rows[i].1.push(mode_acc[i] / Benchmark::STAMP.len() as f64);
-            }
+            // The paper's Table 3 only prints rows a variant can populate.
+            let rows = rows
+                .into_iter()
+                .filter(|(_, values)| values.iter().any(|&v| v >= 0.0005))
+                .collect();
+            tables.push(PercentTable {
+                title: policy.label().to_string(),
+                columns: threads.iter().map(|t| format!("{t}t")).collect(),
+                rows,
+            });
         }
-        // The paper's Table 3 only prints rows a variant can populate.
-        let rows = rows
-            .into_iter()
-            .filter(|(_, values)| values.iter().any(|&v| v >= 0.0005))
-            .collect();
-        tables.push(PercentTable {
-            title: policy.label().to_string(),
-            columns: threads.iter().map(|t| format!("{t}t")).collect(),
-            rows,
-        });
-    }
-    let lock_fraction = if seer_lock_fractions.is_empty() {
-        None
-    } else {
-        Some(seer_lock_fractions.iter().sum::<f64>() / seer_lock_fractions.len() as f64)
-    };
-    (tables, lock_fraction)
+        let lock_fraction = if seer_lock_fractions.is_empty() {
+            None
+        } else {
+            Some(seer_lock_fractions.iter().sum::<f64>() / seer_lock_fractions.len() as f64)
+        };
+        Some((tables, lock_fraction))
+    })
 }
 
 /// Figure 4: geometric-mean speedup of profile-only Seer relative to RTM,
 /// per thread count — the cost of monitoring + inference + self-tuning
 /// without any scheduling benefit. Includes the low-contention hash map as
 /// an extra series (§5.3 reports ≤4% overhead there).
-pub fn figure4(exec: &CellExecutor, threads: &[usize]) -> Panel {
+pub fn figure4(exec: &CellExecutor, threads: &[usize]) -> Planned<Panel> {
     let mut benchmarks = Benchmark::STAMP.to_vec();
     benchmarks.push(Benchmark::HashmapLow);
     let mut plan = Plan::new();
@@ -157,42 +177,43 @@ pub fn figure4(exec: &CellExecutor, threads: &[usize]) -> Panel {
         threads,
         exec.config(),
     );
-    exec.execute(&plan);
-
-    let mut stamp_points = Vec::new();
-    let mut hashmap_points = Vec::new();
-    for &t in threads {
-        let mut ratios = Vec::new();
-        for &benchmark in &Benchmark::STAMP {
-            let rtm = exec.cell(cell(benchmark, PolicyKind::Rtm, t));
-            let prof = exec.cell(cell(benchmark, PolicyKind::SeerProfileOnly, t));
-            ratios.push(prof.speedup / rtm.speedup);
+    planned(exec, &plan, || {
+        let ratio = |benchmark, t| {
+            Some(
+                speedup(exec, benchmark, PolicyKind::SeerProfileOnly, t)?
+                    / speedup(exec, benchmark, PolicyKind::Rtm, t)?,
+            )
+        };
+        let mut stamp_points = Vec::new();
+        let mut hashmap_points = Vec::new();
+        for &t in threads {
+            let ratios = Benchmark::STAMP
+                .iter()
+                .map(|&benchmark| ratio(benchmark, t))
+                .collect::<Option<Vec<f64>>>()?;
+            stamp_points.push((t, geometric_mean(&ratios)));
+            hashmap_points.push((t, ratio(Benchmark::HashmapLow, t)?));
         }
-        stamp_points.push((t, geometric_mean(&ratios)));
-
-        let rtm = exec.cell(cell(Benchmark::HashmapLow, PolicyKind::Rtm, t));
-        let prof = exec.cell(cell(Benchmark::HashmapLow, PolicyKind::SeerProfileOnly, t));
-        hashmap_points.push((t, prof.speedup / rtm.speedup));
-    }
-    Panel {
-        title: "Seer(profile-only) relative to RTM".to_string(),
-        series: vec![
-            Series {
-                label: "STAMP geo-mean".to_string(),
-                points: stamp_points,
-            },
-            Series {
-                label: "hashmap-low".to_string(),
-                points: hashmap_points,
-            },
-        ],
-    }
+        Some(Panel {
+            title: "Seer(profile-only) relative to RTM".to_string(),
+            series: vec![
+                Series {
+                    label: "STAMP geo-mean".to_string(),
+                    points: stamp_points,
+                },
+                Series {
+                    label: "hashmap-low".to_string(),
+                    points: hashmap_points,
+                },
+            ],
+        })
+    })
 }
 
 /// Figure 5: cumulative contribution of each Seer mechanism — speedup of
 /// each variant relative to the profile-only baseline, per benchmark and
 /// thread count, plus the geometric-mean panel.
-pub fn figure5(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
+pub fn figure5(exec: &CellExecutor, threads: &[usize]) -> Planned<Vec<Panel>> {
     let mut plan = Plan::new();
     plan.add_grid(
         &Benchmark::STAMP,
@@ -200,61 +221,57 @@ pub fn figure5(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
         threads,
         exec.config(),
     );
-    exec.execute(&plan);
-
-    let mut panels = Vec::new();
-    let variants = &PolicyKind::FIGURE5[1..]; // baseline is the divisor
-    let mut all: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); threads.len()]; variants.len()];
-    for &benchmark in &Benchmark::STAMP {
-        let base: Vec<f64> = threads
-            .iter()
-            .map(|&t| {
-                exec.cell(cell(benchmark, PolicyKind::SeerProfileOnly, t))
-                    .speedup
-            })
-            .collect();
-        let mut series = Vec::new();
-        for (vi, &policy) in variants.iter().enumerate() {
-            let mut points = Vec::new();
-            for (ti, &t) in threads.iter().enumerate() {
-                let r = exec.cell(cell(benchmark, policy, t));
-                let rel = r.speedup / base[ti];
-                points.push((t, rel));
-                all[vi][ti].push(rel);
+    planned(exec, &plan, || {
+        let mut panels = Vec::new();
+        let variants = &PolicyKind::FIGURE5[1..]; // baseline is the divisor
+        let mut all: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); threads.len()]; variants.len()];
+        for &benchmark in &Benchmark::STAMP {
+            let base = threads
+                .iter()
+                .map(|&t| speedup(exec, benchmark, PolicyKind::SeerProfileOnly, t))
+                .collect::<Option<Vec<f64>>>()?;
+            let mut series = Vec::new();
+            for (vi, &policy) in variants.iter().enumerate() {
+                let mut points = Vec::new();
+                for (ti, &t) in threads.iter().enumerate() {
+                    let rel = speedup(exec, benchmark, policy, t)? / base[ti];
+                    points.push((t, rel));
+                    all[vi][ti].push(rel);
+                }
+                series.push(Series {
+                    label: policy.label().to_string(),
+                    points,
+                });
             }
-            series.push(Series {
-                label: policy.label().to_string(),
-                points,
+            panels.push(Panel {
+                title: benchmark.name().to_string(),
+                series,
             });
         }
+        let geo = variants
+            .iter()
+            .enumerate()
+            .map(|(vi, &policy)| Series {
+                label: policy.label().to_string(),
+                points: threads
+                    .iter()
+                    .enumerate()
+                    .map(|(ti, &t)| (t, geometric_mean(&all[vi][ti])))
+                    .collect(),
+            })
+            .collect();
         panels.push(Panel {
-            title: benchmark.name().to_string(),
-            series,
+            title: "geo-mean".to_string(),
+            series: geo,
         });
-    }
-    let geo = variants
-        .iter()
-        .enumerate()
-        .map(|(vi, &policy)| Series {
-            label: policy.label().to_string(),
-            points: threads
-                .iter()
-                .enumerate()
-                .map(|(ti, &t)| (t, geometric_mean(&all[vi][ti])))
-                .collect(),
-        })
-        .collect();
-    panels.push(Panel {
-        title: "geo-mean".to_string(),
-        series: geo,
-    });
-    panels
+        Some(panels)
+    })
 }
 
 /// §5.3 core-locks-only ablation: geometric-mean speedup of
 /// core-locks-only Seer relative to profile-only Seer (the paper reports
 /// +9% at 6 threads and +22% at 8).
-pub fn core_locks_only(exec: &CellExecutor, threads: &[usize]) -> Panel {
+pub fn core_locks_only(exec: &CellExecutor, threads: &[usize]) -> Planned<Panel> {
     let mut plan = Plan::new();
     plan.add_grid(
         &Benchmark::STAMP,
@@ -262,25 +279,28 @@ pub fn core_locks_only(exec: &CellExecutor, threads: &[usize]) -> Panel {
         threads,
         exec.config(),
     );
-    exec.execute(&plan);
-
-    let mut points = Vec::new();
-    for &t in threads {
-        let mut ratios = Vec::new();
-        for &benchmark in &Benchmark::STAMP {
-            let base = exec.cell(cell(benchmark, PolicyKind::SeerProfileOnly, t));
-            let core = exec.cell(cell(benchmark, PolicyKind::SeerCoreLocksOnly, t));
-            ratios.push(core.speedup / base.speedup);
+    planned(exec, &plan, || {
+        let mut points = Vec::new();
+        for &t in threads {
+            let ratios = Benchmark::STAMP
+                .iter()
+                .map(|&benchmark| {
+                    Some(
+                        speedup(exec, benchmark, PolicyKind::SeerCoreLocksOnly, t)?
+                            / speedup(exec, benchmark, PolicyKind::SeerProfileOnly, t)?,
+                    )
+                })
+                .collect::<Option<Vec<f64>>>()?;
+            points.push((t, geometric_mean(&ratios)));
         }
-        points.push((t, geometric_mean(&ratios)));
-    }
-    Panel {
-        title: "core-locks-only relative to profile-only".to_string(),
-        series: vec![Series {
-            label: "geo-mean".to_string(),
-            points,
-        }],
-    }
+        Some(Panel {
+            title: "core-locks-only relative to profile-only".to_string(),
+            series: vec![Series {
+                label: "geo-mean".to_string(),
+                points,
+            }],
+        })
+    })
 }
 
 /// Inference-accuracy scores for one benchmark at one thread count.
@@ -314,14 +334,19 @@ impl ToJson for AccuracyResult {
 /// Extra experiment (not in the paper, enabled by the simulator's oracle):
 /// score Seer's inferred conflict relation against the ground-truth kill
 /// matrix. A true pair is one responsible for ≥ `significance` of the
-/// victim block's recorded kills. Benchmarks fan out across `SEER_JOBS`
+/// victim block's recorded kills. Benchmarks fan out across `jobs` OS
 /// threads (these runs need post-run scheduler state, so they bypass the
 /// cell cache).
-pub fn inference_accuracy(threads: usize, scale: f64, significance: f64) -> Vec<AccuracyResult> {
+pub fn inference_accuracy(
+    threads: usize,
+    scale: f64,
+    significance: f64,
+    jobs: usize,
+) -> Vec<AccuracyResult> {
     use seer::{Seer, SeerConfig};
     use seer_runtime::{run, DriverConfig, Workload};
 
-    parallel_map(&Benchmark::STAMP, default_jobs(), |&benchmark| {
+    parallel_map(&Benchmark::STAMP, jobs, |&benchmark| {
         let mut workload = benchmark.instantiate_scaled(threads, scale);
         let blocks = workload.num_blocks();
         let mut sched = Seer::new(SeerConfig::full(), threads, blocks);
@@ -409,14 +434,14 @@ impl ToJson for FineGrainedResult {
 /// Future-work extension experiment (paper §6): Seer with block-granular
 /// locks vs Seer with (block × data-structure)-granular locks, obtained by
 /// refining block ids with `seer_stamp::RefinedModel`. Benchmarks fan out
-/// across `SEER_JOBS` threads.
-pub fn fine_grained(threads: usize, scale: f64, seeds: u64) -> Vec<FineGrainedResult> {
+/// across `jobs` OS threads.
+pub fn fine_grained(threads: usize, scale: f64, seeds: u64, jobs: usize) -> Vec<FineGrainedResult> {
     use seer::{Seer, SeerConfig};
     use seer_runtime::{run, DriverConfig, Workload};
     use seer_stamp::RefinedModel;
 
     const STRUCTURES: usize = 4;
-    parallel_map(&Benchmark::STAMP, default_jobs(), |&benchmark| {
+    parallel_map(&Benchmark::STAMP, jobs, |&benchmark| {
         let mut plain_speedup = 0.0;
         let mut refined_speedup = 0.0;
         let mut plain_pairs = 0usize;
@@ -478,13 +503,13 @@ impl ToJson for ConvergenceResult {
 /// Extra experiment: how quickly does Seer's locking scheme converge?
 /// The paper motivates its "relatively aggressive monitoring/optimization
 /// rates" by STAMP's short runs (§5.3); this measures the resulting
-/// convergence point directly. Benchmarks fan out across `SEER_JOBS`
+/// convergence point directly. Benchmarks fan out across `jobs` OS
 /// threads.
-pub fn convergence(threads: usize, scale: f64) -> Vec<ConvergenceResult> {
+pub fn convergence(threads: usize, scale: f64, jobs: usize) -> Vec<ConvergenceResult> {
     use seer::{Seer, SeerConfig};
     use seer_runtime::{run, DriverConfig, Workload};
 
-    parallel_map(&Benchmark::STAMP, default_jobs(), |&benchmark| {
+    parallel_map(&Benchmark::STAMP, jobs, |&benchmark| {
         let mut workload = benchmark.instantiate_scaled(threads, scale);
         let blocks = workload.num_blocks();
         let mut sched = Seer::new(SeerConfig::full(), threads, blocks);
@@ -504,28 +529,26 @@ pub fn convergence(threads: usize, scale: f64) -> Vec<ConvergenceResult> {
     })
 }
 
-/// Quick single-cell speedup at harness seed 0 (used by benches and
-/// tests).
-pub fn quick_speedup(benchmark: Benchmark, policy: PolicyKind, threads: usize, scale: f64) -> f64 {
-    execute_cell(cell(benchmark, policy, threads), 0, scale, None).speedup()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::HarnessConfig;
 
+    const TINY: HarnessConfig = HarnessConfig {
+        seeds: 1,
+        scale: 0.08,
+        jobs: 2,
+    };
+
     fn tiny() -> CellExecutor {
-        CellExecutor::new(HarnessConfig {
-            seeds: 1,
-            scale: 0.08,
-            jobs: 2,
-        })
+        CellExecutor::new(TINY, None, None)
     }
 
     #[test]
     fn figure3_has_nine_panels() {
-        let panels = figure3(&tiny(), &[2, 4]);
+        let (report, panels) = figure3(&tiny(), &[2, 4]);
+        assert!(report.complete());
+        let panels = panels.expect("a complete plan yields the figure");
         assert_eq!(panels.len(), 9);
         assert_eq!(panels[8].title, "geometric mean in STAMP");
         for p in &panels {
@@ -539,7 +562,8 @@ mod tests {
 
     #[test]
     fn table3_covers_policies_and_threads() {
-        let (tables, _) = table3(&tiny(), &[4]);
+        let (_, table) = table3(&tiny(), &[4]);
+        let (tables, _) = table.expect("complete");
         assert_eq!(tables.len(), 4);
         for t in &tables {
             assert_eq!(t.columns, vec!["4t"]);
@@ -555,15 +579,40 @@ mod tests {
 
     #[test]
     fn figure4_produces_ratio_series() {
-        let p = figure4(&tiny(), &[2]);
+        let (_, p) = figure4(&tiny(), &[2]);
+        let p = p.expect("complete");
         assert_eq!(p.series.len(), 2);
         let (_, r) = p.series[0].points[0];
         assert!(r > 0.5 && r < 1.5, "overhead ratio implausible: {r}");
     }
 
     #[test]
+    fn figure4_under_a_missed_deadline_reports_failures_and_yields_no_figure() {
+        let exec = CellExecutor::new(TINY, None, Some(std::time::Duration::from_millis(1)));
+        let (report, panel) = figure4(&exec, &[2]);
+        assert!(!report.failed.is_empty(), "a 1 ms deadline must fail cells");
+        assert!(
+            panel.is_none(),
+            "a figure was assembled around failed cells"
+        );
+        // Every planned cell was resolved exactly once: computed or failed,
+        // and a failed cell has no value behind the report's back.
+        assert_eq!(report.planned, (8 + 1) * 2);
+        assert_eq!(report.memo_hits + report.disk_hits, 0);
+        assert_eq!(
+            report.computed as usize + report.failed.len(),
+            report.planned
+        );
+        for f in &report.failed {
+            assert!(exec
+                .cached(f.key.cell(), f.key.seed, f.key.scale())
+                .is_none());
+        }
+    }
+
+    #[test]
     fn accuracy_scores_are_probabilities() {
-        for a in inference_accuracy(4, 0.08, 0.05) {
+        for a in inference_accuracy(4, 0.08, 0.05, 2) {
             assert!((0.0..=1.0).contains(&a.precision), "{a:?}");
             assert!((0.0..=1.0).contains(&a.recall), "{a:?}");
         }

@@ -42,30 +42,34 @@ pub mod trace_export;
 pub use exec::{parallel_map, CellExecutor, CellKey, Plan};
 pub use experiments::{
     convergence, core_locks_only, figure3, figure4, figure5, fine_grained, inference_accuracy,
-    table3, AccuracyResult, ConvergenceResult, FineGrainedResult, THREADS_FULL, THREADS_TABLE,
+    table3, AccuracyResult, ConvergenceResult, FineGrainedResult, Planned, THREADS_FULL,
+    THREADS_TABLE,
 };
 pub use policy::{PolicyKind, TunedParams, UnknownPolicy};
 pub use report::{maybe_write_json, Panel, PercentTable, Series};
-pub use runner::{
-    default_jobs, default_seeds, execute_cell, geometric_mean, run_cell, sim_seed, Cell,
-    CellResult, HarnessConfig,
-};
-pub use seer_store::{ExecReport, FailedItem, Json, RunFailure, Store, SupervisorConfig, ToJson};
+pub use runner::{execute_cell, geometric_mean, sim_seed, Cell, CellResult, HarnessConfig};
+pub use seer_store::{ExecReport, FailedItem, Json, RunFailure, Store, ToJson};
 pub use trace_export::{
     chrome_trace, inference_json, lifecycle_json, trace_jsonl, validate_trace_jsonl,
     write_chrome_trace, write_trace_jsonl,
 };
 
 /// Reads the common environment configuration for `seer experiment`
-/// (`SEER_SEEDS`, `SEER_SCALE`, `SEER_JOBS`). As with the other two, an
-/// invalid `SEER_SCALE` warns once and falls back to the default 1.0.
+/// and the CLI's `--jobs` default: `SEER_SEEDS` (default 3), `SEER_SCALE`
+/// (default 1.0) and `SEER_JOBS` (default 1), over
+/// [`HarnessConfig::default`]. The one reader of these variables. An
+/// invalid value warns once per process and falls back to the default.
 pub fn env_config() -> HarnessConfig {
-    static WARNED: Once = Once::new();
+    static SEEDS_WARNED: Once = Once::new();
+    static SCALE_WARNED: Once = Once::new();
+    static JOBS_WARNED: Once = Once::new();
     let mut cfg = HarnessConfig::default();
+    cfg.seeds = positive_env("SEER_SEEDS", cfg.seeds, &SEEDS_WARNED);
+    cfg.jobs = positive_env("SEER_JOBS", cfg.jobs as u64, &JOBS_WARNED) as usize;
     if let Ok(raw) = std::env::var("SEER_SCALE") {
         match parse_scale(&raw) {
             Some(scale) => cfg.scale = scale,
-            None => WARNED.call_once(|| {
+            None => SCALE_WARNED.call_once(|| {
                 eprintln!(
                     "warning: ignoring invalid SEER_SCALE={raw:?} \
                      (expected a positive number at most {}); using default {:?}",
@@ -76,6 +80,26 @@ pub fn env_config() -> HarnessConfig {
         }
     }
     cfg
+}
+
+/// Parses a positive integer from `env_name`, warning once per process on
+/// an invalid (unparsable or zero) value instead of silently falling back.
+fn positive_env(env_name: &str, default: u64, warned: &'static Once) -> u64 {
+    match std::env::var(env_name) {
+        Err(_) => default,
+        Ok(raw) => match raw.parse::<u64>() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                warned.call_once(|| {
+                    eprintln!(
+                        "warning: ignoring invalid {env_name}={raw:?} \
+                         (expected a positive integer); using default {default}"
+                    );
+                });
+                default
+            }
+        },
+    }
 }
 
 /// A work scale factor under [`seer_stamp::check_scale`], the scenario

@@ -1,7 +1,5 @@
 //! Experiment runner: one configuration → seed-averaged measurements.
 
-use std::sync::Once;
-
 use seer_runtime::{run, run_traced, DriverConfig, RunMetrics, TraceSink, TxMode, Workload};
 use seer_stamp::Benchmark;
 
@@ -32,57 +30,37 @@ pub struct HarnessConfig {
     pub jobs: usize,
 }
 
+/// Environment-free defaults: 3 seeds, full scale, serial. The
+/// `SEER_SEEDS` / `SEER_SCALE` / `SEER_JOBS` overrides are read by
+/// [`crate::env_config`] alone.
 impl Default for HarnessConfig {
     fn default() -> Self {
         Self {
-            seeds: default_seeds(),
+            seeds: 3,
             scale: 1.0,
-            jobs: default_jobs(),
+            jobs: 1,
         }
     }
 }
 
-/// Parses a positive integer from `env_name`, warning once per process on
-/// an invalid (unparsable or zero) value instead of silently falling back.
-fn positive_env(env_name: &str, default: u64, warned: &'static Once) -> u64 {
-    match std::env::var(env_name) {
-        Err(_) => default,
-        Ok(raw) => match raw.parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                warned.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring invalid {env_name}={raw:?} \
-                         (expected a positive integer); using default {default}"
-                    );
-                });
-                default
-            }
-        },
-    }
-}
-
-/// Seeds averaged per cell: `SEER_SEEDS`, default 3.
-pub fn default_seeds() -> u64 {
-    static WARNED: Once = Once::new();
-    positive_env("SEER_SEEDS", 3, &WARNED)
-}
-
-/// Executor fan-out width: `SEER_JOBS`, default 1 (serial).
-pub fn default_jobs() -> usize {
-    static WARNED: Once = Once::new();
-    positive_env("SEER_JOBS", 1, &WARNED) as usize
-}
-
 /// Derives the driver RNG seed for harness seed `seed`.
 ///
-/// Every simulation the harness, benches, CLI and conformance replay
-/// matrix perform goes through this one function, so the committed golden
-/// trace hashes (`crates/conformance/tests/fixtures/trace_hashes.txt`)
-/// pin its output: changing the constants is a fixture re-bless, not a
-/// tweak. The multiplier spreads consecutive harness seeds across the
-/// driver RNG's seed space; the offset keeps seed 0 away from the
-/// all-zeros state.
+/// Every harness-seeded simulation derives its driver seed through this
+/// one function: each cell run through `execute_cell` (the executor,
+/// `RunRequest::cell`, the CLI, the conformance replay matrix), the
+/// benchmark package's cells, each scenario run, and `seer inspect`. So
+/// the
+/// committed golden trace hashes
+/// (`crates/conformance/tests/fixtures/trace_hashes.txt`) pin its output:
+/// changing the constants is a fixture re-bless, not a tweak. The
+/// multiplier spreads consecutive harness seeds across the driver RNG's
+/// seed space; the offset keeps seed 0 away from the all-zeros state.
+///
+/// Three extra experiments seed the driver directly instead, because
+/// they need the scheduler's post-run state rather than a cell's
+/// metrics: [`crate::inference_accuracy`] (driver seed 7),
+/// [`crate::fine_grained`] (`0xF17E + seed * 4099`) and
+/// [`crate::convergence`] (31).
 pub const fn sim_seed(seed: u64) -> u64 {
     0x5EE2 + seed * 7919
 }
@@ -105,7 +83,7 @@ pub struct CellResult {
 
 impl CellResult {
     /// Averages raw per-seed metrics into one `CellResult` (the reduction
-    /// shared by [`run_cell`] and `CellExecutor::cell`).
+    /// behind `CellExecutor::cell`).
     ///
     /// # Panics
     /// If `runs` is empty.
@@ -140,15 +118,6 @@ impl CellResult {
         };
         acc
     }
-}
-
-/// Runs `cell` once per seed (serially, uncached) and averages the
-/// measurements. The memoizing equivalent is `CellExecutor::cell`.
-pub fn run_cell(cell: Cell, cfg: &HarnessConfig) -> CellResult {
-    let runs: Vec<RunMetrics> = (0..cfg.seeds)
-        .map(|seed| execute_cell(cell, seed, cfg.scale, None))
-        .collect();
-    CellResult::average(&runs)
 }
 
 /// The one cell-execution primitive: runs one seed of `cell` and returns
@@ -216,41 +185,5 @@ mod tests {
         // conformance replay suite.
         assert_eq!(sim_seed(0), 0x5EE2);
         assert_eq!(sim_seed(1) - sim_seed(0), 7919);
-    }
-
-    #[test]
-    fn run_cell_is_deterministic() {
-        let cell = Cell {
-            benchmark: Benchmark::Ssca2,
-            policy: PolicyKind::Rtm,
-            threads: 4,
-        };
-        let cfg = HarnessConfig {
-            seeds: 2,
-            scale: 0.1,
-            jobs: 1,
-        };
-        let a = run_cell(cell, &cfg);
-        let b = run_cell(cell, &cfg);
-        assert_eq!(a.speedup, b.speedup);
-        assert_eq!(a.abort_ratio, b.abort_ratio);
-        assert!(a.speedup > 0.0);
-    }
-
-    #[test]
-    fn mode_fractions_sum_to_one() {
-        let cell = Cell {
-            benchmark: Benchmark::KmeansHigh,
-            policy: PolicyKind::Seer,
-            threads: 4,
-        };
-        let cfg = HarnessConfig {
-            seeds: 1,
-            scale: 0.2,
-            jobs: 1,
-        };
-        let r = run_cell(cell, &cfg);
-        let total: f64 = r.mode_fractions.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "fractions sum to {total}");
     }
 }

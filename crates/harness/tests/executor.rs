@@ -37,8 +37,8 @@ fn grid() -> Vec<Cell> {
 
 #[test]
 fn parallel_execution_equals_serial_field_for_field() {
-    let serial = CellExecutor::new(config(1, 2));
-    let parallel = CellExecutor::new(config(4, 2));
+    let serial = CellExecutor::new(config(1, 2), None, None);
+    let parallel = CellExecutor::new(config(4, 2), None, None);
     let cells = grid();
 
     let mut serial_plan = Plan::new();
@@ -47,17 +47,17 @@ fn parallel_execution_equals_serial_field_for_field() {
         serial_plan.add(cell, serial.config());
         parallel_plan.add(cell, parallel.config());
     }
-    serial.execute(&serial_plan);
-    parallel.execute(&parallel_plan);
+    let serial_report = serial.execute(&serial_plan);
+    let parallel_report = parallel.execute(&parallel_plan);
 
     for &cell in &cells {
-        let a: CellResult = serial.cell(cell);
-        let b: CellResult = parallel.cell(cell);
+        let a: CellResult = serial.cell(cell).expect("serial covered");
+        let b: CellResult = parallel.cell(cell).expect("parallel covered");
         assert_eq!(a, b, "results diverged for {cell:?}");
         // Down to the raw per-seed trace: bit-identical schedules.
         for seed in 0..serial.config().seeds {
-            let ma = serial.metrics(cell, seed);
-            let mb = parallel.metrics(cell, seed);
+            let ma = serial.cached(cell, seed, SCALE).unwrap();
+            let mb = parallel.cached(cell, seed, SCALE).unwrap();
             assert_eq!(ma.trace_hash, mb.trace_hash, "{cell:?} seed {seed}");
             assert_eq!(ma.makespan, mb.makespan, "{cell:?} seed {seed}");
             assert_eq!(ma.commits, mb.commits, "{cell:?} seed {seed}");
@@ -66,16 +66,16 @@ fn parallel_execution_equals_serial_field_for_field() {
         }
     }
     // Both executors did exactly the unique work, no more.
-    assert_eq!(serial.misses(), parallel.misses());
-    assert_eq!(serial.misses(), (cells.len() * 2) as u64);
+    assert_eq!(serial_report.computed, parallel_report.computed);
+    assert_eq!(serial_report.computed, (cells.len() * 2) as u64);
 }
 
 #[test]
 fn parallel_figure3_renders_identically_to_serial() {
-    let serial = CellExecutor::new(config(1, 1));
-    let parallel = CellExecutor::new(config(3, 1));
-    let a = figure3(&serial, &THREADS);
-    let b = figure3(&parallel, &THREADS);
+    let serial = CellExecutor::new(config(1, 1), None, None);
+    let parallel = CellExecutor::new(config(3, 1), None, None);
+    let a = figure3(&serial, &THREADS).1.expect("serial figure");
+    let b = figure3(&parallel, &THREADS).1.expect("parallel figure");
     assert_eq!(a.len(), b.len());
     for (pa, pb) in a.iter().zip(&b) {
         assert_eq!(pa.render(), pb.render());
@@ -85,35 +85,32 @@ fn parallel_figure3_renders_identically_to_serial() {
 #[test]
 fn memoization_accounting_across_overlapping_experiments() {
     let seeds = 1u64;
-    let exec = CellExecutor::new(config(2, seeds));
+    let exec = CellExecutor::new(config(2, seeds), None, None);
 
-    figure3(&exec, &THREADS);
-    table3(&exec, &THREADS);
-    figure4(&exec, &THREADS);
+    let (fig3, _) = figure3(&exec, &THREADS);
+    let (tab3, _) = table3(&exec, &THREADS);
+    let (fig4, _) = figure4(&exec, &THREADS);
 
     // figure3: STAMP × FIGURE3 × |THREADS| cells; table3 re-reads exactly
     // that grid; figure4 adds (STAMP + hashmap-low) × {RTM, profile-only},
     // of which STAMP × RTM is already cached. New per thread count:
     // profile-only on the 8 STAMP benchmarks + both policies on hashmap.
-    let fig3_cells = 8 * 4 * THREADS.len();
-    let fig4_new = (8 + 2) * THREADS.len();
-    let unique = (fig3_cells + fig4_new) as u64 * seeds;
+    let fig3_cells = (8 * 4 * THREADS.len()) as u64 * seeds;
+    let fig4_new = ((8 + 2) * THREADS.len()) as u64 * seeds;
+    assert_eq!(fig3.computed, fig3_cells);
     assert_eq!(
-        exec.misses(),
-        unique,
-        "combined run must simulate each unique cell exactly once \
-         (misses {} hits {})",
-        exec.misses(),
-        exec.hits()
+        (tab3.computed, tab3.memo_hits),
+        (0, fig3_cells),
+        "table3 must be served from cache"
     );
-    assert!(exec.hits() > 0, "table3 should have been served from cache");
+    assert_eq!(fig4.computed, fig4_new, "figure4 re-simulated shared cells");
+    assert_eq!(fig4.memo_hits as usize, fig4.planned - fig4_new as usize);
 }
 
 #[test]
 fn table3_after_figure3_is_free() {
-    let exec = CellExecutor::new(config(2, 1));
+    let exec = CellExecutor::new(config(2, 1), None, None);
     figure3(&exec, &THREADS_TABLE);
-    let before = exec.misses();
-    table3(&exec, &THREADS_TABLE);
-    assert_eq!(exec.misses(), before, "table3 re-simulated cached cells");
+    let (report, _) = table3(&exec, &THREADS_TABLE);
+    assert_eq!(report.computed, 0, "table3 re-simulated cached cells");
 }

@@ -4,14 +4,16 @@
 //! [`Executor`](seer_store::Executor) (DESIGN.md §9/§13) at scenario
 //! granularity: work items are `(scenario, policy, seed)` coordinates,
 //! deduplicated at plan-build time, memoized for the executor's lifetime,
-//! persisted to an attached [`Store`], and supervised (retries, deadline,
-//! panic isolation) exactly like harness cells. Every scenario run is an
+//! persisted to an attached [`Store`], and supervised (panic isolation and
+//! the optional deadline) exactly like harness cells. Every scenario run is an
 //! independent deterministic simulation, so parallel and store-warmed
 //! execution are bit-identical to a serial cold run — the conformance
 //! suite's scenario fixtures pin exactly that.
 
 use seer_harness::PolicyKind;
-use seer_store::{ExecReport, Executor, Store, SupervisorConfig};
+use std::time::Duration;
+
+use seer_store::{ExecReport, Executor, Store};
 
 use crate::library;
 use crate::request::RunRequest;
@@ -26,6 +28,13 @@ pub struct ScenarioKey {
     pub policy: PolicyKind,
     /// Harness seed.
     pub seed: u64,
+}
+
+/// `scenario/policy/sS`: how failure lists name a scenario run.
+impl std::fmt::Display for ScenarioKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}/{}/s{}", self.scenario, self.policy.spec(), self.seed)
+    }
 }
 
 /// A deduplicated set of scenario work items.
@@ -74,11 +83,6 @@ impl ScenarioPlan {
     pub fn items(&self) -> &[ScenarioKey] {
         self.inner.items()
     }
-
-    /// The underlying generic plan.
-    pub fn as_generic(&self) -> &seer_store::Plan<ScenarioKey> {
-        &self.inner
-    }
 }
 
 /// Parallel, memoizing executor over the built-in scenario library.
@@ -88,34 +92,19 @@ pub struct ScenarioExecutor {
 }
 
 impl ScenarioExecutor {
-    /// An executor fanning uncached work out across `jobs` OS threads,
-    /// supervised per the `SEER_RETRIES`/`SEER_CELL_TIMEOUT_MS`
-    /// environment.
-    pub fn new(jobs: usize) -> Self {
-        Self::with_options(jobs, None, SupervisorConfig::from_env())
-    }
-
-    /// Like [`new`](Self::new), but warm-started from (and persisting
-    /// into) `store`.
-    pub fn with_store(jobs: usize, store: Store) -> Self {
-        Self::with_options(jobs, Some(store), SupervisorConfig::from_env())
-    }
-
-    /// Full-control constructor: explicit store attachment and
-    /// supervision policy.
-    pub fn with_options(jobs: usize, store: Option<Store>, supervisor: SupervisorConfig) -> Self {
-        let mut inner = Executor::new(jobs, |key: ScenarioKey| {
+    /// An executor fanning uncached work out across `jobs` OS threads.
+    /// With a `store`, results load from it before simulating and persist
+    /// to it after; with a `deadline`, a run still simulating after that
+    /// much wall-clock time fails as timed out.
+    pub fn new(jobs: usize, store: Option<Store>, deadline: Option<Duration>) -> Self {
+        let inner = Executor::new(jobs, store, deadline, |key: ScenarioKey| {
             let spec = library::builtin(&key.scenario)
                 .unwrap_or_else(|| panic!("unknown scenario {:?}", key.scenario));
             RunRequest::scenario(&spec)
                 .policy(key.policy)
                 .seed(key.seed)
                 .run()
-        })
-        .with_supervisor(supervisor);
-        if let Some(store) = store {
-            inner = inner.with_store(store);
-        }
+        });
         Self { inner }
     }
 
@@ -125,26 +114,12 @@ impl ScenarioExecutor {
     /// degrade into [`FailedItem`](seer_store::FailedItem)s in the
     /// report rather than aborting the process.
     pub fn execute(&self, plan: &ScenarioPlan) -> ExecReport<ScenarioKey> {
-        self.inner.execute(plan.as_generic())
+        self.inner.execute(&plan.inner)
     }
 
-    /// The outcome of one work item, running it (unsupervised) on a
-    /// cache miss.
-    ///
-    /// # Panics
-    /// If the item names a scenario the library does not contain (the
-    /// CLI validates names before building plans).
-    pub fn outcome(&self, scenario: &str, policy: PolicyKind, seed: u64) -> ScenarioOutcome {
-        self.inner.get(ScenarioKey {
-            scenario: scenario.to_string(),
-            policy,
-            seed,
-        })
-    }
-
-    /// The memoized outcome of one item, without computing anything: the
-    /// non-panicking read used to assemble partial reports around failed
-    /// items.
+    /// The outcome of one item an earlier [`execute`](Self::execute)
+    /// resolved, without computing anything; `None` for an item that
+    /// failed or was never planned.
     pub fn cached(&self, scenario: &str, policy: PolicyKind, seed: u64) -> Option<ScenarioOutcome> {
         self.inner.cached(&ScenarioKey {
             scenario: scenario.to_string(),
@@ -156,21 +131,6 @@ impl ScenarioExecutor {
     /// The attached result store, if any.
     pub fn store(&self) -> Option<&Store> {
         self.inner.store()
-    }
-
-    /// Memo-cache reads served without touching disk or simulating.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits()
-    }
-
-    /// Scenario simulations actually performed.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses()
-    }
-
-    /// Results loaded from the attached store instead of simulated.
-    pub fn disk_hits(&self) -> u64 {
-        self.inner.disk_hits()
     }
 }
 
@@ -192,18 +152,23 @@ mod tests {
     fn executor_memoizes_and_parallel_equals_serial() {
         let mut plan = ScenarioPlan::new();
         plan.add_grid(&["churn-storm"], &[PolicyKind::Rtm, PolicyKind::Seer], 1);
-        let serial = ScenarioExecutor::new(1);
+        let serial = ScenarioExecutor::new(1, None, None);
         let report = serial.execute(&plan);
         assert!(report.complete(), "no failures expected: {report:?}");
-        assert_eq!(serial.misses(), 2);
-        serial.execute(&plan);
-        assert_eq!(serial.misses(), 2, "re-execution hits the cache");
-        assert_eq!(serial.hits(), 2);
-        let parallel = ScenarioExecutor::new(4);
+        assert_eq!(report.computed, 2);
+        let report = serial.execute(&plan);
+        assert_eq!(
+            (report.computed, report.memo_hits),
+            (0, 2),
+            "re-execution hits the cache"
+        );
+        let parallel = ScenarioExecutor::new(4, None, None);
         parallel.execute(&plan);
         for key in plan.items() {
-            let a = serial.outcome(&key.scenario, key.policy, key.seed);
-            let b = parallel.outcome(&key.scenario, key.policy, key.seed);
+            let a = serial.cached(&key.scenario, key.policy, key.seed).unwrap();
+            let b = parallel
+                .cached(&key.scenario, key.policy, key.seed)
+                .unwrap();
             assert_eq!(a.metrics.trace_hash, b.metrics.trace_hash, "{key:?}");
             assert_eq!(a.report, b.report, "{key:?}");
         }
@@ -213,11 +178,18 @@ mod tests {
     fn unknown_scenario_degrades_into_a_failed_item() {
         let mut plan = ScenarioPlan::new();
         plan.add("no-such-scenario", PolicyKind::Rtm, 0);
-        let exec = ScenarioExecutor::with_options(1, None, SupervisorConfig::fail_fast());
+        let exec = ScenarioExecutor::new(1, None, None);
         let report = exec.execute(&plan);
         assert!(!report.complete());
         assert_eq!(report.failed.len(), 1);
         assert_eq!(report.failed[0].key.scenario, "no-such-scenario");
-        assert_eq!(exec.misses(), 0, "failed runs are not counted as computed");
+        assert_eq!(
+            report.computed, 0,
+            "failed runs are not counted as computed"
+        );
+        assert_eq!(
+            report.failed[0].to_string(),
+            "no-such-scenario/rtm/s0: panicked: unknown scenario \"no-such-scenario\""
+        );
     }
 }

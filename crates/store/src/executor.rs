@@ -1,20 +1,21 @@
 //! The one generic plan/memoize/fan-out/supervise engine.
 //!
-//! PR 2 built a memoizing parallel executor for harness cells; PR 4
-//! copied the pattern for scenarios. This module is the deduplication:
-//! a [`Plan<K>`] is a deduplicated, insertion-ordered set of keys, and an
-//! [`Executor<K, V>`] turns plans into values through three layers, in
-//! order, plus an account of what is left:
+//! A [`Plan<K>`] is a deduplicated, insertion-ordered set of keys, and an
+//! [`Executor<K, V>`] turns plans into values. [`Executor::execute`] is
+//! the only way a value is produced; it resolves each planned key through
+//! one order:
 //!
-//! 1. **memo cache** — per-key results for the executor's lifetime
-//!    (counted by [`Executor::hits`]),
+//! 1. **memo cache** — results this executor already resolved,
 //! 2. **disk store** — shards from previous processes, if a [`Store`] is
-//!    attached (counted by [`Executor::disk_hits`]),
-//! 3. **supervised compute** — the run function under retry/deadline/
-//!    panic isolation (successes counted by [`Executor::misses`]),
-//! 4. **failure accounting** — items that kept failing end up in the
-//!    [`ExecReport`], so a sweep degrades into a partial report instead
-//!    of aborting.
+//!    attached,
+//! 3. **supervised compute** — the run function under panic isolation and
+//!    the optional deadline (see [`supervise`]),
+//!
+//! and returns an [`ExecReport`]: how many keys each stage served, and
+//! which keys failed. The report is the only account of the executor's
+//! work. Values are read back with [`Executor::cached`], so a failed key
+//! stays a hole the caller reports instead of a value computed behind the
+//! report's back.
 //!
 //! Determinism: the run function is a pure function of the key, results
 //! land in the cache keyed by their coordinates, and assembly order is
@@ -24,12 +25,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use crate::persist::{Persist, StoreKey};
 use crate::store::Store;
-use crate::supervisor::{supervise, RunFailure, SupervisorConfig};
+use crate::supervisor::{supervise, RunFailure};
 
 /// What a plan key must be able to do (everything the cache, the fan-out
 /// and the supervisor's detached threads need). Blanket-implemented.
@@ -129,15 +131,23 @@ where
 pub struct FailedItem<K> {
     /// The work item's key.
     pub key: K,
-    /// The last failure observed.
+    /// Why it has no result.
     pub failure: RunFailure,
-    /// Attempts consumed (1 + retries).
-    pub attempts: u32,
 }
 
-/// Coverage accounting for one [`Executor::execute`] call: where every
-/// planned item's result came from, and which items have none.
-#[derive(Debug, Clone, Default)]
+/// `KEY: FAILURE` — the one rendering of a failed item every command
+/// prints after its `FAILED` marker.
+impl<K: std::fmt::Display> std::fmt::Display for FailedItem<K> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.key, self.failure)
+    }
+}
+
+/// Coverage accounting for one or more [`Executor::execute`] calls:
+/// where every planned item's result came from, and which items have
+/// none. The only account of the executor's work — it keeps no counters
+/// of its own.
+#[derive(Debug, Clone)]
 pub struct ExecReport<K> {
     /// Unique items in the executed plan.
     pub planned: usize,
@@ -145,10 +155,22 @@ pub struct ExecReport<K> {
     pub memo_hits: u64,
     /// Items served from the disk store.
     pub disk_hits: u64,
-    /// Items computed locally (successfully) this call.
+    /// Items computed (successfully) this call.
     pub computed: u64,
     /// Items the supervisor gave up on — the coverage gap.
     pub failed: Vec<FailedItem<K>>,
+}
+
+impl<K> Default for ExecReport<K> {
+    fn default() -> Self {
+        Self {
+            planned: 0,
+            memo_hits: 0,
+            disk_hits: 0,
+            computed: 0,
+            failed: Vec::new(),
+        }
+    }
 }
 
 impl<K> ExecReport<K> {
@@ -161,12 +183,59 @@ impl<K> ExecReport<K> {
     pub fn covered(&self) -> usize {
         self.planned - self.failed.len()
     }
+
+    /// Adds another report's counts and failures to this one.
+    pub fn absorb(&mut self, other: ExecReport<K>) {
+        self.planned += other.planned;
+        self.memo_hits += other.memo_hits;
+        self.disk_hits += other.disk_hits;
+        self.computed += other.computed;
+        self.failed.extend(other.failed);
+    }
+
+    /// The same report over keys mapped through `f` (to sum reports of
+    /// executors with different key types).
+    pub fn map_keys<J>(self, f: impl Fn(K) -> J) -> ExecReport<J> {
+        ExecReport {
+            planned: self.planned,
+            memo_hits: self.memo_hits,
+            disk_hits: self.disk_hits,
+            computed: self.computed,
+            failed: self
+                .failed
+                .into_iter()
+                .map(|item| FailedItem {
+                    key: f(item.key),
+                    failure: item.failure,
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The coverage line every command prints after `… planned — `:
+/// `M memoized, D from disk, C computed, F failed`. The alternate form
+/// (`{:#}`) drops the memo segment, for a fresh executor's single batch
+/// where a memo hit cannot happen.
+impl<K> std::fmt::Display for ExecReport<K> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if !f.alternate() {
+            write!(f, "{} memoized, ", self.memo_hits)?;
+        }
+        write!(
+            f,
+            "{} from disk, {} computed, {} failed",
+            self.disk_hits,
+            self.computed,
+            self.failed.len()
+        )
+    }
 }
 
 enum Source<V> {
     Disk(V),
     Computed(V),
-    Failed(RunFailure, u32),
+    Failed(RunFailure),
 }
 
 /// The generic parallel, memoizing, disk-warmed, supervised executor.
@@ -178,11 +247,8 @@ pub struct Executor<K: PlanKey + StoreKey, V> {
     jobs: usize,
     run: Arc<dyn Fn(K) -> V + Send + Sync>,
     cache: Mutex<HashMap<K, V>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    disk_hits: AtomicU64,
     store: Option<Store>,
-    supervisor: SupervisorConfig,
+    deadline: Option<Duration>,
 }
 
 impl<K, V> Executor<K, V>
@@ -192,37 +258,22 @@ where
 {
     /// An executor fanning uncached work out across `jobs` OS threads,
     /// computing values with `run` — which must be a pure function of the
-    /// key. No store, environment-default supervision.
-    pub fn new(jobs: usize, run: impl Fn(K) -> V + Send + Sync + 'static) -> Self {
+    /// key. With a `store`, results load from it before computing and
+    /// save to it after; with a `deadline`, an item still computing after
+    /// that much wall-clock time fails as timed out.
+    pub fn new(
+        jobs: usize,
+        store: Option<Store>,
+        deadline: Option<Duration>,
+        run: impl Fn(K) -> V + Send + Sync + 'static,
+    ) -> Self {
         Self {
             jobs: jobs.max(1),
             run: Arc::new(run),
             cache: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            store: None,
-            supervisor: SupervisorConfig::from_env(),
+            store,
+            deadline,
         }
-    }
-
-    /// Attaches a disk store: results load from it before computing and
-    /// save to it after.
-    pub fn with_store(mut self, store: Store) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Overrides the supervision config (tests want fail-fast; the CLI
-    /// wants the environment knobs).
-    pub fn with_supervisor(mut self, cfg: SupervisorConfig) -> Self {
-        self.supervisor = cfg;
-        self
-    }
-
-    /// The fan-out width.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// The attached store, if any.
@@ -231,9 +282,10 @@ where
     }
 
     /// Resolves every item of `plan` — memo cache, then disk, then
-    /// supervised compute — and returns the coverage report. Safe to call
-    /// repeatedly and with overlapping plans. Never panics on a poisoned
-    /// item: it lands in [`ExecReport::failed`] instead.
+    /// supervised compute — and returns the coverage report. The only way
+    /// a value gets into the executor. Safe to call repeatedly and with
+    /// overlapping plans. Never panics on a poisoned item: it lands in
+    /// [`ExecReport::failed`] instead.
     pub fn execute(&self, plan: &Plan<K>) -> ExecReport<K> {
         let todo: Vec<K> = {
             let cache = self.cache.lock().expect("executor cache poisoned");
@@ -243,14 +295,10 @@ where
                 .cloned()
                 .collect()
         };
-        let memo_hits = (plan.len() - todo.len()) as u64;
-        self.hits.fetch_add(memo_hits, Ordering::Relaxed);
         let mut report = ExecReport {
             planned: plan.len(),
-            memo_hits,
-            disk_hits: 0,
-            computed: 0,
-            failed: Vec::new(),
+            memo_hits: (plan.len() - todo.len()) as u64,
+            ..ExecReport::default()
         };
         if todo.is_empty() {
             return report;
@@ -267,11 +315,7 @@ where
                     report.computed += 1;
                     cache.insert(key, v);
                 }
-                Source::Failed(failure, attempts) => report.failed.push(FailedItem {
-                    key,
-                    failure,
-                    attempts,
-                }),
+                Source::Failed(failure) => report.failed.push(FailedItem { key, failure }),
             }
         }
         report
@@ -280,89 +324,30 @@ where
     fn resolve(&self, key: &K) -> Source<V> {
         if let Some(store) = &self.store {
             if let Some(v) = store.load::<K, V>(key) {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 return Source::Disk(v);
             }
         }
         let run = self.run.clone();
         let k = key.clone();
-        match supervise(&self.supervisor, move || run(k.clone())) {
+        match supervise(self.deadline, move || run(k)) {
             Ok(v) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 if let Some(store) = &self.store {
                     store.save(key, &v);
                 }
                 Source::Computed(v)
             }
-            Err((failure, attempts)) => Source::Failed(failure, attempts),
+            Err(failure) => Source::Failed(failure),
         }
     }
 
-    /// The value for one key: memo cache, then disk, then an *inline,
-    /// unsupervised* computation (serial assembly path — batch work
-    /// belongs in a [`Plan`], and a panic here propagates like any other
-    /// programming error).
-    pub fn get(&self, key: K) -> V {
-        if let Some(v) = self
-            .cache
-            .lock()
-            .expect("executor cache poisoned")
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
-        }
-        if let Some(store) = &self.store {
-            if let Some(v) = store.load::<K, V>(&key) {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.cache
-                    .lock()
-                    .expect("executor cache poisoned")
-                    .insert(key, v.clone());
-                return v;
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = (self.run)(key.clone());
-        if let Some(store) = &self.store {
-            store.save(&key, &v);
-        }
-        self.cache
-            .lock()
-            .expect("executor cache poisoned")
-            .insert(key, v.clone());
-        v
-    }
-
-    /// The memoized value for `key`, if present (no compute, no disk).
+    /// The value an earlier [`execute`](Self::execute) resolved for
+    /// `key`, if any: the one read path (no compute, no disk).
     pub fn cached(&self, key: &K) -> Option<V> {
         self.cache
             .lock()
             .expect("executor cache poisoned")
             .get(key)
             .cloned()
-    }
-
-    /// Memo-cache reads served without simulating.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Computations actually performed (after any sequence of plans this
-    /// equals the number of unique keys resolved neither by the memo
-    /// cache nor by the disk store).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Results served from the disk store instead of computing.
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of memoized results.
-    pub fn cached_len(&self) -> usize {
-        self.cache.lock().expect("executor cache poisoned").len()
     }
 }
 
@@ -371,10 +356,8 @@ impl<K: PlanKey + StoreKey, V> std::fmt::Debug for Executor<K, V> {
         f.debug_struct("Executor")
             .field("jobs", &self.jobs)
             .field("cached", &self.cache.lock().map(|c| c.len()).unwrap_or(0))
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
-            .field("disk_hits", &self.disk_hits.load(Ordering::Relaxed))
             .field("store", &self.store)
+            .field("deadline", &self.deadline)
             .finish()
     }
 }
@@ -416,8 +399,14 @@ mod tests {
         p
     }
 
-    fn squarer(jobs: usize) -> Executor<NumKey, u64> {
-        Executor::new(jobs, |k: NumKey| k.0 * k.0).with_supervisor(SupervisorConfig::fail_fast())
+    fn squarer(jobs: usize, store: Option<Store>) -> Executor<NumKey, u64> {
+        Executor::new(jobs, store, None, |k: NumKey| k.0 * k.0)
+    }
+
+    fn temp_root(tag: &str) -> std::path::PathBuf {
+        let root = std::env::temp_dir().join(format!("seer-store-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        root
     }
 
     #[test]
@@ -442,32 +431,30 @@ mod tests {
 
     #[test]
     fn executor_counts_hits_and_misses() {
-        let exec = squarer(2);
+        let exec = squarer(2, None);
         let p = plan(0..4);
         let report = exec.execute(&p);
         assert_eq!(report.planned, 4);
         assert_eq!(report.computed, 4);
+        assert_eq!(report.memo_hits, 0);
         assert!(report.complete());
-        assert_eq!(exec.misses(), 4);
-        assert_eq!(exec.hits(), 0);
+        // Re-executing the same plan computes nothing.
         let report = exec.execute(&p);
         assert_eq!(report.memo_hits, 4);
         assert_eq!(report.computed, 0);
-        assert_eq!(exec.misses(), 4);
-        assert_eq!(exec.hits(), 4);
-        assert_eq!(exec.get(NumKey(3)), 9);
-        assert_eq!(exec.hits(), 5);
+        assert_eq!(exec.cached(&NumKey(3)), Some(9));
+        // Nothing unplanned is ever resolved.
+        assert_eq!(exec.cached(&NumKey(9)), None);
     }
 
     #[test]
     fn poisoned_item_degrades_into_partial_report() {
-        let exec: Executor<NumKey, u64> = Executor::new(2, |k: NumKey| {
+        let exec: Executor<NumKey, u64> = Executor::new(2, None, None, |k: NumKey| {
             if k.0 == 2 {
                 panic!("poisoned cell {k:?}");
             }
             k.0
-        })
-        .with_supervisor(SupervisorConfig::fail_fast());
+        });
         let report = exec.execute(&plan(0..4));
         assert!(!report.complete());
         assert_eq!(report.computed, 3);
@@ -481,62 +468,97 @@ mod tests {
     }
 
     #[test]
-    fn disk_store_warms_a_second_executor() {
-        let root =
-            std::env::temp_dir().join(format!("seer-store-exec-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+    fn timed_out_items_are_reported_not_recomputed() {
+        let exec: Executor<NumKey, u64> =
+            Executor::new(2, None, Some(Duration::from_millis(1)), |k: NumKey| {
+                if k.0 % 2 == 1 {
+                    std::thread::sleep(Duration::from_millis(200));
+                }
+                k.0
+            });
+        let p = plan(0..4);
+        let report = exec.execute(&p);
+        // The sleepers always miss the deadline; a loaded host may make
+        // the others miss it too, but no item is ever computed twice.
+        assert_eq!(
+            report.computed as usize + report.failed.len(),
+            report.planned
+        );
+        for n in [1, 3] {
+            assert!(
+                report.failed.iter().any(|f| f.key == NumKey(n)),
+                "{report:?}"
+            );
+        }
+        assert!(report
+            .failed
+            .iter()
+            .all(|f| matches!(f.failure, RunFailure::TimedOut { .. })));
+        for f in &report.failed {
+            assert_eq!(exec.cached(&f.key), None);
+        }
+    }
 
-        let cold = squarer(2).with_store(Store::open(&root));
+    #[test]
+    fn disk_store_warms_a_second_executor() {
+        let root = temp_root("exec-test");
+        let cold = squarer(2, Some(Store::open(&root)));
         let report = cold.execute(&plan(0..5));
         assert_eq!(report.computed, 5);
         assert_eq!(report.disk_hits, 0);
 
         // A fresh executor over the same store computes nothing.
-        let warm = squarer(2).with_store(Store::open(&root));
+        let warm = squarer(2, Some(Store::open(&root)));
         let report = warm.execute(&plan(0..5));
         assert_eq!(report.computed, 0);
         assert_eq!(report.disk_hits, 5);
-        assert_eq!(warm.misses(), 0);
-        assert_eq!(warm.disk_hits(), 5);
         for n in 0..5 {
-            assert_eq!(warm.get(NumKey(n)), n * n);
+            assert_eq!(warm.cached(&NumKey(n)), Some(n * n));
         }
-
-        // get() also reaches through to disk for unplanned keys.
-        let warm2 = squarer(1).with_store(Store::open(&root));
-        assert_eq!(warm2.get(NumKey(4)), 16);
-        assert_eq!(warm2.disk_hits(), 1);
-        assert_eq!(warm2.misses(), 0);
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn resume_after_partial_failure_completes_the_plan() {
-        let root =
-            std::env::temp_dir().join(format!("seer-store-resume-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = temp_root("resume-test");
 
         // First process: one poisoned item, the rest persist.
-        let crashy: Executor<NumKey, u64> = Executor::new(2, |k: NumKey| {
-            if k.0 == 1 {
-                panic!("injected failure");
-            }
-            k.0 * 10
-        })
-        .with_supervisor(SupervisorConfig::fail_fast())
-        .with_store(Store::open(&root));
+        let crashy: Executor<NumKey, u64> =
+            Executor::new(2, Some(Store::open(&root)), None, |k: NumKey| {
+                if k.0 == 1 {
+                    panic!("injected failure");
+                }
+                k.0 * 10
+            });
         let report = crashy.execute(&plan(0..4));
         assert_eq!(report.failed.len(), 1);
         assert_eq!(report.computed, 3);
 
         // Resumed process (bug fixed): only the gap is computed.
-        let resumed = Executor::new(2, |k: NumKey| k.0 * 10)
-            .with_supervisor(SupervisorConfig::fail_fast())
-            .with_store(Store::open(&root));
+        let resumed = Executor::new(2, Some(Store::open(&root)), None, |k: NumKey| k.0 * 10);
         let report = resumed.execute(&plan(0..4));
         assert!(report.complete());
         assert_eq!(report.disk_hits, 3);
         assert_eq!(report.computed, 1);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn reports_sum_and_render_one_coverage_line() {
+        let mut total = ExecReport::<String>::default();
+        let exec: Executor<NumKey, u64> = Executor::new(1, None, None, |k: NumKey| {
+            assert!(k.0 != 3, "boom");
+            k.0
+        });
+        for range in [0..2, 0..4] {
+            total.absorb(exec.execute(&plan(range)).map_keys(|k| format!("n{}", k.0)));
+        }
+        assert_eq!(
+            total.to_string(),
+            "2 memoized, 0 from disk, 3 computed, 1 failed"
+        );
+        assert_eq!(format!("{total:#}"), "0 from disk, 3 computed, 1 failed");
+        assert_eq!(total.planned, 6);
+        assert_eq!(total.failed[0].to_string(), "n3: panicked: boom");
     }
 }

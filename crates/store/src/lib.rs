@@ -14,11 +14,10 @@
 //!   results from an older kernel can never warm a newer run.
 //! * [`Executor`] — the one generic plan/memoize/fan-out engine behind
 //!   both the harness's `CellExecutor` and the scenario engine's
-//!   `ScenarioExecutor`, extended with disk warm-start
-//!   ([`Executor::disk_hits`]) and a [`supervisor`]: bounded retry with
-//!   exponential backoff, optional wall-clock deadline per item, and
-//!   `catch_unwind` isolation so one poisoned cell degrades into an
-//!   explicit entry of the [`ExecReport`] rather than aborting the sweep.
+//!   `ScenarioExecutor`, with disk warm-start and a [`supervisor`]:
+//!   `catch_unwind` isolation plus an optional wall-clock deadline per
+//!   item, so one poisoned or runaway cell degrades into an explicit
+//!   entry of the [`ExecReport`] rather than aborting the sweep.
 //!
 //! Determinism is non-negotiable: a disk-warmed or resumed run must be
 //! byte-identical to a cold one. The shard format therefore stores every
@@ -39,4 +38,4 @@ pub use executor::{parallel_map, ExecReport, Executor, FailedItem, Plan, PlanKey
 pub use json::{Json, ToJson};
 pub use persist::{fnv1a, Persist, StoreKey};
 pub use store::{kernel_fingerprint, Store, StoreStats};
-pub use supervisor::{supervise, RunFailure, SupervisorConfig};
+pub use supervisor::{supervise, RunFailure};

@@ -1,50 +1,36 @@
-//! Per-item supervision: retry, deadline, and panic isolation.
+//! Per-item supervision: panic isolation plus an optional deadline.
 //!
-//! The executor wraps every computed plan item in [`supervise`], which
-//! implements a small state machine:
-//!
-//! ```text
-//!          ┌────────────── backoff · attempts left ──────────────┐
-//!          ▼                                                     │
-//!   RUN ──ok──▶ DONE          RUN ──panic / timeout──▶ FAILED ───┤
-//!                                                                │
-//!                              attempts exhausted ──▶ give up (reported)
-//! ```
+//! The executor wraps every computed plan item in [`supervise`]:
 //!
 //! * **Panic isolation** — the work runs under `catch_unwind`, so a
 //!   poisoned cell (a tripped safety valve, a violated invariant) becomes
 //!   a [`RunFailure::Panicked`] with the panic message, not a process
 //!   abort. The default panic hook still prints, which is deliberate:
 //!   the cell's stack trace is the evidence.
-//! * **Deadline** — with a wall-clock limit configured, each attempt runs
-//!   on its own OS thread and the supervisor waits with a timeout. On
-//!   expiry the runaway thread is *detached* (a pure simulation holds no
-//!   locks anyone else needs; it finishes into the void and its result is
-//!   discarded) and the attempt counts as [`RunFailure::TimedOut`]. The
-//!   simulated-cycle budget is enforced inside the kernel itself — the
-//!   driver's event safety valve truncates the run, the runner panics on
-//!   `truncated`, and that panic lands here as a `Panicked` failure.
-//! * **Retry** — deterministic simulations fail deterministically, so
-//!   retries exist for the *environment* (a timeout on an overloaded CI
-//!   box, a transient resource failure), bounded by `SEER_RETRIES` with
-//!   exponential backoff.
+//! * **Deadline** — with a wall-clock limit given, the work runs on its
+//!   own OS thread and the supervisor waits with a timeout. On expiry the
+//!   runaway thread is *detached* (a pure simulation holds no locks anyone
+//!   else needs; it finishes into the void and its result is discarded)
+//!   and the item counts as [`RunFailure::TimedOut`]. The simulated-cycle
+//!   budget is enforced inside the kernel itself — the driver's event
+//!   safety valve truncates the run, the runner panics on `truncated`,
+//!   and that panic lands here as a `Panicked` failure.
 //!
-//! Determinism: supervision never touches the simulation's inputs. A
-//! retried run has identical coordinates, so its result is bit-identical
-//! to a first-try success; timeouts and retries can change *whether* a
-//! result is obtained, never *which* result.
+//! There is no in-process retry: every item is a pure function of its
+//! key, so a rerun reproduces the same panic, and rerunning after a
+//! timeout is what resuming against a store (`--resume`) already does —
+//! it recomputes exactly the items that have no shard.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::Once;
 use std::time::Duration;
 
-/// Why a supervised attempt (and eventually a whole item) failed.
+/// Why a supervised item failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunFailure {
     /// The work panicked; carries the panic payload rendered as text.
     Panicked(String),
-    /// The work exceeded the configured wall-clock deadline.
+    /// The work exceeded the wall-clock deadline.
     TimedOut {
         /// The deadline that was exceeded.
         limit: Duration,
@@ -62,75 +48,6 @@ impl std::fmt::Display for RunFailure {
     }
 }
 
-/// Supervision knobs, normally read from the environment once per
-/// executor ([`SupervisorConfig::from_env`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// Extra attempts after the first failure (`SEER_RETRIES`, default 1;
-    /// 0 = fail fast).
-    pub retries: u32,
-    /// Wall-clock deadline per attempt (`SEER_CELL_TIMEOUT_MS`, default
-    /// none — simulations are bounded by the kernel's cycle budget).
-    pub timeout: Option<Duration>,
-    /// Base backoff before the first retry; doubles per further retry.
-    pub backoff: Duration,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            retries: 1,
-            timeout: None,
-            backoff: Duration::from_millis(10),
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Reads `SEER_RETRIES` and `SEER_CELL_TIMEOUT_MS`, warning once per
-    /// process on unparsable values (the harness's env discipline).
-    pub fn from_env() -> Self {
-        static RETRIES_WARNED: Once = Once::new();
-        static TIMEOUT_WARNED: Once = Once::new();
-        let mut cfg = Self::default();
-        if let Ok(raw) = std::env::var("SEER_RETRIES") {
-            match raw.parse::<u32>() {
-                Ok(n) => cfg.retries = n,
-                Err(_) => RETRIES_WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring invalid SEER_RETRIES={raw:?} \
-                         (expected a non-negative integer); using default {}",
-                        cfg.retries
-                    );
-                }),
-            }
-        }
-        if let Ok(raw) = std::env::var("SEER_CELL_TIMEOUT_MS") {
-            match raw.parse::<u64>() {
-                Ok(ms) if ms > 0 => cfg.timeout = Some(Duration::from_millis(ms)),
-                _ => TIMEOUT_WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring invalid SEER_CELL_TIMEOUT_MS={raw:?} \
-                         (expected a positive integer of milliseconds); \
-                         running without a deadline"
-                    );
-                }),
-            }
-        }
-        cfg
-    }
-
-    /// A config that fails fast: no retries, no deadline. Used by tests
-    /// that want a poisoned cell to surface immediately.
-    pub fn fail_fast() -> Self {
-        Self {
-            retries: 0,
-            timeout: None,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -141,125 +58,54 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn attempt<V, F>(cfg: &SupervisorConfig, work: &F) -> Result<V, RunFailure>
+/// Runs `work` once, isolated from panics and, with a `deadline`, cut off
+/// after that much wall-clock time.
+pub fn supervise<V, F>(deadline: Option<Duration>, work: F) -> Result<V, RunFailure>
 where
     V: Send + 'static,
-    F: Fn() -> V + Clone + Send + 'static,
+    F: FnOnce() -> V + Send + 'static,
 {
-    match cfg.timeout {
-        None => catch_unwind(AssertUnwindSafe(work))
-            .map_err(|payload| RunFailure::Panicked(panic_message(payload))),
-        Some(limit) => {
-            let (tx, rx) = mpsc::channel();
-            let work = work.clone();
-            std::thread::spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(&work))
-                    .map_err(|payload| RunFailure::Panicked(panic_message(payload)));
-                // The receiver may be gone (deadline passed); that is the
-                // detach path and the result is deliberately discarded.
-                let _ = tx.send(outcome);
-            });
-            match rx.recv_timeout(limit) {
-                Ok(outcome) => outcome,
-                Err(_) => Err(RunFailure::TimedOut { limit }),
-            }
-        }
-    }
-}
-
-/// Runs `work` under `cfg`: up to `1 + retries` attempts with exponential
-/// backoff between them. Returns the value, or the *last* failure plus
-/// the number of attempts consumed.
-pub fn supervise<V, F>(cfg: &SupervisorConfig, work: F) -> Result<V, (RunFailure, u32)>
-where
-    V: Send + 'static,
-    F: Fn() -> V + Clone + Send + 'static,
-{
-    let attempts = 1 + cfg.retries;
-    let mut last = None;
-    for round in 0..attempts {
-        if round > 0 && !cfg.backoff.is_zero() {
-            std::thread::sleep(cfg.backoff * 2u32.pow(round - 1));
-        }
-        match attempt(cfg, &work) {
-            Ok(v) => return Ok(v),
-            Err(failure) => last = Some(failure),
-        }
-    }
-    Err((last.expect("at least one attempt ran"), attempts))
+    let isolated = move || {
+        catch_unwind(AssertUnwindSafe(work))
+            .map_err(|payload| RunFailure::Panicked(panic_message(payload)))
+    };
+    let Some(limit) = deadline else {
+        return isolated();
+    };
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        // The receiver may be gone (deadline passed); that is the detach
+        // path and the result is deliberately discarded.
+        let _ = tx.send(isolated());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or(Err(RunFailure::TimedOut { limit }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn success_is_transparent() {
-        let cfg = SupervisorConfig::fail_fast();
-        assert_eq!(supervise(&cfg, || 41 + 1), Ok(42));
+        assert_eq!(supervise(None, || 41 + 1), Ok(42));
     }
 
     #[test]
     fn panic_is_contained_and_reported() {
-        let cfg = SupervisorConfig::fail_fast();
-        let result: Result<(), _> = supervise(&cfg, || panic!("cell poisoned: boom"));
-        let (failure, attempts) = result.unwrap_err();
-        assert_eq!(attempts, 1);
-        match failure {
+        let result: Result<(), _> = supervise(None, || panic!("cell poisoned: boom"));
+        match result.unwrap_err() {
             RunFailure::Panicked(msg) => assert!(msg.contains("boom"), "{msg}"),
             other => panic!("expected Panicked, got {other:?}"),
         }
     }
 
     #[test]
-    fn retries_are_bounded_and_counted() {
-        let cfg = SupervisorConfig {
-            retries: 2,
-            timeout: None,
-            backoff: Duration::ZERO,
-        };
-        let calls = Arc::new(AtomicU32::new(0));
-        let seen = calls.clone();
-        let result: Result<(), _> = supervise(&cfg, move || {
-            seen.fetch_add(1, Ordering::SeqCst);
-            panic!("always fails")
-        });
-        let (_, attempts) = result.unwrap_err();
-        assert_eq!(attempts, 3);
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn transient_failure_recovers_on_retry() {
-        let cfg = SupervisorConfig {
-            retries: 1,
-            timeout: None,
-            backoff: Duration::ZERO,
-        };
-        let calls = Arc::new(AtomicU32::new(0));
-        let seen = calls.clone();
-        let result = supervise(&cfg, move || {
-            if seen.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient")
-            }
-            7u64
-        });
-        assert_eq!(result, Ok(7));
-    }
-
-    #[test]
     fn deadline_detaches_a_runaway() {
-        let cfg = SupervisorConfig {
-            retries: 0,
-            timeout: Some(Duration::from_millis(20)),
-            backoff: Duration::ZERO,
-        };
-        let result: Result<(), _> = supervise(&cfg, || {
+        let result: Result<(), _> = supervise(Some(Duration::from_millis(20)), || {
             std::thread::sleep(Duration::from_millis(500));
         });
-        let (failure, _) = result.unwrap_err();
+        let failure = result.unwrap_err();
         assert!(
             matches!(failure, RunFailure::TimedOut { .. }),
             "{failure:?}"
@@ -268,11 +114,12 @@ mod tests {
 
     #[test]
     fn deadline_passes_fast_work_through() {
-        let cfg = SupervisorConfig {
-            retries: 0,
-            timeout: Some(Duration::from_secs(30)),
-            backoff: Duration::ZERO,
-        };
-        assert_eq!(supervise(&cfg, || 5u8), Ok(5));
+        assert_eq!(supervise(Some(Duration::from_secs(30)), || 5u8), Ok(5));
+    }
+
+    #[test]
+    fn a_panic_under_a_deadline_is_a_panic_not_a_timeout() {
+        let result: Result<(), _> = supervise(Some(Duration::from_secs(30)), || panic!("boom"));
+        assert!(matches!(result, Err(RunFailure::Panicked(_))), "{result:?}");
     }
 }

@@ -19,7 +19,9 @@
 
 use seer_sim::SimRng;
 
-use crate::exec::{TuneExecReport, TuneExecutor};
+use seer_harness::ExecReport;
+
+use crate::exec::{TuneExecutor, TuneKey};
 use crate::objective::Objective;
 use crate::sampler::{midpoint, neighbors, sample};
 use crate::space::{ParamSpace, Point};
@@ -89,10 +91,9 @@ pub struct SearchOutcome {
     /// Index into `trials` of the incumbent (best score, lowest
     /// proposal index on ties). `None` only if every trial failed.
     pub best: Option<usize>,
-    /// Execution counters summed over all evaluation batches.
-    pub exec_report: TuneExecReport,
-    /// Human-readable descriptions of failed runs.
-    pub failures: Vec<String>,
+    /// Coverage summed over all evaluation batches, failed runs
+    /// included.
+    pub exec_report: ExecReport<TuneKey>,
 }
 
 /// Ranks trial references best-first: scored before failed, higher
@@ -119,15 +120,14 @@ pub fn run_search(
     seed: u64,
     objective: &dyn Objective,
     exec: &TuneExecutor,
-    progress: &mut dyn FnMut(&str, &TuneExecReport),
+    progress: &mut dyn FnMut(&str, &ExecReport<TuneKey>),
 ) -> SearchOutcome {
     let mut state = SearchState {
         space,
         objective,
         exec,
         trials: Vec::new(),
-        exec_report: TuneExecReport::default(),
-        failures: Vec::new(),
+        exec_report: ExecReport::default(),
     };
     match driver {
         DriverKind::Random => {
@@ -211,7 +211,6 @@ pub fn run_search(
         trials: state.trials,
         best,
         exec_report: state.exec_report,
-        failures: state.failures,
     }
 }
 
@@ -220,8 +219,7 @@ struct SearchState<'a> {
     objective: &'a dyn Objective,
     exec: &'a TuneExecutor,
     trials: Vec<Trial>,
-    exec_report: TuneExecReport,
-    failures: Vec<String>,
+    exec_report: ExecReport<TuneKey>,
 }
 
 impl SearchState<'_> {
@@ -254,7 +252,7 @@ impl SearchState<'_> {
         &mut self,
         idx: &[usize],
         fidelity: u64,
-        progress: &mut dyn FnMut(&str, &TuneExecReport),
+        progress: &mut dyn FnMut(&str, &ExecReport<TuneKey>),
     ) {
         let mut cells = seer_harness::Plan::new();
         let mut scenarios = seer_scenario::ScenarioPlan::new();
@@ -263,13 +261,12 @@ impl SearchState<'_> {
             self.objective
                 .plan(policy, fidelity, &mut cells, &mut scenarios);
         }
-        let (report, failures) = self.exec.execute(&cells, &scenarios);
+        let report = self.exec.execute(&cells, &scenarios);
         progress(
             &format!("{} config(s) at fidelity {}", idx.len(), fidelity),
             &report,
         );
-        self.exec_report.absorb(&report);
-        self.failures.extend(failures);
+        self.exec_report.absorb(report);
         for &i in idx {
             let policy = self.space.policy(&self.trials[i].point);
             self.trials[i].score = self.objective.score(policy, fidelity, self.exec);

@@ -10,35 +10,27 @@
 //! `FromStr`).
 
 use std::path::Path;
+use std::time::Duration;
 
-use seer_harness::{CellExecutor, HarnessConfig, Plan, Store};
-use seer_harness::{CellKey, FailedItem};
+use seer_harness::{CellExecutor, CellKey, ExecReport, HarnessConfig, Plan, Store};
 use seer_scenario::{ScenarioExecutor, ScenarioKey, ScenarioPlan};
 
-/// Aggregated coverage counters for one evaluation batch (cells and
-/// scenarios summed), in the same vocabulary as a sweep's report.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TuneExecReport {
-    /// Unique runs planned across both executors.
-    pub planned: usize,
-    /// Served from the in-memory memo cache.
-    pub memo_hits: u64,
-    /// Served from the disk store.
-    pub disk_hits: u64,
-    /// Simulated locally.
-    pub computed: u64,
-    /// Runs the supervisor gave up on (the coverage gap).
-    pub failed: u64,
+/// One run a trial needs: a cell or a scenario. The key of the summed
+/// [`ExecReport`] a batch returns.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum TuneKey {
+    /// A harness cell.
+    Cell(CellKey),
+    /// A built-in scenario run.
+    Scenario(ScenarioKey),
 }
 
-impl TuneExecReport {
-    /// Folds another batch's counters into this one.
-    pub fn absorb(&mut self, other: &TuneExecReport) {
-        self.planned += other.planned;
-        self.memo_hits += other.memo_hits;
-        self.disk_hits += other.disk_hits;
-        self.computed += other.computed;
-        self.failed += other.failed;
+impl std::fmt::Display for TuneKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TuneKey::Cell(key) => key.fmt(f),
+            TuneKey::Scenario(key) => key.fmt(f),
+        }
     }
 }
 
@@ -49,59 +41,38 @@ pub struct TuneExecutor {
 }
 
 impl TuneExecutor {
-    /// An executor fanning uncached work across `jobs` OS threads, with
-    /// no disk store.
-    pub fn new(jobs: usize) -> Self {
-        Self::with_store_dir(jobs, None::<&Path>)
-    }
-
-    /// Like [`new`](Self::new), but persisting into (and warm-starting
-    /// from) the store rooted at `dir`. Cells and scenarios share the
-    /// directory — shard files are namespaced by key kind, exactly as
-    /// when a sweep and a scenario run share `--store`.
-    pub fn with_store_dir(jobs: usize, dir: Option<impl AsRef<Path>>) -> Self {
+    /// An executor fanning uncached work across `jobs` OS threads. With a
+    /// `store_dir`, results persist into (and warm-start from) the store
+    /// rooted there: cells and scenarios share the directory — shard
+    /// files are namespaced by key kind, exactly as when a sweep and a
+    /// scenario run share `--store`. With a `deadline`, a run still
+    /// simulating after that much wall-clock time fails as timed out.
+    pub fn new(jobs: usize, store_dir: Option<&Path>, deadline: Option<Duration>) -> Self {
         let cfg = HarnessConfig {
             jobs,
             ..HarnessConfig::default()
         };
-        let supervisor = seer_harness::SupervisorConfig::from_env();
-        let (cell_store, scenario_store) = match dir {
-            Some(dir) => (
-                Some(Store::open(dir.as_ref())),
-                Some(Store::open(dir.as_ref())),
-            ),
-            None => (None, None),
-        };
         Self {
-            cells: CellExecutor::with_options(cfg, cell_store, supervisor),
-            scenarios: ScenarioExecutor::with_options(jobs, scenario_store, supervisor),
+            cells: CellExecutor::new(cfg, store_dir.map(Store::open), deadline),
+            scenarios: ScenarioExecutor::new(jobs, store_dir.map(Store::open), deadline),
         }
     }
 
-    /// Runs every not-yet-cached item of both plans and returns the
-    /// summed coverage counters plus the individual failures.
-    pub fn execute(&self, cells: &Plan, scenarios: &ScenarioPlan) -> (TuneExecReport, Vec<String>) {
-        let mut report = TuneExecReport::default();
-        let mut failures = Vec::new();
+    /// Runs every not-yet-cached item of both plans and returns their
+    /// summed coverage report.
+    pub fn execute(&self, cells: &Plan, scenarios: &ScenarioPlan) -> ExecReport<TuneKey> {
+        let mut report = ExecReport::default();
         if !cells.is_empty() {
-            let r = self.cells.execute(cells);
-            report.planned += r.planned;
-            report.memo_hits += r.memo_hits;
-            report.disk_hits += r.disk_hits;
-            report.computed += r.computed;
-            report.failed += r.failed.len() as u64;
-            failures.extend(r.failed.iter().map(describe_cell_failure));
+            report.absorb(self.cells.execute(cells).map_keys(TuneKey::Cell));
         }
         if !scenarios.is_empty() {
-            let r = self.scenarios.execute(scenarios);
-            report.planned += r.planned;
-            report.memo_hits += r.memo_hits;
-            report.disk_hits += r.disk_hits;
-            report.computed += r.computed;
-            report.failed += r.failed.len() as u64;
-            failures.extend(r.failed.iter().map(describe_scenario_failure));
+            report.absorb(
+                self.scenarios
+                    .execute(scenarios)
+                    .map_keys(TuneKey::Scenario),
+            );
         }
-        (report, failures)
+        report
     }
 
     /// The cell half (objectives read results back through this).
@@ -113,27 +84,4 @@ impl TuneExecutor {
     pub fn scenarios(&self) -> &ScenarioExecutor {
         &self.scenarios
     }
-}
-
-fn describe_cell_failure(f: &FailedItem<CellKey>) -> String {
-    format!(
-        "{}/{}/t{}/s{}: {} (after {} attempt(s))",
-        f.key.cell().benchmark.name(),
-        f.key.cell().policy.spec(),
-        f.key.cell().threads,
-        f.key.seed,
-        f.failure,
-        f.attempts
-    )
-}
-
-fn describe_scenario_failure(f: &FailedItem<ScenarioKey>) -> String {
-    format!(
-        "{}/{}/s{}: {} (after {} attempt(s))",
-        f.key.scenario,
-        f.key.policy.spec(),
-        f.key.seed,
-        f.failure,
-        f.attempts
-    )
 }

@@ -29,7 +29,7 @@
 //! use seer_tune::{run_search, DriverKind, ParamSpace, ThroughputObjective, TuneExecutor};
 //!
 //! let space = ParamSpace::default_space();
-//! let exec = TuneExecutor::new(1);
+//! let exec = TuneExecutor::new(1, None, None);
 //! let outcome = run_search(
 //!     &space, DriverKind::Random, 2, 0, &ThroughputObjective, &exec, &mut |_, _| {},
 //! );
@@ -48,7 +48,7 @@ pub mod sampler;
 pub mod space;
 
 pub use driver::{run_search, DriverKind, SearchOutcome, Trial, BASE_FIDELITY, MAX_FIDELITY};
-pub use exec::{TuneExecReport, TuneExecutor};
+pub use exec::{TuneExecutor, TuneKey};
 pub use objective::{
     objective_by_name, recovery_score, CombinedObjective, Objective, RobustnessObjective,
     ThroughputObjective, PINNED_BENCHMARKS, PINNED_SCALE, PINNED_SCENARIOS, PINNED_THREADS,

@@ -43,16 +43,16 @@ fn assert_outcomes_identical(what: &str, a: &SearchOutcome, b: &SearchOutcome) {
         );
     }
     assert_eq!(a.best, b.best, "{what}: incumbent");
-    assert!(a.failures.is_empty(), "{what}: unexpected failures");
-    assert!(b.failures.is_empty(), "{what}: unexpected failures");
+    assert!(a.exec_report.complete(), "{what}: unexpected failures");
+    assert!(b.exec_report.complete(), "{what}: unexpected failures");
 }
 
 #[test]
 fn search_is_bit_identical_serial_and_parallel() {
-    let (serial, serial_json) = search(&TuneExecutor::new(1));
+    let (serial, serial_json) = search(&TuneExecutor::new(1, None, None));
     assert!(serial.best.is_some(), "the pinned search must score");
 
-    let (parallel, parallel_json) = search(&TuneExecutor::new(4));
+    let (parallel, parallel_json) = search(&TuneExecutor::new(4, None, None));
     assert_outcomes_identical("jobs=4", &serial, &parallel);
     assert_eq!(serial_json, parallel_json, "jobs=4: rendered report bytes");
 }

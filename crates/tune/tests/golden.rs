@@ -21,7 +21,7 @@ const FIXTURE: &str = concat!(
 #[test]
 fn pinned_search_renders_the_committed_leaderboard() {
     let space = ParamSpace::default_space();
-    let exec = seer_tune::TuneExecutor::new(2);
+    let exec = seer_tune::TuneExecutor::new(2, None, None);
     let outcome = run_search(
         &space,
         DriverKind::Random,
@@ -31,7 +31,7 @@ fn pinned_search_renders_the_committed_leaderboard() {
         &exec,
         &mut |_, _| {},
     );
-    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    assert!(outcome.exec_report.complete(), "{:?}", outcome.exec_report);
     let doc = report_json(
         &space,
         DriverKind::Random,

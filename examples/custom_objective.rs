@@ -77,7 +77,7 @@ fn main() {
         .unwrap_or(8);
 
     let space = ParamSpace::default_space();
-    let exec = TuneExecutor::new(4);
+    let exec = TuneExecutor::new(4, None, None);
     let outcome = run_search(
         &space,
         DriverKind::Random,
