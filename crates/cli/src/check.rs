@@ -6,14 +6,13 @@
 //! |---|---|---|
 //! | `trace` | `--trace` JSONL (§10) | `seer_harness::validate_trace_jsonl` |
 //! | `scenario` | `seer scenario run --json true` (§11) | `seer_scenario::validate_reports` |
-//! | `tune` | `seer tune` leaderboards (§15) | `seer_tune::validate_report` |
 
 use seer_harness::{validate_trace_jsonl, Json};
 
 use crate::args::{Args, ParseError};
 
 /// The artefact kinds `seer check` validates.
-pub const KINDS: [&str; 3] = ["trace", "scenario", "tune"];
+pub const KINDS: [&str; 2] = ["trace", "scenario"];
 
 /// `seer check <kind>`: validates each `--file` in order, printing its
 /// summary; the first invalid file is the error.
@@ -50,24 +49,12 @@ fn summarize(kind: &str, path: &str) -> Result<Vec<String>, String> {
         return Ok(lines);
     }
     let json = Json::parse(&read(path)?).map_err(|e| format!("not valid JSON: {e}"))?;
-    if kind == "scenario" {
-        let reports = seer_scenario::validate_reports(&json)?;
-        let mut lines = vec![format!("{path}: {} report(s) OK", reports.len())];
-        lines.extend(
-            reports
-                .iter()
-                .map(|r| format!("  {:<16} {} score(s)", r.scenario, r.scores.len())),
-        );
-        return Ok(lines);
-    }
-    let violations = seer_tune::validate_report(&json);
-    if !violations.is_empty() {
-        let mut msg = format!("{} violation(s):", violations.len());
-        for v in &violations {
-            msg.push_str("\n  - ");
-            msg.push_str(v);
-        }
-        return Err(msg);
-    }
-    Ok(vec![format!("{path}: ok")])
+    let reports = seer_scenario::validate_reports(&json)?;
+    let mut lines = vec![format!("{path}: {} report(s) OK", reports.len())];
+    lines.extend(
+        reports
+            .iter()
+            .map(|r| format!("  {:<16} {} score(s)", r.scenario, r.scores.len())),
+    );
+    Ok(lines)
 }

@@ -1,8 +1,7 @@
-//! The CLI commands: `list`, `run`, `sweep`, `tune`, `inspect`,
-//! `explain`, and the `scenario` family (`check` and `experiment` have
-//! modules of their own).
+//! The CLI commands: `list`, `run`, `sweep`, `inspect`, `explain`, and
+//! the `scenario` family (`check` and `experiment` have modules of their
+//! own).
 
-use std::path::Path;
 use std::sync::Once;
 use std::time::Duration;
 
@@ -56,11 +55,6 @@ pub fn print_usage() {
          \x20 sweep    thread sweep        --benchmark B [--policies hle,rtm,scm,seer]\n\
          \x20                              [--max-threads N] [--seed N] [--jobs N]\n\
          \x20                              [--store DIR] [--resume]\n\
-         \x20 tune     parameter search    [--driver random|halving|climb] [--budget N]\n\
-         \x20          over Seer's knobs   [--objective throughput|robustness|combined]\n\
-         \x20          (see DESIGN.md §15) [--space F.json] [--seed N] [--jobs N]\n\
-         \x20                              [--json true] [--out TUNE.json]\n\
-         \x20                              [--store DIR] [--resume]\n\
          \x20 inspect  Seer's learned state --benchmark B --threads N [--txs N] [--seed N]\n\
          \x20 explain  decision history     --benchmark B --policy P --pair X,Y\n\
          \x20          for one block pair   [--threads N] [--seed N] [--txs N]\n\
@@ -72,7 +66,7 @@ pub fn print_usage() {
          \x20                              fig4, fig5, ablation-core-locks, accuracy,\n\
          \x20                              fine-grained, convergence (SEER_SEEDS,\n\
          \x20                              SEER_SCALE, SEER_JOBS, SEER_REPORT_JSON)\n\
-         \x20 check KIND   schema gate     --file F[,F...]   KIND: trace|scenario|tune\n\
+         \x20 check KIND   schema gate     --file F[,F...]   KIND: trace|scenario\n\
          \n\
          Persistence: --store DIR attaches an on-disk result store (results load\n\
          before simulating and persist after); --resume is shorthand for\n\
@@ -259,15 +253,9 @@ const DEFAULT_STORE_DIR: &str = ".seer-store";
 /// unwritable directory degrades into a warn-once pass-through inside the
 /// store, so this never fails and never aborts a sweep mid-run.
 fn store_from_args(args: &Args) -> Option<Store> {
-    store_dir_from_args(args).map(Store::open)
-}
-
-/// The directory behind [`store_from_args`], for commands (like `tune`)
-/// that open more than one store view over it.
-fn store_dir_from_args(args: &Args) -> Option<&str> {
     match (args.get("store"), args.get("resume")) {
-        (Some(dir), _) => Some(dir),
-        (None, Some(_)) => Some(DEFAULT_STORE_DIR),
+        (Some(dir), _) => Some(Store::open(dir)),
+        (None, Some(_)) => Some(Store::open(DEFAULT_STORE_DIR)),
         (None, None) => None,
     }
 }
@@ -404,162 +392,6 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
         println!();
     }
     coverage_loss("sweep", &report, "cell(s)", PARTIAL)
-}
-
-/// `seer tune`: deterministic parameter search over Seer's scheduling
-/// knobs (DESIGN.md §15). Proposes configurations with the chosen
-/// driver, evaluates them through the same executor stack as `sweep`
-/// (memo, `--store`/`--resume`, `--jobs`), and prints a ranked
-/// leaderboard plus a per-dimension sensitivity table. The result is
-/// bit-identical for any `--jobs` value.
-pub fn tune(args: &Args) -> Result<(), ParseError> {
-    use seer_harness::Json;
-    use seer_scenario::ScenarioPlan;
-    use seer_tune::{objective_by_name, report_json, run_search, DriverKind, ParamSpace};
-
-    args.allow_only(&[
-        "space",
-        "driver",
-        "budget",
-        "objective",
-        "seed",
-        "jobs",
-        "json",
-        "out",
-        "store",
-        "resume",
-    ])?;
-    let space = match args.get("space") {
-        None => ParamSpace::default_space(),
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| ParseError(format!("cannot read --space {path:?}: {e}")))?;
-            ParamSpace::parse(&text).map_err(|e| ParseError(format!("--space {path:?}: {e}")))?
-        }
-    };
-    let driver: DriverKind = args
-        .get("driver")
-        .unwrap_or("random")
-        .parse()
-        .map_err(ParseError)?;
-    let budget: u64 = args.get_parsed("budget", 16)?;
-    if budget == 0 {
-        return Err(ParseError("--budget must be at least 1".into()));
-    }
-    let seed: u64 = args.get_parsed("seed", 0)?;
-    let objective_name = args.get("objective").unwrap_or("combined");
-    let objective = objective_by_name(objective_name).ok_or_else(|| {
-        ParseError(format!(
-            "unknown objective {objective_name:?} (throughput, robustness, combined)"
-        ))
-    })?;
-    let json: bool = args.get_parsed("json", false)?;
-
-    let exec = seer_tune::TuneExecutor::new(
-        jobs_or_warn(args),
-        store_dir_from_args(args).map(Path::new),
-        cell_deadline(),
-    );
-
-    let outcome = run_search(
-        &space,
-        driver,
-        budget,
-        seed,
-        objective.as_ref(),
-        &exec,
-        &mut |what, r| {
-            eprintln!("tune: batch {what} — {} run(s), {r}", r.planned);
-        },
-    );
-
-    // The yardstick: the paper-default configuration, evaluated through
-    // the same objective at the incumbent's fidelity. One extra batch;
-    // its runs memoize and persist like any trial's.
-    let mut total = outcome.exec_report.clone();
-    let default_score = outcome
-        .best
-        .map(|b| outcome.trials[b].fidelity)
-        .and_then(|fidelity| {
-            let mut cells = Plan::new();
-            let mut scenarios = ScenarioPlan::new();
-            objective.plan(PolicyKind::Seer, fidelity, &mut cells, &mut scenarios);
-            total.absorb(exec.execute(&cells, &scenarios));
-            objective.score(PolicyKind::Seer, fidelity, &exec)
-        });
-
-    // Cumulative coverage, in the sweep-report vocabulary (the CI tune
-    // job greps a `--resume` second pass for pure-disk counters here).
-    eprintln!("tune: {} run(s) planned — {total}", total.planned);
-
-    let doc = report_json(
-        &space,
-        driver,
-        budget,
-        seed,
-        objective.name(),
-        &outcome,
-        default_score,
-    );
-    if let Some(out) = args.get("out") {
-        std::fs::write(out, format!("{}\n", doc.to_string_pretty()))
-            .map_err(|e| ParseError(format!("cannot write {out:?}: {e}")))?;
-    }
-    if json {
-        println!("{}", doc.to_string_pretty());
-    } else {
-        println!(
-            "{} objective — driver {}, budget {}, seed {} ({} distinct config(s))",
-            objective.name(),
-            driver.name(),
-            budget,
-            seed,
-            outcome.trials.len(),
-        );
-        println!("{:>4}  {:>12}  {:>3}  spec", "rank", "score", "fid");
-        if let Some(rows) = doc.get("leaderboard").and_then(Json::as_array) {
-            for row in rows {
-                let rank = row.get("rank").and_then(Json::as_u64).unwrap_or(0);
-                let fid = row.get("fidelity").and_then(Json::as_u64).unwrap_or(0);
-                let spec = row.get("spec").and_then(Json::as_str).unwrap_or("?");
-                match row.get("score").and_then(Json::as_f64) {
-                    Some(s) => println!("{rank:>4}  {s:>12.6}  {fid:>3}  {spec}"),
-                    None => println!("{rank:>4}  {:>12}  {fid:>3}  {spec}", "FAILED"),
-                }
-            }
-        }
-        match (default_score, doc.get("improvement").and_then(Json::as_f64)) {
-            (Some(d), Some(r)) => {
-                println!("\ndefault (paper constants): {d:.6} — best is {r:.3}x the default");
-            }
-            (Some(d), None) => println!("\ndefault (paper constants): {d:.6}"),
-            (None, _) => println!("\ndefault (paper constants): FAILED"),
-        }
-        println!("\nsensitivity around the incumbent (objective drop when the knob moves):");
-        if let Some(rows) = doc.get("sensitivity").and_then(Json::as_array) {
-            for row in rows {
-                let dim = row.get("dim").and_then(Json::as_str).unwrap_or("?");
-                match row.get("delta").and_then(Json::as_f64) {
-                    Some(delta) => {
-                        let alt = row
-                            .get("best_alternative")
-                            .map(Json::to_string_compact)
-                            .unwrap_or_else(|| "null".into());
-                        println!("  {dim:<12} {delta:>12.6}  (best alternative: {alt})");
-                    }
-                    None => println!("  {dim:<12} {:>12}", "no varying trial"),
-                }
-            }
-        }
-    }
-
-    coverage_loss(
-        "tune",
-        &total,
-        "run(s)",
-        "the leaderboard above ranks affected trials last \
-         (re-run with --resume to retry only the gaps)",
-    )
 }
 
 /// `seer inspect`.
@@ -1107,7 +939,7 @@ mod tests {
         assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "3"])), 3);
         assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "0"])), default);
         assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "lots"])), default);
-        // `scenario run` follows the same rule as `sweep` and `tune`.
+        // `scenario run` follows the same rule as `sweep`.
         let a = args(&["scenario-run", "--jobs", "0", "--json", "true"]);
         scenario_run(&a).expect("invalid --jobs should warn and default, not error");
     }
@@ -1151,11 +983,7 @@ mod tests {
         // Execution is local only: a script still passing `--workers`
         // must learn that, not silently compute on this host.
         type Command = fn(&Args) -> Result<(), ParseError>;
-        let commands: [(&str, Command); 3] = [
-            ("sweep", sweep),
-            ("tune", tune),
-            ("scenario-run", scenario_run),
-        ];
+        let commands: [(&str, Command); 2] = [("sweep", sweep), ("scenario-run", scenario_run)];
         for (name, command) in commands {
             let a = args(&[name, "--workers", "127.0.0.1:1", "--seed", "0"]);
             let ParseError(msg) = command(&a).expect_err(name);

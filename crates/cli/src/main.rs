@@ -5,9 +5,6 @@
 //! seer run    --benchmark genome --policy seer --threads 8 [--seed N] [--txs N] [--json true]
 //! seer sweep  --benchmark vacation-high [--policies hle,rtm,scm,seer] [--max-threads 8]
 //!             [--store DIR] [--resume]                   # persistent, resumable results
-//! seer tune   [--driver random|halving|climb] [--budget N] [--objective combined]
-//!             [--space F.json] [--seed N] [--jobs N] [--json true] [--out TUNE.json]
-//!             [--store DIR] [--resume]                   # parameter search over Seer's knobs
 //! seer inspect --benchmark intruder --threads 8 [--txs N]   # Seer's learned state
 //! seer explain --benchmark genome --policy seer --pair 0,2  # decision history of one pair
 //! seer scenario list                                        # built-in disturbance scenarios
@@ -71,7 +68,6 @@ fn run(mut raw: Vec<String>) -> Result<(), String> {
         }
         "run" => commands::run_one(&args).map_err(|e| e.to_string()),
         "sweep" => commands::sweep(&args).map_err(|e| e.to_string()),
-        "tune" => commands::tune(&args).map_err(|e| e.to_string()),
         "inspect" => commands::inspect(&args).map_err(|e| e.to_string()),
         "explain" => commands::explain(&args).map_err(|e| e.to_string()),
         "scenario-list" => {
@@ -142,11 +138,20 @@ mod tests {
     fn unknown_check_kinds_and_experiments_list_the_valid_ones() {
         let err = run_words(&["check", "logs", "--file", "x"]).unwrap_err();
         assert!(
-            err.contains("\"logs\"") && err.contains("(valid: trace, scenario, tune)"),
+            err.contains("\"logs\"") && err.contains("(valid: trace, scenario)"),
             "{err}"
         );
         let err = run_words(&["check", "--file", "x"]).unwrap_err();
-        assert!(err.contains("one of trace, scenario, tune"), "{err}");
+        assert!(err.contains("one of trace, scenario"), "{err}");
+        // The parameter search is gone: `tune` is neither a check kind nor
+        // a command.
+        let err = run_words(&["check", "tune", "--file", "x"]).unwrap_err();
+        assert!(
+            err.contains("unknown check kind \"tune\" (valid: trace, scenario)"),
+            "{err}"
+        );
+        let err = run_words(&["tune", "--budget", "8"]).unwrap_err();
+        assert!(err.contains("unknown command \"tune\""), "{err}");
         // `bench` is neither a check kind nor a command.
         let err = run_words(&["check", "bench", "--file", "x"]).unwrap_err();
         assert!(err.contains("unknown check kind \"bench\""), "{err}");
@@ -169,7 +174,7 @@ mod tests {
         let err = run_words(&["check", "trace"]).unwrap_err();
         assert!(err.contains("--file"), "{err}");
         // Every kind takes `--file` alone.
-        for kind in ["trace", "scenario", "tune"] {
+        for kind in ["trace", "scenario"] {
             for opt in ["--baseline", "--tolerance"] {
                 let err = run_words(&["check", kind, "--file", "x", opt, "y"]).unwrap_err();
                 assert!(err.contains(&format!("unknown option {opt}")), "{err}");
@@ -186,13 +191,10 @@ mod tests {
     fn check_accepts_committed_artefacts() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let file = |rel: &str| format!("{root}/{rel}");
-        let leaderboard = file("crates/tune/tests/fixtures/leaderboard.json");
-        let tune = format!("{},{leaderboard}", file("TUNE_064.json"));
-        run_words(&["check", "tune", "--file", &tune]).unwrap();
         let trace = file("crates/conformance/tests/fixtures/decision_trace.jsonl");
         run_words(&["check", "trace", "--file", &trace]).unwrap();
         // A file of the wrong kind is rejected.
-        let err = run_words(&["check", "scenario", "--file", &file("TUNE_064.json")]);
+        let err = run_words(&["check", "scenario", "--file", &trace]);
         assert!(err.is_err());
     }
 }

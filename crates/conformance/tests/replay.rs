@@ -9,8 +9,9 @@
 //! SEER_BLESS=1 cargo test -p seer-conformance --test replay
 //! ```
 //!
-//! then commit the updated `tests/fixtures/trace_hashes.txt` together with
-//! the change that shifted the schedules, explaining why in the message.
+//! then commit the updated `tests/fixtures/trace_hashes.txt` (and
+//! `tx_lock_trace_hashes.txt`) together with the change that shifted the
+//! schedules, explaining why in the message.
 
 use seer_conformance::replay::{fixture_line, replay_cell};
 use seer_harness::{env_config, parallel_map, Cell, PolicyKind};
@@ -68,6 +69,51 @@ fn every_cell_replays_bit_identically_and_matches_fixtures() {
         "event schedules drifted from the committed fixtures \
          (intentional? re-bless with SEER_BLESS=1):\n{}",
         mismatches.join("\n")
+    );
+}
+
+/// Scale of the 8-thread transaction-lock cells (`--txs 50` for genome).
+const TX_LOCK_SCALE: f64 = 0.125;
+const TX_LOCK_FIXTURES: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/tx_lock_trace_hashes.txt"
+);
+
+#[test]
+fn eight_thread_seer_takes_multi_lock_rows_and_matches_fixtures() {
+    // At 8 threads genome and intruder acquire multi-lock
+    // `locksToAcquire` rows, so these hashes pin which locks a thread
+    // takes, not just whether it takes any: dropping one lock of a
+    // multi-lock row moves both.
+    let cells = [Benchmark::Genome, Benchmark::Intruder].map(|benchmark| Cell {
+        benchmark,
+        policy: PolicyKind::Seer,
+        threads: 8,
+    });
+    let lines = parallel_map(&cells, env_config().jobs, |&cell| {
+        let metrics = replay_cell(cell, 0, TX_LOCK_SCALE);
+        let violations = metrics.check_conservation();
+        assert!(violations.is_empty(), "{cell:?}: {violations:#?}");
+        assert!(
+            metrics.tx_lock_acquisitions.iter().any(|&n| n > 1),
+            "{cell:?} never acquired more than one transaction lock: {:?}",
+            metrics.tx_lock_acquisitions
+        );
+        fixture_line(cell, 0, metrics.trace_hash)
+    });
+    let computed = lines.join("\n") + "\n";
+
+    if std::env::var_os("SEER_BLESS").is_some() {
+        std::fs::write(TX_LOCK_FIXTURES, &computed).expect("write fixtures");
+        return;
+    }
+    let golden = std::fs::read_to_string(TX_LOCK_FIXTURES).expect(
+        "missing tests/fixtures/tx_lock_trace_hashes.txt — run with SEER_BLESS=1 to create it",
+    );
+    assert_eq!(
+        golden, computed,
+        "8-thread tx-lock schedules drifted from the committed fixtures \
+         (intentional? re-bless with SEER_BLESS=1)"
     );
 }
 

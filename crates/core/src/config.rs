@@ -33,9 +33,9 @@ impl Default for ProfilingCosts {
 }
 
 /// The tunable scheduling knobs of Seer, gathered in one pure-data
-/// struct so external tooling (the `seer tune` search subsystem, config
-/// files, spec strings) can carry them around without knowing about the
-/// mechanism toggles in [`SeerConfig`].
+/// struct so external tooling (the `seer@key=value` policy specs of
+/// `seer run` and `seer sweep`) can carry them around without knowing
+/// about the mechanism toggles in [`SeerConfig`].
 ///
 /// `Default` is pinned to the paper's hand-picked constants, and
 /// [`SeerConfig::with_params`]`(SeerParams::default())` equals
@@ -139,7 +139,7 @@ impl SeerConfig {
     }
 
     /// Full Seer with its scheduling knobs replaced by `params` — the
-    /// bridge from the tuner's pure-data [`SeerParams`] to a runnable
+    /// bridge from the pure-data [`SeerParams`] to a runnable
     /// configuration. Every mechanism toggle matches [`Self::full`], so
     /// `with_params(SeerParams::default()) == full()`.
     pub fn with_params(params: SeerParams) -> Self {

@@ -180,16 +180,6 @@ impl Plan {
             }
         }
     }
-
-    /// Number of unique work items.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when the plan holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
 }
 
 /// The parallel, memoizing executor behind every figure, table and
@@ -284,10 +274,10 @@ mod tests {
         plan.add(cell(2), &cfg);
         plan.add(cell(2), &cfg); // exact duplicate
         plan.add(cell(4), &cfg);
-        assert_eq!(plan.len(), 4); // 2 cells × 2 seeds
+        assert_eq!(plan.inner.len(), 4); // 2 cells × 2 seeds
         assert!(plan.add_one(cell(2), 7, 0.1));
         assert!(!plan.add_one(cell(2), 7, 0.1));
-        assert_eq!(plan.len(), 5);
+        assert_eq!(plan.inner.len(), 5);
     }
 
     #[test]

@@ -9,14 +9,19 @@
 //! Figure 3 cell; Figures 4/5 share the profile-only baselines) simulate
 //! each unique cell exactly once per executor.
 //!
-//! Every experiment that plans cells returns a [`Planned`]: the
-//! executor's report on its plan, and the figure only if every planned
-//! cell has a result. A failed cell is reported, never recomputed.
+//! Every experiment returns a [`Planned`]: the executor's report on its
+//! plan, and the figure only if every planned item has a result. A
+//! failed item is reported, never recomputed. The extra experiments
+//! (accuracy, fine-grained, convergence) read post-run scheduler state,
+//! so they plan one run per benchmark on an executor of their own
+//! (keyed by [`BenchmarkKey`]) instead of the cell cache.
+
+use std::time::Duration;
 
 use seer_stamp::Benchmark;
-use seer_store::{ExecReport, Json, ToJson};
+use seer_store::{ExecReport, Executor, Json, Persist, StoreKey, ToJson};
 
-use crate::exec::{parallel_map, CellExecutor, CellKey, Plan};
+use crate::exec::{CellExecutor, CellKey, Plan};
 use crate::policy::PolicyKind;
 use crate::report::{Panel, PercentTable, Series};
 use crate::runner::{geometric_mean, Cell};
@@ -26,9 +31,9 @@ pub const THREADS_FULL: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 /// Thread counts reported by Table 3 / Figure 5.
 pub const THREADS_TABLE: [usize; 4] = [2, 4, 6, 8];
 
-/// What an experiment that plans cells returns: the executor's report on
-/// its plan, and the figure — `None` when a planned cell failed.
-pub type Planned<T> = (ExecReport<CellKey>, Option<T>);
+/// What an experiment returns: the executor's report on its plan, and
+/// the figure — `None` when a planned item failed.
+pub type Planned<T, K = CellKey> = (ExecReport<K>, Option<T>);
 
 /// Executes `plan`, then assembles the figure from the cache only if
 /// every planned cell has a result.
@@ -303,6 +308,52 @@ pub fn core_locks_only(exec: &CellExecutor, threads: &[usize]) -> Planned<Panel>
     })
 }
 
+/// The key of an extra experiment's run: one STAMP benchmark. Its
+/// executor has no store, so the key never names a shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BenchmarkKey(pub Benchmark);
+
+impl StoreKey for BenchmarkKey {
+    const KIND: &'static str = "benchmark";
+
+    fn key_id(&self) -> String {
+        self.0.spec()
+    }
+
+    fn key_json(&self) -> Json {
+        Json::object([("benchmark", self.0.spec().to_json())])
+    }
+}
+
+/// The benchmark's name: how failure lists name an extra experiment's run.
+impl std::fmt::Display for BenchmarkKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0.spec())
+    }
+}
+
+/// Runs `run` once per STAMP benchmark on a store-less executor fanned
+/// out across `jobs` OS threads, each run under panic isolation and the
+/// optional `deadline`. The rows come back in [`Benchmark::STAMP`] order,
+/// only if every run has a result.
+fn per_benchmark<V>(
+    jobs: usize,
+    deadline: Option<Duration>,
+    run: impl Fn(Benchmark) -> V + Send + Sync + 'static,
+) -> Planned<Vec<V>, BenchmarkKey>
+where
+    V: Persist + Clone + Send + 'static,
+{
+    let exec = Executor::new(jobs, None, deadline, move |key: BenchmarkKey| run(key.0));
+    let mut plan = seer_store::Plan::new();
+    for benchmark in Benchmark::STAMP {
+        plan.add(BenchmarkKey(benchmark));
+    }
+    let report = exec.execute(&plan);
+    let rows = plan.items().iter().map(|key| exec.cached(key)).collect();
+    (report, rows)
+}
+
 /// Inference-accuracy scores for one benchmark at one thread count.
 #[derive(Debug, Clone)]
 pub struct AccuracyResult {
@@ -331,22 +382,38 @@ impl ToJson for AccuracyResult {
     }
 }
 
+impl Persist for AccuracyResult {
+    fn to_store_json(&self) -> Json {
+        self.to_json()
+    }
+
+    fn from_store_json(json: &Json) -> Result<Self, String> {
+        Ok(Self {
+            benchmark: json.str_field("benchmark")?.to_string(),
+            precision: json.f64_field("precision")?,
+            recall: json.f64_field("recall")?,
+            inferred: json.u64_field("inferred")? as usize,
+            truth: json.u64_field("truth")? as usize,
+        })
+    }
+}
+
 /// Extra experiment (not in the paper, enabled by the simulator's oracle):
 /// score Seer's inferred conflict relation against the ground-truth kill
 /// matrix. A true pair is one responsible for ≥ `significance` of the
 /// victim block's recorded kills. Benchmarks fan out across `jobs` OS
-/// threads (these runs need post-run scheduler state, so they bypass the
-/// cell cache).
+/// threads, each run under the optional `deadline`.
 pub fn inference_accuracy(
     threads: usize,
     scale: f64,
     significance: f64,
     jobs: usize,
-) -> Vec<AccuracyResult> {
+    deadline: Option<Duration>,
+) -> Planned<Vec<AccuracyResult>, BenchmarkKey> {
     use seer::{Seer, SeerConfig};
     use seer_runtime::{run, DriverConfig, Workload};
 
-    parallel_map(&Benchmark::STAMP, jobs, |&benchmark| {
+    per_benchmark(jobs, deadline, move |benchmark| {
         let mut workload = benchmark.instantiate_scaled(threads, scale);
         let blocks = workload.num_blocks();
         let mut sched = Seer::new(SeerConfig::full(), threads, blocks);
@@ -431,17 +498,39 @@ impl ToJson for FineGrainedResult {
     }
 }
 
+impl Persist for FineGrainedResult {
+    fn to_store_json(&self) -> Json {
+        self.to_json()
+    }
+
+    fn from_store_json(json: &Json) -> Result<Self, String> {
+        Ok(Self {
+            benchmark: json.str_field("benchmark")?.to_string(),
+            plain: json.f64_field("plain")?,
+            refined: json.f64_field("refined")?,
+            plain_pairs: json.u64_field("plain_pairs")? as usize,
+            refined_pairs: json.u64_field("refined_pairs")? as usize,
+        })
+    }
+}
+
 /// Future-work extension experiment (paper §6): Seer with block-granular
 /// locks vs Seer with (block × data-structure)-granular locks, obtained by
 /// refining block ids with `seer_stamp::RefinedModel`. Benchmarks fan out
-/// across `jobs` OS threads.
-pub fn fine_grained(threads: usize, scale: f64, seeds: u64, jobs: usize) -> Vec<FineGrainedResult> {
+/// across `jobs` OS threads, each run under the optional `deadline`.
+pub fn fine_grained(
+    threads: usize,
+    scale: f64,
+    seeds: u64,
+    jobs: usize,
+    deadline: Option<Duration>,
+) -> Planned<Vec<FineGrainedResult>, BenchmarkKey> {
     use seer::{Seer, SeerConfig};
     use seer_runtime::{run, DriverConfig, Workload};
     use seer_stamp::RefinedModel;
 
     const STRUCTURES: usize = 4;
-    parallel_map(&Benchmark::STAMP, jobs, |&benchmark| {
+    per_benchmark(jobs, deadline, move |benchmark| {
         let mut plain_speedup = 0.0;
         let mut refined_speedup = 0.0;
         let mut plain_pairs = 0usize;
@@ -500,16 +589,44 @@ impl ToJson for ConvergenceResult {
     }
 }
 
+impl Persist for ConvergenceResult {
+    fn to_store_json(&self) -> Json {
+        self.to_json()
+    }
+
+    fn from_store_json(json: &Json) -> Result<Self, String> {
+        let converged_fraction = match json.field("converged_fraction")? {
+            Json::Null => None,
+            v => Some(
+                v.as_f64()
+                    .ok_or("field \"converged_fraction\" is neither null nor a number")?,
+            ),
+        };
+        Ok(Self {
+            benchmark: json.str_field("benchmark")?.to_string(),
+            converged_at: json.opt_u64_field("converged_at")?,
+            makespan: json.u64_field("makespan")?,
+            converged_fraction,
+            updates: json.u64_field("updates")?,
+        })
+    }
+}
+
 /// Extra experiment: how quickly does Seer's locking scheme converge?
 /// The paper motivates its "relatively aggressive monitoring/optimization
 /// rates" by STAMP's short runs (§5.3); this measures the resulting
 /// convergence point directly. Benchmarks fan out across `jobs` OS
-/// threads.
-pub fn convergence(threads: usize, scale: f64, jobs: usize) -> Vec<ConvergenceResult> {
+/// threads, each run under the optional `deadline`.
+pub fn convergence(
+    threads: usize,
+    scale: f64,
+    jobs: usize,
+    deadline: Option<Duration>,
+) -> Planned<Vec<ConvergenceResult>, BenchmarkKey> {
     use seer::{Seer, SeerConfig};
     use seer_runtime::{run, DriverConfig, Workload};
 
-    parallel_map(&Benchmark::STAMP, jobs, |&benchmark| {
+    per_benchmark(jobs, deadline, move |benchmark| {
         let mut workload = benchmark.instantiate_scaled(threads, scale);
         let blocks = workload.num_blocks();
         let mut sched = Seer::new(SeerConfig::full(), threads, blocks);
@@ -612,9 +729,59 @@ mod tests {
 
     #[test]
     fn accuracy_scores_are_probabilities() {
-        for a in inference_accuracy(4, 0.08, 0.05, 2) {
+        let (report, rows) = inference_accuracy(4, 0.08, 0.05, 2, None);
+        assert_eq!((report.planned, report.computed), (8, 8));
+        for a in rows.expect("complete") {
             assert!((0.0..=1.0).contains(&a.precision), "{a:?}");
             assert!((0.0..=1.0).contains(&a.recall), "{a:?}");
         }
+    }
+
+    #[test]
+    fn convergence_under_a_missed_deadline_reports_failures_and_yields_no_result() {
+        let (report, rows) = convergence(8, 0.08, 2, Some(std::time::Duration::from_millis(1)));
+        assert!(!report.failed.is_empty(), "a 1 ms deadline must fail runs");
+        assert!(rows.is_none(), "a result was assembled around failed runs");
+        assert_eq!(report.planned, 8);
+        assert_eq!(
+            report.computed as usize + report.failed.len(),
+            report.planned
+        );
+    }
+
+    fn round_trips<V: Persist + ToJson>(row: V) {
+        let back = V::from_store_json(&row.to_store_json()).unwrap();
+        assert_eq!(back.to_json(), row.to_json());
+    }
+
+    #[test]
+    fn extra_experiment_rows_round_trip_through_their_shard_codec() {
+        round_trips(AccuracyResult {
+            benchmark: "intruder".into(),
+            precision: 2.0 / 3.0,
+            recall: 1.0,
+            inferred: 3,
+            truth: 2,
+        });
+        round_trips(FineGrainedResult {
+            benchmark: "yada".into(),
+            plain: 1.234_567_890_123,
+            refined: 0.1,
+            plain_pairs: 4,
+            refined_pairs: 9,
+        });
+        let never = ConvergenceResult {
+            benchmark: "genome".into(),
+            converged_at: None,
+            makespan: 12_345,
+            converged_fraction: None,
+            updates: 7,
+        };
+        round_trips(never.clone());
+        round_trips(ConvergenceResult {
+            converged_at: Some(4_000),
+            converged_fraction: Some(4_000.0 / 12_345.0),
+            ..never
+        });
     }
 }

@@ -42,8 +42,8 @@ pub mod trace_export;
 pub use exec::{parallel_map, CellExecutor, CellKey, Plan};
 pub use experiments::{
     convergence, core_locks_only, figure3, figure4, figure5, fine_grained, inference_accuracy,
-    table3, AccuracyResult, ConvergenceResult, FineGrainedResult, Planned, THREADS_FULL,
-    THREADS_TABLE,
+    table3, AccuracyResult, BenchmarkKey, ConvergenceResult, FineGrainedResult, Planned,
+    THREADS_FULL, THREADS_TABLE,
 };
 pub use policy::{PolicyKind, TunedParams, UnknownPolicy};
 pub use report::{maybe_write_json, Panel, PercentTable, Series};

@@ -4,10 +4,10 @@ use seer::{Seer, SeerConfig, SeerParams};
 use seer_baselines::{Ats, Hle, Rtm, Scm};
 use seer_runtime::Scheduler;
 
-/// A searched set of Seer scheduling knobs, bit-packed so the enclosing
+/// A set of Seer scheduling knobs, bit-packed so the enclosing
 /// [`PolicyKind`] stays `Copy + Eq + Hash` (floats are carried as their
 /// IEEE-754 bit patterns, which [`f64::to_bits`] makes total-ordered for
-/// the finite values the tuner produces).
+/// the finite values a `seer@…` spec admits).
 ///
 /// Round-trips losslessly through the textual policy spec (see
 /// [`PolicyKind::spec`]): Rust's `f64` `Display` is shortest-round-trip,
@@ -28,7 +28,7 @@ impl TunedParams {
     ///
     /// # Panics
     /// If any float knob is non-finite, a period is zero, or a decay of
-    /// `Some(0)` sneaks in — all states the validated `ParamSpace` can
+    /// `Some(0)` sneaks in — all states a parsed `seer@…` spec can
     /// never produce.
     pub fn from_params(params: SeerParams) -> Self {
         assert!(
@@ -165,9 +165,10 @@ pub enum PolicyKind {
     SeerPlusHillClimbing,
     /// §5.3 ablation: core locks only.
     SeerCoreLocksOnly,
-    /// Full Seer with searched scheduling knobs (produced by `seer tune`;
-    /// not part of [`PolicyKind::ALL`] — the paper matrices only sweep
-    /// the named variants).
+    /// Full Seer with its scheduling knobs set by a `seer@key=value,...`
+    /// spec, to ablate one knob from `seer run` or `seer sweep` (not part
+    /// of [`PolicyKind::ALL`] — the paper matrices only sweep the named
+    /// variants).
     SeerTuned(TunedParams),
 }
 
@@ -271,7 +272,7 @@ impl PolicyKind {
                 "Figure 5 cumulative: + hill climbing (= full Seer)"
             }
             PolicyKind::SeerCoreLocksOnly => "Seer with only per-core locks (§5.3 ablation)",
-            PolicyKind::SeerTuned(_) => "full Seer with searched knobs (see `seer tune`)",
+            PolicyKind::SeerTuned(_) => "full Seer with its knobs set by a seer@key=value spec",
         }
     }
 

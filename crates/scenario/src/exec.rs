@@ -69,16 +69,6 @@ impl ScenarioPlan {
         }
     }
 
-    /// Number of unique work items.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when the plan holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
     /// The unique items, in insertion order.
     pub fn items(&self) -> &[ScenarioKey] {
         self.inner.items()
@@ -141,11 +131,11 @@ mod tests {
     #[test]
     fn plan_deduplicates() {
         let mut plan = ScenarioPlan::new();
-        assert!(plan.is_empty());
+        assert!(plan.items().is_empty());
         assert!(plan.add("stats-amnesia", PolicyKind::Seer, 0));
         assert!(!plan.add("stats-amnesia", PolicyKind::Seer, 0));
         plan.add_grid(&["stats-amnesia", "churn-storm"], &[PolicyKind::Seer], 2);
-        assert_eq!(plan.len(), 4);
+        assert_eq!(plan.items().len(), 4);
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl<K: std::fmt::Display> std::fmt::Display for FailedItem<K> {
     }
 }
 
-/// Coverage accounting for one or more [`Executor::execute`] calls:
+/// Coverage accounting for one [`Executor::execute`] call:
 /// where every planned item's result came from, and which items have
 /// none. The only account of the executor's work — it keeps no counters
 /// of its own.
@@ -182,34 +182,6 @@ impl<K> ExecReport<K> {
     /// Planned items that have a result (`planned - failed`).
     pub fn covered(&self) -> usize {
         self.planned - self.failed.len()
-    }
-
-    /// Adds another report's counts and failures to this one.
-    pub fn absorb(&mut self, other: ExecReport<K>) {
-        self.planned += other.planned;
-        self.memo_hits += other.memo_hits;
-        self.disk_hits += other.disk_hits;
-        self.computed += other.computed;
-        self.failed.extend(other.failed);
-    }
-
-    /// The same report over keys mapped through `f` (to sum reports of
-    /// executors with different key types).
-    pub fn map_keys<J>(self, f: impl Fn(K) -> J) -> ExecReport<J> {
-        ExecReport {
-            planned: self.planned,
-            memo_hits: self.memo_hits,
-            disk_hits: self.disk_hits,
-            computed: self.computed,
-            failed: self
-                .failed
-                .into_iter()
-                .map(|item| FailedItem {
-                    key: f(item.key),
-                    failure: item.failure,
-                })
-                .collect(),
-        }
     }
 }
 
@@ -369,6 +341,12 @@ mod tests {
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     struct NumKey(u64);
+
+    impl std::fmt::Display for NumKey {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "n{}", self.0)
+        }
+    }
 
     impl StoreKey for NumKey {
         const KIND: &'static str = "num";
@@ -544,21 +522,19 @@ mod tests {
     }
 
     #[test]
-    fn reports_sum_and_render_one_coverage_line() {
-        let mut total = ExecReport::<String>::default();
+    fn report_renders_one_coverage_line() {
         let exec: Executor<NumKey, u64> = Executor::new(1, None, None, |k: NumKey| {
             assert!(k.0 != 3, "boom");
             k.0
         });
-        for range in [0..2, 0..4] {
-            total.absorb(exec.execute(&plan(range)).map_keys(|k| format!("n{}", k.0)));
-        }
+        exec.execute(&plan(0..2));
+        let report = exec.execute(&plan(0..4));
         assert_eq!(
-            total.to_string(),
-            "2 memoized, 0 from disk, 3 computed, 1 failed"
+            report.to_string(),
+            "2 memoized, 0 from disk, 1 computed, 1 failed"
         );
-        assert_eq!(format!("{total:#}"), "0 from disk, 3 computed, 1 failed");
-        assert_eq!(total.planned, 6);
-        assert_eq!(total.failed[0].to_string(), "n3: panicked: boom");
+        assert_eq!(format!("{report:#}"), "0 from disk, 1 computed, 1 failed");
+        assert_eq!(report.planned, 4);
+        assert_eq!(report.failed[0].to_string(), "n3: panicked: boom");
     }
 }
