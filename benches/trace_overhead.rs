@@ -30,7 +30,6 @@ fn cold_executor(cell: Cell) -> (CellExecutor, Plan) {
             jobs: 1,
         },
         None,
-        None,
     );
     let mut plan = Plan::new();
     plan.add_one(cell, 0, BENCH_SCALE);

@@ -44,8 +44,8 @@ impl Args {
             let Some(key) = tok.strip_prefix("--") else {
                 return Err(ParseError(format!("expected --option, got {tok:?}")));
             };
-            // Value-free flags: presence is the whole message.
-            if key == "help" || key == "resume" {
+            // The one value-free flag: presence is the whole message.
+            if key == "help" {
                 options.insert(key.to_string(), "true".into());
                 continue;
             }
@@ -144,12 +144,5 @@ mod tests {
     fn help_flag_is_value_free() {
         let a = parse(&["run", "--help"]).unwrap();
         assert!(a.wants_help());
-    }
-
-    #[test]
-    fn resume_flag_is_value_free() {
-        let a = parse(&["sweep", "--resume", "--benchmark", "genome"]).unwrap();
-        assert_eq!(a.get("resume"), Some("true"));
-        assert_eq!(a.get("benchmark"), Some("genome"));
     }
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 use seer::{Seer, SeerConfig};
 use seer_harness::{
     env_config, write_chrome_trace, write_trace_jsonl, Cell, CellExecutor, ExecReport,
-    HarnessConfig, Plan, PolicyKind, Store,
+    HarnessConfig, Plan, PolicyKind,
 };
 use seer_runtime::{run, DriverConfig, MemoryTraceSink, RunMetrics, TxMode, Workload};
 use seer_scenario::RunRequest;
@@ -54,24 +54,18 @@ pub fn print_usage() {
          \x20                              [--trace F.jsonl] [--chrome F.json]\n\
          \x20 sweep    thread sweep        --benchmark B [--policies hle,rtm,scm,seer]\n\
          \x20                              [--max-threads N] [--seed N] [--jobs N]\n\
-         \x20                              [--store DIR] [--resume]\n\
          \x20 inspect  Seer's learned state --benchmark B --threads N [--txs N] [--seed N]\n\
          \x20 explain  decision history     --benchmark B --policy P --pair X,Y\n\
          \x20          for one block pair   [--threads N] [--seed N] [--txs N]\n\
          \x20 scenario list                 built-in disturbance scenarios\n\
          \x20 scenario run                  [--name S | --spec F.json] [--policy P]\n\
          \x20          recovery scoring     [--seed N] [--jobs N] [--json true]\n\
-         \x20                               [--trace F.jsonl] [--store DIR] [--resume]\n\
+         \x20                               [--trace F.jsonl]\n\
          \x20 experiment NAME              regenerate a paper table/figure: fig3, table3,\n\
          \x20                              fig4, fig5, ablation-core-locks, accuracy,\n\
          \x20                              fine-grained, convergence (SEER_SEEDS,\n\
          \x20                              SEER_SCALE, SEER_JOBS, SEER_REPORT_JSON)\n\
          \x20 check KIND   schema gate     --file F[,F...]   KIND: trace|scenario\n\
-         \n\
-         Persistence: --store DIR attaches an on-disk result store (results load\n\
-         before simulating and persist after); --resume is shorthand for\n\
-         --store .seer-store. A killed sweep re-run with --resume recomputes only\n\
-         the gap and is byte-identical to an uninterrupted run.\n\
          \n\
          Simulated machine: 4 physical cores x 2 hyper-threads (the paper's\n\
          Haswell Xeon E3-1275); all results are in simulated cycles."
@@ -245,21 +239,6 @@ fn jobs_or_warn(args: &Args) -> usize {
 /// cells; half scale keeps it interactive).
 const SWEEP_SCALE: f64 = 0.5;
 
-/// Where `--resume` looks for results when no `--store DIR` is given.
-const DEFAULT_STORE_DIR: &str = ".seer-store";
-
-/// Resolves `--store DIR` / `--resume` into a store attachment.
-/// `--resume` alone uses [`DEFAULT_STORE_DIR`]. Opening is lazy and an
-/// unwritable directory degrades into a warn-once pass-through inside the
-/// store, so this never fails and never aborts a sweep mid-run.
-fn store_from_args(args: &Args) -> Option<Store> {
-    match (args.get("store"), args.get("resume")) {
-        (Some(dir), _) => Some(Store::open(dir)),
-        (None, Some(_)) => Some(Store::open(DEFAULT_STORE_DIR)),
-        (None, None) => None,
-    }
-}
-
 /// The per-item wall-clock deadline of every executor the CLI builds:
 /// `SEER_CELL_TIMEOUT_MS`, default none (simulations are bounded by the
 /// kernel's cycle budget). An invalid value warns once per process and
@@ -305,19 +284,11 @@ pub(crate) fn coverage_loss<K: std::fmt::Display>(
 }
 
 /// What `sweep` and `scenario run` say a failed plan left behind.
-const PARTIAL: &str = "partial results above (re-run with --resume to retry only the gaps)";
+const PARTIAL: &str = "partial results above";
 
 /// `seer sweep`.
 pub fn sweep(args: &Args) -> Result<(), ParseError> {
-    args.allow_only(&[
-        "benchmark",
-        "policies",
-        "max-threads",
-        "seed",
-        "jobs",
-        "store",
-        "resume",
-    ])?;
+    args.allow_only(&["benchmark", "policies", "max-threads", "seed", "jobs"])?;
     let benchmark = parse_benchmark(args.get("benchmark").unwrap_or("genome"))?;
     let max_threads: usize = args.get_parsed("max-threads", 8)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
@@ -342,7 +313,7 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
         scale: SWEEP_SCALE,
         jobs,
     };
-    let exec = CellExecutor::new(cfg, store_from_args(args), cell_deadline());
+    let exec = CellExecutor::new(cfg, cell_deadline());
     let mut plan = Plan::new();
     for threads in 1..=max_threads {
         for &policy in &policies {
@@ -358,7 +329,7 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
         }
     }
     let report = exec.execute(&plan);
-    if exec.store().is_some() || !report.complete() {
+    if !report.complete() {
         eprintln!("sweep: {} cell(s) planned — {report}", report.planned);
     }
 
@@ -674,9 +645,7 @@ fn print_recovery(outcome: &seer_scenario::ScenarioOutcome) {
 pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
     use seer_scenario::{library, ScenarioPlan, ScenarioSpec};
 
-    args.allow_only(&[
-        "name", "spec", "policy", "seed", "jobs", "json", "trace", "store", "resume",
-    ])?;
+    args.allow_only(&["name", "spec", "policy", "seed", "jobs", "json", "trace"])?;
     let policy = parse_policy(args.get("policy").unwrap_or("seer"))?;
     let seed: u64 = args.get_parsed("seed", 0)?;
     let json: bool = args.get_parsed("json", false)?;
@@ -722,19 +691,15 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
             print_recovery(outcome);
         }
     };
-    let store = store_from_args(args);
 
-    // A traced run and a custom spec run live: a disk hit has no event
-    // streams to export, and the store keys built-in names.
+    // A traced run and a custom spec run live: an executor keeps no event
+    // streams to export, and it keys built-in names.
     if let Some(path) = args.get("trace") {
         let Some(spec) = spec else {
             return Err(ParseError(
                 "--trace needs a single scenario (--name or --spec)".into(),
             ));
         };
-        if store.is_some() {
-            eprintln!("scenario: --trace requested; running live (store not consulted)");
-        }
         let mut sink = MemoryTraceSink::new();
         let outcome = RunRequest::scenario(&spec)
             .policy(policy)
@@ -748,18 +713,12 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
         return Ok(());
     }
     if let (Some(spec), []) = (&spec, names.as_slice()) {
-        if store.is_some() {
-            eprintln!(
-                "scenario: --spec runs are not persisted (the store keys built-in names); running live"
-            );
-        }
         show(&RunRequest::scenario(spec).policy(policy).seed(seed).run());
         return Ok(());
     }
 
-    // Built-ins go through the memoizing executor, fanned out over --jobs
-    // and persisted to any store.
-    let exec = seer_scenario::ScenarioExecutor::new(jobs_or_warn(args), store, cell_deadline());
+    // Built-ins go through the memoizing executor, fanned out over --jobs.
+    let exec = seer_scenario::ScenarioExecutor::new(jobs_or_warn(args), cell_deadline());
     let mut plan = ScenarioPlan::new();
     for name in &names {
         plan.add(name, policy, seed);
@@ -767,13 +726,8 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
     let report = exec.execute(&plan);
     // `--name` (a `--spec` run returned above) prints one report.
     let single = spec.is_some();
-    if exec.store().is_some() || !report.complete() {
-        if single {
-            // A fresh executor's one run cannot be a memo hit.
-            eprintln!("scenario: {} planned — {report:#}", report.planned);
-        } else {
-            eprintln!("scenario: {} planned — {report}", report.planned);
-        }
+    if !report.complete() {
+        eprintln!("scenario: {} planned — {report}", report.planned);
     }
     // Assemble from cache only, so one failed scenario yields a partial
     // report instead of a recompute.

@@ -67,7 +67,7 @@ pub fn experiment(name: &str, args: &Args) -> Result<(), ParseError> {
         .find(|(n, _)| *n == name)
         .ok_or_else(|| ParseError(format!("unknown experiment {name:?} (valid: {})", names())))?;
     args.allow_only(&[])?;
-    let exec = CellExecutor::new(env_config(), None, cell_deadline());
+    let exec = CellExecutor::new(env_config(), cell_deadline());
     let cfg = exec.config();
     eprintln!(
         "{name}: seeds={} scale={} jobs={} (set SEER_SEEDS / SEER_SCALE / SEER_JOBS to adjust)",

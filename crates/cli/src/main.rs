@@ -4,12 +4,11 @@
 //! seer list                                  # benchmarks and policies
 //! seer run    --benchmark genome --policy seer --threads 8 [--seed N] [--txs N] [--json true]
 //! seer sweep  --benchmark vacation-high [--policies hle,rtm,scm,seer] [--max-threads 8]
-//!             [--store DIR] [--resume]                   # persistent, resumable results
 //! seer inspect --benchmark intruder --threads 8 [--txs N]   # Seer's learned state
 //! seer explain --benchmark genome --policy seer --pair 0,2  # decision history of one pair
 //! seer scenario list                                        # built-in disturbance scenarios
 //! seer scenario run [--name churn-storm | --spec F.json] [--policy P] [--seed N]
-//!                   [--jobs N] [--json true] [--trace F.jsonl] [--store DIR] [--resume]
+//!                   [--jobs N] [--json true] [--trace F.jsonl]
 //! seer experiment fig3                                      # regenerate a paper figure/table
 //! seer check trace --file F.jsonl[,F2...]                   # schema-check an artefact
 //! ```
@@ -167,6 +166,30 @@ mod tests {
         );
         let err = run_words(&["experiment"]).unwrap_err();
         assert!(err.contains("fine-grained, convergence"), "{err}");
+    }
+
+    #[test]
+    fn removed_store_options_are_errors() {
+        // The on-disk result store is gone: each of its options is an
+        // error (exit 2) on every command that took it, never ignored.
+        let cases: [(&[&str], &str, Option<&str>); 3] = [
+            (&["sweep"], "store", Some("d")),
+            (&["scenario", "run"], "store", Some("d")),
+            // Once a value-free flag; the bare word now wants a value.
+            (&["sweep"], "resume", None),
+        ];
+        for (command, option, value) in cases {
+            let flag = format!("--{option}");
+            let mut words = command.to_vec();
+            words.push(&flag);
+            words.extend(value);
+            let err = run_words(&words).unwrap_err();
+            let expected = match value {
+                Some(_) => format!("unknown option {flag}"),
+                None => format!("{flag} needs a value"),
+            };
+            assert!(err.contains(&expected), "{words:?}: {err}");
+        }
     }
 
     #[test]

@@ -45,8 +45,8 @@ fn builtin_library_is_deterministic_and_matches_fixtures() {
     // fixtures line for line.
     let mut plan = ScenarioPlan::new();
     plan.add_grid(&library::BUILTIN_NAMES, &[PolicyKind::Seer], SEEDS);
-    let serial = ScenarioExecutor::new(1, None, None);
-    let parallel = ScenarioExecutor::new(4, None, None);
+    let serial = ScenarioExecutor::new(1, None);
+    let parallel = ScenarioExecutor::new(4, None);
     assert!(serial.execute(&plan).complete());
     assert!(parallel.execute(&plan).complete());
 

@@ -12,10 +12,14 @@
 //!   `LockTable::rebuild`.
 //!
 //! Everything here is deterministic (fixed streams, no hashing), so the
-//! assertions are exact, not statistical.
+//! assertions are exact, not statistical. Allocations are counted per
+//! thread, so another thread allocating meanwhile (libtest's runner, a
+//! test running in parallel) cannot leak into a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use seer::inference::{
     infer_conflict_pairs, InferenceScratch, Thresholds, MIN_DISCRIMINATIVE_SIGMA,
@@ -28,21 +32,30 @@ use seer_sim::{SimRng, Topology};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so tests running in parallel do not see each other's
+    // allocations. A const-initialised `Cell` needs no allocation itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -54,11 +67,37 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Allocation count delta across `f`.
+/// Allocations made on this thread during `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+#[test]
+fn another_threads_allocations_stay_out_of_the_window() {
+    let stop = Arc::new(AtomicBool::new(false));
+    let made = Arc::new(AtomicU64::new(0));
+    let churner = {
+        let (stop, made) = (Arc::clone(&stop), Arc::clone(&made));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(vec![0u8; 64]);
+                made.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
+    // The window spans at least 1 000 allocations on the other thread and
+    // none on this one.
+    let start = made.load(Ordering::Relaxed);
+    let seen = allocations_during(|| {
+        while made.load(Ordering::Relaxed) < start + 1_000 {
+            std::thread::yield_now();
+        }
+    });
+    stop.store(true, Ordering::Relaxed);
+    churner.join().expect("churner thread");
+    assert_eq!(seen, 0, "another thread's allocations were counted");
 }
 
 /// A populated stats matrix (xorshift stream: deterministic, contended
@@ -87,8 +126,6 @@ fn populated(blocks: usize, seed: u64) -> MergedStats {
     m
 }
 
-/// Both audits share the binary-wide allocation counter, so they run as
-/// one sequential test rather than two racing ones.
 #[test]
 fn steady_state_rounds_do_not_allocate() {
     let th = Thresholds::default();

@@ -9,18 +9,17 @@
 //! `Cell × seed` work items) and hands it to a [`CellExecutor`].
 //!
 //! The machinery behind the executor — deduplicating plans,
-//! `parallel_map` fan-out, the memo cache, the disk store and the
-//! supervision layer — lives in `seer-store`'s generic [`Executor`]; this
-//! module is the *cell-shaped* instantiation: it picks `K = CellKey`,
-//! `V = RunMetrics`, supplies the run function (the runner's
-//! `execute_cell`), and keeps the harness-flavoured plan sugar
-//! (`add`/`add_grid` expanding a `HarnessConfig`) and the cache-only
-//! assembly reads (`cached`/`cell`).
+//! `parallel_map` fan-out, the memo cache and the supervision layer —
+//! lives in `seer-store`'s generic [`Executor`]; this module is the
+//! *cell-shaped* instantiation: it picks `K = CellKey`, `V = RunMetrics`,
+//! supplies the run function (the runner's `execute_cell`), and keeps the
+//! harness-flavoured plan sugar (`add`/`add_grid` expanding a
+//! `HarnessConfig`) and the cache-only assembly reads (`cached`/`cell`).
 //!
 //! Every cell's discrete-event run is a pure function of
 //! `(cell, seed, scale)` — seeded via [`sim_seed`], sharing no state with
-//! any other cell — so parallel execution is *bit-identical* to serial,
-//! and so is a disk-warmed or resumed run. The conformance replay
+//! any other cell — so parallel execution is *bit-identical* to serial.
+//! The conformance replay
 //! fixtures and the executor equivalence test
 //! (`crates/harness/tests/executor.rs`) pin this.
 //!
@@ -29,7 +28,7 @@
 use std::time::Duration;
 
 use seer_runtime::RunMetrics;
-use seer_store::{ExecReport, Executor, Json, Store, ToJson};
+use seer_store::{ExecReport, Executor};
 
 use crate::runner::{execute_cell, Cell, CellResult, HarnessConfig};
 
@@ -79,36 +78,6 @@ impl CellKey {
     /// The workload scale factor.
     pub fn scale(&self) -> f64 {
         f64::from_bits(self.scale_bits)
-    }
-}
-
-impl seer_store::StoreKey for CellKey {
-    const KIND: &'static str = "cell";
-
-    fn key_id(&self) -> String {
-        // Scale goes in as raw bits: the store must distinguish exactly
-        // the scales the memo cache distinguishes.
-        // `spec()` (not `name()`): the parameterized synth benchmark must
-        // key distinct block counts to distinct store entries. For every
-        // fixed member spec == name, so existing keys are untouched.
-        format!(
-            "{}/{}/t{}/s{}/x{:016x}",
-            self.benchmark.spec(),
-            self.policy.spec(),
-            self.threads,
-            self.seed,
-            self.scale_bits
-        )
-    }
-
-    fn key_json(&self) -> Json {
-        Json::object([
-            ("benchmark", self.benchmark.spec().to_json()),
-            ("policy", self.policy.spec().to_json()),
-            ("threads", self.threads.to_json()),
-            ("seed", self.seed.to_json()),
-            ("scale", self.scale().to_json()),
-        ])
     }
 }
 
@@ -186,9 +155,9 @@ impl Plan {
 /// sweep: the workspace's one way to turn a [`Plan`] into metrics.
 ///
 /// A thin instantiation of `seer-store`'s generic [`Executor`]: results
-/// are memoized per [`CellKey`] for the lifetime of the executor, served
-/// from an attached disk [`Store`] across processes, and computed under
-/// supervision (panic isolation and the optional deadline) when planned.
+/// are memoized per [`CellKey`] for the lifetime of the executor and
+/// computed under supervision (panic isolation and the optional deadline)
+/// when planned.
 /// The executor is `Sync`; its workers only ever write distinct keys, and
 /// readers assemble results by key, which is why `--jobs N` is
 /// bit-identical to `--jobs 1` for every N.
@@ -201,11 +170,10 @@ pub struct CellExecutor {
 impl CellExecutor {
     /// An executor with an empty cache over `cfg` (which fixes the default
     /// seeds/scale for [`Plan::add`] expansion and `jobs` for fan-out).
-    /// With a `store`, planned results load from it before simulating and
-    /// persist to it after; with a `deadline`, a cell still simulating
-    /// after that much wall-clock time fails as timed out.
-    pub fn new(cfg: HarnessConfig, store: Option<Store>, deadline: Option<Duration>) -> Self {
-        let inner = Executor::new(cfg.jobs, store, deadline, |key: CellKey| {
+    /// With a `deadline`, a cell still simulating after that much
+    /// wall-clock time fails as timed out.
+    pub fn new(cfg: HarnessConfig, deadline: Option<Duration>) -> Self {
+        let inner = Executor::new(cfg.jobs, deadline, |key: CellKey| {
             execute_cell(key.cell(), key.seed, key.scale(), None)
         });
         Self { cfg, inner }
@@ -216,16 +184,11 @@ impl CellExecutor {
         &self.cfg
     }
 
-    /// The attached disk store, if any.
-    pub fn store(&self) -> Option<&Store> {
-        self.inner.store()
-    }
-
-    /// Resolves every item of `plan` — memo cache, then disk store, then
-    /// supervised simulation fanned out across `cfg.jobs` OS threads —
-    /// and returns the coverage report. Safe to call repeatedly and with
-    /// overlapping plans; a poisoned cell lands in
-    /// [`ExecReport::failed`] instead of aborting the process.
+    /// Resolves every item of `plan` — memo cache, then supervised
+    /// simulation fanned out across `cfg.jobs` OS threads — and returns
+    /// the coverage report. Safe to call repeatedly and with overlapping
+    /// plans; a poisoned cell lands in [`ExecReport::failed`] instead of
+    /// aborting the process.
     pub fn execute(&self, plan: &Plan) -> ExecReport<CellKey> {
         self.inner.execute(&plan.inner)
     }
@@ -253,7 +216,6 @@ mod tests {
     use super::*;
     use crate::policy::PolicyKind;
     use seer_stamp::Benchmark;
-    use seer_store::StoreKey;
 
     fn cell(threads: usize) -> Cell {
         Cell {
@@ -287,7 +249,7 @@ mod tests {
             scale: 0.1,
             jobs: 2,
         };
-        let exec = CellExecutor::new(cfg, None, None);
+        let exec = CellExecutor::new(cfg, None);
         assert_eq!(
             exec.cell(cell(2)),
             None,
@@ -300,8 +262,6 @@ mod tests {
         // Re-executing the same plan simulates nothing.
         let report = exec.execute(&plan);
         assert_eq!((report.computed, report.memo_hits), (0, 2));
-        // No store attached: nothing can be a disk hit.
-        assert_eq!(report.disk_hits, 0);
         // Assembly reads the cached seeds.
         let r = exec.cell(cell(2)).expect("both seeds cached");
         assert!(r.speedup > 0.0);
@@ -315,7 +275,7 @@ mod tests {
             scale: 0.1,
             jobs: 2,
         };
-        let exec = CellExecutor::new(cfg, None, None);
+        let exec = CellExecutor::new(cfg, None);
         let mut plan = Plan::new();
         plan.add(cell(4), &cfg);
         exec.execute(&plan);
@@ -328,7 +288,7 @@ mod tests {
 
     /// Seed-averaged results of `cell` from a fresh executor.
     fn cold_cell(cell: Cell, cfg: HarnessConfig) -> CellResult {
-        let exec = CellExecutor::new(cfg, None, None);
+        let exec = CellExecutor::new(cfg, None);
         let mut plan = Plan::new();
         plan.add(cell, &cfg);
         assert!(exec.execute(&plan).complete());
@@ -369,27 +329,5 @@ mod tests {
     #[test]
     fn cell_keys_render_their_coordinates() {
         assert_eq!(CellKey::new(cell(2), 3, 0.1).to_string(), "ssca2/rtm/t2/s3");
-    }
-
-    #[test]
-    fn cell_key_ids_are_unique_across_coordinates() {
-        let a = CellKey::new(cell(2), 0, 0.1);
-        let variants = [
-            CellKey::new(cell(4), 0, 0.1),
-            CellKey::new(cell(2), 1, 0.1),
-            CellKey::new(cell(2), 0, 0.2),
-            CellKey::new(
-                Cell {
-                    benchmark: Benchmark::Ssca2,
-                    policy: PolicyKind::Seer,
-                    threads: 2,
-                },
-                0,
-                0.1,
-            ),
-        ];
-        for v in &variants {
-            assert_ne!(a.key_id(), v.key_id(), "{v:?}");
-        }
     }
 }

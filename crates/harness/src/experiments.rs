@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use seer_stamp::Benchmark;
-use seer_store::{ExecReport, Executor, Json, Persist, StoreKey, ToJson};
+use seer_store::{ExecReport, Executor, Json, ToJson};
 
 use crate::exec::{CellExecutor, CellKey, Plan};
 use crate::policy::PolicyKind;
@@ -308,22 +308,9 @@ pub fn core_locks_only(exec: &CellExecutor, threads: &[usize]) -> Planned<Panel>
     })
 }
 
-/// The key of an extra experiment's run: one STAMP benchmark. Its
-/// executor has no store, so the key never names a shard.
+/// The key of an extra experiment's run: one STAMP benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BenchmarkKey(pub Benchmark);
-
-impl StoreKey for BenchmarkKey {
-    const KIND: &'static str = "benchmark";
-
-    fn key_id(&self) -> String {
-        self.0.spec()
-    }
-
-    fn key_json(&self) -> Json {
-        Json::object([("benchmark", self.0.spec().to_json())])
-    }
-}
 
 /// The benchmark's name: how failure lists name an extra experiment's run.
 impl std::fmt::Display for BenchmarkKey {
@@ -332,19 +319,19 @@ impl std::fmt::Display for BenchmarkKey {
     }
 }
 
-/// Runs `run` once per STAMP benchmark on a store-less executor fanned
-/// out across `jobs` OS threads, each run under panic isolation and the
-/// optional `deadline`. The rows come back in [`Benchmark::STAMP`] order,
-/// only if every run has a result.
+/// Runs `run` once per STAMP benchmark on an executor fanned out across
+/// `jobs` OS threads, each run under panic isolation and the optional
+/// `deadline`. The rows come back in [`Benchmark::STAMP`] order, only if
+/// every run has a result.
 fn per_benchmark<V>(
     jobs: usize,
     deadline: Option<Duration>,
     run: impl Fn(Benchmark) -> V + Send + Sync + 'static,
 ) -> Planned<Vec<V>, BenchmarkKey>
 where
-    V: Persist + Clone + Send + 'static,
+    V: Clone + Send + 'static,
 {
-    let exec = Executor::new(jobs, None, deadline, move |key: BenchmarkKey| run(key.0));
+    let exec = Executor::new(jobs, deadline, move |key: BenchmarkKey| run(key.0));
     let mut plan = seer_store::Plan::new();
     for benchmark in Benchmark::STAMP {
         plan.add(BenchmarkKey(benchmark));
@@ -379,22 +366,6 @@ impl ToJson for AccuracyResult {
             ("inferred", self.inferred.to_json()),
             ("truth", self.truth.to_json()),
         ])
-    }
-}
-
-impl Persist for AccuracyResult {
-    fn to_store_json(&self) -> Json {
-        self.to_json()
-    }
-
-    fn from_store_json(json: &Json) -> Result<Self, String> {
-        Ok(Self {
-            benchmark: json.str_field("benchmark")?.to_string(),
-            precision: json.f64_field("precision")?,
-            recall: json.f64_field("recall")?,
-            inferred: json.u64_field("inferred")? as usize,
-            truth: json.u64_field("truth")? as usize,
-        })
     }
 }
 
@@ -498,22 +469,6 @@ impl ToJson for FineGrainedResult {
     }
 }
 
-impl Persist for FineGrainedResult {
-    fn to_store_json(&self) -> Json {
-        self.to_json()
-    }
-
-    fn from_store_json(json: &Json) -> Result<Self, String> {
-        Ok(Self {
-            benchmark: json.str_field("benchmark")?.to_string(),
-            plain: json.f64_field("plain")?,
-            refined: json.f64_field("refined")?,
-            plain_pairs: json.u64_field("plain_pairs")? as usize,
-            refined_pairs: json.u64_field("refined_pairs")? as usize,
-        })
-    }
-}
-
 /// Future-work extension experiment (paper §6): Seer with block-granular
 /// locks vs Seer with (block × data-structure)-granular locks, obtained by
 /// refining block ids with `seer_stamp::RefinedModel`. Benchmarks fan out
@@ -589,29 +544,6 @@ impl ToJson for ConvergenceResult {
     }
 }
 
-impl Persist for ConvergenceResult {
-    fn to_store_json(&self) -> Json {
-        self.to_json()
-    }
-
-    fn from_store_json(json: &Json) -> Result<Self, String> {
-        let converged_fraction = match json.field("converged_fraction")? {
-            Json::Null => None,
-            v => Some(
-                v.as_f64()
-                    .ok_or("field \"converged_fraction\" is neither null nor a number")?,
-            ),
-        };
-        Ok(Self {
-            benchmark: json.str_field("benchmark")?.to_string(),
-            converged_at: json.opt_u64_field("converged_at")?,
-            makespan: json.u64_field("makespan")?,
-            converged_fraction,
-            updates: json.u64_field("updates")?,
-        })
-    }
-}
-
 /// Extra experiment: how quickly does Seer's locking scheme converge?
 /// The paper motivates its "relatively aggressive monitoring/optimization
 /// rates" by STAMP's short runs (§5.3); this measures the resulting
@@ -658,7 +590,7 @@ mod tests {
     };
 
     fn tiny() -> CellExecutor {
-        CellExecutor::new(TINY, None, None)
+        CellExecutor::new(TINY, None)
     }
 
     #[test]
@@ -705,7 +637,7 @@ mod tests {
 
     #[test]
     fn figure4_under_a_missed_deadline_reports_failures_and_yields_no_figure() {
-        let exec = CellExecutor::new(TINY, None, Some(std::time::Duration::from_millis(1)));
+        let exec = CellExecutor::new(TINY, Some(std::time::Duration::from_millis(1)));
         let (report, panel) = figure4(&exec, &[2]);
         assert!(!report.failed.is_empty(), "a 1 ms deadline must fail cells");
         assert!(
@@ -715,7 +647,7 @@ mod tests {
         // Every planned cell was resolved exactly once: computed or failed,
         // and a failed cell has no value behind the report's back.
         assert_eq!(report.planned, (8 + 1) * 2);
-        assert_eq!(report.memo_hits + report.disk_hits, 0);
+        assert_eq!(report.memo_hits, 0);
         assert_eq!(
             report.computed as usize + report.failed.len(),
             report.planned
@@ -747,41 +679,5 @@ mod tests {
             report.computed as usize + report.failed.len(),
             report.planned
         );
-    }
-
-    fn round_trips<V: Persist + ToJson>(row: V) {
-        let back = V::from_store_json(&row.to_store_json()).unwrap();
-        assert_eq!(back.to_json(), row.to_json());
-    }
-
-    #[test]
-    fn extra_experiment_rows_round_trip_through_their_shard_codec() {
-        round_trips(AccuracyResult {
-            benchmark: "intruder".into(),
-            precision: 2.0 / 3.0,
-            recall: 1.0,
-            inferred: 3,
-            truth: 2,
-        });
-        round_trips(FineGrainedResult {
-            benchmark: "yada".into(),
-            plain: 1.234_567_890_123,
-            refined: 0.1,
-            plain_pairs: 4,
-            refined_pairs: 9,
-        });
-        let never = ConvergenceResult {
-            benchmark: "genome".into(),
-            converged_at: None,
-            makespan: 12_345,
-            converged_fraction: None,
-            updates: 7,
-        };
-        round_trips(never.clone());
-        round_trips(ConvergenceResult {
-            converged_at: Some(4_000),
-            converged_fraction: Some(4_000.0 / 12_345.0),
-            ..never
-        });
     }
 }

@@ -48,7 +48,7 @@ pub use experiments::{
 pub use policy::{PolicyKind, TunedParams, UnknownPolicy};
 pub use report::{maybe_write_json, Panel, PercentTable, Series};
 pub use runner::{execute_cell, geometric_mean, sim_seed, Cell, CellResult, HarnessConfig};
-pub use seer_store::{ExecReport, FailedItem, Json, RunFailure, Store, ToJson};
+pub use seer_store::{ExecReport, FailedItem, Json, RunFailure, ToJson};
 pub use trace_export::{
     chrome_trace, inference_json, lifecycle_json, trace_jsonl, validate_trace_jsonl,
     write_chrome_trace, write_trace_jsonl,

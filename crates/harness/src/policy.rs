@@ -247,8 +247,8 @@ impl PolicyKind {
     /// The full textual spec of this policy: equal to [`Self::name`] for
     /// every named variant, and a parameterized `seer@key=value,...`
     /// string for [`PolicyKind::SeerTuned`]. Always parses back to `self`
-    /// through [`FromStr`](std::str::FromStr), which is what lets tuned
-    /// policies travel through store keys without any new key kind.
+    /// through [`FromStr`](std::str::FromStr), so a printed key or report
+    /// names a tuned policy exactly.
     pub fn spec(self) -> String {
         match self {
             PolicyKind::SeerTuned(t) => t.spec(),

@@ -37,8 +37,8 @@ fn grid() -> Vec<Cell> {
 
 #[test]
 fn parallel_execution_equals_serial_field_for_field() {
-    let serial = CellExecutor::new(config(1, 2), None, None);
-    let parallel = CellExecutor::new(config(4, 2), None, None);
+    let serial = CellExecutor::new(config(1, 2), None);
+    let parallel = CellExecutor::new(config(4, 2), None);
     let cells = grid();
 
     let mut serial_plan = Plan::new();
@@ -72,8 +72,8 @@ fn parallel_execution_equals_serial_field_for_field() {
 
 #[test]
 fn parallel_figure3_renders_identically_to_serial() {
-    let serial = CellExecutor::new(config(1, 1), None, None);
-    let parallel = CellExecutor::new(config(3, 1), None, None);
+    let serial = CellExecutor::new(config(1, 1), None);
+    let parallel = CellExecutor::new(config(3, 1), None);
     let a = figure3(&serial, &THREADS).1.expect("serial figure");
     let b = figure3(&parallel, &THREADS).1.expect("parallel figure");
     assert_eq!(a.len(), b.len());
@@ -85,7 +85,7 @@ fn parallel_figure3_renders_identically_to_serial() {
 #[test]
 fn memoization_accounting_across_overlapping_experiments() {
     let seeds = 1u64;
-    let exec = CellExecutor::new(config(2, seeds), None, None);
+    let exec = CellExecutor::new(config(2, seeds), None);
 
     let (fig3, _) = figure3(&exec, &THREADS);
     let (tab3, _) = table3(&exec, &THREADS);
@@ -109,7 +109,7 @@ fn memoization_accounting_across_overlapping_experiments() {
 
 #[test]
 fn table3_after_figure3_is_free() {
-    let exec = CellExecutor::new(config(2, 1), None, None);
+    let exec = CellExecutor::new(config(2, 1), None);
     figure3(&exec, &THREADS_TABLE);
     let (report, _) = table3(&exec, &THREADS_TABLE);
     assert_eq!(report.computed, 0, "table3 re-simulated cached cells");

@@ -107,18 +107,6 @@ impl ModeCounts {
             self.counts[i] += other.counts[i];
         }
     }
-
-    /// The raw per-mode tallies in [`TxMode::ALL`] order (for lossless
-    /// persistence; `counts[i]` is the count for `TxMode::ALL[i]`).
-    pub fn counts(&self) -> [u64; 6] {
-        self.counts
-    }
-
-    /// Rebuilds a tally from raw counts in [`TxMode::ALL`] order — the
-    /// inverse of [`ModeCounts::counts`].
-    pub fn from_counts(counts: [u64; 6]) -> Self {
-        Self { counts }
-    }
 }
 
 /// Abort tallies by coarse cause (what `XStatus` distinguishes).
@@ -177,26 +165,6 @@ impl ConflictGroundTruth {
     /// Total recorded kills.
     pub fn total(&self) -> u64 {
         self.kills.iter().sum()
-    }
-
-    /// The raw kill matrix, row-major: `kills()[victim * blocks + killer]`
-    /// (for lossless persistence).
-    pub fn kills(&self) -> &[u64] {
-        &self.kills
-    }
-
-    /// Rebuilds a matrix from its raw row-major form — the inverse of
-    /// [`ConflictGroundTruth::kills`]. Rejects a length that is not
-    /// `blocks²` instead of panicking on a later lookup.
-    pub fn from_raw(blocks: usize, kills: Vec<u64>) -> Result<Self, String> {
-        if kills.len() != blocks * blocks {
-            return Err(format!(
-                "kill matrix over {blocks} blocks needs {} entries, got {}",
-                blocks * blocks,
-                kills.len()
-            ));
-        }
-        Ok(Self { blocks, kills })
     }
 
     /// Pairs `(victim, killer)` responsible for at least `fraction` of all
@@ -491,16 +459,6 @@ impl WindowedMetrics {
     /// The windows, in time order, contiguously covering `[0, n*width)`.
     pub fn windows(&self) -> &[MetricsWindow] {
         &self.windows
-    }
-
-    /// Rebuilds windowed metrics from raw windows — the inverse of
-    /// [`WindowedMetrics::windows`] (for lossless persistence).
-    ///
-    /// # Panics
-    /// If `width` is zero.
-    pub fn from_windows(width: Cycles, windows: Vec<MetricsWindow>) -> Self {
-        assert!(width > 0, "window width must be positive");
-        Self { width, windows }
     }
 
     /// The window containing virtual time `t`, if covered.

@@ -1,19 +1,18 @@
-//! The parallel, memoizing, store-backed scenario executor.
+//! The parallel, memoizing scenario executor.
 //!
 //! A thin instantiation of the workspace-generic
 //! [`Executor`](seer_store::Executor) (DESIGN.md §9/§13) at scenario
 //! granularity: work items are `(scenario, policy, seed)` coordinates,
 //! deduplicated at plan-build time, memoized for the executor's lifetime,
-//! persisted to an attached [`Store`], and supervised (panic isolation and
-//! the optional deadline) exactly like harness cells. Every scenario run is an
-//! independent deterministic simulation, so parallel and store-warmed
-//! execution are bit-identical to a serial cold run — the conformance
-//! suite's scenario fixtures pin exactly that.
+//! and supervised (panic isolation and the optional deadline) exactly like
+//! harness cells. Every scenario run is an independent deterministic
+//! simulation, so parallel execution is bit-identical to a serial run —
+//! the conformance suite's scenario fixtures pin exactly that.
 
 use seer_harness::PolicyKind;
 use std::time::Duration;
 
-use seer_store::{ExecReport, Executor, Store};
+use seer_store::{ExecReport, Executor};
 
 use crate::library;
 use crate::request::RunRequest;
@@ -83,11 +82,10 @@ pub struct ScenarioExecutor {
 
 impl ScenarioExecutor {
     /// An executor fanning uncached work out across `jobs` OS threads.
-    /// With a `store`, results load from it before simulating and persist
-    /// to it after; with a `deadline`, a run still simulating after that
-    /// much wall-clock time fails as timed out.
-    pub fn new(jobs: usize, store: Option<Store>, deadline: Option<Duration>) -> Self {
-        let inner = Executor::new(jobs, store, deadline, |key: ScenarioKey| {
+    /// With a `deadline`, a run still simulating after that much
+    /// wall-clock time fails as timed out.
+    pub fn new(jobs: usize, deadline: Option<Duration>) -> Self {
+        let inner = Executor::new(jobs, deadline, |key: ScenarioKey| {
             let spec = library::builtin(&key.scenario)
                 .unwrap_or_else(|| panic!("unknown scenario {:?}", key.scenario));
             RunRequest::scenario(&spec)
@@ -117,11 +115,6 @@ impl ScenarioExecutor {
             seed,
         })
     }
-
-    /// The attached result store, if any.
-    pub fn store(&self) -> Option<&Store> {
-        self.inner.store()
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +135,7 @@ mod tests {
     fn executor_memoizes_and_parallel_equals_serial() {
         let mut plan = ScenarioPlan::new();
         plan.add_grid(&["churn-storm"], &[PolicyKind::Rtm, PolicyKind::Seer], 1);
-        let serial = ScenarioExecutor::new(1, None, None);
+        let serial = ScenarioExecutor::new(1, None);
         let report = serial.execute(&plan);
         assert!(report.complete(), "no failures expected: {report:?}");
         assert_eq!(report.computed, 2);
@@ -152,7 +145,7 @@ mod tests {
             (0, 2),
             "re-execution hits the cache"
         );
-        let parallel = ScenarioExecutor::new(4, None, None);
+        let parallel = ScenarioExecutor::new(4, None);
         parallel.execute(&plan);
         for key in plan.items() {
             let a = serial.cached(&key.scenario, key.policy, key.seed).unwrap();
@@ -168,7 +161,7 @@ mod tests {
     fn unknown_scenario_degrades_into_a_failed_item() {
         let mut plan = ScenarioPlan::new();
         plan.add("no-such-scenario", PolicyKind::Rtm, 0);
-        let exec = ScenarioExecutor::new(1, None, None);
+        let exec = ScenarioExecutor::new(1, None);
         let report = exec.execute(&plan);
         assert!(!report.complete());
         assert_eq!(report.failed.len(), 1);

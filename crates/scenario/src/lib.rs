@@ -21,7 +21,7 @@
 //! * [`RecoveryReport`] — scores the scheduler's reaction on windowed
 //!   metrics and the inference trace: regression depth, time to
 //!   re-converge, pair-set stabilization, steady-state delta.
-//! * [`ScenarioExecutor`] — the memoizing, parallel, store-backed
+//! * [`ScenarioExecutor`] — the memoizing, parallel, supervised
 //!   executor over the built-in [`library`] (phase-flip, churn-storm,
 //!   stats-amnesia, threshold-kick, capacity-cliff, hot-set-drift).
 
@@ -30,7 +30,6 @@
 
 pub mod exec;
 pub mod library;
-pub mod persist;
 pub mod report;
 pub mod request;
 pub mod runner;
@@ -38,8 +37,7 @@ pub mod spec;
 pub mod workload;
 
 pub use exec::{ScenarioExecutor, ScenarioKey, ScenarioPlan};
-pub use persist::{report_from_json, validate_reports};
-pub use report::{RecoveryReport, RecoveryScore, RECOVERY_FRACTION};
+pub use report::{validate_reports, RecoveryReport, RecoveryScore, RECOVERY_FRACTION};
 pub use request::{CellRun, RunRequest, ScenarioRun};
 pub use runner::{execute_scenario, ScenarioOutcome};
 pub use spec::{benchmark_from_name, ChurnSpec, FaultKind, FaultSpec, PhaseSpec, ScenarioSpec};

@@ -28,8 +28,9 @@
 //!
 //! Both builders bottom out in the two execution primitives
 //! (`seer_harness::execute_cell`, [`crate::runner::execute_scenario`]);
-//! the builder adds nothing to the schedule, so traced, untraced, and
-//! store-warmed runs of the same coordinates are bit-identical.
+//! the builder adds nothing to the schedule, so traced and untraced runs
+//! of the same coordinates, direct or through an executor, are
+//! bit-identical.
 
 use seer_harness::{execute_cell, Cell, PolicyKind};
 use seer_runtime::{MemoryTraceSink, RunMetrics, Scheduler, TraceSink, Workload};

@@ -108,25 +108,6 @@ impl CycleHistogram {
         self.max
     }
 
-    /// The raw log₂ buckets (for lossless persistence).
-    pub fn buckets(&self) -> &[u64; 65] {
-        &self.buckets
-    }
-
-    /// Rebuilds a histogram from its raw parts — the inverse of
-    /// [`CycleHistogram::buckets`]/[`CycleHistogram::count`]/
-    /// [`CycleHistogram::total`]/[`CycleHistogram::max`]. `count`, `total`
-    /// and `max` are carried rather than derived: the log₂ buckets do not
-    /// retain the exact values that produced them.
-    pub fn from_raw(buckets: [u64; 65], count: u64, total: Cycles, max: Cycles) -> Self {
-        Self {
-            buckets,
-            count,
-            total,
-            max,
-        }
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &CycleHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {

@@ -19,7 +19,7 @@ use crate::Cycles;
 ///
 /// A xoshiro256++ generator with domain helpers: integer ranges, Bernoulli
 /// trials, bounded Zipf sampling (used by the STAMP workload models for
-/// skewed data-structure access), and derived per-thread streams.
+/// skewed data-structure access).
 #[derive(Debug, Clone)]
 pub struct SimRng {
     s: [u64; 4],
@@ -49,22 +49,6 @@ impl SimRng {
                 splitmix64(&mut sm),
             ],
         }
-    }
-
-    /// Derives an independent child stream, e.g. one per simulated thread.
-    ///
-    /// Mixing the label through SplitMix64 decorrelates the child streams
-    /// even for adjacent labels.
-    pub fn derive(&self, label: u64) -> Self {
-        let mut z = self.seed_fingerprint() ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Self::new(z ^ (z >> 31))
-    }
-
-    fn seed_fingerprint(&self) -> u64 {
-        // Clone so fingerprinting does not advance this stream.
-        self.clone().next_u64()
     }
 
     /// Next 64 random bits (xoshiro256++ step).
@@ -328,16 +312,6 @@ mod tests {
         let mut b = SimRng::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn derive_is_deterministic_and_decorrelated() {
-        let root = SimRng::new(7);
-        let mut c1 = root.derive(0);
-        let mut c1b = root.derive(0);
-        let mut c2 = root.derive(1);
-        assert_eq!(c1.next_u64(), c1b.next_u64());
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

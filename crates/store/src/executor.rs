@@ -6,9 +6,7 @@
 //! one order:
 //!
 //! 1. **memo cache** — results this executor already resolved,
-//! 2. **disk store** — shards from previous processes, if a [`Store`] is
-//!    attached,
-//! 3. **supervised compute** — the run function under panic isolation and
+//! 2. **supervised compute** — the run function under panic isolation and
 //!    the optional deadline (see [`supervise`]),
 //!
 //! and returns an [`ExecReport`]: how many keys each stage served, and
@@ -19,9 +17,9 @@
 //!
 //! Determinism: the run function is a pure function of the key, results
 //! land in the cache keyed by their coordinates, and assembly order is
-//! dictated by the caller — so any fan-out width, warm or cold store,
-//! first run or resume, produces bit-identical values. The conformance
-//! suite pins this against the committed trace-hash fixtures.
+//! dictated by the caller — so any fan-out width produces bit-identical
+//! values. The conformance suite pins this against the committed
+//! trace-hash fixtures.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -29,8 +27,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::persist::{Persist, StoreKey};
-use crate::store::Store;
 use crate::supervisor::{supervise, RunFailure};
 
 /// What a plan key must be able to do (everything the cache, the fan-out
@@ -153,8 +149,6 @@ pub struct ExecReport<K> {
     pub planned: usize,
     /// Items already in the memo cache.
     pub memo_hits: u64,
-    /// Items served from the disk store.
-    pub disk_hits: u64,
     /// Items computed (successfully) this call.
     pub computed: u64,
     /// Items the supervisor gave up on — the coverage gap.
@@ -166,7 +160,6 @@ impl<K> Default for ExecReport<K> {
         Self {
             planned: 0,
             memo_hits: 0,
-            disk_hits: 0,
             computed: 0,
             failed: Vec::new(),
         }
@@ -186,56 +179,42 @@ impl<K> ExecReport<K> {
 }
 
 /// The coverage line every command prints after `… planned — `:
-/// `M memoized, D from disk, C computed, F failed`. The alternate form
-/// (`{:#}`) drops the memo segment, for a fresh executor's single batch
-/// where a memo hit cannot happen.
+/// `M memoized, C computed, F failed`.
 impl<K> std::fmt::Display for ExecReport<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if !f.alternate() {
-            write!(f, "{} memoized, ", self.memo_hits)?;
-        }
         write!(
             f,
-            "{} from disk, {} computed, {} failed",
-            self.disk_hits,
+            "{} memoized, {} computed, {} failed",
+            self.memo_hits,
             self.computed,
             self.failed.len()
         )
     }
 }
 
-enum Source<V> {
-    Disk(V),
-    Computed(V),
-    Failed(RunFailure),
-}
-
-/// The generic parallel, memoizing, disk-warmed, supervised executor.
+/// The generic parallel, memoizing, supervised executor.
 ///
 /// `CellExecutor` (harness) and `ScenarioExecutor` (scenario engine) are
 /// thin instantiations: they choose `K`/`V`, provide the run function,
 /// and keep their domain-specific plan-building and assembly sugar.
-pub struct Executor<K: PlanKey + StoreKey, V> {
+pub struct Executor<K: PlanKey, V> {
     jobs: usize,
     run: Arc<dyn Fn(K) -> V + Send + Sync>,
     cache: Mutex<HashMap<K, V>>,
-    store: Option<Store>,
     deadline: Option<Duration>,
 }
 
 impl<K, V> Executor<K, V>
 where
-    K: PlanKey + StoreKey,
-    V: Persist + Clone + Send + 'static,
+    K: PlanKey,
+    V: Clone + Send + 'static,
 {
     /// An executor fanning uncached work out across `jobs` OS threads,
     /// computing values with `run` — which must be a pure function of the
-    /// key. With a `store`, results load from it before computing and
-    /// save to it after; with a `deadline`, an item still computing after
-    /// that much wall-clock time fails as timed out.
+    /// key. With a `deadline`, an item still computing after that much
+    /// wall-clock time fails as timed out.
     pub fn new(
         jobs: usize,
-        store: Option<Store>,
         deadline: Option<Duration>,
         run: impl Fn(K) -> V + Send + Sync + 'static,
     ) -> Self {
@@ -243,19 +222,13 @@ where
             jobs: jobs.max(1),
             run: Arc::new(run),
             cache: Mutex::new(HashMap::new()),
-            store,
             deadline,
         }
     }
 
-    /// The attached store, if any.
-    pub fn store(&self) -> Option<&Store> {
-        self.store.as_ref()
-    }
-
-    /// Resolves every item of `plan` — memo cache, then disk, then
-    /// supervised compute — and returns the coverage report. The only way
-    /// a value gets into the executor. Safe to call repeatedly and with
+    /// Resolves every item of `plan` — memo cache, then supervised
+    /// compute — and returns the coverage report. The only way a value
+    /// gets into the executor. Safe to call repeatedly and with
     /// overlapping plans. Never panics on a poisoned item: it lands in
     /// [`ExecReport::failed`] instead.
     pub fn execute(&self, plan: &Plan<K>) -> ExecReport<K> {
@@ -275,45 +248,26 @@ where
         if todo.is_empty() {
             return report;
         }
-        let results = parallel_map(&todo, self.jobs, |key| self.resolve(key));
+        let results = parallel_map(&todo, self.jobs, |key| {
+            let run = self.run.clone();
+            let key = key.clone();
+            supervise(self.deadline, move || run(key))
+        });
         let mut cache = self.cache.lock().expect("executor cache poisoned");
         for (key, outcome) in todo.into_iter().zip(results) {
             match outcome {
-                Source::Disk(v) => {
-                    report.disk_hits += 1;
-                    cache.insert(key, v);
-                }
-                Source::Computed(v) => {
+                Ok(v) => {
                     report.computed += 1;
                     cache.insert(key, v);
                 }
-                Source::Failed(failure) => report.failed.push(FailedItem { key, failure }),
+                Err(failure) => report.failed.push(FailedItem { key, failure }),
             }
         }
         report
     }
 
-    fn resolve(&self, key: &K) -> Source<V> {
-        if let Some(store) = &self.store {
-            if let Some(v) = store.load::<K, V>(key) {
-                return Source::Disk(v);
-            }
-        }
-        let run = self.run.clone();
-        let k = key.clone();
-        match supervise(self.deadline, move || run(k)) {
-            Ok(v) => {
-                if let Some(store) = &self.store {
-                    store.save(key, &v);
-                }
-                Source::Computed(v)
-            }
-            Err(failure) => Source::Failed(failure),
-        }
-    }
-
     /// The value an earlier [`execute`](Self::execute) resolved for
-    /// `key`, if any: the one read path (no compute, no disk).
+    /// `key`, if any: the one read path (no compute).
     pub fn cached(&self, key: &K) -> Option<V> {
         self.cache
             .lock()
@@ -323,12 +277,11 @@ where
     }
 }
 
-impl<K: PlanKey + StoreKey, V> std::fmt::Debug for Executor<K, V> {
+impl<K: PlanKey, V> std::fmt::Debug for Executor<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("jobs", &self.jobs)
             .field("cached", &self.cache.lock().map(|c| c.len()).unwrap_or(0))
-            .field("store", &self.store)
             .field("deadline", &self.deadline)
             .finish()
     }
@@ -337,7 +290,6 @@ impl<K: PlanKey + StoreKey, V> std::fmt::Debug for Executor<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{Json, ToJson};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     struct NumKey(u64);
@@ -348,43 +300,12 @@ mod tests {
         }
     }
 
-    impl StoreKey for NumKey {
-        const KIND: &'static str = "num";
-        fn key_id(&self) -> String {
-            format!("n{}", self.0)
-        }
-        fn key_json(&self) -> Json {
-            Json::object([("n", self.0.to_json())])
-        }
-    }
-
-    impl Persist for u64 {
-        fn to_store_json(&self) -> Json {
-            Json::object([("value", self.to_json())])
-        }
-        fn from_store_json(json: &Json) -> Result<Self, String> {
-            json.get("value")
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| "missing value".to_string())
-        }
-    }
-
     fn plan(range: std::ops::Range<u64>) -> Plan<NumKey> {
         let mut p = Plan::new();
         for n in range {
             p.add(NumKey(n));
         }
         p
-    }
-
-    fn squarer(jobs: usize, store: Option<Store>) -> Executor<NumKey, u64> {
-        Executor::new(jobs, store, None, |k: NumKey| k.0 * k.0)
-    }
-
-    fn temp_root(tag: &str) -> std::path::PathBuf {
-        let root = std::env::temp_dir().join(format!("seer-store-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        root
     }
 
     #[test]
@@ -409,7 +330,7 @@ mod tests {
 
     #[test]
     fn executor_counts_hits_and_misses() {
-        let exec = squarer(2, None);
+        let exec: Executor<NumKey, u64> = Executor::new(2, None, |k: NumKey| k.0 * k.0);
         let p = plan(0..4);
         let report = exec.execute(&p);
         assert_eq!(report.planned, 4);
@@ -427,7 +348,7 @@ mod tests {
 
     #[test]
     fn poisoned_item_degrades_into_partial_report() {
-        let exec: Executor<NumKey, u64> = Executor::new(2, None, None, |k: NumKey| {
+        let exec: Executor<NumKey, u64> = Executor::new(2, None, |k: NumKey| {
             if k.0 == 2 {
                 panic!("poisoned cell {k:?}");
             }
@@ -448,7 +369,7 @@ mod tests {
     #[test]
     fn timed_out_items_are_reported_not_recomputed() {
         let exec: Executor<NumKey, u64> =
-            Executor::new(2, None, Some(Duration::from_millis(1)), |k: NumKey| {
+            Executor::new(2, Some(Duration::from_millis(1)), |k: NumKey| {
                 if k.0 % 2 == 1 {
                     std::thread::sleep(Duration::from_millis(200));
                 }
@@ -478,62 +399,14 @@ mod tests {
     }
 
     #[test]
-    fn disk_store_warms_a_second_executor() {
-        let root = temp_root("exec-test");
-        let cold = squarer(2, Some(Store::open(&root)));
-        let report = cold.execute(&plan(0..5));
-        assert_eq!(report.computed, 5);
-        assert_eq!(report.disk_hits, 0);
-
-        // A fresh executor over the same store computes nothing.
-        let warm = squarer(2, Some(Store::open(&root)));
-        let report = warm.execute(&plan(0..5));
-        assert_eq!(report.computed, 0);
-        assert_eq!(report.disk_hits, 5);
-        for n in 0..5 {
-            assert_eq!(warm.cached(&NumKey(n)), Some(n * n));
-        }
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn resume_after_partial_failure_completes_the_plan() {
-        let root = temp_root("resume-test");
-
-        // First process: one poisoned item, the rest persist.
-        let crashy: Executor<NumKey, u64> =
-            Executor::new(2, Some(Store::open(&root)), None, |k: NumKey| {
-                if k.0 == 1 {
-                    panic!("injected failure");
-                }
-                k.0 * 10
-            });
-        let report = crashy.execute(&plan(0..4));
-        assert_eq!(report.failed.len(), 1);
-        assert_eq!(report.computed, 3);
-
-        // Resumed process (bug fixed): only the gap is computed.
-        let resumed = Executor::new(2, Some(Store::open(&root)), None, |k: NumKey| k.0 * 10);
-        let report = resumed.execute(&plan(0..4));
-        assert!(report.complete());
-        assert_eq!(report.disk_hits, 3);
-        assert_eq!(report.computed, 1);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn report_renders_one_coverage_line() {
-        let exec: Executor<NumKey, u64> = Executor::new(1, None, None, |k: NumKey| {
+        let exec: Executor<NumKey, u64> = Executor::new(1, None, |k: NumKey| {
             assert!(k.0 != 3, "boom");
             k.0
         });
         exec.execute(&plan(0..2));
         let report = exec.execute(&plan(0..4));
-        assert_eq!(
-            report.to_string(),
-            "2 memoized, 0 from disk, 1 computed, 1 failed"
-        );
-        assert_eq!(format!("{report:#}"), "0 from disk, 1 computed, 1 failed");
+        assert_eq!(report.to_string(), "2 memoized, 1 computed, 1 failed");
         assert_eq!(report.planned, 4);
         assert_eq!(report.failed[0].to_string(), "n3: panicked: boom");
     }

@@ -7,8 +7,8 @@
 //! names match what `serde` would have produced, so downstream plotting
 //! scripts are unaffected. The parser ([`Json::parse`]) and the
 //! required-field readers ([`Json::u64_field`] and friends) serve every
-//! reader: the `seer check` schema validators and the store's shard
-//! codecs.
+//! reader: the scenario spec parser and the `seer check` schema
+//! validators.
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,8 +140,8 @@ impl Json {
     }
 
     /// The required member `name`; an error names the missing key. The
-    /// typed readers below build on it, so every schema check and shard
-    /// codec in the workspace reports a bad field the same way.
+    /// typed readers below build on it, so every parser and schema check
+    /// in the workspace reports a bad field the same way.
     pub fn field(&self, name: &str) -> Result<&Json, String> {
         self.get(name)
             .ok_or_else(|| format!("missing field {name:?}"))

@@ -17,9 +17,9 @@
 //!   and that panic lands here as a `Panicked` failure.
 //!
 //! There is no in-process retry: every item is a pure function of its
-//! key, so a rerun reproduces the same panic, and rerunning after a
-//! timeout is what resuming against a store (`--resume`) already does —
-//! it recomputes exactly the items that have no shard.
+//! key, so a rerun reproduces the same panic. A timed-out item is a
+//! coverage loss the command reports; re-running the command with a
+//! longer deadline (or none) recomputes it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
