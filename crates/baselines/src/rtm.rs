@@ -16,7 +16,6 @@ use seer_sim::ThreadId;
 #[derive(Debug, Clone)]
 pub struct Rtm {
     budget: u32,
-    give_up_on_capacity: bool,
 }
 
 impl Default for Rtm {
@@ -30,22 +29,7 @@ impl Rtm {
     /// every abort kind, matching the paper's description.
     pub fn new(budget: u32) -> Self {
         assert!(budget > 0);
-        Self {
-            budget,
-            give_up_on_capacity: false,
-        }
-    }
-
-    /// Intel's recommended retry policy: a capacity abort (no `_XABORT_RETRY`
-    /// hint) falls back immediately instead of burning the remaining
-    /// budget on a footprint that will overflow again. Provided as an
-    /// ablation knob (`DESIGN.md` §6); the paper's evaluation retries
-    /// unconditionally.
-    pub fn respecting_retry_hint(budget: u32) -> Self {
-        Self {
-            give_up_on_capacity: true,
-            ..Self::new(budget)
-        }
+        Self { budget }
     }
 }
 
@@ -85,15 +69,11 @@ impl Scheduler for Rtm {
         &mut self,
         _thread: ThreadId,
         _block: usize,
-        status: XStatus,
+        _status: XStatus,
         _attempts_left: u32,
         _env: &mut SchedEnv<'_>,
     ) -> AbortDecision {
-        if self.give_up_on_capacity && status.is_capacity() {
-            AbortDecision::Fallback
-        } else {
-            AbortDecision::Retry { gates: Vec::new() }
-        }
+        AbortDecision::Retry { gates: Vec::new() }
     }
 }
 
@@ -104,8 +84,8 @@ mod tests {
     use seer_sim::{SimRng, Topology};
 
     #[test]
-    fn retry_hint_policy_gives_up_on_capacity() {
-        let mut r = Rtm::respecting_retry_hint(5);
+    fn retries_every_abort_kind() {
+        let mut r = Rtm::default();
         let bank = LockBank::new(4, 2);
         let mut rng = SimRng::new(0);
         let mut sink = seer_runtime::NullTraceSink;
@@ -116,20 +96,13 @@ mod tests {
             rng: &mut rng,
             trace: &mut sink,
         };
-        assert_eq!(
-            r.on_abort(0, 0, XStatus::capacity(), 4, &mut env),
-            AbortDecision::Fallback
-        );
-        assert_eq!(
-            r.on_abort(0, 0, XStatus::conflict(), 4, &mut env),
-            AbortDecision::Retry { gates: vec![] }
-        );
-        // The paper's default retries capacity too.
-        let mut r = Rtm::default();
-        assert_eq!(
-            r.on_abort(0, 0, XStatus::capacity(), 4, &mut env),
-            AbortDecision::Retry { gates: vec![] }
-        );
+        // Capacity aborts included: the paper retries them too.
+        for status in [XStatus::capacity(), XStatus::conflict()] {
+            assert_eq!(
+                r.on_abort(0, 0, status, 4, &mut env),
+                AbortDecision::Retry { gates: vec![] }
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Everything here favours obviousness over speed and shares as little
 //! code as possible with `seer::inference` / `seer::gaussian`: the row
 //! statistics are recomputed from scratch for every pair (O(blocks³) per
-//! inference instead of O(blocks²)), the variance uses the E[v²] − E[v]²
+//! inference instead of O(blocks²)), the variance uses the `E[v²] − E[v]²`
 //! form instead of the two-pass form, and the normal quantile is found by
 //! bisecting the forward CDF instead of Acklam's rational approximation.
 //! Agreement between the two paths is therefore evidence, not tautology.

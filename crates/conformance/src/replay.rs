@@ -12,7 +12,7 @@
 //! instead of silently shifting every figure.
 //!
 //! Cells are driver-seeded through [`seer_harness::sim_seed`] — the same
-//! derivation the harness executor, benches and CLI use — so the fixtures
+//! derivation the harness executor and CLI use — so the fixtures
 //! pin the whole stack's seeding, not a conformance-local copy of it.
 
 use seer_harness::Cell;

@@ -7,9 +7,8 @@
 //! divided out on every use. Conflicts follow the eager model that *The
 //! Transactional Conflict Problem* (Alistarh et al., arXiv 1804.00947)
 //! formalises: a write conflicts with any other transaction holding the
-//! line, a read with any other transaction that wrote it. Under
-//! requester-wins the holders abort (in ascending CPU order); under
-//! requester-aborts the accessor does.
+//! line, a read with any other transaction that wrote it. The requester
+//! wins, as in TSX: the holders abort, in ascending CPU order.
 //!
 //! Random streams of `begin` / `access` / `non_tx_access` / `commit` /
 //! `abort` / `kill_all` / `set_capacity_override` run against both
@@ -27,7 +26,7 @@
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
-use seer_htm::{AbortCause, AccessKind, ConflictResolution, HtmConfig, HtmMachine, LineAddr};
+use seer_htm::{AbortCause, AccessKind, HtmConfig, HtmMachine, LineAddr};
 use seer_sim::{ThreadId, Topology};
 
 /// The naive model. See the module docs.
@@ -139,18 +138,7 @@ impl RefMachine {
         kind: AccessKind,
     ) -> (Option<AbortCause>, Vec<ThreadId>) {
         assert!(self.active[t]);
-        let victims = match self.cfg.conflict_resolution {
-            ConflictResolution::RequesterWins => self.kill_holders(t, line, kind),
-            ConflictResolution::RequesterAborts => {
-                let owned =
-                    (0..self.cpus()).any(|u| u != t && self.active[u] && self.holds(u, line, kind));
-                if owned {
-                    self.end(t);
-                    return (Some(AbortCause::Conflict), Vec::new());
-                }
-                Vec::new()
-            }
-        };
+        let victims = self.kill_holders(t, line, kind);
         let (ways, reads) = self.budgets(t);
         let overflow = match kind {
             AccessKind::Write => {
@@ -342,7 +330,6 @@ proptest! {
         topo in 0usize..4,
         geometry in (1usize..9, 1usize..9, 1usize..33),
         sharing in any::<bool>(),
-        requester_aborts in any::<bool>(),
         ops in prop::collection::vec(
             (0u8..16, 0usize..64, 0u64..48, any::<bool>(), 0usize..10, 0usize..40),
             1..300,
@@ -354,11 +341,6 @@ proptest! {
             write_ways,
             read_lines,
             smt_capacity_sharing: sharing,
-            conflict_resolution: if requester_aborts {
-                ConflictResolution::RequesterAborts
-            } else {
-                ConflictResolution::RequesterWins
-            },
         };
         run_stream(topology(topo), cfg, &ops);
     }
@@ -377,17 +359,6 @@ proptest! {
     }
 }
 
-fn policy(requester_aborts: bool) -> HtmConfig {
-    HtmConfig {
-        conflict_resolution: if requester_aborts {
-            ConflictResolution::RequesterAborts
-        } else {
-            ConflictResolution::RequesterWins
-        },
-        ..HtmConfig::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -396,10 +367,9 @@ proptest! {
     #[test]
     fn machine_matches_reference_with_large_footprints(
         seed in any::<u64>(),
-        requester_aborts in any::<bool>(),
     ) {
         let ops = footprint_stream(8, 450, 16, 8 * 450 * 3, seed);
-        let peak = run_stream(Topology::haswell_e3(), policy(requester_aborts), &ops);
+        let peak = run_stream(Topology::haswell_e3(), HtmConfig::default(), &ops);
         prop_assert!(peak > 1_000, "directory barely grew: peak {}", peak);
     }
 
@@ -407,10 +377,9 @@ proptest! {
     #[test]
     fn machine_matches_reference_with_64_cpus_in_flight(
         seed in any::<u64>(),
-        requester_aborts in any::<bool>(),
     ) {
         let ops = footprint_stream(64, 48, 24, 64 * 48 * 3, seed);
-        let peak = run_stream(Topology::new(16, 4), policy(requester_aborts), &ops);
+        let peak = run_stream(Topology::new(16, 4), HtmConfig::default(), &ops);
         prop_assert!(peak > 1_000, "directory barely grew: peak {}", peak);
     }
 }

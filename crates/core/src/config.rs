@@ -98,12 +98,6 @@ pub struct SeerConfig {
     /// Decaying lets the inferred scheme *forget* conflict relations that
     /// a phase change made obsolete.
     pub decay_every_updates: Option<u64>,
-    /// Probability of registering any given commit/abort event in the
-    /// statistics (1.0 = always, the paper's behaviour). Sub-unit values
-    /// implement the probabilistic-sampling extension the paper's future
-    /// work proposes (its ref. \[5\]): unbiased statistics at a fraction of
-    /// the monitoring overhead, at the cost of slower convergence.
-    pub sampling: f64,
     /// Minimum row standard deviation below which the Gaussian percentile
     /// cutoff is not discriminative and the conditional check passes
     /// unconditionally (paper:
@@ -132,7 +126,6 @@ impl SeerConfig {
             update_period_execs: 300,
             climb_period_execs: 1_000,
             decay_every_updates: None,
-            sampling: 1.0,
             min_sigma: MIN_DISCRIMINATIVE_SIGMA,
             costs: ProfilingCosts::default(),
         }
@@ -229,19 +222,6 @@ impl SeerConfig {
         }
     }
 
-    /// Future-work extension: full Seer with sampled statistics
-    /// collection (register each event with probability `p`).
-    ///
-    /// # Panics
-    /// If `p` is outside `[0, 1]`.
-    pub fn with_sampling(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "sampling probability in [0,1]");
-        Self {
-            sampling: p,
-            ..Self::full()
-        }
-    }
-
     /// §5.3 ablation: *only* core locks (no transaction locks).
     pub fn core_locks_only() -> Self {
         Self {
@@ -289,18 +269,6 @@ mod tests {
     fn core_locks_only_variant() {
         let c = SeerConfig::core_locks_only();
         assert!(!c.tx_locks && c.core_locks);
-    }
-
-    #[test]
-    fn sampling_defaults_to_always() {
-        assert_eq!(SeerConfig::full().sampling, 1.0);
-        assert_eq!(SeerConfig::with_sampling(0.25).sampling, 0.25);
-    }
-
-    #[test]
-    #[should_panic(expected = "sampling probability")]
-    fn sampling_out_of_range_rejected() {
-        SeerConfig::with_sampling(1.5);
     }
 
     #[test]

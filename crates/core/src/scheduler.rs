@@ -77,12 +77,8 @@ pub struct Seer {
     /// [`SchedFault::DelayInference`]). While positive, due updates are
     /// skipped — the stats keep accumulating but the lock tables go stale.
     skip_inference_rounds: u64,
-    /// Whether the most recent registration opportunity was sampled in —
-    /// read back by [`Scheduler::overhead`], which the driver calls right
-    /// after the corresponding hook.
-    last_event_sampled: bool,
     /// Reused buffer for the concurrent-blocks scan performed on every
-    /// sampled commit/abort registration — the hottest Seer path, so it
+    /// commit/abort registration — the hottest Seer path, so it
     /// must not allocate per event.
     scan_buf: Vec<BlockId>,
     /// Reused buffers of the Alg. 5 round, so a steady-state untraced
@@ -115,7 +111,6 @@ impl Seer {
             counters: SeerCounters::default(),
             last_change: None,
             skip_inference_rounds: 0,
-            last_event_sampled: true,
             scan_buf: Vec::new(),
             scratch: InferenceScratch::default(),
         }
@@ -159,7 +154,7 @@ impl Seer {
         self.last_change
     }
 
-    /// The statistics matrices every sampled registration writes.
+    /// The statistics matrices every registration writes.
     pub fn merged_stats(&self) -> &MergedStats {
         &self.merged
     }
@@ -354,15 +349,11 @@ impl Scheduler for Seer {
         // counts *events in which some instance of y was active*, not
         // active instances — with 8 threads running one hot block, the
         // per-instance reading pushes the "probability" past 1 and washes
-        // out Th1's discriminating power. Sampling (future-work extension)
-        // drops whole events, which keeps both ratios unbiased.
-        self.last_event_sampled = self.cfg.sampling >= 1.0 || env.rng.chance(self.cfg.sampling);
-        if self.last_event_sampled {
-            self.scan_concurrent(thread);
-            self.merged.add_abort(block, self.scan_buf.iter().copied());
-            self.total_execs += 1;
-            self.counters.aborts_registered += 1;
-        }
+        // out Th1's discriminating power.
+        self.scan_concurrent(thread);
+        self.merged.add_abort(block, self.scan_buf.iter().copied());
+        self.total_execs += 1;
+        self.counters.aborts_registered += 1;
 
         if attempts_left == 0 {
             // Budget exhausted: the driver takes the fall-back; it releases
@@ -405,16 +396,13 @@ impl Scheduler for Seer {
         AbortDecision::Retry { gates }
     }
 
-    fn on_htm_commit(&mut self, thread: ThreadId, block: BlockId, env: &mut SchedEnv<'_>) {
+    fn on_htm_commit(&mut self, thread: ThreadId, block: BlockId, _env: &mut SchedEnv<'_>) {
         // REGISTER-COMMIT (Alg. 3 lines 38-42) + activeTxs removal
-        // (Alg. 2), deduplicated and sampled like REGISTER-ABORT.
-        self.last_event_sampled = self.cfg.sampling >= 1.0 || env.rng.chance(self.cfg.sampling);
-        if self.last_event_sampled {
-            self.scan_concurrent(thread);
-            self.merged.add_commit(block, self.scan_buf.iter().copied());
-            self.total_execs += 1;
-            self.counters.commits_registered += 1;
-        }
+        // (Alg. 2), deduplicated like REGISTER-ABORT.
+        self.scan_concurrent(thread);
+        self.merged.add_commit(block, self.scan_buf.iter().copied());
+        self.total_execs += 1;
+        self.counters.commits_registered += 1;
         self.commits_in_window += 1;
         self.active.clear(thread);
         self.acquired_tx_locks[thread] = false;
@@ -472,13 +460,7 @@ impl Scheduler for Seer {
         match point {
             HookPoint::TxStart => c.announce,
             HookPoint::Abort | HookPoint::HtmCommit => {
-                // The scan cost is only paid when the event was sampled in
-                // (the driver invokes this right after the hook).
-                if self.last_event_sampled {
-                    c.register_fixed + c.scan_per_slot * self.threads as Cycles
-                } else {
-                    c.register_fixed / 2
-                }
+                c.register_fixed + c.scan_per_slot * self.threads as Cycles
             }
             HookPoint::FallbackCommit => c.announce,
         }

@@ -1,6 +1,6 @@
 //! Commit/abort statistics matrices (paper Table 2, Fig. 2 steps 3–5).
 //!
-//! Every sampled commit and abort scans `activeTxs` (Alg. 3) into a pair
+//! Every hardware commit and abort scans `activeTxs` (Alg. 3) into a pair
 //! of `blocks × blocks` frequency matrices plus an `executions` array;
 //! entry `[x][y]` counts events of block `x` during which block `y` was
 //! observed running concurrently. These are the matrices the

@@ -2,25 +2,6 @@
 
 use seer_sim::Cycles;
 
-/// Which side of a data conflict aborts.
-///
-/// Real TSX is *requester-wins*: the cache-coherence request of the
-/// accessing CPU invalidates (or downgrades) the line in the other
-/// transaction's tracked set, aborting the *other* transaction. The
-/// alternative — the requester aborting itself when it touches a line a
-/// running transaction owns — is how some proposed HTMs and most STM
-/// designs behave; it is provided as the conflict-policy ablation flagged
-/// in `DESIGN.md` §6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConflictResolution {
-    /// The accessing transaction survives; holders of the line abort
-    /// (TSX behaviour).
-    #[default]
-    RequesterWins,
-    /// The accessing transaction aborts itself; holders survive.
-    RequesterAborts,
-}
-
 /// Geometry of the transactional buffers and the SMT-sharing rule.
 ///
 /// Defaults model the paper's Haswell Xeon E3-1275: a 32 KiB, 8-way L1D with
@@ -42,8 +23,6 @@ pub struct HtmConfig {
     /// the capacity budgets. Disabling this isolates the capacity model in
     /// tests and ablations.
     pub smt_capacity_sharing: bool,
-    /// Which side of a data conflict aborts.
-    pub conflict_resolution: ConflictResolution,
 }
 
 impl Default for HtmConfig {
@@ -53,7 +32,6 @@ impl Default for HtmConfig {
             write_ways: 8,
             read_lines: 4096,
             smt_capacity_sharing: true,
-            conflict_resolution: ConflictResolution::RequesterWins,
         }
     }
 }

@@ -9,7 +9,7 @@
 //!   detection (requester-wins), a sets×ways write-capacity model and a
 //!   flat read budget, both shared (divided) between SMT siblings that are
 //!   simultaneously transactional. The sets live in one line directory
-//!   (`line → (readers, writers)` CPU masks, in [`line`]), so a conflict
+//!   (`line → (readers, writers)` CPU masks, in [`mod@line`]), so a conflict
 //!   check is one probe however many transactions are in flight, and
 //!   ending a transaction costs its footprint, not the table size.
 //! * [`status::XStatus`] — the TSX status word: `_XBEGIN_STARTED` or a
@@ -31,7 +31,7 @@ pub mod line;
 pub mod machine;
 pub mod status;
 
-pub use config::{ConflictResolution, CostModel, HtmConfig};
+pub use config::{CostModel, HtmConfig};
 pub use line::LineAddr;
 pub use machine::{AbortCause, AccessKind, HtmMachine};
 pub use status::{xabort_codes, XStatus};
@@ -40,7 +40,6 @@ impl From<AbortCause> for XStatus {
     /// The status word software observes for each internal abort cause.
     fn from(cause: AbortCause) -> Self {
         match cause {
-            AbortCause::Conflict => XStatus::conflict(),
             AbortCause::WriteCapacity | AbortCause::ReadCapacity => XStatus::capacity(),
         }
     }
@@ -52,7 +51,6 @@ mod tests {
 
     #[test]
     fn abort_cause_maps_to_coarse_status() {
-        assert!(XStatus::from(AbortCause::Conflict).is_conflict());
         assert!(XStatus::from(AbortCause::WriteCapacity).is_capacity());
         assert!(XStatus::from(AbortCause::ReadCapacity).is_capacity());
         // Read and write capacity are indistinguishable to software,

@@ -1,7 +1,7 @@
 //! Cache-line addresses and the line directory behind conflict detection.
 //!
 //! Transactional read/write sets are tracked at cache-line granularity,
-//! exactly like TSX. The machine keeps one [`LineDirectory`] for all
+//! exactly like TSX. The machine keeps one `LineDirectory` for all
 //! CPUs: each tracked line maps to the masks of the logical CPUs that
 //! hold it in their read and write sets. That answers the question an
 //! invalidation asks ("who holds line L?") with one probe, however many

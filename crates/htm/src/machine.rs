@@ -30,7 +30,7 @@
 
 use seer_sim::{ThreadId, Topology};
 
-use crate::config::{ConflictResolution, HtmConfig};
+use crate::config::HtmConfig;
 use crate::line::{LineAddr, LineDirectory};
 
 /// Kind of a memory access within (or outside) a transaction.
@@ -42,11 +42,10 @@ pub enum AccessKind {
     Write,
 }
 
-/// Why the machine aborted a transaction.
+/// Why the machine aborted a transaction over its own footprint. Data
+/// conflicts are reported separately, as the victims of an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortCause {
-    /// Lost a data conflict to another thread's access.
-    Conflict,
     /// Overflowed the write-set (L1) geometry.
     WriteCapacity,
     /// Overflowed the read-set budget.
@@ -321,26 +320,17 @@ impl HtmMachine {
         victims.clear();
         let me = self.bit(thread);
 
-        // 1. Conflict pass. Under requester-wins (TSX), this access
+        // 1. Conflict pass (requester-wins, as in TSX): this access
         //    invalidates (write) or downgrades (read) the line in every
-        //    other in-flight transaction; under requester-aborts, hitting
-        //    a line another transaction owns kills *this* transaction.
-        //    The line is probed once up front, so an access that kills no
-        //    one (the common case) costs one probe in total.
+        //    other in-flight transaction. The line is probed once up
+        //    front, so an access that kills no one (the common case)
+        //    costs one probe in total.
         let mut probe = self.dir.probe(line);
         let holders = self.dir.holders(probe, kind) & self.active & !me;
         if holders != 0 {
-            match self.cfg.conflict_resolution {
-                ConflictResolution::RequesterWins => {
-                    self.kill(holders, victims);
-                    // Kills delete and shift entries: probe again.
-                    probe = self.dir.probe(line);
-                }
-                ConflictResolution::RequesterAborts => {
-                    self.end_tx(thread);
-                    return Some(AbortCause::Conflict);
-                }
-            }
+            self.kill(holders, victims);
+            // Kills delete and shift entries: probe again.
+            probe = self.dir.probe(line);
         }
 
         // 2. Capacity pass: extend our own tracked sets. The budgets are
@@ -459,7 +449,6 @@ fn cpus_in(mut mask: u64) -> impl Iterator<Item = ThreadId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ConflictResolution;
 
     fn machine() -> HtmMachine {
         HtmMachine::new(Topology::haswell_e3(), HtmConfig::default())
@@ -725,59 +714,29 @@ mod tests {
     }
 
     #[test]
-    fn requester_aborts_policy_inverts_the_victim() {
-        let cfg = HtmConfig {
-            conflict_resolution: ConflictResolution::RequesterAborts,
-            ..HtmConfig::default()
-        };
-        let mut m = HtmMachine::new(Topology::haswell_e3(), cfg);
-        begin(&mut m, 0);
-        begin(&mut m, 1);
-        access(&mut m, 0, 100, AccessKind::Read);
-        let r = access(&mut m, 1, 100, AccessKind::Write);
-        assert_eq!(r.self_abort, Some(AbortCause::Conflict));
-        assert!(r.victims.is_empty());
-        assert!(m.in_tx(0), "holder survives under requester-aborts");
-        assert!(!m.in_tx(1));
-        // Read-read still fine.
-        begin(&mut m, 2);
-        let r = access(&mut m, 2, 100, AccessKind::Read);
-        assert!(r.self_abort.is_none());
-    }
-
-    #[test]
     fn directory_empties_once_every_transaction_ends() {
-        for conflict_resolution in [
-            ConflictResolution::RequesterWins,
-            ConflictResolution::RequesterAborts,
-        ] {
-            let cfg = HtmConfig {
-                conflict_resolution,
-                ..HtmConfig::default()
-            };
-            let mut m = HtmMachine::new(Topology::haswell_e3(), cfg);
-            for t in 0..4 {
-                begin(&mut m, t);
-            }
-            access(&mut m, 0, 100, AccessKind::Read);
-            access(&mut m, 1, 100, AccessKind::Write); // conflict on a held line
-            access(&mut m, 2, 200, AccessKind::Write);
-            let capacity = m.cfg.read_lines as LineAddr;
-            for line in 1_000..1_000 + 2 * capacity {
-                if access(&mut m, 3, line, AccessKind::Read)
-                    .self_abort
-                    .is_some()
-                {
-                    break;
-                }
-            }
-            assert!(!m.in_tx(3), "read capacity overflowed");
-            if m.in_tx(2) {
-                m.commit(2);
-            }
-            kill_all(&mut m);
-            assert_eq!(m.dir.len(), 0, "{conflict_resolution:?}");
+        let mut m = machine();
+        for t in 0..4 {
+            begin(&mut m, t);
         }
+        access(&mut m, 0, 100, AccessKind::Read);
+        access(&mut m, 1, 100, AccessKind::Write); // conflict on a held line
+        access(&mut m, 2, 200, AccessKind::Write);
+        let capacity = m.cfg.read_lines as LineAddr;
+        for line in 1_000..1_000 + 2 * capacity {
+            if access(&mut m, 3, line, AccessKind::Read)
+                .self_abort
+                .is_some()
+            {
+                break;
+            }
+        }
+        assert!(!m.in_tx(3), "read capacity overflowed");
+        if m.in_tx(2) {
+            m.commit(2);
+        }
+        kill_all(&mut m);
+        assert_eq!(m.dir.len(), 0);
     }
 
     #[test]

@@ -70,7 +70,6 @@ proptest! {
             write_ways: ways,
             read_lines: 1024,
             smt_capacity_sharing: false,
-            ..HtmConfig::default()
         };
         let mut m = HtmMachine::new(Topology::new(1, 1), cfg);
         m.begin_into(0, &mut Vec::new());

@@ -1,5 +1,5 @@
-//! Configurable synthetic workloads for tests, microbenches and overhead
-//! studies (e.g. the low-contention hash-map of the paper's §5.3).
+//! Configurable synthetic workloads for tests and overhead studies (e.g.
+//! the low-contention hash-map of the paper's §5.3).
 //!
 //! A [`SyntheticSpec`] describes a program as a set of atomic blocks, each
 //! with an access-count footprint, a write fraction, and a *hot region* —

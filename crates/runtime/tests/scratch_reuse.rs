@@ -78,7 +78,7 @@ fn reused_dirty_buffers_match_fresh_allocations() {
     // Audit: one machine and one pair of buffers reused across episodes,
     // the buffers pre-poisoned with garbage before the first call.
     let mut m = HtmMachine::new(topo, cfg);
-    let mut squeezed = vec![(99, seer_htm::AbortCause::Conflict); 7];
+    let mut squeezed = vec![(99, seer_htm::AbortCause::WriteCapacity); 7];
     let mut victims = vec![42; 13];
     for round in 0..2 {
         let mut log = Vec::new();

@@ -1,10 +1,9 @@
 //! The parallel, memoizing scenario executor.
 //!
-//! A thin instantiation of the workspace-generic
-//! [`Executor`](seer_store::Executor) (DESIGN.md §9/§13) at scenario
-//! granularity: work items are `(scenario, policy, seed)` coordinates,
-//! deduplicated at plan-build time, memoized for the executor's lifetime,
-//! and supervised (panic isolation and the optional deadline) exactly like
+//! A thin instantiation of the workspace-generic [`Executor`] (DESIGN.md
+//! §9/§13) at scenario granularity: work items are `(scenario, policy,
+//! seed)` coordinates, deduplicated at plan-build time, memoized for the
+//! executor's lifetime, and supervised (panic isolation and the optional deadline) exactly like
 //! harness cells. Every scenario run is an independent deterministic
 //! simulation, so parallel execution is bit-identical to a serial run —
 //! the conformance suite's scenario fixtures pin exactly that.

@@ -212,6 +212,8 @@ impl std::fmt::Debug for ScenarioRun<'_> {
 mod tests {
     use super::*;
     use crate::library;
+    use seer_harness::{CellExecutor, HarnessConfig, Plan};
+    use seer_runtime::NullTraceSink;
 
     #[test]
     fn traced_and_untraced_cell_runs_are_bit_identical() {
@@ -221,10 +223,41 @@ mod tests {
             threads: 4,
         };
         let untraced = RunRequest::cell(cell).scale(0.1).run();
+        let same = |m: &RunMetrics| {
+            assert_eq!(untraced.trace_hash, m.trace_hash);
+            assert_eq!(untraced.commits, m.commits);
+            assert_eq!(untraced.makespan, m.makespan);
+        };
         let mut sink = MemoryTraceSink::new();
-        let traced = RunRequest::cell(cell).scale(0.1).traced(&mut sink).run();
-        assert_eq!(untraced.trace_hash, traced.trace_hash);
+        same(&RunRequest::cell(cell).scale(0.1).traced(&mut sink).run());
         assert!(!sink.lifecycle.is_empty(), "the sink actually collected");
+        same(
+            &RunRequest::cell(cell)
+                .scale(0.1)
+                .traced(&mut NullTraceSink)
+                .run(),
+        );
+
+        // The executor computes the same value, and traced runs add no
+        // work to it: re-executing its plan is all memo hits.
+        let exec = CellExecutor::new(
+            HarnessConfig {
+                seeds: 1,
+                scale: 0.1,
+                jobs: 1,
+            },
+            None,
+        );
+        let mut plan = Plan::new();
+        plan.add_one(cell, 0, 0.1);
+        assert!(exec.execute(&plan).complete());
+        same(&exec.cached(cell, 0, 0.1).expect("executed above"));
+        RunRequest::cell(cell)
+            .scale(0.1)
+            .traced(&mut MemoryTraceSink::new())
+            .run();
+        let report = exec.execute(&plan);
+        assert_eq!((report.computed, report.memo_hits), (0, 1));
     }
 
     #[test]

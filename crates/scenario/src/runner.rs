@@ -141,22 +141,28 @@ mod tests {
 
     #[test]
     fn faults_change_the_schedule_but_not_the_work() {
-        let mut faulty = ScenarioSpec::stationary("f", Benchmark::KmeansHigh, 4, 0.3, 100_000);
-        faulty.faults.push(FaultSpec {
-            at: 150_000,
-            fault: FaultKind::StallLockHolder { cycles: 120_000 },
-        });
-        let clean = ScenarioSpec::stationary("f", Benchmark::KmeansHigh, 4, 0.3, 100_000);
-        let with_fault = run_seer(&faulty, PolicyKind::Rtm, 1);
-        let without = run_seer(&clean, PolicyKind::Rtm, 1);
-        assert_eq!(
-            with_fault.metrics.commits, without.metrics.commits,
-            "faults perturb timing, never the amount of work"
-        );
-        assert_ne!(
-            with_fault.metrics.trace_hash, without.metrics.trace_hash,
-            "the stall must actually reschedule events"
-        );
+        // A driver fault under RTM and a scheduler fault under Seer.
+        for (fault, policy) in [
+            (
+                FaultKind::StallLockHolder { cycles: 120_000 },
+                PolicyKind::Rtm,
+            ),
+            (FaultKind::WipeStats, PolicyKind::Seer),
+        ] {
+            let mut faulty = ScenarioSpec::stationary("f", Benchmark::KmeansHigh, 4, 0.3, 100_000);
+            faulty.faults.push(FaultSpec { at: 150_000, fault });
+            let clean = ScenarioSpec::stationary("f", Benchmark::KmeansHigh, 4, 0.3, 100_000);
+            let with_fault = run_seer(&faulty, policy, 1);
+            let without = run_seer(&clean, policy, 1);
+            assert_eq!(
+                with_fault.metrics.commits, without.metrics.commits,
+                "faults perturb timing, never the amount of work"
+            );
+            assert_ne!(
+                with_fault.metrics.trace_hash, without.metrics.trace_hash,
+                "the fault must actually reschedule events"
+            );
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!
 //! Internally this is a bucketed *calendar queue* (Brown 1988) tuned to the
 //! driver's cycle-delta distribution rather than a binary heap: virtual
-//! time is divided into [`DAY`]-cycle "days", and each of the [`NB`] wheel
+//! time is divided into `DAY`-cycle "days", and each of the `NB` wheel
 //! buckets holds every pending event of one day within the current
-//! [`NB`]`×`[`DAY`]-cycle window. A push appends to its day's bucket in
+//! `NB × DAY`-cycle window. A push appends to its day's bucket in
 //! O(1); the bucket is sorted only when the popping frontier first reaches
 //! it, after which pops are O(1) `Vec::pop` calls from the sorted tail.
 //! Events beyond the window sit in an overflow list that is migrated into

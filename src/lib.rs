@@ -1,8 +1,8 @@
 //! # seer-repro — umbrella crate
 //!
 //! Re-exports the whole Seer reproduction workspace under one roof for the
-//! examples, cross-crate integration tests and microbenches. Library users
-//! should depend on the individual crates:
+//! examples and cross-crate integration tests. Library users should
+//! depend on the individual crates:
 //!
 //! * [`seer`] — the Seer scheduler (the paper's contribution);
 //! * [`seer_runtime`] — driver, scheduler interface, workload interface;
