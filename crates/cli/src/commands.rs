@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use seer::{Seer, SeerConfig};
 use seer_harness::{
-    env_config, write_chrome_trace, write_trace_jsonl, Cell, CellExecutor, ExecReport,
+    env_config, write_chrome_trace, write_trace_jsonl, Cell, CellExecutor, CellKey, ExecReport,
     HarnessConfig, Plan, PolicyKind,
 };
 use seer_runtime::{run, DriverConfig, MemoryTraceSink, RunMetrics, TxMode, Workload};
@@ -36,10 +36,28 @@ fn parse_benchmark(name: &str) -> Result<Benchmark, ParseError> {
 }
 
 /// Every [`PolicyKind`] name round-trips through `FromStr`, so the CLI
-/// can run all eleven variants — the Figure 5 cumulative ones included.
+/// can run all eleven named variants — the Figure 5 cumulative ones
+/// included — and any `seer@key=value,...` spec.
 fn parse_policy(name: &str) -> Result<PolicyKind, ParseError> {
     name.parse::<PolicyKind>()
         .map_err(|e| ParseError(e.to_string()))
+}
+
+/// Parses `--policies`, a comma-separated list. A `key=value` item with
+/// no `@` continues the `seer@` spec before it, so
+/// `seer,seer@window=100,climb=500` is two policies.
+fn parse_policies(list: &str) -> Result<Vec<PolicyKind>, ParseError> {
+    let mut specs: Vec<String> = Vec::new();
+    for item in list.split(',') {
+        match specs.last_mut() {
+            Some(spec) if spec.contains('@') && item.contains('=') && !item.contains('@') => {
+                spec.push(',');
+                spec.push_str(item);
+            }
+            _ => specs.push(item.to_string()),
+        }
+    }
+    specs.iter().map(|s| parse_policy(s)).collect()
 }
 
 /// Prints top-level usage.
@@ -184,20 +202,7 @@ pub fn run_one(args: &Args) -> Result<(), ParseError> {
         RunRequest::cell(cell).seed(seed).scale(scale).run()
     };
     if json {
-        use seer_harness::{Json, ToJson};
-        let out = Json::object([
-            ("benchmark", benchmark.spec().to_json()),
-            ("policy", policy.label().to_json()),
-            ("threads", threads.to_json()),
-            ("seed", seed.to_json()),
-            ("commits", m.commits.to_json()),
-            ("speedup", m.speedup().to_json()),
-            ("abort_ratio", m.abort_ratio().to_json()),
-            ("fallback_fraction", m.fallback_fraction().to_json()),
-            ("makespan_cycles", m.makespan.to_json()),
-            ("sequential_cycles", m.sequential_cycles.to_json()),
-        ]);
-        println!("{}", out.to_string_pretty());
+        println!("{}", run_json(cell, seed, &m).to_string_pretty());
     } else {
         println!(
             "{} under {} with {threads} thread(s), seed {seed}:",
@@ -207,6 +212,24 @@ pub fn run_one(args: &Args) -> Result<(), ParseError> {
         println!("{}", metrics_summary(&m));
     }
     Ok(())
+}
+
+/// The `seer run --json true` object for `cell`'s run `m`. Its `policy`
+/// is the policy's label, which for a `seer@…` policy is its spec.
+fn run_json(cell: Cell, seed: u64, m: &RunMetrics) -> seer_harness::Json {
+    use seer_harness::{Json, ToJson};
+    Json::object([
+        ("benchmark", cell.benchmark.spec().to_json()),
+        ("policy", cell.policy.label().to_json()),
+        ("threads", cell.threads.to_json()),
+        ("seed", seed.to_json()),
+        ("commits", m.commits.to_json()),
+        ("speedup", m.speedup().to_json()),
+        ("abort_ratio", m.abort_ratio().to_json()),
+        ("fallback_fraction", m.fallback_fraction().to_json()),
+        ("makespan_cycles", m.makespan.to_json()),
+        ("sequential_cycles", m.sequential_cycles.to_json()),
+    ])
 }
 
 /// `--jobs` is a *tuning* option: an invalid value — unparsable or
@@ -288,6 +311,14 @@ const PARTIAL: &str = "partial results above";
 
 /// `seer sweep`.
 pub fn sweep(args: &Args) -> Result<(), ParseError> {
+    let (table, report) = sweep_table(args)?;
+    print!("{table}");
+    coverage_loss("sweep", &report, "cell(s)", PARTIAL)
+}
+
+/// Runs the sweep `args` ask for and renders its speedup table. Each
+/// policy's column is as wide as its label needs, and at least 12.
+fn sweep_table(args: &Args) -> Result<(String, ExecReport<CellKey>), ParseError> {
     args.allow_only(&["benchmark", "policies", "max-threads", "seed", "jobs"])?;
     let benchmark = parse_benchmark(args.get("benchmark").unwrap_or("genome"))?;
     let max_threads: usize = args.get_parsed("max-threads", 8)?;
@@ -295,12 +326,9 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
     if max_threads == 0 || max_threads > 8 {
         return Err(ParseError("--max-threads must be 1..=8".into()));
     }
-    let policies: Vec<PolicyKind> = match args.get("policies") {
+    let policies = match args.get("policies") {
         None => PolicyKind::FIGURE3.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(parse_policy)
-            .collect::<Result<_, _>>()?,
+        Some(list) => parse_policies(list)?,
     };
 
     let jobs = jobs_or_warn(args);
@@ -333,18 +361,20 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
         eprintln!("sweep: {} cell(s) planned — {report}", report.planned);
     }
 
-    println!(
-        "{} — speedup over sequential (seed {seed})",
-        benchmark.spec()
+    let mut out = format!(
+        "{} — speedup over sequential (seed {seed})\n{:>8}",
+        benchmark.spec(),
+        "threads"
     );
-    print!("{:>8}", "threads");
-    for p in &policies {
-        print!("{:>12}", p.label());
+    let labels: Vec<_> = policies.iter().map(|p| p.label()).collect();
+    let widths: Vec<usize> = labels.iter().map(|l| 12.max(l.len() + 1)).collect();
+    for (label, w) in labels.iter().zip(&widths) {
+        out += &format!("{label:>w$}");
     }
-    println!();
+    out.push('\n');
     for threads in 1..=max_threads {
-        print!("{threads:>8}");
-        for &policy in &policies {
+        out += &format!("{threads:>8}");
+        for (&policy, w) in policies.iter().zip(&widths) {
             // Assemble from cache only: a failed cell renders as FAILED in
             // a partial table instead of re-panicking on recompute.
             match exec.cached(
@@ -356,13 +386,13 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
                 seed,
                 SWEEP_SCALE,
             ) {
-                Some(m) => print!("{:>12.3}", m.speedup()),
-                None => print!("{:>12}", "FAILED"),
+                Some(m) => out += &format!("{:>w$.3}", m.speedup()),
+                None => out += &format!("{:>w$}", "FAILED"),
             }
         }
-        println!();
+        out.push('\n');
     }
-    coverage_loss("sweep", &report, "cell(s)", PARTIAL)
+    Ok((out, report))
 }
 
 /// `seer inspect`.
@@ -797,11 +827,91 @@ mod tests {
         // The Figure 5 cumulative variants included — `seer run`/`sweep`
         // can reproduce every cell of the evaluation.
         for p in PolicyKind::ALL {
-            assert_eq!(parse_policy(p.name()).unwrap(), p, "{}", p.name());
+            assert_eq!(parse_policy(&p.name()).unwrap(), p, "{}", p.name());
         }
         assert_eq!(
             parse_policy("seer-plus-tx-locks").unwrap(),
             PolicyKind::SeerPlusTxLocks
+        );
+    }
+
+    #[test]
+    fn policy_lists_keep_multi_key_specs_whole() {
+        let two_keys = parse_policy("seer@window=100,climb=500").unwrap();
+        assert_eq!(
+            parse_policies("seer,seer@window=100,climb=500,seer@window=5000").unwrap(),
+            vec![
+                PolicyKind::Seer,
+                two_keys,
+                parse_policy("seer@window=5000").unwrap()
+            ]
+        );
+        // A key=value item after a named policy starts nothing.
+        assert!(parse_policies("rtm,window=100").is_err());
+    }
+
+    #[test]
+    fn policy_lists_trim_knob_values() {
+        assert_eq!(
+            parse_policies("rtm,seer@window= 100 , climb = 500").unwrap(),
+            vec![
+                PolicyKind::Rtm,
+                parse_policy("seer@window=100,climb=500").unwrap()
+            ]
+        );
+    }
+
+    #[test]
+    fn policy_lists_reject_a_repeated_knob() {
+        let ParseError(msg) = parse_policies("seer,seer@window=5,window=7").unwrap_err();
+        assert!(msg.contains("seer@window=5,window=7"), "{msg}");
+    }
+
+    #[test]
+    fn sweep_heads_one_distinct_column_per_configuration() {
+        let a = args(&[
+            "sweep",
+            "--benchmark",
+            "kmeans-high",
+            "--max-threads",
+            "1",
+            "--policies",
+            "seer,seer@window=100,seer@window=5000",
+        ]);
+        let (table, report) = sweep_table(&a).expect("sweep should succeed");
+        assert!(report.complete());
+        let lines: Vec<&str> = table.lines().collect();
+        let heads: Vec<&str> = lines[1].split_whitespace().collect();
+        assert_eq!(
+            heads,
+            ["threads", "Seer", "seer@window=100", "seer@window=5000"]
+        );
+        // Every cell sits under its heading's right edge.
+        assert_eq!(lines[2].len(), lines[1].len(), "{table}");
+    }
+
+    #[test]
+    fn run_and_scenario_reports_name_the_knobs_they_ran() {
+        let policy = parse_policy("seer@window=100,th2=0.9").unwrap();
+        let cell = Cell {
+            benchmark: Benchmark::Ssca2,
+            policy,
+            threads: 2,
+        };
+        let m = RunRequest::cell(cell).scale(0.05).run();
+        let run = run_json(cell, 0, &m);
+        assert_eq!(
+            parse_policy(run.str_field("policy").unwrap()).unwrap(),
+            policy
+        );
+
+        let spec = seer_scenario::library::builtin("stats-amnesia").unwrap();
+        let outcome = RunRequest::scenario(&spec).policy(policy).run();
+        use seer_harness::{Json, ToJson};
+        let report = Json::parse(&outcome.report.to_json().to_string_compact()).unwrap();
+        assert_eq!(
+            parse_policy(report.str_field("policy").unwrap()).unwrap(),
+            policy
         );
     }
 

@@ -56,11 +56,24 @@ pub fn replay_cell(cell: Cell, seed: u64, scale: f64) -> RunMetrics {
     first
 }
 
-/// One line of the golden fixture file for `cell`.
+/// One line of the golden fixture file for `cell`. The policy key is its
+/// spec in camel case (`seer-plus-tx-locks` → `SeerPlusTxLocks`), the
+/// form the committed fixtures have always used.
 pub fn fixture_line(cell: Cell, seed: u64, trace_hash: u64) -> String {
+    let policy: String = cell
+        .policy
+        .spec()
+        .split('-')
+        .map(|word| {
+            let mut chars = word.chars();
+            chars.next().map_or(String::new(), |first| {
+                first.to_ascii_uppercase().to_string() + chars.as_str()
+            })
+        })
+        .collect();
     format!(
-        "{:?} {:?} t{} s{seed} {trace_hash:#018x}",
-        cell.benchmark, cell.policy, cell.threads
+        "{:?} {policy} t{} s{seed} {trace_hash:#018x}",
+        cell.benchmark, cell.threads
     )
 }
 
@@ -80,6 +93,14 @@ mod tests {
         assert_eq!(
             fixture_line(cell, 0, 0xdead_beef),
             "Genome Rtm t4 s0 0x00000000deadbeef"
+        );
+        let cell = Cell {
+            policy: PolicyKind::SeerPlusHillClimbing,
+            ..cell
+        };
+        assert_eq!(
+            fixture_line(cell, 1, 1),
+            "Genome SeerPlusHillClimbing t4 s1 0x0000000000000001"
         );
     }
 }

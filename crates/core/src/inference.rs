@@ -102,7 +102,8 @@ pub struct InferenceScratch {
 /// 73–74). The result lives in `scratch` until its next round.
 ///
 /// `min_sigma` is the discriminative-sigma floor: the paper-default paths
-/// pass [`MIN_DISCRIMINATIVE_SIGMA`]; the tuner searches other values.
+/// pass [`MIN_DISCRIMINATIVE_SIGMA`]; a `seer@min-sigma=…` policy spec
+/// sets another.
 ///
 /// With `on_row`, the round also reports decision provenance: one
 /// [`RowTrace`] per atomic block carrying the fitted Gaussian, the

@@ -58,7 +58,7 @@ pub mod locktable;
 pub mod scheduler;
 pub mod stats;
 
-pub use config::{ProfilingCosts, SeerConfig, SeerParams};
+pub use config::{ProfilingCosts, SeerConfig};
 pub use hillclimb::HillClimber;
 pub use inference::{infer_conflict_pairs, InferenceScratch, Thresholds};
 pub use locktable::LockTable;

@@ -756,7 +756,13 @@ mod tests {
 
     #[test]
     fn disabled_mechanisms_produce_no_gates() {
-        let mut s = Seer::new(SeerConfig::profile_only(), 2, 3);
+        let profile_only = SeerConfig {
+            tx_locks: false,
+            core_locks: false,
+            htm_lock_acquisition: false,
+            ..SeerConfig::full()
+        };
+        let mut s = Seer::new(profile_only, 2, 3);
         s.table.rebuild(&[(0, 1)]);
         let bank = LockBank::new(4, 3);
         let mut rng = SimRng::new(0);

@@ -45,7 +45,7 @@ pub use experiments::{
     table3, AccuracyResult, BenchmarkKey, ConvergenceResult, FineGrainedResult, Planned,
     THREADS_FULL, THREADS_TABLE,
 };
-pub use policy::{PolicyKind, TunedParams, UnknownPolicy};
+pub use policy::{PolicyKind, SeerSpec, UnknownPolicy};
 pub use report::{maybe_write_json, Panel, PercentTable, Series};
 pub use runner::{execute_cell, geometric_mean, sim_seed, Cell, CellResult, HarnessConfig};
 pub use seer_store::{ExecReport, FailedItem, Json, RunFailure, ToJson};

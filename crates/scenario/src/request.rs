@@ -184,7 +184,7 @@ impl<'r> ScenarioRun<'r> {
                 execute_scenario(
                     self.spec,
                     sched.as_mut(),
-                    policy.name(),
+                    &policy.name(),
                     self.seed,
                     self.sink,
                 )
@@ -197,7 +197,7 @@ impl std::fmt::Debug for ScenarioRun<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let driver = match &self.driver {
             ScenarioDriver::Policy(p) => p.name(),
-            ScenarioDriver::Scheduler { label, .. } => label,
+            ScenarioDriver::Scheduler { label, .. } => label.into(),
         };
         f.debug_struct("ScenarioRun")
             .field("scenario", &self.spec.name)

@@ -46,7 +46,7 @@ fn main() {
     );
     for threads in 1..=8usize {
         let mut speedups = String::new();
-        let mut best = (f64::MIN, "");
+        let mut best = (f64::MIN, policies[0]);
         let mut aborts = String::new();
         let mut fallbacks = String::new();
         for policy in policies {
@@ -59,7 +59,7 @@ fn main() {
             .run();
             let s = m.speedup();
             if s > best.0 {
-                best = (s, policy.label());
+                best = (s, policy);
             }
             speedups += &format!("{s:>5.2}");
             aborts += &format!("{:>5.1}", m.abort_ratio());
@@ -67,7 +67,7 @@ fn main() {
         }
         println!(
             "{threads:>8} {speedups:>22} {aborts:>12} {fallbacks:>12}   best: {}",
-            best.1
+            best.1.label()
         );
     }
     println!("\ncolumns per group: HLE, RTM, SCM, ATS, Seer");
