@@ -1,18 +1,17 @@
-//! `seer check <kind> --file F[,F…]`: the schema gates for every artefact
+//! `seer check <kind> --file F[,F…]`: the schema gates for the artefacts
 //! the workspace writes, behind one read → parse → validate → summary
 //! loop. The validators live next to the writers they mirror:
 //!
 //! | kind | validates | validator |
 //! |---|---|---|
 //! | `trace` | `--trace` JSONL (§10) | `seer_harness::validate_trace_jsonl` |
-//! | `scenario` | `seer scenario run --json true` (§11) | `seer_scenario::validate_reports` |
 
-use seer_harness::{validate_trace_jsonl, Json};
+use seer_harness::validate_trace_jsonl;
 
 use crate::args::{Args, ParseError};
 
 /// The artefact kinds `seer check` validates.
-pub const KINDS: [&str; 2] = ["trace", "scenario"];
+pub const KINDS: [&str; 1] = ["trace"];
 
 /// `seer check <kind>`: validates each `--file` in order, printing its
 /// summary; the first invalid file is the error.
@@ -28,7 +27,7 @@ pub fn check(kind: &str, args: &Args) -> Result<(), ParseError> {
         .get("file")
         .ok_or_else(|| ParseError("--file F[,F...] is required".into()))?;
     for path in files.split(',') {
-        let summary = summarize(kind, path).map_err(|e| ParseError(format!("{path}: {e}")))?;
+        let summary = summarize(path).map_err(|e| ParseError(format!("{path}: {e}")))?;
         for line in summary {
             println!("{line}");
         }
@@ -36,25 +35,11 @@ pub fn check(kind: &str, args: &Args) -> Result<(), ParseError> {
     Ok(())
 }
 
-fn read(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))
-}
-
-fn summarize(kind: &str, path: &str) -> Result<Vec<String>, String> {
-    if kind == "trace" {
-        let counts = validate_trace_jsonl(&read(path)?)?;
-        let total: u64 = counts.iter().map(|(_, n)| n).sum();
-        let mut lines = vec![format!("{path}: {total} records OK")];
-        lines.extend(counts.iter().map(|(name, n)| format!("  {name:<16} {n}")));
-        return Ok(lines);
-    }
-    let json = Json::parse(&read(path)?).map_err(|e| format!("not valid JSON: {e}"))?;
-    let reports = seer_scenario::validate_reports(&json)?;
-    let mut lines = vec![format!("{path}: {} report(s) OK", reports.len())];
-    lines.extend(
-        reports
-            .iter()
-            .map(|r| format!("  {:<16} {} score(s)", r.scenario, r.scores.len())),
-    );
+fn summarize(path: &str) -> Result<Vec<String>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
+    let counts = validate_trace_jsonl(&text)?;
+    let total: u64 = counts.iter().map(|(_, n)| n).sum();
+    let mut lines = vec![format!("{path}: {total} records OK")];
+    lines.extend(counts.iter().map(|(name, n)| format!("  {name:<16} {n}")));
     Ok(lines)
 }

@@ -1,6 +1,5 @@
-//! The CLI commands: `list`, `run`, `sweep`, `inspect`, `explain`, and
-//! the `scenario` family (`check` and `experiment` have modules of their
-//! own).
+//! The CLI commands: `list`, `run`, `sweep`, `inspect` and `explain`
+//! (`check` and `experiment` have modules of their own).
 
 use std::sync::Once;
 use std::time::Duration;
@@ -43,12 +42,12 @@ fn parse_policy(name: &str) -> Result<PolicyKind, ParseError> {
         .map_err(|e| ParseError(e.to_string()))
 }
 
-/// Parses `--policies`, a comma-separated list. A `key=value` item with
-/// no `@` continues the `seer@` spec before it, so
+/// Parses `--policies`, a comma-separated list of trimmed items. A
+/// `key=value` item with no `@` continues the `seer@` spec before it, so
 /// `seer,seer@window=100,climb=500` is two policies.
 fn parse_policies(list: &str) -> Result<Vec<PolicyKind>, ParseError> {
     let mut specs: Vec<String> = Vec::new();
-    for item in list.split(',') {
+    for item in list.split(',').map(str::trim) {
         match specs.last_mut() {
             Some(spec) if spec.contains('@') && item.contains('=') && !item.contains('@') => {
                 spec.push(',');
@@ -75,15 +74,11 @@ pub fn print_usage() {
          \x20 inspect  Seer's learned state --benchmark B --threads N [--txs N] [--seed N]\n\
          \x20 explain  decision history     --benchmark B --policy P --pair X,Y\n\
          \x20          for one block pair   [--threads N] [--seed N] [--txs N]\n\
-         \x20 scenario list                 built-in disturbance scenarios\n\
-         \x20 scenario run                  [--name S | --spec F.json] [--policy P]\n\
-         \x20          recovery scoring     [--seed N] [--jobs N] [--json true]\n\
-         \x20                               [--trace F.jsonl]\n\
          \x20 experiment NAME              regenerate a paper table/figure: fig3, table3,\n\
          \x20                              fig4, fig5, ablation-core-locks, accuracy,\n\
          \x20                              fine-grained, convergence (SEER_SEEDS,\n\
          \x20                              SEER_SCALE, SEER_JOBS, SEER_REPORT_JSON)\n\
-         \x20 check KIND   schema gate     --file F[,F...]   KIND: trace|scenario\n\
+         \x20 check KIND   schema gate     --file F[,F...]   KIND: trace\n\
          \n\
          Simulated machine: 4 physical cores x 2 hyper-threads (the paper's\n\
          Haswell Xeon E3-1275); all results are in simulated cycles."
@@ -306,14 +301,11 @@ pub(crate) fn coverage_loss<K: std::fmt::Display>(
     )))
 }
 
-/// What `sweep` and `scenario run` say a failed plan left behind.
-const PARTIAL: &str = "partial results above";
-
 /// `seer sweep`.
 pub fn sweep(args: &Args) -> Result<(), ParseError> {
     let (table, report) = sweep_table(args)?;
     print!("{table}");
-    coverage_loss("sweep", &report, "cell(s)", PARTIAL)
+    coverage_loss("sweep", &report, "cell(s)", "partial results above")
 }
 
 /// Runs the sweep `args` ask for and renders its speedup table. Each
@@ -598,190 +590,6 @@ pub fn explain(args: &Args) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// `seer scenario list`.
-pub fn scenario_list() {
-    println!("built-in scenarios (4 threads, 100k-cycle scoring window):");
-    for spec in seer_scenario::library::all() {
-        println!(
-            "  {:<16} {:<14} {} phase shift(s), {} churn event(s), {} fault(s)",
-            spec.name,
-            spec.benchmark.name(),
-            spec.phases.len() - 1,
-            spec.churn.len(),
-            spec.faults.len(),
-        );
-    }
-    println!(
-        "\nrun one with `seer scenario run --name NAME`, all with `seer scenario run`,\n\
-         or a custom JSON spec with `seer scenario run --spec FILE.json`."
-    );
-}
-
-/// Satellite behaviour: `seer scenario` argument errors that name the
-/// wrong scenario (typo, stale script) or hand over a malformed spec warn
-/// once per process and list what *is* known, instead of panicking — a
-/// sweep driving the CLI should keep going past one bad item.
-fn warn_scenario(problem: &str) {
-    static WARNED: Once = Once::new();
-    WARNED.call_once(|| {
-        eprintln!("warning: {problem}; skipping");
-        eprintln!(
-            "known scenarios: {}",
-            seer_scenario::library::BUILTIN_NAMES.join(", ")
-        );
-    });
-}
-
-fn print_recovery(outcome: &seer_scenario::ScenarioOutcome) {
-    let r = &outcome.report;
-    println!("{} under {}, seed {}:", r.scenario, r.policy, r.seed);
-    println!(
-        "  commits        {}\n\
-         \x20 makespan       {} cycles ({} window(s) of {})\n\
-         \x20 throughput     {:.6} commits/cycle\n\
-         \x20 steady state   {:+.1}% vs pre-disturbance\n\
-         \x20 recovered      {}",
-        r.commits,
-        r.makespan,
-        outcome.windows.windows().len(),
-        r.window,
-        r.throughput,
-        r.steady_state_delta * 100.0,
-        if r.recovered { "yes" } else { "NO" },
-    );
-    println!("  disturbances:");
-    for s in &r.scores {
-        let reconverge = match s.time_to_reconverge {
-            Some(t) => format!("re-converged in {t}"),
-            None => "never re-converged".to_string(),
-        };
-        let pairs = match s.pairs_stable_at {
-            Some(at) => format!(", pairs stable at {at}"),
-            None => String::new(),
-        };
-        println!(
-            "    {:<16} at {:>8}  depth {:>5.1}%  {reconverge}{pairs}",
-            s.label,
-            s.at,
-            s.regression_depth * 100.0,
-        );
-    }
-    if r.scores.is_empty() {
-        println!("    (none fired before the run ended)");
-    }
-}
-
-/// `seer scenario run`.
-pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
-    use seer_scenario::{library, ScenarioPlan, ScenarioSpec};
-
-    args.allow_only(&["name", "spec", "policy", "seed", "jobs", "json", "trace"])?;
-    let policy = parse_policy(args.get("policy").unwrap_or("seer"))?;
-    let seed: u64 = args.get_parsed("seed", 0)?;
-    let json: bool = args.get_parsed("json", false)?;
-
-    // `--name` picks one built-in and `--spec` a custom spec; neither
-    // means the whole library.
-    let (names, spec) = match (args.get("name"), args.get("spec")) {
-        (Some(_), Some(_)) => {
-            return Err(ParseError(
-                "--name and --spec are mutually exclusive".into(),
-            ));
-        }
-        (Some(name), None) => match library::builtin(name) {
-            Some(spec) => (vec![name], Some(spec)),
-            None => {
-                warn_scenario(&format!("unknown scenario {name:?}"));
-                return Ok(());
-            }
-        },
-        (None, Some(path)) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) => {
-                    warn_scenario(&format!("cannot read scenario spec {path:?} ({e})"));
-                    return Ok(());
-                }
-            };
-            match ScenarioSpec::parse(&text) {
-                Ok(spec) => (Vec::new(), Some(spec)),
-                Err(e) => {
-                    warn_scenario(&format!("malformed scenario spec {path:?}: {e}"));
-                    return Ok(());
-                }
-            }
-        }
-        (None, None) => (library::BUILTIN_NAMES.to_vec(), None),
-    };
-    let show = |outcome: &seer_scenario::ScenarioOutcome| {
-        if json {
-            use seer_harness::ToJson;
-            println!("{}", outcome.report.to_json().to_string_pretty());
-        } else {
-            print_recovery(outcome);
-        }
-    };
-
-    // A traced run and a custom spec run live: an executor keeps no event
-    // streams to export, and it keys built-in names.
-    if let Some(path) = args.get("trace") {
-        let Some(spec) = spec else {
-            return Err(ParseError(
-                "--trace needs a single scenario (--name or --spec)".into(),
-            ));
-        };
-        let mut sink = MemoryTraceSink::new();
-        let outcome = RunRequest::scenario(&spec)
-            .policy(policy)
-            .seed(seed)
-            .traced(&mut sink)
-            .run();
-        if write_trace_jsonl(path, &sink) {
-            eprintln!("trace: JSONL written to {path}");
-        }
-        show(&outcome);
-        return Ok(());
-    }
-    if let (Some(spec), []) = (&spec, names.as_slice()) {
-        show(&RunRequest::scenario(spec).policy(policy).seed(seed).run());
-        return Ok(());
-    }
-
-    // Built-ins go through the memoizing executor, fanned out over --jobs.
-    let exec = seer_scenario::ScenarioExecutor::new(jobs_or_warn(args), cell_deadline());
-    let mut plan = ScenarioPlan::new();
-    for name in &names {
-        plan.add(name, policy, seed);
-    }
-    let report = exec.execute(&plan);
-    // `--name` (a `--spec` run returned above) prints one report.
-    let single = spec.is_some();
-    if !report.complete() {
-        eprintln!("scenario: {} planned — {report}", report.planned);
-    }
-    // Assemble from cache only, so one failed scenario yields a partial
-    // report instead of a recompute.
-    let outcomes: Vec<_> = names
-        .iter()
-        .filter_map(|name| exec.cached(name, policy, seed))
-        .collect();
-    if single {
-        outcomes.iter().for_each(show);
-    } else if json {
-        use seer_harness::{Json, ToJson};
-        let reports = outcomes.iter().map(|o| o.report.to_json()).collect();
-        println!("{}", Json::Array(reports).to_string_pretty());
-    } else {
-        for (i, outcome) in outcomes.iter().enumerate() {
-            if i > 0 {
-                println!();
-            }
-            print_recovery(outcome);
-        }
-    }
-    coverage_loss("scenario", &report, "scenario(s)", PARTIAL)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,6 +659,30 @@ mod tests {
     }
 
     #[test]
+    fn policy_lists_trim_items() {
+        // Whitespace around a named policy or a continued knob is dropped.
+        assert_eq!(
+            parse_policies("seer, rtm").unwrap(),
+            vec![PolicyKind::Seer, PolicyKind::Rtm]
+        );
+        assert_eq!(
+            parse_policies("seer@window=100, climb=500,rtm").unwrap(),
+            vec![
+                parse_policy("seer@window=100,climb=500").unwrap(),
+                PolicyKind::Rtm
+            ]
+        );
+        assert_eq!(
+            parse_policies(" seer@window=100 , climb=500 , rtm ").unwrap(),
+            parse_policies("seer@window=100,climb=500,rtm").unwrap()
+        );
+        // An empty item is still an error, not a skipped one.
+        for list in ["rtm,", "rtm, ,seer", ""] {
+            assert!(parse_policies(list).is_err(), "{list:?}");
+        }
+    }
+
+    #[test]
     fn policy_lists_trim_knob_values() {
         assert_eq!(
             parse_policies("rtm,seer@window= 100 , climb = 500").unwrap(),
@@ -891,7 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn run_and_scenario_reports_name_the_knobs_they_ran() {
+    fn run_reports_name_the_knobs_they_ran() {
         let policy = parse_policy("seer@window=100,th2=0.9").unwrap();
         let cell = Cell {
             benchmark: Benchmark::Ssca2,
@@ -902,15 +734,6 @@ mod tests {
         let run = run_json(cell, 0, &m);
         assert_eq!(
             parse_policy(run.str_field("policy").unwrap()).unwrap(),
-            policy
-        );
-
-        let spec = seer_scenario::library::builtin("stats-amnesia").unwrap();
-        let outcome = RunRequest::scenario(&spec).policy(policy).run();
-        use seer_harness::{Json, ToJson};
-        let report = Json::parse(&outcome.report.to_json().to_string_compact()).unwrap();
-        assert_eq!(
-            parse_policy(report.str_field("policy").unwrap()).unwrap(),
             policy
         );
     }
@@ -1003,9 +826,6 @@ mod tests {
         assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "3"])), 3);
         assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "0"])), default);
         assert_eq!(jobs_or_warn(&args(&["sweep", "--jobs", "lots"])), default);
-        // `scenario run` follows the same rule as `sweep`.
-        let a = args(&["scenario-run", "--jobs", "0", "--json", "true"]);
-        scenario_run(&a).expect("invalid --jobs should warn and default, not error");
     }
 
     #[test]
@@ -1043,16 +863,12 @@ mod tests {
     }
 
     #[test]
-    fn workers_option_is_rejected_by_every_executing_command() {
+    fn workers_option_is_rejected_by_sweep() {
         // Execution is local only: a script still passing `--workers`
         // must learn that, not silently compute on this host.
-        type Command = fn(&Args) -> Result<(), ParseError>;
-        let commands: [(&str, Command); 2] = [("sweep", sweep), ("scenario-run", scenario_run)];
-        for (name, command) in commands {
-            let a = args(&[name, "--workers", "127.0.0.1:1", "--seed", "0"]);
-            let ParseError(msg) = command(&a).expect_err(name);
-            assert!(msg.starts_with("unknown option --workers"), "{name}: {msg}");
-        }
+        let a = args(&["sweep", "--workers", "127.0.0.1:1", "--seed", "0"]);
+        let ParseError(msg) = sweep(&a).unwrap_err();
+        assert!(msg.starts_with("unknown option --workers"), "{msg}");
     }
 
     #[test]
@@ -1126,77 +942,6 @@ mod tests {
         assert!(explain(&a).is_err());
         let a = args(&["explain", "--pair", "0,1", "--threads", "9"]);
         assert!(explain(&a).is_err());
-    }
-
-    #[test]
-    fn scenario_run_executes_one_builtin_with_json_and_trace() {
-        let dir = std::env::temp_dir().join("seer-cli-scenario-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let jsonl = dir.join("scenario.jsonl");
-        let a = args(&[
-            "scenario-run",
-            "--name",
-            "stats-amnesia",
-            "--json",
-            "true",
-            "--trace",
-            jsonl.to_str().unwrap(),
-        ]);
-        scenario_run(&a).expect("built-in scenario should run");
-        let trace = std::fs::read_to_string(&jsonl).unwrap();
-        assert!(trace.lines().next().unwrap().starts_with('{'));
-    }
-
-    #[test]
-    fn scenario_run_accepts_a_spec_file() {
-        let dir = std::env::temp_dir().join("seer-cli-scenario-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tiny.json");
-        std::fs::write(
-            &path,
-            r#"{"name":"tiny","benchmark":"ssca2","threads":2,"scale":0.08,
-               "window":50000,"faults":[{"at":60000,"kind":"wipe-stats"}]}"#,
-        )
-        .unwrap();
-        let a = args(&["scenario-run", "--spec", path.to_str().unwrap()]);
-        scenario_run(&a).expect("custom spec should run");
-    }
-
-    #[test]
-    fn scenario_run_warns_instead_of_panicking_on_bad_input() {
-        // Unknown name: warn-once + list of known scenarios, exit clean.
-        let a = args(&["scenario-run", "--name", "meteor-strike"]);
-        scenario_run(&a).expect("unknown scenario name must not panic");
-        scenario_run(&a).expect("second call hits the Once, still clean");
-
-        // Malformed spec file: same treatment.
-        let dir = std::env::temp_dir().join("seer-cli-scenario-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("broken.json");
-        std::fs::write(&path, "{\"name\": 42").unwrap();
-        let a = args(&["scenario-run", "--spec", path.to_str().unwrap()]);
-        scenario_run(&a).expect("malformed spec must not panic");
-
-        // Unreadable spec path too.
-        let a = args(&["scenario-run", "--spec", "/no/such/spec.json"]);
-        scenario_run(&a).expect("missing spec file must not panic");
-    }
-
-    #[test]
-    fn scenario_run_validates_option_combinations() {
-        let a = args(&["scenario-run", "--name", "phase-flip", "--spec", "x.json"]);
-        assert!(scenario_run(&a).is_err(), "--name and --spec are exclusive");
-        let a = args(&["scenario-run", "--trace", "x.jsonl"]);
-        assert!(scenario_run(&a).is_err(), "--trace needs a single scenario");
-        let a = args(&["scenario-run", "--bogus", "1"]);
-        assert!(scenario_run(&a).is_err());
-    }
-
-    #[test]
-    fn scenario_list_prints_every_builtin() {
-        // Smoke: must not panic, and the library must be non-empty.
-        scenario_list();
-        assert!(!seer_scenario::library::BUILTIN_NAMES.is_empty());
     }
 
     #[test]

@@ -6,9 +6,6 @@
 //! seer sweep  --benchmark vacation-high [--policies hle,rtm,scm,seer] [--max-threads 8]
 //! seer inspect --benchmark intruder --threads 8 [--txs N]   # Seer's learned state
 //! seer explain --benchmark genome --policy seer --pair 0,2  # decision history of one pair
-//! seer scenario list                                        # built-in disturbance scenarios
-//! seer scenario run [--name churn-storm | --spec F.json] [--policy P] [--seed N]
-//!                   [--jobs N] [--json true] [--trace F.jsonl]
 //! seer experiment fig3                                      # regenerate a paper figure/table
 //! seer check trace --file F.jsonl[,F2...]                   # schema-check an artefact
 //! ```
@@ -34,8 +31,38 @@ fn main() {
 }
 
 /// The commands whose first positional word picks an action or kind:
-/// `scenario run`, `check trace`, `experiment fig3`.
-const FAMILIES: [&str; 3] = ["scenario", "check", "experiment"];
+/// `check trace`, `experiment fig3`.
+const FAMILIES: [&str; 2] = ["check", "experiment"];
+
+/// Every command `seer` runs (`help` aside).
+const COMMANDS: [&str; 7] = [
+    "list",
+    "run",
+    "sweep",
+    "inspect",
+    "explain",
+    "experiment",
+    "check",
+];
+
+/// Rejects an unknown command word before its options are parsed, so a
+/// removed command with a trailing action (`seer scenario run`) is named
+/// as such, with the valid commands listed.
+fn known_command(word: &str) -> Result<(), String> {
+    let in_family = FAMILIES.iter().any(|f| {
+        word.strip_prefix(f)
+            .is_some_and(|rest| rest.starts_with('-'))
+    });
+    if word.starts_with('-') || word == "help" || COMMANDS.contains(&word) || in_family {
+        Ok(())
+    } else {
+        Err(unknown_command(word))
+    }
+}
+
+fn unknown_command(word: &str) -> String {
+    format!("unknown command {word:?} (valid: {})", COMMANDS.join(", "))
+}
 
 /// Folds the two-word `<family> <action>` form into a single
 /// `<family>-<action>` command token, keeping the one-positional grammar.
@@ -54,6 +81,7 @@ fn run(mut raw: Vec<String>) -> Result<(), String> {
         return Ok(());
     }
     fold_command(&mut raw);
+    known_command(&raw[0])?;
     let args = Args::parse(raw).map_err(|e| e.to_string())?;
     if args.wants_help() || args.command == "help" {
         commands::print_usage();
@@ -69,15 +97,6 @@ fn run(mut raw: Vec<String>) -> Result<(), String> {
         "sweep" => commands::sweep(&args).map_err(|e| e.to_string()),
         "inspect" => commands::inspect(&args).map_err(|e| e.to_string()),
         "explain" => commands::explain(&args).map_err(|e| e.to_string()),
-        "scenario-list" => {
-            args.allow_only(&[]).map_err(|e| e.to_string())?;
-            commands::scenario_list();
-            Ok(())
-        }
-        "scenario-run" => commands::scenario_run(&args).map_err(|e| e.to_string()),
-        "scenario" => {
-            Err("scenario needs an action: `seer scenario run` or `seer scenario list`".into())
-        }
         "check" => Err(format!(
             "check needs a kind: one of {}",
             check::KINDS.join(", ")
@@ -92,7 +111,7 @@ fn run(mut raw: Vec<String>) -> Result<(), String> {
             } else if let Some(name) = other.strip_prefix("experiment-") {
                 experiment::experiment(name, &args).map_err(|e| e.to_string())
             } else {
-                Err(format!("unknown command {other:?}"))
+                Err(unknown_command(other))
             }
         }
     }
@@ -111,21 +130,17 @@ mod tests {
     #[test]
     fn family_actions_fold_into_one_command_token() {
         assert_eq!(
-            fold(&["scenario", "run", "--seed", "1"]),
-            ["scenario-run", "--seed", "1"]
-        );
-        assert_eq!(fold(&["scenario", "list"]), ["scenario-list"]);
-        assert_eq!(
             fold(&["check", "trace", "--file", "x"]),
             ["check-trace", "--file", "x"]
         );
         assert_eq!(fold(&["experiment", "fig3"]), ["experiment-fig3"]);
         // No action (or an option) after the family: left for `run` to report.
-        assert_eq!(fold(&["scenario"]), ["scenario"]);
-        assert_eq!(fold(&["scenario", "--help"]), ["scenario", "--help"]);
+        assert_eq!(fold(&["check"]), ["check"]);
+        assert_eq!(fold(&["check", "--help"]), ["check", "--help"]);
         assert_eq!(fold(&["check", "--file", "x"]), ["check", "--file", "x"]);
-        // Other commands untouched.
+        // Other commands untouched, the removed `scenario` family included.
         assert_eq!(fold(&["run", "--seed", "1"]), ["run", "--seed", "1"]);
+        assert_eq!(fold(&["scenario", "run"]), ["scenario", "run"]);
         assert_eq!(fold(&[]), Vec::<String>::new());
     }
 
@@ -137,16 +152,36 @@ mod tests {
     fn unknown_check_kinds_and_experiments_list_the_valid_ones() {
         let err = run_words(&["check", "logs", "--file", "x"]).unwrap_err();
         assert!(
-            err.contains("\"logs\"") && err.contains("(valid: trace, scenario)"),
+            err.contains("\"logs\"") && err.contains("(valid: trace)"),
             "{err}"
         );
         let err = run_words(&["check", "--file", "x"]).unwrap_err();
-        assert!(err.contains("one of trace, scenario"), "{err}");
+        assert!(err.contains("one of trace"), "{err}");
+        // The scenario engine is gone: `scenario` is neither a check kind
+        // nor a command, and its error lists what is.
+        let err = run_words(&["check", "scenario", "--file", "x"]).unwrap_err();
+        assert!(
+            err.contains("unknown check kind \"scenario\" (valid: trace)"),
+            "{err}"
+        );
+        for words in [
+            &["scenario", "run"][..],
+            &["scenario", "list"],
+            &["scenario"],
+        ] {
+            let err = run_words(words).unwrap_err();
+            assert_eq!(
+                err,
+                "unknown command \"scenario\" (valid: list, run, sweep, inspect, explain, \
+                 experiment, check)",
+                "{words:?}"
+            );
+        }
         // The parameter search is gone: `tune` is neither a check kind nor
         // a command.
         let err = run_words(&["check", "tune", "--file", "x"]).unwrap_err();
         assert!(
-            err.contains("unknown check kind \"tune\" (valid: trace, scenario)"),
+            err.contains("unknown check kind \"tune\" (valid: trace)"),
             "{err}"
         );
         let err = run_words(&["tune", "--budget", "8"]).unwrap_err();
@@ -172,9 +207,8 @@ mod tests {
     fn removed_store_options_are_errors() {
         // The on-disk result store is gone: each of its options is an
         // error (exit 2) on every command that took it, never ignored.
-        let cases: [(&[&str], &str, Option<&str>); 3] = [
+        let cases: [(&[&str], &str, Option<&str>); 2] = [
             (&["sweep"], "store", Some("d")),
-            (&["scenario", "run"], "store", Some("d")),
             // Once a value-free flag; the bare word now wants a value.
             (&["sweep"], "resume", None),
         ];
@@ -197,11 +231,9 @@ mod tests {
         let err = run_words(&["check", "trace"]).unwrap_err();
         assert!(err.contains("--file"), "{err}");
         // Every kind takes `--file` alone.
-        for kind in ["trace", "scenario"] {
-            for opt in ["--baseline", "--tolerance"] {
-                let err = run_words(&["check", kind, "--file", "x", opt, "y"]).unwrap_err();
-                assert!(err.contains(&format!("unknown option {opt}")), "{err}");
-            }
+        for opt in ["--baseline", "--tolerance"] {
+            let err = run_words(&["check", "trace", "--file", "x", opt, "y"]).unwrap_err();
+            assert!(err.contains(&format!("unknown option {opt}")), "{err}");
         }
         let err = run_words(&["check", "trace", "--file", "/nonexistent/t.jsonl"]).unwrap_err();
         assert!(
@@ -217,7 +249,7 @@ mod tests {
         let trace = file("crates/conformance/tests/fixtures/decision_trace.jsonl");
         run_words(&["check", "trace", "--file", &trace]).unwrap();
         // A file of the wrong kind is rejected.
-        let err = run_words(&["check", "scenario", "--file", &trace]);
-        assert!(err.is_err());
+        let json = file("crates/store/Cargo.toml");
+        assert!(run_words(&["check", "trace", "--file", &json]).is_err());
     }
 }

@@ -11,7 +11,7 @@
 //! wins, as in TSX: the holders abort, in ascending CPU order.
 //!
 //! Random streams of `begin` / `access` / `non_tx_access` / `commit` /
-//! `abort` / `kill_all` / `set_capacity_override` run against both
+//! `abort` / `kill_all` run against both
 //! machines. After every operation the two must agree on what the
 //! operation reported (victims in order, the accessor's own abort cause,
 //! squeezed siblings with their causes) and on every CPU's `in_tx`,
@@ -36,7 +36,6 @@ struct RefMachine {
     active: Vec<bool>,
     reads: Vec<HashSet<LineAddr>>,
     writes: Vec<HashSet<LineAddr>>,
-    cap: (Option<usize>, Option<usize>),
 }
 
 impl RefMachine {
@@ -48,7 +47,6 @@ impl RefMachine {
             active: vec![false; n],
             reads: vec![HashSet::new(); n],
             writes: vec![HashSet::new(); n],
-            cap: (None, None),
         }
     }
 
@@ -76,11 +74,9 @@ impl RefMachine {
         } else {
             1
         };
-        let ways = (self.cfg.write_ways / share).max(1);
-        let reads = (self.cfg.read_lines / share).max(1);
         (
-            self.cap.0.map_or(ways, |c| ways.min(c)),
-            self.cap.1.map_or(reads, |c| reads.min(c)),
+            (self.cfg.write_ways / share).max(1),
+            (self.cfg.read_lines / share).max(1),
         )
     }
 
@@ -210,9 +206,9 @@ fn assert_same_state(m: &HtmMachine, r: &RefMachine, step: usize) {
     }
 }
 
-/// One raw operation: `(kind, cpu, line, is_write, ways clamp, read clamp)`.
-/// `cpu` is reduced modulo the topology's CPU count.
-type RawOp = (u8, usize, u64, bool, usize, usize);
+/// One raw operation: `(kind, cpu, line, is_write)`. `cpu` is reduced
+/// modulo the topology's CPU count.
+type RawOp = (u8, usize, u64, bool);
 
 /// Runs `ops` against both machines, comparing after every op, and
 /// returns the most distinct lines held at once (sampled every 64 ops).
@@ -222,7 +218,7 @@ fn run_stream(topo: Topology, cfg: HtmConfig, ops: &[RawOp]) -> usize {
     let n = topo.logical_cpus();
     let (mut squeezed, mut victims) = (Vec::new(), Vec::new());
     let mut peak = 0;
-    for (step, &(kind, cpu, line, is_write, ways, reads)) in ops.iter().enumerate() {
+    for (step, &(kind, cpu, line, is_write)) in ops.iter().enumerate() {
         let t = cpu % n;
         let access = if is_write {
             AccessKind::Write
@@ -258,15 +254,9 @@ fn run_stream(topo: Topology, cfg: HtmConfig, ops: &[RawOp]) -> usize {
                 m.abort(t);
                 r.end(t);
             }
-            (14, _) => {
+            _ => {
                 m.kill_all_into(&mut victims);
                 assert_eq!(victims, r.kill_all(), "kill_all at op {step}");
-            }
-            _ => {
-                let cap = ((ways > 0).then_some(ways), (reads > 0).then_some(reads));
-                m.set_capacity_override(cap.0, cap.1);
-                r.cap = cap;
-                assert_eq!(m.capacity_override(), cap);
             }
         }
         assert_same_state(&m, &r, step);
@@ -315,7 +305,7 @@ fn footprint_stream(
                 1_000 + (r >> 24 & 0xffff)
             };
             let is_write = (r >> 44) % write_one_in == 0 || kind == 10;
-            (kind, cpu, line, is_write, 0, 0)
+            (kind, cpu, line, is_write)
         })
         .collect()
 }
@@ -331,7 +321,7 @@ proptest! {
         geometry in (1usize..9, 1usize..9, 1usize..33),
         sharing in any::<bool>(),
         ops in prop::collection::vec(
-            (0u8..16, 0usize..64, 0u64..48, any::<bool>(), 0usize..10, 0usize..40),
+            (0u8..15, 0usize..64, 0u64..48, any::<bool>()),
             1..300,
         ),
     ) {
@@ -351,7 +341,7 @@ proptest! {
     fn machine_matches_reference_at_default_geometry(
         topo in 0usize..4,
         ops in prop::collection::vec(
-            (0u8..15, 0usize..64, 0u64..32, any::<bool>(), 0usize..1, 0usize..1),
+            (0u8..15, 0usize..64, 0u64..32, any::<bool>()),
             1..300,
         ),
     ) {
@@ -389,12 +379,12 @@ proptest! {
 #[test]
 fn highest_cpu_of_a_64_cpu_machine_is_tracked() {
     let ops: Vec<RawOp> = vec![
-        (0, 63, 0, false, 0, 0),
-        (0, 47, 0, false, 0, 0),
-        (3, 63, 5, false, 0, 0),
-        (3, 47, 5, true, 0, 0), // kills CPU 63
-        (0, 63, 0, false, 0, 0),
-        (14, 0, 0, false, 0, 0),
+        (0, 63, 0, false),
+        (0, 47, 0, false),
+        (3, 63, 5, false),
+        (3, 47, 5, true), // kills CPU 63
+        (0, 63, 0, false),
+        (14, 0, 0, false),
     ];
     run_stream(Topology::new(16, 4), HtmConfig::default(), &ops);
 }

@@ -68,23 +68,6 @@ impl HillClimber {
         self.evaluations
     }
 
-    /// Re-seats the search at `thresholds` and discards the baseline, so
-    /// the next [`HillClimber::observe`] establishes a *fresh* reference
-    /// window instead of judging the new point against the throughput
-    /// measured under the pre-nudge thresholds.
-    ///
-    /// This is the correct response to an *external* threshold change
-    /// (the scenario injector's threshold kick, or any operator override):
-    /// without it, the first post-kick observation is compared against a
-    /// stale baseline and — if it happens to read lower — "reverted" to
-    /// the pre-kick point the caller explicitly moved away from.
-    pub fn nudge(&mut self, thresholds: Thresholds) {
-        let thresholds = thresholds.clamped();
-        self.current = thresholds;
-        self.previous = thresholds;
-        self.has_baseline = false;
-    }
-
     /// Reports the `throughput` (committed transactions per cycle — any
     /// consistent unit works) measured under the current thresholds, and
     /// moves the search. Returns the thresholds to use next.
@@ -239,57 +222,5 @@ mod tests {
     #[should_panic(expected = "step")]
     fn invalid_step_rejected() {
         HillClimber::with_params(Thresholds::default(), 0.0, 0.0);
-    }
-
-    #[test]
-    fn external_kick_without_nudge_reverts_to_stale_point() {
-        // Reproduces the stale-baseline accept/revert bug an injected
-        // threshold kick trips when the climber is NOT re-baselined: the
-        // externally-set point is judged against the pre-kick throughput
-        // and reverted to a point the injector explicitly moved away from.
-        let mut h = HillClimber::with_params(Thresholds::default(), 0.05, 0.0);
-        let mut rng = SimRng::new(17);
-        h.observe(100.0, &mut rng); // baseline under the original point
-        let kicked = Thresholds { th1: 0.9, th2: 0.1 };
-        h.current = kicked; // raw external overwrite, no re-baseline
-        let pre_kick = h.previous;
-        // First post-kick window reads lower than the stale 100.0 baseline:
-        // the climber "reverts" the kick as if it were its own bad move.
-        h.observe(50.0, &mut rng);
-        assert_eq!(
-            h.previous, pre_kick,
-            "without nudge, the kick must be (wrongly) reverted — \
-             if this stops holding, the test no longer reproduces the bug"
-        );
-    }
-
-    #[test]
-    fn nudge_rebaselines_at_the_kicked_point() {
-        let mut h = HillClimber::with_params(Thresholds::default(), 0.05, 0.0);
-        let mut rng = SimRng::new(17);
-        h.observe(100.0, &mut rng);
-        let kicked = Thresholds { th1: 0.9, th2: 0.1 };
-        h.nudge(kicked);
-        assert_eq!(h.thresholds(), kicked);
-        assert!(!h.has_baseline, "nudge must discard the stale baseline");
-        // The same lower post-kick window now only *establishes* the fresh
-        // baseline: the kicked point survives as the search's new origin.
-        h.observe(50.0, &mut rng);
-        assert_eq!(
-            h.previous, kicked,
-            "after nudge, the kicked point is the accepted origin"
-        );
-    }
-
-    #[test]
-    fn nudge_clamps_out_of_range_thresholds() {
-        let mut h = HillClimber::new();
-        h.nudge(Thresholds {
-            th1: 7.0,
-            th2: -3.0,
-        });
-        let t = h.thresholds();
-        assert!((0.0..=1.0).contains(&t.th1));
-        assert!((0.0..=1.0).contains(&t.th2));
     }
 }

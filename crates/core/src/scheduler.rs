@@ -25,9 +25,7 @@
 
 use seer_htm::XStatus;
 use seer_runtime::trace::{InferenceTrace, TraceSink};
-use seer_runtime::{
-    AbortDecision, BlockId, Gate, HookPoint, LockId, SchedEnv, SchedFault, Scheduler,
-};
+use seer_runtime::{AbortDecision, BlockId, Gate, HookPoint, LockId, SchedEnv, Scheduler};
 use seer_sim::{Cycles, ThreadId};
 
 use crate::active::ActiveTxs;
@@ -73,10 +71,6 @@ pub struct Seer {
     /// Virtual time of the last in-run recomputation that changed the
     /// table (see [`Seer::converged_at`]).
     last_change: Option<Cycles>,
-    /// Inference rounds still to be dropped (scenario staleness fault:
-    /// [`SchedFault::DelayInference`]). While positive, due updates are
-    /// skipped — the stats keep accumulating but the lock tables go stale.
-    skip_inference_rounds: u64,
     /// Reused buffer for the concurrent-blocks scan performed on every
     /// commit/abort registration — the hottest Seer path, so it
     /// must not allocate per event.
@@ -110,7 +104,6 @@ impl Seer {
             window_start: 0,
             counters: SeerCounters::default(),
             last_change: None,
-            skip_inference_rounds: 0,
             scan_buf: Vec::new(),
             scratch: InferenceScratch::default(),
         }
@@ -236,19 +229,11 @@ impl Seer {
 
     fn maybe_update(&mut self, env: &mut SchedEnv<'_>) {
         if self.total_execs - self.execs_at_last_update >= self.cfg.update_period_execs {
-            if self.skip_inference_rounds > 0 {
-                // Staleness fault in force: drop this due round. Resetting
-                // the exec watermark makes the drop consume a full update
-                // period, like a lost timer tick rather than a deferral.
-                self.skip_inference_rounds -= 1;
-                self.execs_at_last_update = self.total_execs;
-            } else {
-                let before = self.table_checksum();
-                let now = env.now;
-                self.update_with_trace(Some((&mut *env.trace, now)));
-                if self.table_checksum() != before {
-                    self.last_change = Some(env.now);
-                }
+            let before = self.table_checksum();
+            let now = env.now;
+            self.update_with_trace(Some((&mut *env.trace, now)));
+            if self.table_checksum() != before {
+                self.last_change = Some(env.now);
             }
         }
         if self.cfg.hill_climbing
@@ -430,29 +415,6 @@ impl Scheduler for Seer {
         // Robustness trigger for workloads that (thanks to Seer) almost
         // never take the fall-back; see DESIGN.md.
         self.maybe_update(env);
-    }
-
-    fn on_fault(&mut self, fault: &SchedFault, _env: &mut SchedEnv<'_>) {
-        match *fault {
-            SchedFault::WipeStats => {
-                // Stats amnesia: the learned profile is gone; the lock
-                // table stays (stale) until the next inference round
-                // rebuilds it from the post-wipe evidence.
-                self.merged = MergedStats::new(self.blocks);
-            }
-            SchedFault::KickThresholds { th1, th2 } => {
-                let kicked = Thresholds { th1, th2 }.clamped();
-                self.thresholds = kicked;
-                // Re-baseline the climber at the kicked point — judging it
-                // against the pre-kick throughput would revert the kick as
-                // if it were the climber's own bad move (see
-                // `HillClimber::nudge`).
-                self.climber.nudge(kicked);
-            }
-            SchedFault::DelayInference { rounds } => {
-                self.skip_inference_rounds += rounds;
-            }
-        }
     }
 
     fn overhead(&self, point: HookPoint) -> Cycles {
@@ -782,86 +744,6 @@ mod tests {
         let s8 = Seer::full(8, 2);
         assert!(s8.overhead(HookPoint::HtmCommit) > s2.overhead(HookPoint::HtmCommit));
         assert!(s2.overhead(HookPoint::TxStart) > 0);
-    }
-
-    #[test]
-    fn wipe_stats_fault_clears_the_profile() {
-        let mut s = Seer::full(2, 2);
-        let bank = LockBank::new(4, 2);
-        let mut rng = SimRng::new(0);
-        let mut e = env(&bank, &mut rng);
-        s.on_tx_start(0, 0, &mut e);
-        s.on_tx_start(1, 1, &mut e);
-        s.on_abort(0, 0, XStatus::conflict(), 4, &mut e);
-        assert_eq!(s.merged_stats().e(0), 1);
-        s.on_fault(&SchedFault::WipeStats, &mut e);
-        assert_eq!(s.merged_stats().e(0), 0, "profile must be wiped");
-        assert_eq!(s.merged_stats().digest(), MergedStats::new(2).digest());
-    }
-
-    #[test]
-    fn kick_thresholds_fault_rebaselines_the_climber() {
-        let mut s = Seer::full(2, 2);
-        let bank = LockBank::new(4, 2);
-        let mut rng = SimRng::new(0);
-        let mut e = env(&bank, &mut rng);
-        s.on_fault(
-            &SchedFault::KickThresholds {
-                th1: 0.95,
-                th2: 0.05,
-            },
-            &mut e,
-        );
-        assert_eq!(
-            s.thresholds(),
-            Thresholds {
-                th1: 0.95,
-                th2: 0.05
-            }
-        );
-        assert_eq!(
-            s.climber.thresholds(),
-            Thresholds {
-                th1: 0.95,
-                th2: 0.05
-            },
-            "the climber must be re-seated at the kicked point"
-        );
-        // Out-of-range kicks are clamped, not trusted.
-        s.on_fault(
-            &SchedFault::KickThresholds {
-                th1: 9.0,
-                th2: -1.0,
-            },
-            &mut e,
-        );
-        let t = s.thresholds();
-        assert!((0.0..=1.0).contains(&t.th1) && (0.0..=1.0).contains(&t.th2));
-    }
-
-    #[test]
-    fn delay_inference_fault_drops_due_rounds() {
-        let mut s = Seer::new(
-            SeerConfig {
-                update_period_execs: 1,
-                ..SeerConfig::full()
-            },
-            2,
-            2,
-        );
-        let bank = LockBank::new(4, 2);
-        let mut rng = SimRng::new(0);
-        let mut e = env(&bank, &mut rng);
-        s.on_fault(&SchedFault::DelayInference { rounds: 2 }, &mut e);
-        s.total_execs = 100;
-        s.on_periodic(&mut e);
-        assert_eq!(s.counters().updates, 0, "first due round dropped");
-        s.total_execs = 200;
-        s.on_periodic(&mut e);
-        assert_eq!(s.counters().updates, 0, "second due round dropped");
-        s.total_execs = 300;
-        s.on_periodic(&mut e);
-        assert_eq!(s.counters().updates, 1, "staleness ends after the delay");
     }
 
     #[test]

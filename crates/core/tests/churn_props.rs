@@ -1,6 +1,7 @@
-//! Thread-churn property (scenario engine, DESIGN.md §11): a thread that
-//! parks mid-run must be invisible to Seer's shared structures — its
-//! cleared `activeTxs` slot never surfaces in a scan.
+//! Slot-clearing property of `activeTxs`: a thread that leaves (parks)
+//! must be invisible to Seer's shared structures — its cleared slot
+//! never surfaces in a scan, however clears and re-announcements
+//! interleave.
 
 use proptest::prelude::*;
 use seer::active::ActiveTxs;

@@ -102,8 +102,8 @@ fn positive_env(env_name: &str, default: u64, warned: &'static Once) -> u64 {
     }
 }
 
-/// A work scale factor under [`seer_stamp::check_scale`], the scenario
-/// spec's rule: positive, finite and at most [`seer_stamp::MAX_SCALE`].
+/// A work scale factor under [`seer_stamp::check_scale`]: positive,
+/// finite and at most [`seer_stamp::MAX_SCALE`].
 fn parse_scale(raw: &str) -> Option<f64> {
     raw.parse::<f64>()
         .ok()

@@ -48,9 +48,8 @@ impl Default for HarnessConfig {
 /// Every harness-seeded simulation derives its driver seed through this
 /// one function: each cell run through `execute_cell` (the executor,
 /// `RunRequest::cell`, the CLI, the conformance replay matrix), the
-/// benchmark package's cells, each scenario run, and `seer inspect`. So
-/// the
-/// committed golden trace hashes
+/// benchmark package's cells, and `seer inspect`. So the committed
+/// golden trace hashes
 /// (`crates/conformance/tests/fixtures/trace_hashes.txt`) pin its output:
 /// changing the constants is a fixture re-bless, not a tweak. The
 /// multiplier spreads consecutive harness seeds across the driver RNG's

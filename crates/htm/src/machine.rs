@@ -138,13 +138,8 @@ pub struct HtmMachine {
     resident: Vec<usize>,
     /// `budgets[co]` is the `(ways, read_lines)` budget of a transaction
     /// sharing its core with `co` in-flight transactions (itself
-    /// included), for `co` in `0..=smt_ways`, after the override clamp.
-    /// Refilled whenever the override changes.
+    /// included), for `co` in `0..=smt_ways`. Filled once in `new`.
     budgets: Vec<(usize, usize)>,
-    /// Scenario capacity-pressure override: `(ways, read_lines)` clamps
-    /// applied on top of the configured geometry (`None` on each axis =
-    /// the configured budget). Set by [`HtmMachine::set_capacity_override`].
-    capacity_override: (Option<usize>, Option<usize>),
 }
 
 impl HtmMachine {
@@ -164,7 +159,10 @@ impl HtmMachine {
             .map(|t| topo.siblings(t).fold(0, |mask, s| mask | 1 << s))
             .collect();
         let core_of = (0..cpus).map(|t| topo.core_of(t)).collect();
-        let mut machine = Self {
+        let budgets = (0..=topo.smt_ways())
+            .map(|co| (cfg.effective_ways(co), cfg.effective_read_lines(co)))
+            .collect();
+        Self {
             topo,
             cfg,
             slots,
@@ -173,41 +171,8 @@ impl HtmMachine {
             core_mask,
             core_of,
             resident: vec![0; topo.physical_cores()],
-            budgets: Vec::new(),
-            capacity_override: (None, None),
-        };
-        machine.fill_budgets();
-        machine
-    }
-
-    /// Installs (or, with two `None`s, lifts) a capacity-pressure
-    /// override: the effective write-set ways and read-set line budget
-    /// are clamped to at most `ways` / `read_lines` until the next call.
-    /// Already-oversized in-flight transactions are not retroactively
-    /// aborted — like real hardware, the shrunken budget bites at their
-    /// next access.
-    pub fn set_capacity_override(&mut self, ways: Option<usize>, read_lines: Option<usize>) {
-        self.capacity_override = (ways, read_lines);
-        self.fill_budgets();
-    }
-
-    /// The capacity-pressure override currently in force.
-    pub fn capacity_override(&self) -> (Option<usize>, Option<usize>) {
-        self.capacity_override
-    }
-
-    /// Recomputes `budgets` from the geometry and the override clamp.
-    fn fill_budgets(&mut self) {
-        let (ways_cap, reads_cap) = self.capacity_override;
-        let cfg = self.cfg;
-        self.budgets.clear();
-        self.budgets.extend((0..=self.topo.smt_ways()).map(|co| {
-            (
-                cfg.effective_ways(co).min(ways_cap.unwrap_or(usize::MAX)),
-                cfg.effective_read_lines(co)
-                    .min(reads_cap.unwrap_or(usize::MAX)),
-            )
-        }));
+            budgets,
+        }
     }
 
     /// The machine's topology.
@@ -737,76 +702,6 @@ mod tests {
         }
         kill_all(&mut m);
         assert_eq!(m.dir.len(), 0);
-    }
-
-    #[test]
-    fn capacity_override_shrinks_and_restores_budgets() {
-        let cfg = HtmConfig {
-            write_sets: 1,
-            write_ways: 8,
-            read_lines: 8,
-            ..HtmConfig::default()
-        };
-        let mut m = HtmMachine::new(Topology::new(2, 1), cfg);
-        // Clamped to 2 ways / 3 read lines: the third write overflows.
-        m.set_capacity_override(Some(2), Some(3));
-        begin(&mut m, 0);
-        assert!(access(&mut m, 0, 0, AccessKind::Write).self_abort.is_none());
-        assert!(access(&mut m, 0, 1, AccessKind::Write).self_abort.is_none());
-        let r = access(&mut m, 0, 2, AccessKind::Write);
-        assert_eq!(r.self_abort, Some(AbortCause::WriteCapacity));
-        // Read budget clamps independently.
-        begin(&mut m, 0);
-        for l in 10..13u64 {
-            assert!(access(&mut m, 0, l, AccessKind::Read).self_abort.is_none());
-        }
-        let r = access(&mut m, 0, 13, AccessKind::Read);
-        assert_eq!(r.self_abort, Some(AbortCause::ReadCapacity));
-        // Lifting the override restores the configured geometry.
-        m.set_capacity_override(None, None);
-        begin(&mut m, 0);
-        for l in 0..8u64 {
-            assert!(access(&mut m, 0, l, AccessKind::Write).self_abort.is_none());
-        }
-        m.commit(0);
-    }
-
-    #[test]
-    fn capacity_override_never_widens_budgets() {
-        let cfg = HtmConfig {
-            read_lines: 3,
-            ..HtmConfig::default()
-        };
-        let mut m = HtmMachine::new(Topology::new(2, 1), cfg);
-        // A clamp above the configured budget is a no-op (min, not set).
-        m.set_capacity_override(None, Some(1000));
-        begin(&mut m, 0);
-        for l in 0..3u64 {
-            assert!(access(&mut m, 0, l, AccessKind::Read).self_abort.is_none());
-        }
-        let r = access(&mut m, 0, 3, AccessKind::Read);
-        assert_eq!(r.self_abort, Some(AbortCause::ReadCapacity));
-    }
-
-    #[test]
-    fn capacity_override_squeezes_at_sibling_begin() {
-        let cfg = HtmConfig {
-            write_sets: 1,
-            write_ways: 8,
-            ..HtmConfig::default()
-        };
-        let mut m = HtmMachine::new(Topology::new(1, 2), cfg);
-        begin(&mut m, 0);
-        for l in 0..3u64 {
-            assert!(access(&mut m, 0, l, AccessKind::Write).self_abort.is_none());
-        }
-        // Override lands mid-transaction: occupancy 3 > clamp 2, but the
-        // clamp only bites at the next budget check — here the sibling's
-        // begin-time squeeze.
-        m.set_capacity_override(Some(2), None);
-        assert!(m.in_tx(0));
-        let squeezed = begin(&mut m, 1);
-        assert_eq!(squeezed, vec![(0, AbortCause::WriteCapacity)]);
     }
 
     #[test]

@@ -39,55 +39,9 @@ use seer_sim::{Cycles, EventQueue, SimRng, ThreadId, Topology};
 
 use crate::locks::{LockBank, LockId};
 use crate::metrics::{RunMetrics, TxMode};
-use crate::scheduler::{AbortDecision, Gate, HookPoint, SchedEnv, SchedFault, Scheduler};
+use crate::scheduler::{AbortDecision, Gate, HookPoint, SchedEnv, Scheduler};
 use crate::trace::{AbortCause, LifecycleEvent, NullTraceSink, TraceSink};
 use crate::workload::{TxRequest, Workload};
-
-/// A scripted disturbance applied at a scheduled virtual time (see
-/// [`TimedDirective`] and `crates/scenario`). Directives are delivered as
-/// ordinary events in the same DES queue as every transaction step, so an
-/// injected run stays a pure function of `(workload, scheduler, config)`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Directive {
-    /// Cross into scenario phase `idx`: forwarded to
-    /// [`Workload::on_phase`] so the workload can switch its mix, skew or
-    /// think time.
-    Phase(usize),
-    /// Park the thread at its next transaction boundary (its in-flight
-    /// transaction completes normally; no new work is issued until an
-    /// [`Directive::Unpark`]).
-    Park(ThreadId),
-    /// Resume a thread parked by [`Directive::Park`].
-    Unpark(ThreadId),
-    /// Stall one thread for `cycles`, preferring the lowest-id thread that
-    /// currently holds a scheduler lock (a lock holder descheduled mid
-    /// critical path — the cooperation/lemming stress case).
-    StallLockHolder {
-        /// Length of the stall in cycles.
-        cycles: Cycles,
-    },
-    /// Override the HTM capacity budget: clamp write-set associativity to
-    /// `ways` and the read-set line budget to `read_lines` (either `None`
-    /// leaves that axis at the configured geometry). `Capacity { ways:
-    /// None, read_lines: None }` restores the configured budget.
-    Capacity {
-        /// Write-set ways clamp, if any.
-        ways: Option<usize>,
-        /// Read-set line-budget clamp, if any.
-        read_lines: Option<usize>,
-    },
-    /// Deliver a scheduler-visible fault (see [`SchedFault`]).
-    Sched(SchedFault),
-}
-
-/// A [`Directive`] scheduled at an absolute virtual time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimedDirective {
-    /// Virtual time at which the directive fires.
-    pub at: Cycles,
-    /// The disturbance to apply.
-    pub directive: Directive,
-}
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone)]
@@ -113,10 +67,6 @@ pub struct DriverConfig {
     pub smt_slowdown: f64,
     /// Safety valve: abort the simulation after this many events.
     pub max_events: u64,
-    /// Scenario script: timed disturbances delivered through the event
-    /// queue (empty for ordinary stationary runs — the common case pays
-    /// nothing beyond this Vec's emptiness).
-    pub script: Vec<TimedDirective>,
 }
 
 impl DriverConfig {
@@ -133,7 +83,6 @@ impl DriverConfig {
             wait_patience: 100_000,
             smt_slowdown: 1.5,
             max_events: 400_000_000,
-            script: Vec::new(),
         }
     }
 }
@@ -144,9 +93,6 @@ enum Phase {
     Gating,
     Running,
     FallbackRunning,
-    /// Churned out by [`Directive::Park`]: no request, no scheduled events;
-    /// wakes only on [`Directive::Unpark`].
-    Parked,
     Done,
 }
 
@@ -184,27 +130,18 @@ enum Event {
         epoch: u64,
     },
     Tick,
-    /// `cfg.script[idx]` fires. Scheduled once per script entry at
-    /// bootstrap, so pending directives also keep the queue non-empty
-    /// while parked threads wait for their `Unpark`.
-    Directive {
-        idx: usize,
-    },
 }
 
 struct ThreadCtx {
     /// The current transaction. One request per thread, rewritten in
     /// place by [`Workload::next_into`] at every transaction boundary; it
     /// is meaningful while the thread is Thinking, Gating, Running or
-    /// FallbackRunning, and stale once it is Parked or Done.
+    /// FallbackRunning, and stale once it is Done.
     req: TxRequest,
     attempts_left: u32,
     attempts_used: u32,
     epoch: u64,
     phase: Phase,
-    /// Set by [`Directive::Park`]; honoured at the next transaction
-    /// boundary (`next_tx`), cleared by [`Directive::Unpark`].
-    suspend_requested: bool,
     held: Vec<LockId>,
     /// The gates to pass before the next attempt or the fall-back. Built
     /// in place for every attempt, so its buffer is reused.
@@ -225,7 +162,6 @@ impl ThreadCtx {
             attempts_used: 0,
             epoch: 0,
             phase: Phase::Thinking,
-            suspend_requested: false,
             held: Vec::new(),
             pending_gates: Vec::new(),
             after_gates: AfterGates::BeginAttempt,
@@ -394,13 +330,6 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         if let Some(p) = self.cfg.periodic_tick {
             self.queue.push(p, Event::Tick);
         }
-        // Schedule every scripted disturbance up front. A still-pending
-        // directive also keeps the queue non-empty, which is what lets a
-        // fully-parked thread population wait for its scripted `Unpark`
-        // without tripping the drained-queue panic.
-        for (idx, td) in self.cfg.script.iter().enumerate() {
-            self.queue.push(td.at, Event::Directive { idx });
-        }
     }
 
     fn main_loop(&mut self) {
@@ -481,13 +410,6 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
                     "thread {th} records {l:?} as held but the bank disagrees"
                 );
             }
-            if ctx.phase == Phase::Parked {
-                assert!(
-                    ctx.held.is_empty(),
-                    "parked thread {th} holds locks: {:?}",
-                    ctx.held
-                );
-            }
             if ctx.phase == Phase::FallbackRunning {
                 assert!(
                     self.locks.is_held_by(LockId::Sgl, th),
@@ -565,77 +487,6 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
                 }
                 self.fallback_done(th);
             }
-            Event::Directive { idx } => {
-                let directive = self.cfg.script[idx].directive.clone();
-                self.apply_directive(directive);
-            }
-        }
-    }
-
-    /// Applies one scripted disturbance. Everything here is driven by
-    /// state the simulation already tracks — no wall-clock, no hidden
-    /// randomness — so injected runs replay bit-identically.
-    fn apply_directive(&mut self, directive: Directive) {
-        match directive {
-            Directive::Phase(idx) => self.workload.on_phase(idx),
-            Directive::Park(th) => {
-                if th < self.threads.len() {
-                    self.threads[th].suspend_requested = true;
-                }
-            }
-            Directive::Unpark(th) => {
-                if th >= self.threads.len() {
-                    return;
-                }
-                self.threads[th].suspend_requested = false;
-                if self.threads[th].phase == Phase::Parked {
-                    self.next_tx(th, 0);
-                }
-            }
-            Directive::StallLockHolder { cycles } => self.stall_lock_holder(cycles),
-            Directive::Capacity { ways, read_lines } => {
-                self.machine.set_capacity_override(ways, read_lines);
-            }
-            Directive::Sched(fault) => {
-                self.with_env(|sched, env| sched.on_fault(&fault, env));
-            }
-        }
-    }
-
-    /// [`Directive::StallLockHolder`]: deschedule one thread for `cycles`,
-    /// preferring the lowest-id live thread holding a scheduler lock (the
-    /// interesting case — its locks stay held for the whole stall), else
-    /// the lowest-id live thread. A no-op when every thread is done or
-    /// parked.
-    fn stall_lock_holder(&mut self, cycles: Cycles) {
-        let eligible = |ctx: &ThreadCtx| !matches!(ctx.phase, Phase::Done | Phase::Parked);
-        let target = self
-            .threads
-            .iter()
-            .position(|c| eligible(c) && !c.held.is_empty())
-            .or_else(|| self.threads.iter().position(eligible));
-        let Some(th) = target else { return };
-        if self.threads[th].phase == Phase::Running {
-            // An interrupt lands on a thread inside a hardware
-            // transaction: the transaction aborts (as on real HTM), and
-            // the stall below pushes out the retry the abort scheduled.
-            self.machine.abort(th);
-            self.handle_abort(th, XStatus::other());
-        }
-        // Invalidate whatever wake the thread had pending and replace it
-        // with one after the stall. A lock granted to the thread by a
-        // hand-off in the meantime stays held until the stall ends —
-        // exactly the holder-descheduled case the fault models.
-        self.bump(th);
-        let epoch = self.threads[th].epoch;
-        let resume = self.now + cycles;
-        match self.threads[th].phase {
-            Phase::Thinking => self.queue.push(resume, Event::ThinkDone { th, epoch }),
-            Phase::Gating => self.queue.push(resume, Event::GateResume { th, epoch }),
-            Phase::FallbackRunning => self.queue.push(resume, Event::FallbackDone { th, epoch }),
-            Phase::Running | Phase::Parked | Phase::Done => {
-                unreachable!("stall target in phase {:?}", self.threads[th].phase)
-            }
         }
     }
 
@@ -670,16 +521,6 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
     // ---- lifecycle ----------------------------------------------------
 
     fn next_tx(&mut self, th: ThreadId, extra_delay: Cycles) {
-        if self.threads[th].suspend_requested {
-            // Scripted churn: honour the park at this transaction boundary
-            // without consuming any work from the workload. The thread
-            // stays live (no metrics accounting — it is descheduled, not
-            // waiting) until a scripted `Unpark` calls back in here.
-            let ctx = &mut self.threads[th];
-            ctx.phase = Phase::Parked;
-            ctx.epoch += 1;
-            return;
-        }
         let ctx = &mut self.threads[th];
         if !self.workload.next_into(th, &mut self.rng, &mut ctx.req) {
             ctx.phase = Phase::Done;
@@ -1593,239 +1434,5 @@ mod tests {
         let m = run(&mut w, &mut s, &quiet_config(2));
         // 20 txs, each think=50 duration=60.
         assert_eq!(m.sequential_cycles, 20 * (50 + 60));
-    }
-
-    fn scripted(threads: usize, script: Vec<TimedDirective>) -> DriverConfig {
-        let mut cfg = quiet_config(threads);
-        cfg.script = script;
-        cfg
-    }
-
-    fn at(t: Cycles, directive: Directive) -> TimedDirective {
-        TimedDirective { at: t, directive }
-    }
-
-    #[test]
-    fn empty_script_leaves_trace_hash_unchanged() {
-        let run_with = |script: Vec<TimedDirective>| {
-            let mut w = Uniform::new(4, 40, 8, true, true);
-            let mut s = NullScheduler::new(5);
-            run(&mut w, &mut s, &scripted(4, script))
-        };
-        let plain = run_with(Vec::new());
-        let mut w = Uniform::new(4, 40, 8, true, true);
-        let mut s = NullScheduler::new(5);
-        let unscripted = run(&mut w, &mut s, &quiet_config(4));
-        assert_eq!(plain.trace_hash, unscripted.trace_hash);
-        assert_eq!(plain.commits, unscripted.commits);
-    }
-
-    #[test]
-    fn park_and_unpark_preserve_all_work() {
-        let mut w = Uniform::new(2, 50, 4, false, true);
-        let mut s = NullScheduler::new(5);
-        let m = run(
-            &mut w,
-            &mut s,
-            &scripted(
-                2,
-                vec![
-                    at(1_000, Directive::Park(1)),
-                    at(50_000, Directive::Unpark(1)),
-                ],
-            ),
-        );
-        // The parked thread resumes and finishes its full share.
-        assert_eq!(m.commits, 100);
-        assert!(!m.truncated);
-        // The park stretches the makespan past the unpark time.
-        assert!(m.makespan > 50_000, "makespan {} too short", m.makespan);
-    }
-
-    #[test]
-    fn park_directives_are_deterministic() {
-        let run_once = || {
-            let mut w = Uniform::new(4, 30, 8, true, true);
-            let mut s = NullScheduler::new(5);
-            run(
-                &mut w,
-                &mut s,
-                &scripted(
-                    4,
-                    vec![
-                        at(2_000, Directive::Park(0)),
-                        at(2_000, Directive::Park(2)),
-                        at(40_000, Directive::Unpark(0)),
-                        at(60_000, Directive::Unpark(2)),
-                    ],
-                ),
-            )
-        };
-        let a = run_once();
-        let b = run_once();
-        assert_eq!(a.commits, 120);
-        assert_eq!(a.trace_hash, b.trace_hash);
-        assert_eq!(a.makespan, b.makespan);
-    }
-
-    #[test]
-    fn unpark_of_never_parked_thread_is_noop() {
-        let mut w = Uniform::new(2, 20, 4, false, true);
-        let mut s = NullScheduler::new(5);
-        let m = run(
-            &mut w,
-            &mut s,
-            &scripted(
-                2,
-                vec![at(500, Directive::Unpark(1)), at(600, Directive::Park(7))],
-            ),
-        );
-        assert_eq!(m.commits, 40);
-    }
-
-    #[test]
-    fn capacity_directive_forces_capacity_aborts() {
-        // 16-line read transactions commit fine under the default geometry
-        // but overflow once the read budget clamps to 2 lines.
-        let mut w = Uniform::new(1, 50, 16, false, false);
-        let mut s = NullScheduler::new(5);
-        let baseline = run(&mut w, &mut s, &quiet_config(1));
-        assert_eq!(baseline.aborts.capacity, 0);
-
-        let mut w = Uniform::new(1, 50, 16, false, false);
-        let m = run(
-            &mut w,
-            &mut s,
-            &scripted(
-                1,
-                vec![
-                    at(
-                        1_000,
-                        Directive::Capacity {
-                            ways: Some(2),
-                            read_lines: Some(2),
-                        },
-                    ),
-                    at(
-                        20_000,
-                        Directive::Capacity {
-                            ways: None,
-                            read_lines: None,
-                        },
-                    ),
-                ],
-            ),
-        );
-        assert!(m.aborts.capacity > 0, "clamp must force capacity aborts");
-        assert_eq!(m.commits, 50, "work still completes via the fall-back");
-        assert!(m.fallbacks > 0);
-    }
-
-    #[test]
-    fn stall_directive_delays_progress_deterministically() {
-        let run_with = |script: Vec<TimedDirective>| {
-            let mut w = Uniform::new(2, 30, 4, false, true);
-            let mut s = NullScheduler::new(5);
-            run(&mut w, &mut s, &scripted(2, script))
-        };
-        let plain = run_with(Vec::new());
-        let stalled = run_with(vec![at(
-            2_000,
-            Directive::StallLockHolder { cycles: 80_000 },
-        )]);
-        assert_eq!(stalled.commits, plain.commits);
-        assert!(
-            stalled.makespan > plain.makespan,
-            "an 80k-cycle stall must show up in the makespan: {} vs {}",
-            stalled.makespan,
-            plain.makespan
-        );
-        let again = run_with(vec![at(
-            2_000,
-            Directive::StallLockHolder { cycles: 80_000 },
-        )]);
-        assert_eq!(stalled.trace_hash, again.trace_hash);
-    }
-
-    #[test]
-    fn sched_fault_reaches_the_scheduler() {
-        struct FaultRecorder {
-            inner: NullScheduler,
-            seen: Vec<SchedFault>,
-        }
-        impl Scheduler for FaultRecorder {
-            fn name(&self) -> &'static str {
-                "fault-recorder"
-            }
-            fn on_fault(&mut self, fault: &SchedFault, _env: &mut SchedEnv<'_>) {
-                self.seen.push(*fault);
-            }
-            fn attempt_budget(&self) -> u32 {
-                self.inner.attempt_budget()
-            }
-        }
-        let mut w = Uniform::new(2, 20, 4, false, true);
-        let mut s = FaultRecorder {
-            inner: NullScheduler::new(5),
-            seen: Vec::new(),
-        };
-        let _ = run(
-            &mut w,
-            &mut s,
-            &scripted(
-                2,
-                vec![
-                    at(1_000, Directive::Sched(SchedFault::WipeStats)),
-                    at(
-                        2_000,
-                        Directive::Sched(SchedFault::DelayInference { rounds: 3 }),
-                    ),
-                ],
-            ),
-        );
-        assert_eq!(
-            s.seen,
-            vec![
-                SchedFault::WipeStats,
-                SchedFault::DelayInference { rounds: 3 }
-            ]
-        );
-    }
-
-    #[test]
-    fn phase_directive_reaches_the_workload() {
-        struct PhaseRecorder {
-            inner: Uniform,
-            phases: std::rc::Rc<std::cell::RefCell<Vec<usize>>>,
-        }
-        impl Workload for PhaseRecorder {
-            fn name(&self) -> &str {
-                "phase-recorder"
-            }
-            fn num_blocks(&self) -> usize {
-                self.inner.num_blocks()
-            }
-            fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest> {
-                self.inner.next(thread, rng)
-            }
-            fn on_phase(&mut self, phase: usize) {
-                self.phases.borrow_mut().push(phase);
-            }
-        }
-        let phases = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut w = PhaseRecorder {
-            inner: Uniform::new(2, 20, 4, false, true),
-            phases: phases.clone(),
-        };
-        let mut s = NullScheduler::new(5);
-        let _ = run(
-            &mut w,
-            &mut s,
-            &scripted(
-                2,
-                vec![at(500, Directive::Phase(1)), at(1_500, Directive::Phase(2))],
-            ),
-        );
-        assert_eq!(*phases.borrow(), vec![1, 2]);
     }
 }

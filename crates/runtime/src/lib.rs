@@ -25,12 +25,9 @@ pub mod synthetic;
 pub mod trace;
 pub mod workload;
 
-pub use driver::{run, run_traced, Directive, DriverConfig, TimedDirective};
+pub use driver::{run, run_traced, DriverConfig};
 pub use locks::{LockBank, LockId};
-pub use metrics::{
-    AbortCounts, ConflictGroundTruth, MetricsWindow, ModeCounts, RunMetrics, TxMode,
-    WindowedMetrics,
-};
+pub use metrics::{AbortCounts, ConflictGroundTruth, ModeCounts, RunMetrics, TxMode};
 pub use scheduler::{
     AbortDecision, Gate, HookPoint, NullScheduler, SchedEnv, SchedFault, Scheduler,
 };

@@ -14,7 +14,6 @@
 
 use seer_sim::{CycleHistogram, Cycles};
 
-use crate::trace::LifecycleEvent;
 use crate::workload::BlockId;
 
 /// How a committed transaction instance executed (Table 3 rows).
@@ -367,169 +366,6 @@ impl RunMetrics {
     }
 }
 
-/// One fixed-width cycle window of run activity, tallied from the
-/// lifecycle trace stream (see [`WindowedMetrics`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsWindow {
-    /// Window start (inclusive), in virtual cycles.
-    pub from: Cycles,
-    /// Window end (exclusive), in virtual cycles.
-    pub to: Cycles,
-    /// Commits completed in the window (HTM + fall-back).
-    pub commits: u64,
-    /// Commits that completed in hardware.
-    pub htm_commits: u64,
-    /// Commits that completed under the SGL fall-back.
-    pub fallback_commits: u64,
-    /// Hardware aborts in the window.
-    pub aborts: u64,
-    /// Hardware attempts begun in the window.
-    pub attempts: u64,
-    /// Times a thread entered the SGL fall-back path in the window.
-    pub fallbacks_entered: u64,
-}
-
-impl MetricsWindow {
-    /// Commits per cycle over the window (0 for an empty window).
-    pub fn throughput(&self) -> f64 {
-        let span = self.to.saturating_sub(self.from);
-        if span == 0 {
-            0.0
-        } else {
-            self.commits as f64 / span as f64
-        }
-    }
-}
-
-/// Cycle-windowed run metrics: the whole-run aggregates of [`RunMetrics`]
-/// sliced into fixed-width windows of virtual time, built from the
-/// lifecycle stream a `MemoryTraceSink` collects. The scenario engine's
-/// `RecoveryReport` scores re-convergence on these windows, and
-/// `seer explain` can reuse them to localize behaviour in time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowedMetrics {
-    width: Cycles,
-    windows: Vec<MetricsWindow>,
-}
-
-impl WindowedMetrics {
-    /// Tallies `events` into windows of `width` cycles covering
-    /// `[0, until)` (rounded up to whole windows; `until` is normally the
-    /// run's makespan). Events at or beyond the last window's end extend
-    /// the coverage, so no event is ever silently dropped.
-    ///
-    /// # Panics
-    /// If `width` is zero.
-    pub fn from_lifecycle(events: &[LifecycleEvent], width: Cycles, until: Cycles) -> Self {
-        assert!(width > 0, "window width must be positive");
-        let span = until.max(events.iter().map(|e| e.at() + 1).max().unwrap_or(0));
-        let count = (span.div_ceil(width)).max(1) as usize;
-        let mut windows: Vec<MetricsWindow> = (0..count)
-            .map(|i| MetricsWindow {
-                from: i as Cycles * width,
-                to: (i as Cycles + 1) * width,
-                ..MetricsWindow::default()
-            })
-            .collect();
-        for ev in events {
-            let w = &mut windows[(ev.at() / width) as usize];
-            match ev {
-                LifecycleEvent::AttemptBegin { .. } => w.attempts += 1,
-                LifecycleEvent::Abort { .. } => w.aborts += 1,
-                LifecycleEvent::SglFallback { .. } => w.fallbacks_entered += 1,
-                LifecycleEvent::HtmCommit { .. } => {
-                    w.commits += 1;
-                    w.htm_commits += 1;
-                }
-                LifecycleEvent::FallbackCommit { .. } => {
-                    w.commits += 1;
-                    w.fallback_commits += 1;
-                }
-                LifecycleEvent::LockWait { .. } | LifecycleEvent::LocksAcquired { .. } => {}
-            }
-        }
-        Self { width, windows }
-    }
-
-    /// Window width in cycles.
-    pub fn width(&self) -> Cycles {
-        self.width
-    }
-
-    /// The windows, in time order, contiguously covering `[0, n*width)`.
-    pub fn windows(&self) -> &[MetricsWindow] {
-        &self.windows
-    }
-
-    /// The window containing virtual time `t`, if covered.
-    pub fn window_at(&self, t: Cycles) -> Option<&MetricsWindow> {
-        self.windows.get((t / self.width) as usize)
-    }
-
-    /// Per-window conservation laws plus the partition law against the
-    /// whole-run `totals`: the windows are a partition of the run, so
-    /// their sums must reproduce the aggregate counters exactly. Returns
-    /// the violated laws (empty = all hold).
-    pub fn check_partition(&self, totals: &RunMetrics) -> Vec<String> {
-        let mut violations = Vec::new();
-        let mut check = |ok: bool, law: String| {
-            if !ok {
-                violations.push(law);
-            }
-        };
-        let mut commits = 0u64;
-        let mut aborts = 0u64;
-        let mut attempts = 0u64;
-        let mut fallbacks = 0u64;
-        for (i, w) in self.windows.iter().enumerate() {
-            check(
-                w.commits == w.htm_commits + w.fallback_commits,
-                format!(
-                    "window {i}: commits must partition by path: {} != {} + {}",
-                    w.commits, w.htm_commits, w.fallback_commits
-                ),
-            );
-            check(
-                w.from == i as Cycles * self.width && w.to == w.from + self.width,
-                format!("window {i}: bounds drifted: [{}, {})", w.from, w.to),
-            );
-            commits += w.commits;
-            aborts += w.aborts;
-            attempts += w.attempts;
-            fallbacks += w.fallbacks_entered;
-        }
-        check(
-            commits == totals.commits,
-            format!(
-                "window commits must sum to the run total: {commits} != {}",
-                totals.commits
-            ),
-        );
-        check(
-            aborts == totals.aborts.total(),
-            format!(
-                "window aborts must sum to the run total: {aborts} != {}",
-                totals.aborts.total()
-            ),
-        );
-        check(
-            attempts == totals.htm_attempts,
-            format!(
-                "window attempts must sum to the run total: {attempts} != {}",
-                totals.htm_attempts
-            ),
-        );
-        check(
-            fallbacks == totals.fallbacks,
-            format!(
-                "window fall-back entries must sum to the run total: {fallbacks} != {}",
-                totals.fallbacks
-            ),
-        );
-        violations
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,76 +445,5 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), 6);
-    }
-
-    fn commit_at(at: Cycles) -> LifecycleEvent {
-        LifecycleEvent::HtmCommit {
-            at,
-            thread: 0,
-            block: 0,
-            attempts_used: 0,
-        }
-    }
-
-    #[test]
-    fn windowed_metrics_bucket_by_time() {
-        let events = vec![
-            LifecycleEvent::AttemptBegin {
-                at: 5,
-                thread: 0,
-                block: 0,
-                attempt: 0,
-            },
-            commit_at(60),
-            commit_at(140),
-            LifecycleEvent::FallbackCommit {
-                at: 150,
-                thread: 1,
-                block: 0,
-            },
-        ];
-        let w = WindowedMetrics::from_lifecycle(&events, 100, 200);
-        assert_eq!(w.windows().len(), 2);
-        assert_eq!(w.windows()[0].attempts, 1);
-        assert_eq!(w.windows()[0].commits, 1);
-        assert_eq!(w.windows()[1].commits, 2);
-        assert_eq!(w.windows()[1].fallback_commits, 1);
-        assert_eq!(w.window_at(199).unwrap().from, 100);
-        assert!((w.windows()[1].throughput() - 0.02).abs() < 1e-12);
-    }
-
-    #[test]
-    fn windowed_metrics_extend_past_until() {
-        // An event past `until` grows coverage instead of being dropped.
-        let events = vec![commit_at(250)];
-        let w = WindowedMetrics::from_lifecycle(&events, 100, 100);
-        assert_eq!(w.windows().len(), 3);
-        assert_eq!(w.windows()[2].commits, 1);
-    }
-
-    #[test]
-    fn window_partition_check_catches_mismatch() {
-        let events = vec![
-            LifecycleEvent::AttemptBegin {
-                at: 10,
-                thread: 0,
-                block: 0,
-                attempt: 0,
-            },
-            commit_at(20),
-        ];
-        let w = WindowedMetrics::from_lifecycle(&events, 50, 50);
-        let mut totals = RunMetrics::new(1, 5, 1);
-        totals.commits = 1;
-        totals.htm_attempts = 1;
-        assert!(w.check_partition(&totals).is_empty());
-        totals.commits = 2;
-        assert!(!w.check_partition(&totals).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "width must be positive")]
-    fn zero_window_width_rejected() {
-        let _ = WindowedMetrics::from_lifecycle(&[], 0, 10);
     }
 }

@@ -87,30 +87,12 @@ pub struct SchedEnv<'a> {
     pub trace: &'a mut dyn TraceSink,
 }
 
-/// A scheduler-visible fault injected by a scenario script (see
-/// `crates/scenario`). Faults arrive through [`Scheduler::on_fault`] as
-/// ordinary scheduled events in the DES queue — there is no wall-clock or
-/// out-of-band channel, so an injected run replays bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SchedFault {
-    /// Zero every per-thread and merged statistics matrix, as if the
-    /// scheduler's profile memory were lost (stats amnesia).
-    WipeStats,
-    /// Overwrite the scheduler's operating thresholds (Seer's Th1/Th2),
-    /// knocking the hill climber off its current optimum.
-    KickThresholds {
-        /// New conditional-probability threshold.
-        th1: f64,
-        /// New conjunctive-probability threshold.
-        th2: f64,
-    },
-    /// Suppress the next `rounds` inference rounds (staleness: the stats
-    /// keep accumulating but the lock tables stop being refreshed).
-    DelayInference {
-        /// Number of due inference rounds to drop.
-        rounds: u64,
-    },
-}
+/// A scheduler-visible fault. No variant exists and nothing delivers
+/// one: the type stays only because `benchmark/src/layers.rs` forwards
+/// [`Scheduler::on_fault`], and ROADMAP item 6 (the PR that may change
+/// `benchmark/`) removes both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedFault {}
 
 /// A contention-management policy for best-effort HTM.
 ///
@@ -201,9 +183,8 @@ pub trait Scheduler {
     /// fall back.
     fn on_periodic(&mut self, _env: &mut SchedEnv<'_>) {}
 
-    /// A scenario fault was injected (see [`SchedFault`]). Schedulers that
-    /// keep no learned state ignore it — the default is a no-op, so fault
-    /// injection is free for every policy that does not opt in.
+    /// Never called: [`SchedFault`] has no values. Kept only because
+    /// `benchmark/src/layers.rs` forwards it; ROADMAP item 6 removes it.
     fn on_fault(&mut self, _fault: &SchedFault, _env: &mut SchedEnv<'_>) {}
 
     /// Fixed instrumentation cost, in cycles, charged to the calling

@@ -100,9 +100,8 @@ pub trait Workload {
     /// Applies the logical effects of `req` committing.
     fn commit(&mut self, _thread: ThreadId, _req: &TxRequest, _rng: &mut SimRng) {}
 
-    /// A scenario phase boundary was crossed (see `crates/scenario`):
-    /// `phase` is the 0-based index into the scenario's phase list. Plain
-    /// stationary workloads ignore it — the default is a no-op.
+    /// Never called by the driver. Kept only because
+    /// `benchmark/src/layers.rs` forwards it; ROADMAP item 6 removes it.
     fn on_phase(&mut self, _phase: usize) {}
 }
 

@@ -196,8 +196,8 @@ impl Benchmark {
 /// largest scale used in the tree is 5.
 pub const MAX_SCALE: f64 = 1000.0;
 
-/// The one rule for a work scale factor, shared by `SEER_SCALE` and
-/// scenario specs: positive, finite and at most [`MAX_SCALE`].
+/// The one rule for a work scale factor, `SEER_SCALE`'s: positive,
+/// finite and at most [`MAX_SCALE`].
 pub fn check_scale(scale: f64) -> Result<(), String> {
     // NaN fails both comparisons; infinity fails the upper bound.
     if scale > 0.0 && scale <= MAX_SCALE {

@@ -194,9 +194,9 @@ impl<K> std::fmt::Display for ExecReport<K> {
 
 /// The generic parallel, memoizing, supervised executor.
 ///
-/// `CellExecutor` (harness) and `ScenarioExecutor` (scenario engine) are
-/// thin instantiations: they choose `K`/`V`, provide the run function,
-/// and keep their domain-specific plan-building and assembly sugar.
+/// `CellExecutor` (harness) is a thin instantiation: it chooses `K`/`V`,
+/// provides the run function, and keeps its domain-specific
+/// plan-building and assembly sugar.
 pub struct Executor<K: PlanKey, V> {
     jobs: usize,
     run: Arc<dyn Fn(K) -> V + Send + Sync>,

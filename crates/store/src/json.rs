@@ -7,8 +7,7 @@
 //! names match what `serde` would have produced, so downstream plotting
 //! scripts are unaffected. The parser ([`Json::parse`]) and the
 //! required-field readers ([`Json::u64_field`] and friends) serve every
-//! reader: the scenario spec parser and the `seer check` schema
-//! validators.
+//! reader: the `seer check` schema validator and the tests.
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]

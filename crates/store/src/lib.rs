@@ -2,14 +2,12 @@
 //!
 //! Every simulation in the workspace is a pure function of its
 //! coordinates, so a sweep is a set of independent work items. This crate
-//! holds the pieces the harness and the scenario engine share to run
-//! such sets (DESIGN.md §13):
+//! holds the pieces the harness uses to run such sets (DESIGN.md §13):
 //!
 //! * [`json`] — the workspace's dependency-free JSON tree, its one
 //!   serializer and parser.
-//! * [`Executor`] — the one generic plan/memoize/fan-out engine behind
-//!   both the harness's `CellExecutor` and the scenario engine's
-//!   `ScenarioExecutor`.
+//! * [`Executor`] — the generic plan/memoize/fan-out engine behind the
+//!   harness's `CellExecutor`.
 //! * [`supervisor`] — `catch_unwind` isolation plus an optional
 //!   wall-clock deadline per item, so one poisoned or runaway cell
 //!   degrades into an explicit entry of the [`ExecReport`] rather than

@@ -11,7 +11,6 @@ use seer_runtime::synthetic::{SyntheticSpec, SyntheticWorkload};
 use seer_runtime::{
     Access, Gate, LockBank, LockId, NullTraceSink, SchedEnv, Scheduler, TxRequest, Workload,
 };
-use seer_scenario::{library, ScenarioWorkload};
 use seer_sim::{SimRng, Topology};
 use seer_stamp::{Benchmark, RefinedModel};
 
@@ -52,15 +51,6 @@ fn workloads() -> Vec<(String, Make)> {
             ))
         }),
     ));
-    for mut spec in library::all() {
-        spec.threads = THREADS;
-        spec.scale = 0.005;
-        let name = format!("scenario {}", spec.name);
-        out.push((
-            name,
-            Box::new(move || Box::new(ScenarioWorkload::new(&spec))),
-        ));
-    }
     out
 }
 
@@ -89,11 +79,6 @@ fn next_into_agrees_with_next_for_every_workload() {
         let mut issued = 0;
         for round in 0..(TXS + 5) * THREADS {
             let thread = round % THREADS;
-            if round == TXS {
-                // Scenario workloads switch models here; others ignore it.
-                a.on_phase(1);
-                b.on_phase(1);
-            }
             let owned = a.next(thread, &mut rng_a);
             let filled = b.next_into(thread, &mut rng_b, &mut reused);
             assert_eq!(
