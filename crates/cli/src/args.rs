@@ -2,7 +2,7 @@
 //!
 //! Grammar: `seer <command> [--key value]...`. Unknown keys and malformed
 //! values are reported with the offending token; `--help` anywhere prints
-//! usage. Kept deliberately simple — the CLI has four commands and a
+//! usage. Kept deliberately simple — the CLI has seven commands and a
 //! handful of typed options.
 
 use std::collections::BTreeMap;

@@ -2,12 +2,11 @@
 //! (`check` and `experiment` have modules of their own).
 
 use std::sync::Once;
-use std::time::Duration;
 
 use seer::{Seer, SeerConfig};
 use seer_harness::{
-    env_config, write_chrome_trace, write_trace_jsonl, Cell, CellExecutor, CellKey, ExecReport,
-    HarnessConfig, Plan, PolicyKind,
+    env_config, write_chrome_trace, write_trace_jsonl, Cell, CellExecutor, HarnessConfig, Plan,
+    PolicyKind,
 };
 use seer_runtime::{run, DriverConfig, MemoryTraceSink, RunMetrics, TxMode, Workload};
 use seer_scenario::RunRequest;
@@ -57,6 +56,24 @@ fn parse_policies(list: &str) -> Result<Vec<PolicyKind>, ParseError> {
         }
     }
     specs.iter().map(|s| parse_policy(s)).collect()
+}
+
+/// Parses `--txs` (transactions per thread, default the benchmark's).
+/// The work scale it means, `txs / default_txs`, must pass the one scale
+/// rule, [`seer_stamp::check_scale`], so no input asks for a run that
+/// never ends; out of range (0 included) is an error naming the allowed
+/// range.
+fn parse_txs(args: &Args, benchmark: Benchmark) -> Result<usize, ParseError> {
+    let default = benchmark.default_txs();
+    let txs: usize = args.get_parsed("txs", default)?;
+    seer_stamp::check_scale(txs as f64 / default as f64).map_err(|_| {
+        ParseError(format!(
+            "--txs {txs} is out of range for {} (1..={})",
+            benchmark.spec(),
+            (seer_stamp::MAX_SCALE * default as f64) as usize
+        ))
+    })?;
+    Ok(txs)
 }
 
 /// Prints top-level usage.
@@ -159,13 +176,12 @@ pub fn run_one(args: &Args) -> Result<(), ParseError> {
     let policy = parse_policy(args.get("policy").unwrap_or("seer"))?;
     let threads: usize = args.get_parsed("threads", 8)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
-    let txs: usize = args.get_parsed("txs", benchmark.default_txs())?;
+    let scale = parse_txs(args, benchmark)? as f64 / benchmark.default_txs() as f64;
     let json: bool = args.get_parsed("json", false)?;
     if threads == 0 || threads > 8 {
         return Err(ParseError("--threads must be 1..=8".into()));
     }
 
-    let scale = txs as f64 / benchmark.default_txs() as f64;
     let cell = Cell {
         benchmark,
         policy,
@@ -257,60 +273,15 @@ fn jobs_or_warn(args: &Args) -> usize {
 /// cells; half scale keeps it interactive).
 const SWEEP_SCALE: f64 = 0.5;
 
-/// The per-item wall-clock deadline of every executor the CLI builds:
-/// `SEER_CELL_TIMEOUT_MS`, default none (simulations are bounded by the
-/// kernel's cycle budget). An invalid value warns once per process and
-/// runs without a deadline. The executors themselves read no environment.
-pub(crate) fn cell_deadline() -> Option<Duration> {
-    static WARNED: Once = Once::new();
-    let raw = std::env::var("SEER_CELL_TIMEOUT_MS").ok()?;
-    match raw.parse::<u64>() {
-        Ok(ms) if ms > 0 => Some(Duration::from_millis(ms)),
-        _ => {
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: ignoring invalid SEER_CELL_TIMEOUT_MS={raw:?} \
-                     (expected a positive integer of milliseconds); \
-                     running without a deadline"
-                );
-            });
-            None
-        }
-    }
-}
-
-/// Turns coverage loss into the command's error (exit 2): lists every
-/// failed item on stderr as `COMMAND: FAILED KEY: FAILURE`, then says how
-/// many of the planned `noun` failed and what that left (`consequence`).
-pub(crate) fn coverage_loss<K: std::fmt::Display>(
-    command: &str,
-    report: &ExecReport<K>,
-    noun: &str,
-    consequence: &str,
-) -> Result<(), ParseError> {
-    if report.complete() {
-        return Ok(());
-    }
-    for f in &report.failed {
-        eprintln!("{command}: FAILED {f}");
-    }
-    Err(ParseError(format!(
-        "{} of {} {noun} failed; {consequence}",
-        report.failed.len(),
-        report.planned,
-    )))
-}
-
 /// `seer sweep`.
 pub fn sweep(args: &Args) -> Result<(), ParseError> {
-    let (table, report) = sweep_table(args)?;
-    print!("{table}");
-    coverage_loss("sweep", &report, "cell(s)", "partial results above")
+    print!("{}", sweep_table(args)?);
+    Ok(())
 }
 
 /// Runs the sweep `args` ask for and renders its speedup table. Each
 /// policy's column is as wide as its label needs, and at least 12.
-fn sweep_table(args: &Args) -> Result<(String, ExecReport<CellKey>), ParseError> {
+fn sweep_table(args: &Args) -> Result<String, ParseError> {
     args.allow_only(&["benchmark", "policies", "max-threads", "seed", "jobs"])?;
     let benchmark = parse_benchmark(args.get("benchmark").unwrap_or("genome"))?;
     let max_threads: usize = args.get_parsed("max-threads", 8)?;
@@ -326,32 +297,25 @@ fn sweep_table(args: &Args) -> Result<(String, ExecReport<CellKey>), ParseError>
     let jobs = jobs_or_warn(args);
 
     // Declare the whole grid up front and fan it out across `jobs` OS
-    // threads; the printed table then assembles from cache in row order
-    // (bit-identical to a serial sweep for any --jobs value).
-    let cfg = HarnessConfig {
+    // threads; the printed table then assembles from the memo map in row
+    // order (bit-identical to a serial sweep for any --jobs value).
+    let mut exec = CellExecutor::new(HarnessConfig {
         seeds: 1,
         scale: SWEEP_SCALE,
         jobs,
+    });
+    let cell = |policy, threads| Cell {
+        benchmark,
+        policy,
+        threads,
     };
-    let exec = CellExecutor::new(cfg, cell_deadline());
     let mut plan = Plan::new();
     for threads in 1..=max_threads {
         for &policy in &policies {
-            plan.add_one(
-                Cell {
-                    benchmark,
-                    policy,
-                    threads,
-                },
-                seed,
-                SWEEP_SCALE,
-            );
+            plan.add_one(cell(policy, threads), seed, SWEEP_SCALE);
         }
     }
-    let report = exec.execute(&plan);
-    if !report.complete() {
-        eprintln!("sweep: {} cell(s) planned — {report}", report.planned);
-    }
+    exec.execute(&plan);
 
     let mut out = format!(
         "{} — speedup over sequential (seed {seed})\n{:>8}",
@@ -367,24 +331,14 @@ fn sweep_table(args: &Args) -> Result<(String, ExecReport<CellKey>), ParseError>
     for threads in 1..=max_threads {
         out += &format!("{threads:>8}");
         for (&policy, w) in policies.iter().zip(&widths) {
-            // Assemble from cache only: a failed cell renders as FAILED in
-            // a partial table instead of re-panicking on recompute.
-            match exec.cached(
-                Cell {
-                    benchmark,
-                    policy,
-                    threads,
-                },
-                seed,
-                SWEEP_SCALE,
-            ) {
-                Some(m) => out += &format!("{:>w$.3}", m.speedup()),
-                None => out += &format!("{:>w$}", "FAILED"),
-            }
+            let m = exec
+                .cached(cell(policy, threads), seed, SWEEP_SCALE)
+                .expect("every planned cell was executed");
+            out += &format!("{:>w$.3}", m.speedup());
         }
         out.push('\n');
     }
-    Ok((out, report))
+    Ok(out)
 }
 
 /// `seer inspect`.
@@ -396,7 +350,7 @@ pub fn inspect(args: &Args) -> Result<(), ParseError> {
     if threads == 0 || threads > 8 {
         return Err(ParseError("--threads must be 1..=8".into()));
     }
-    let txs: usize = args.get_parsed("txs", benchmark.default_txs())?;
+    let txs = parse_txs(args, benchmark)?;
 
     let mut workload = benchmark.instantiate(threads, txs);
     let blocks = workload.num_blocks();
@@ -547,7 +501,7 @@ pub fn explain(args: &Args) -> Result<(), ParseError> {
     let policy = parse_policy(args.get("policy").unwrap_or("seer"))?;
     let threads: usize = args.get_parsed("threads", 8)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
-    let txs: usize = args.get_parsed("txs", benchmark.default_txs())?;
+    let scale = parse_txs(args, benchmark)? as f64 / benchmark.default_txs() as f64;
     if threads == 0 || threads > 8 {
         return Err(ParseError("--threads must be 1..=8".into()));
     }
@@ -556,7 +510,6 @@ pub fn explain(args: &Args) -> Result<(), ParseError> {
         .ok_or_else(|| ParseError("explain needs --pair X,Y".into()))?;
     let (x, y) = parse_pair(raw_pair)?;
 
-    let scale = txs as f64 / benchmark.default_txs() as f64;
     let blocks = benchmark.instantiate_scaled(threads, scale).num_blocks();
     if x >= blocks || y >= blocks {
         // Warn once per process (the `SEER_SEEDS`/`SEER_JOBS` style)
@@ -710,8 +663,7 @@ mod tests {
             "--policies",
             "seer,seer@window=100,seer@window=5000",
         ]);
-        let (table, report) = sweep_table(&a).expect("sweep should succeed");
-        assert!(report.complete());
+        let table = sweep_table(&a).expect("sweep should succeed");
         let lines: Vec<&str> = table.lines().collect();
         let heads: Vec<&str> = lines[1].split_whitespace().collect();
         assert_eq!(
@@ -762,6 +714,52 @@ mod tests {
             "true",
         ]);
         run_one(&a).expect("json run should succeed");
+    }
+
+    /// Runs `command` on ssca2 (1 200 transactions per thread by default,
+    /// so `--txs` may be 1..=1 200 000) with each out-of-range `--txs`,
+    /// and requires the error to name the allowed range.
+    fn rejects_txs_outside_the_scale_rule(
+        command: fn(&Args) -> Result<(), ParseError>,
+        words: &[&str],
+    ) {
+        for txs in ["0", "1200001", "100000000000"] {
+            let mut parts = words.to_vec();
+            parts.extend(["--benchmark", "ssca2", "--threads", "1", "--txs", txs]);
+            let ParseError(msg) = command(&args(&parts)).unwrap_err();
+            assert_eq!(
+                msg,
+                format!("--txs {txs} is out of range for ssca2 (1..=1200000)")
+            );
+        }
+    }
+
+    #[test]
+    fn run_rejects_txs_outside_the_scale_rule() {
+        rejects_txs_outside_the_scale_rule(run_one, &["run"]);
+    }
+
+    #[test]
+    fn inspect_rejects_txs_outside_the_scale_rule() {
+        rejects_txs_outside_the_scale_rule(inspect, &["inspect"]);
+    }
+
+    #[test]
+    fn explain_rejects_txs_outside_the_scale_rule() {
+        rejects_txs_outside_the_scale_rule(explain, &["explain", "--pair", "0,1"]);
+    }
+
+    #[test]
+    fn txs_at_the_bounds_of_the_scale_rule_is_accepted() {
+        let ssca2 = Benchmark::Ssca2;
+        let txs = |raw: &str| parse_txs(&args(&["run", "--txs", raw]), ssca2);
+        assert_eq!(txs("1").unwrap(), 1);
+        assert_eq!(txs("1200000").unwrap(), 1_200_000);
+        assert_eq!(
+            parse_txs(&args(&["run"]), ssca2).unwrap(),
+            1200,
+            "no --txs is the default"
+        );
     }
 
     #[test]

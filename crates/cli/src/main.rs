@@ -76,7 +76,7 @@ fn fold_command(raw: &mut Vec<String>) {
 }
 
 fn run(mut raw: Vec<String>) -> Result<(), String> {
-    if raw.is_empty() {
+    if raw.is_empty() || matches!(raw[0].as_str(), "--help" | "-h") {
         commands::print_usage();
         return Ok(());
     }
@@ -146,6 +146,16 @@ mod tests {
 
     fn run_words(parts: &[&str]) -> Result<(), String> {
         run(parts.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn help_prints_usage_in_every_spelling() {
+        for words in [&[][..], &["help"], &["--help"], &["-h"], &["run", "--help"]] {
+            assert_eq!(run_words(words), Ok(()), "{words:?}");
+        }
+        // Any other option in command position still wants a command.
+        let err = run_words(&["--threads", "2"]).unwrap_err();
+        assert!(err.contains("expected a command before options"), "{err}");
     }
 
     #[test]

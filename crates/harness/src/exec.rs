@@ -6,33 +6,69 @@
 //! every Figure 3 cell; Figure 4 and Figure 5 share the profile-only
 //! baseline runs). Instead of each experiment calling the runner inline,
 //! an experiment *declares* its grid as a [`Plan`] (a deduplicated set of
-//! `Cell × seed` work items) and hands it to a [`CellExecutor`].
-//!
-//! The machinery behind the executor — deduplicating plans,
-//! `parallel_map` fan-out, the memo cache and the supervision layer —
-//! lives in `seer-store`'s generic [`Executor`]; this module is the
-//! *cell-shaped* instantiation: it picks `K = CellKey`, `V = RunMetrics`,
-//! supplies the run function (the runner's `execute_cell`), and keeps the
-//! harness-flavoured plan sugar (`add`/`add_grid` expanding a
-//! `HarnessConfig`) and the cache-only assembly reads (`cached`/`cell`).
+//! `Cell × seed` work items) and hands it to a [`CellExecutor`], which
+//! simulates the items its memo map lacks through [`parallel_map`].
 //!
 //! Every cell's discrete-event run is a pure function of
 //! `(cell, seed, scale)` — seeded via [`sim_seed`], sharing no state with
 //! any other cell — so parallel execution is *bit-identical* to serial.
-//! The conformance replay
-//! fixtures and the executor equivalence test
+//! The conformance replay fixtures and the executor equivalence test
 //! (`crates/harness/tests/executor.rs`) pin this.
+//!
+//! A run is bounded by the driver's event valve and the scale rule
+//! ([`seer_stamp::check_scale`]), so there is no wall-clock deadline; a
+//! cell that panics panics the caller, naming the cell and seed.
 //!
 //! [`sim_seed`]: crate::runner::sim_seed
 
-use std::time::Duration;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use seer_runtime::RunMetrics;
-use seer_store::{ExecReport, Executor};
 
 use crate::runner::{execute_cell, Cell, CellResult, HarnessConfig};
 
-pub use seer_store::parallel_map;
+/// Applies `f` to every item of `items` on up to `jobs` OS threads,
+/// returning results in input order (never completion order).
+///
+/// Work is handed out through a shared atomic cursor, so threads stay busy
+/// regardless of per-item cost skew. `jobs <= 1` (or a single item) runs
+/// the plain serial loop — byte-for-byte the `--jobs 1` path, which the
+/// equivalence tests compare the parallel path against. A panic on any
+/// worker propagates out of the enclosing `std::thread::scope`, so it
+/// panics the caller at any `jobs`.
+pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let jobs = jobs.max(1).min(items.len().max(1));
+    if jobs == 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..jobs {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let result = f(item);
+                *slots[i].lock().expect("result slot poisoned") = Some(result);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("worker filled every slot")
+        })
+        .collect()
+}
 
 /// The memoization key: every coordinate a cell's metrics depend on.
 ///
@@ -81,29 +117,17 @@ impl CellKey {
     }
 }
 
-/// `benchmark/policy/tN/sS`: how failure lists name a cell.
-impl std::fmt::Display for CellKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}/{}/t{}/s{}",
-            self.benchmark.spec(),
-            self.policy.spec(),
-            self.threads,
-            self.seed
-        )
-    }
-}
-
-/// A declarative, deduplicated set of `Cell × seed` work items.
+/// A declarative, deduplicated set of `Cell × seed` work items, in
+/// insertion order.
 ///
 /// Experiments build a `Plan` up front (usually via [`Plan::add_grid`]),
 /// then hand it to [`CellExecutor::execute`]. Duplicate insertions are
 /// dropped at build time, so overlapping grids (e.g. Table 3 re-listing
-/// every Figure 3 cell) cost nothing even before the cache is consulted.
+/// every Figure 3 cell) cost nothing even before the memo map is consulted.
 #[derive(Debug, Default, Clone)]
 pub struct Plan {
-    inner: seer_store::Plan<CellKey>,
+    items: Vec<CellKey>,
+    seen: HashSet<CellKey>,
 }
 
 impl Plan {
@@ -115,7 +139,12 @@ impl Plan {
     /// Adds one `(cell, seed)` item at an explicit scale. Returns `true`
     /// if the item was new.
     pub fn add_one(&mut self, cell: Cell, seed: u64, scale: f64) -> bool {
-        self.inner.add(CellKey::new(cell, seed, scale))
+        let key = CellKey::new(cell, seed, scale);
+        let fresh = self.seen.insert(key);
+        if fresh {
+            self.items.push(key);
+        }
+        fresh
     }
 
     /// Adds `cell` under `cfg`: one item per seed `0..cfg.seeds` at
@@ -154,29 +183,25 @@ impl Plan {
 /// The parallel, memoizing executor behind every figure, table and
 /// sweep: the workspace's one way to turn a [`Plan`] into metrics.
 ///
-/// A thin instantiation of `seer-store`'s generic [`Executor`]: results
-/// are memoized per [`CellKey`] for the lifetime of the executor and
-/// computed under supervision (panic isolation and the optional deadline)
-/// when planned.
-/// The executor is `Sync`; its workers only ever write distinct keys, and
-/// readers assemble results by key, which is why `--jobs N` is
-/// bit-identical to `--jobs 1` for every N.
+/// Results are memoized per [`CellKey`] for the lifetime of the executor.
+/// Workers only compute; the executor stores their results by key after
+/// the fan-out, and readers assemble results by key, which is why
+/// `--jobs N` is bit-identical to `--jobs 1` for every N.
 #[derive(Debug)]
 pub struct CellExecutor {
     cfg: HarnessConfig,
-    inner: Executor<CellKey, RunMetrics>,
+    memo: HashMap<CellKey, RunMetrics>,
 }
 
 impl CellExecutor {
-    /// An executor with an empty cache over `cfg` (which fixes the default
-    /// seeds/scale for [`Plan::add`] expansion and `jobs` for fan-out).
-    /// With a `deadline`, a cell still simulating after that much
-    /// wall-clock time fails as timed out.
-    pub fn new(cfg: HarnessConfig, deadline: Option<Duration>) -> Self {
-        let inner = Executor::new(cfg.jobs, deadline, |key: CellKey| {
-            execute_cell(key.cell(), key.seed, key.scale(), None)
-        });
-        Self { cfg, inner }
+    /// An executor with an empty memo map over `cfg` (which fixes the
+    /// default seeds/scale for [`Plan::add`] expansion and `jobs` for
+    /// fan-out).
+    pub fn new(cfg: HarnessConfig) -> Self {
+        Self {
+            cfg,
+            memo: HashMap::new(),
+        }
     }
 
     /// The executor's harness configuration.
@@ -184,24 +209,41 @@ impl CellExecutor {
         &self.cfg
     }
 
-    /// Resolves every item of `plan` — memo cache, then supervised
-    /// simulation fanned out across `cfg.jobs` OS threads — and returns
-    /// the coverage report. Safe to call repeatedly and with overlapping
-    /// plans; a poisoned cell lands in [`ExecReport::failed`] instead of
-    /// aborting the process.
-    pub fn execute(&self, plan: &Plan) -> ExecReport<CellKey> {
-        self.inner.execute(&plan.inner)
+    /// Simulates every item of `plan` the memo map lacks, fanned out
+    /// across `cfg.jobs` OS threads, and returns how many it simulated.
+    /// Safe to call repeatedly and with overlapping plans.
+    ///
+    /// # Panics
+    /// If a cell's run panics (see [`execute_cell`]).
+    pub fn execute(&mut self, plan: &Plan) -> usize {
+        let todo: Vec<CellKey> = plan
+            .items
+            .iter()
+            .filter(|key| !self.memo.contains_key(*key))
+            .copied()
+            .collect();
+        let results = parallel_map(&todo, self.cfg.jobs, |key| {
+            execute_cell(key.cell(), key.seed, key.scale(), None)
+        });
+        self.memo.extend(todo.iter().copied().zip(results));
+        todo.len()
+    }
+
+    /// How many items this executor has simulated so far: the sum of what
+    /// every [`execute`](Self::execute) returned.
+    pub fn simulated(&self) -> usize {
+        self.memo.len()
     }
 
     /// The metrics of one `(cell, seed, scale)` item an earlier
-    /// [`execute`](Self::execute) resolved, without computing anything;
-    /// `None` for an item that failed or was never planned.
+    /// [`execute`](Self::execute) simulated, without computing anything;
+    /// `None` for an item that was never planned.
     pub fn cached(&self, cell: Cell, seed: u64, scale: f64) -> Option<RunMetrics> {
-        self.inner.cached(&CellKey::new(cell, seed, scale))
+        self.memo.get(&CellKey::new(cell, seed, scale)).cloned()
     }
 
     /// Seed-averaged measurements of `cell` over the executor's
-    /// `cfg.seeds` at `cfg.scale`, read from the cache; `None` unless
+    /// `cfg.seeds` at `cfg.scale`, read from the memo map; `None` unless
     /// every seed has a result.
     pub fn cell(&self, cell: Cell) -> Option<CellResult> {
         let runs = (0..self.cfg.seeds)
@@ -236,10 +278,38 @@ mod tests {
         plan.add(cell(2), &cfg);
         plan.add(cell(2), &cfg); // exact duplicate
         plan.add(cell(4), &cfg);
-        assert_eq!(plan.inner.len(), 4); // 2 cells × 2 seeds
+        assert_eq!(plan.items.len(), 4); // 2 cells × 2 seeds
         assert!(plan.add_one(cell(2), 7, 0.1));
         assert!(!plan.add_one(cell(2), 7, 0.1));
-        assert_eq!(plan.inner.len(), 5);
+        assert_eq!(plan.items.len(), 5);
+        // Insertion order is kept.
+        assert_eq!(plan.items[0], CellKey::new(cell(2), 0, 0.1));
+        assert_eq!(plan.items[4], CellKey::new(cell(2), 7, 0.1));
+    }
+
+    #[test]
+    fn parallel_map_preserves_input_order() {
+        let items: Vec<usize> = (0..37).collect();
+        let serial = parallel_map(&items, 1, |&x| x * x);
+        let parallel = parallel_map(&items, 4, |&x| x * x);
+        assert_eq!(serial, parallel);
+        assert_eq!(parallel[5], 25);
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller() {
+        // The one failure path left for a poisoned cell: no isolation, no
+        // partial result, at either fan-out width.
+        let items: Vec<u64> = (0..8).collect();
+        for jobs in [1, 4] {
+            let outcome = std::panic::catch_unwind(|| {
+                parallel_map(&items, jobs, |&x| {
+                    assert!(x != 5, "poisoned item");
+                    x
+                })
+            });
+            assert!(outcome.is_err(), "jobs {jobs}: the panic was swallowed");
+        }
     }
 
     #[test]
@@ -249,7 +319,7 @@ mod tests {
             scale: 0.1,
             jobs: 2,
         };
-        let exec = CellExecutor::new(cfg, None);
+        let mut exec = CellExecutor::new(cfg);
         assert_eq!(
             exec.cell(cell(2)),
             None,
@@ -257,15 +327,17 @@ mod tests {
         );
         let mut plan = Plan::new();
         plan.add(cell(2), &cfg);
-        let report = exec.execute(&plan);
-        assert_eq!((report.computed, report.memo_hits), (2, 0));
+        assert_eq!(exec.execute(&plan), 2);
         // Re-executing the same plan simulates nothing.
-        let report = exec.execute(&plan);
-        assert_eq!((report.computed, report.memo_hits), (0, 2));
+        assert_eq!(exec.execute(&plan), 0);
+        // An overlapping plan simulates only its new items.
+        plan.add(cell(4), &cfg);
+        assert_eq!(exec.execute(&plan), 2);
+        assert_eq!(exec.simulated(), 4);
         // Assembly reads the cached seeds.
         let r = exec.cell(cell(2)).expect("both seeds cached");
         assert!(r.speedup > 0.0);
-        assert_eq!(exec.cell(cell(4)), None, "unplanned cells stay unresolved");
+        assert_eq!(exec.cell(cell(6)), None, "unplanned cells stay unresolved");
     }
 
     #[test]
@@ -275,7 +347,7 @@ mod tests {
             scale: 0.1,
             jobs: 2,
         };
-        let exec = CellExecutor::new(cfg, None);
+        let mut exec = CellExecutor::new(cfg);
         let mut plan = Plan::new();
         plan.add(cell(4), &cfg);
         exec.execute(&plan);
@@ -288,10 +360,10 @@ mod tests {
 
     /// Seed-averaged results of `cell` from a fresh executor.
     fn cold_cell(cell: Cell, cfg: HarnessConfig) -> CellResult {
-        let exec = CellExecutor::new(cfg, None);
+        let mut exec = CellExecutor::new(cfg);
         let mut plan = Plan::new();
         plan.add(cell, &cfg);
-        assert!(exec.execute(&plan).complete());
+        assert_eq!(exec.execute(&plan), cfg.seeds as usize);
         exec.cell(cell).expect("every seed cached")
     }
 
@@ -324,10 +396,5 @@ mod tests {
         let r = cold_cell(kmeans, cfg);
         let total: f64 = r.mode_fractions.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "fractions sum to {total}");
-    }
-
-    #[test]
-    fn cell_keys_render_their_coordinates() {
-        assert_eq!(CellKey::new(cell(2), 3, 0.1).to_string(), "ssca2/rtm/t2/s3");
     }
 }

@@ -18,9 +18,12 @@
 //! Execution goes through one API (`DESIGN.md` §9): experiments declare
 //! their grid as a [`Plan`] and hand it to a [`CellExecutor`], which
 //! deduplicates, memoizes per `(benchmark, policy, threads, seed, scale)`,
-//! and fans uncached cells out across OS threads. Parallel execution is
-//! bit-identical to serial — every cell is an independent deterministic
-//! simulation — so `--jobs`/`SEER_JOBS` only changes wall-clock time.
+//! and fans uncached cells out across OS threads with [`parallel_map`].
+//! Parallel execution is bit-identical to serial — every cell is an
+//! independent deterministic simulation — so `--jobs`/`SEER_JOBS` only
+//! changes wall-clock time. There is no wall-clock deadline and no panic
+//! isolation: a run is bounded by the driver's event valve and the scale
+//! rule, and a cell that panics panics the caller.
 //!
 //! Environment knobs: `SEER_SEEDS` (seeds averaged per cell, default 3),
 //! `SEER_SCALE` (work scale factor, default 1.0), `SEER_JOBS` (executor
@@ -42,13 +45,12 @@ pub mod trace_export;
 pub use exec::{parallel_map, CellExecutor, CellKey, Plan};
 pub use experiments::{
     convergence, core_locks_only, figure3, figure4, figure5, fine_grained, inference_accuracy,
-    table3, AccuracyResult, BenchmarkKey, ConvergenceResult, FineGrainedResult, Planned,
-    THREADS_FULL, THREADS_TABLE,
+    table3, AccuracyResult, ConvergenceResult, FineGrainedResult, THREADS_FULL, THREADS_TABLE,
 };
 pub use policy::{PolicyKind, SeerSpec, UnknownPolicy};
 pub use report::{maybe_write_json, Panel, PercentTable, Series};
 pub use runner::{execute_cell, geometric_mean, sim_seed, Cell, CellResult, HarnessConfig};
-pub use seer_store::{ExecReport, FailedItem, Json, RunFailure, ToJson};
+pub use seer_store::{Json, ToJson};
 pub use trace_export::{
     chrome_trace, inference_json, lifecycle_json, trace_jsonl, validate_trace_jsonl,
     write_chrome_trace, write_trace_jsonl,

@@ -127,12 +127,13 @@ impl CellResult {
 ///
 /// This is the mechanism under `RunRequest::cell` (the workspace's
 /// public entry-point builder, in `seer-scenario`); harness-internal
-/// code and the executor's run function call it directly.
+/// code and `CellExecutor::execute` call it directly.
 ///
 /// # Panics
 /// If the run trips the driver's event safety valve (`truncated`) — the
-/// simulated-cycle budget. Under a supervised executor that panic is
-/// caught and reported as a failed cell, not a process abort.
+/// simulated-cycle budget. The message names the cell and seed, and the
+/// panic propagates out of whatever ran it, `CellExecutor::execute`
+/// included, and ends the command.
 pub fn execute_cell(
     cell: Cell,
     seed: u64,

@@ -37,8 +37,8 @@ fn grid() -> Vec<Cell> {
 
 #[test]
 fn parallel_execution_equals_serial_field_for_field() {
-    let serial = CellExecutor::new(config(1, 2), None);
-    let parallel = CellExecutor::new(config(4, 2), None);
+    let mut serial = CellExecutor::new(config(1, 2));
+    let mut parallel = CellExecutor::new(config(4, 2));
     let cells = grid();
 
     let mut serial_plan = Plan::new();
@@ -47,8 +47,8 @@ fn parallel_execution_equals_serial_field_for_field() {
         serial_plan.add(cell, serial.config());
         parallel_plan.add(cell, parallel.config());
     }
-    let serial_report = serial.execute(&serial_plan);
-    let parallel_report = parallel.execute(&parallel_plan);
+    let serial_simulated = serial.execute(&serial_plan);
+    let parallel_simulated = parallel.execute(&parallel_plan);
 
     for &cell in &cells {
         let a: CellResult = serial.cell(cell).expect("serial covered");
@@ -66,16 +66,14 @@ fn parallel_execution_equals_serial_field_for_field() {
         }
     }
     // Both executors did exactly the unique work, no more.
-    assert_eq!(serial_report.computed, parallel_report.computed);
-    assert_eq!(serial_report.computed, (cells.len() * 2) as u64);
+    assert_eq!(serial_simulated, parallel_simulated);
+    assert_eq!(serial_simulated, cells.len() * 2);
 }
 
 #[test]
 fn parallel_figure3_renders_identically_to_serial() {
-    let serial = CellExecutor::new(config(1, 1), None);
-    let parallel = CellExecutor::new(config(3, 1), None);
-    let a = figure3(&serial, &THREADS).1.expect("serial figure");
-    let b = figure3(&parallel, &THREADS).1.expect("parallel figure");
+    let a = figure3(&mut CellExecutor::new(config(1, 1)), &THREADS);
+    let b = figure3(&mut CellExecutor::new(config(3, 1)), &THREADS);
     assert_eq!(a.len(), b.len());
     for (pa, pb) in a.iter().zip(&b) {
         assert_eq!(pa.render(), pb.render());
@@ -85,32 +83,41 @@ fn parallel_figure3_renders_identically_to_serial() {
 #[test]
 fn memoization_accounting_across_overlapping_experiments() {
     let seeds = 1u64;
-    let exec = CellExecutor::new(config(2, seeds), None);
-
-    let (fig3, _) = figure3(&exec, &THREADS);
-    let (tab3, _) = table3(&exec, &THREADS);
-    let (fig4, _) = figure4(&exec, &THREADS);
+    let mut exec = CellExecutor::new(config(2, seeds));
 
     // figure3: STAMP × FIGURE3 × |THREADS| cells; table3 re-reads exactly
     // that grid; figure4 adds (STAMP + hashmap-low) × {RTM, profile-only},
     // of which STAMP × RTM is already cached. New per thread count:
     // profile-only on the 8 STAMP benchmarks + both policies on hashmap.
-    let fig3_cells = (8 * 4 * THREADS.len()) as u64 * seeds;
-    let fig4_new = ((8 + 2) * THREADS.len()) as u64 * seeds;
-    assert_eq!(fig3.computed, fig3_cells);
+    let fig3_cells = 8 * 4 * THREADS.len() * seeds as usize;
+    let fig4_new = (8 + 2) * THREADS.len() * seeds as usize;
+
+    figure3(&mut exec, &THREADS);
+    assert_eq!(exec.simulated(), fig3_cells);
+    table3(&mut exec, &THREADS);
     assert_eq!(
-        (tab3.computed, tab3.memo_hits),
-        (0, fig3_cells),
+        exec.simulated(),
+        fig3_cells,
         "table3 must be served from cache"
     );
-    assert_eq!(fig4.computed, fig4_new, "figure4 re-simulated shared cells");
-    assert_eq!(fig4.memo_hits as usize, fig4.planned - fig4_new as usize);
+    figure4(&mut exec, &THREADS);
+    assert_eq!(
+        exec.simulated() - fig3_cells,
+        fig4_new,
+        "figure4 re-simulated shared cells"
+    );
 }
 
 #[test]
 fn table3_after_figure3_is_free() {
-    let exec = CellExecutor::new(config(2, 1), None);
-    figure3(&exec, &THREADS_TABLE);
-    let (report, _) = table3(&exec, &THREADS_TABLE);
-    assert_eq!(report.computed, 0, "table3 re-simulated cached cells");
+    let mut exec = CellExecutor::new(config(2, 1));
+    figure3(&mut exec, &THREADS_TABLE);
+    let after_figure3 = exec.simulated();
+    let (tables, _) = table3(&mut exec, &THREADS_TABLE);
+    assert_eq!(
+        exec.simulated(),
+        after_figure3,
+        "table3 re-simulated cached cells"
+    );
+    assert_eq!(tables.len(), PolicyKind::FIGURE3.len());
 }

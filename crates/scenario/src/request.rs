@@ -129,24 +129,20 @@ mod tests {
         );
 
         // The executor computes the same value, and traced runs add no
-        // work to it: re-executing its plan is all memo hits.
-        let exec = CellExecutor::new(
-            HarnessConfig {
-                seeds: 1,
-                scale: 0.1,
-                jobs: 1,
-            },
-            None,
-        );
+        // work to it: re-executing its plan simulates 0 cells.
+        let mut exec = CellExecutor::new(HarnessConfig {
+            seeds: 1,
+            scale: 0.1,
+            jobs: 1,
+        });
         let mut plan = Plan::new();
         plan.add_one(cell, 0, 0.1);
-        assert!(exec.execute(&plan).complete());
+        assert_eq!(exec.execute(&plan), 1);
         same(&exec.cached(cell, 0, 0.1).expect("executed above"));
         RunRequest::cell(cell)
             .scale(0.1)
             .traced(&mut MemoryTraceSink::new())
             .run();
-        let report = exec.execute(&plan);
-        assert_eq!((report.computed, report.memo_hits), (0, 1));
+        assert_eq!(exec.execute(&plan), 0);
     }
 }
