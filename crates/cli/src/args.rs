@@ -1,9 +1,9 @@
 //! A small, dependency-free argument parser for the `seer` CLI.
 //!
 //! Grammar: `seer <command> [--key value]...`. Unknown keys and malformed
-//! values are reported with the offending token; `--help` anywhere prints
-//! usage. Kept deliberately simple — the CLI has seven commands and a
-//! handful of typed options.
+//! values are reported with the offending token; `--help` (or `-h`)
+//! anywhere prints usage. Kept deliberately simple — the CLI has seven
+//! commands and a handful of typed options.
 
 use std::collections::BTreeMap;
 
@@ -41,14 +41,15 @@ impl Args {
         }
         let mut options = BTreeMap::new();
         while let Some(tok) = iter.next() {
+            // The one value-free flag, in both spellings: presence is the
+            // whole message.
+            if tok == "--help" || tok == "-h" {
+                options.insert("help".to_string(), "true".into());
+                continue;
+            }
             let Some(key) = tok.strip_prefix("--") else {
                 return Err(ParseError(format!("expected --option, got {tok:?}")));
             };
-            // The one value-free flag: presence is the whole message.
-            if key == "help" {
-                options.insert(key.to_string(), "true".into());
-                continue;
-            }
             let value = iter
                 .next()
                 .ok_or_else(|| ParseError(format!("--{key} needs a value")))?;
@@ -59,7 +60,7 @@ impl Args {
         Ok(Self { command, options })
     }
 
-    /// True when `--help` was passed.
+    /// True when `--help` or `-h` was passed.
     pub fn wants_help(&self) -> bool {
         self.options.contains_key("help")
     }
@@ -142,7 +143,10 @@ mod tests {
 
     #[test]
     fn help_flag_is_value_free() {
-        let a = parse(&["run", "--help"]).unwrap();
-        assert!(a.wants_help());
+        for flag in ["--help", "-h"] {
+            let a = parse(&["run", flag, "--threads", "2"]).unwrap();
+            assert!(a.wants_help(), "{flag}");
+            assert_eq!(a.get("threads"), Some("2"), "{flag}");
+        }
     }
 }

@@ -162,6 +162,13 @@ fn metrics_summary(m: &RunMetrics) -> String {
 
 /// `seer run`.
 pub fn run_one(args: &Args) -> Result<(), ParseError> {
+    print!("{}", run_report(args)?);
+    Ok(())
+}
+
+/// What `seer run` prints, returned as a string so tests can assert on
+/// it. Trace files named by `--trace`/`--chrome` are written on the way.
+fn run_report(args: &Args) -> Result<String, ParseError> {
     args.allow_only(&[
         "benchmark",
         "policy",
@@ -176,7 +183,7 @@ pub fn run_one(args: &Args) -> Result<(), ParseError> {
     let policy = parse_policy(args.get("policy").unwrap_or("seer"))?;
     let threads: usize = args.get_parsed("threads", 8)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
-    let scale = parse_txs(args, benchmark)? as f64 / benchmark.default_txs() as f64;
+    let txs = parse_txs(args, benchmark)?;
     let json: bool = args.get_parsed("json", false)?;
     if threads == 0 || threads > 8 {
         return Err(ParseError("--threads must be 1..=8".into()));
@@ -195,7 +202,7 @@ pub fn run_one(args: &Args) -> Result<(), ParseError> {
         let mut sink = MemoryTraceSink::new();
         let m = RunRequest::cell(cell)
             .seed(seed)
-            .scale(scale)
+            .txs(txs)
             .traced(&mut sink)
             .run();
         if let Some(path) = trace_path {
@@ -210,19 +217,18 @@ pub fn run_one(args: &Args) -> Result<(), ParseError> {
         }
         m
     } else {
-        RunRequest::cell(cell).seed(seed).scale(scale).run()
+        RunRequest::cell(cell).seed(seed).txs(txs).run()
     };
-    if json {
-        println!("{}", run_json(cell, seed, &m).to_string_pretty());
+    Ok(if json {
+        format!("{}\n", run_json(cell, seed, &m).to_string_pretty())
     } else {
-        println!(
-            "{} under {} with {threads} thread(s), seed {seed}:",
+        format!(
+            "{} under {} with {threads} thread(s), seed {seed}:\n{}\n",
             benchmark.spec(),
-            policy.label()
-        );
-        println!("{}", metrics_summary(&m));
-    }
-    Ok(())
+            policy.label(),
+            metrics_summary(&m)
+        )
+    })
 }
 
 /// The `seer run --json true` object for `cell`'s run `m`. Its `policy`
@@ -424,14 +430,14 @@ fn parse_pair(raw: &str) -> Result<(usize, usize), ParseError> {
 /// inference round's probabilities, fitted Gaussian, Th2 cutoff and
 /// verdict reason. Returned as a string so tests can assert on it; the
 /// `explain` command prints it.
-pub fn explain_text(cell: Cell, seed: u64, scale: f64, x: usize, y: usize) -> String {
+pub fn explain_text(cell: Cell, seed: u64, txs: usize, x: usize, y: usize) -> String {
     let mut sink = MemoryTraceSink::new();
     let m = RunRequest::cell(cell)
         .seed(seed)
-        .scale(scale)
+        .txs(txs)
         .traced(&mut sink)
         .run();
-    let workload = cell.benchmark.instantiate_scaled(cell.threads, scale);
+    let workload = cell.benchmark.instantiate(cell.threads, txs);
     let mut out = format!(
         "pair ({x}, {y}) = ({}, {}) — {} under {}, {} thread(s), seed {seed}\n\
          {} commits, {} inference round(s) recorded\n",
@@ -501,7 +507,7 @@ pub fn explain(args: &Args) -> Result<(), ParseError> {
     let policy = parse_policy(args.get("policy").unwrap_or("seer"))?;
     let threads: usize = args.get_parsed("threads", 8)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
-    let scale = parse_txs(args, benchmark)? as f64 / benchmark.default_txs() as f64;
+    let txs = parse_txs(args, benchmark)?;
     if threads == 0 || threads > 8 {
         return Err(ParseError("--threads must be 1..=8".into()));
     }
@@ -510,7 +516,7 @@ pub fn explain(args: &Args) -> Result<(), ParseError> {
         .ok_or_else(|| ParseError("explain needs --pair X,Y".into()))?;
     let (x, y) = parse_pair(raw_pair)?;
 
-    let blocks = benchmark.instantiate_scaled(threads, scale).num_blocks();
+    let blocks = benchmark.instantiate(threads, txs).num_blocks();
     if x >= blocks || y >= blocks {
         // Warn once per process (the `SEER_SEEDS`/`SEER_JOBS` style)
         // instead of panicking: an out-of-range pair is a diagnosis typo,
@@ -535,7 +541,7 @@ pub fn explain(args: &Args) -> Result<(), ParseError> {
                 threads,
             },
             seed,
-            scale,
+            txs,
             x,
             y,
         )
@@ -885,7 +891,7 @@ mod tests {
             policy: PolicyKind::Seer,
             threads: 4,
         };
-        let text = explain_text(cell, 0, 0.2, 0, 1);
+        let text = explain_text(cell, 0, Benchmark::KmeansHigh.scaled_txs(0.2), 0, 1);
         assert!(text.contains("round 1 at "), "no inference round:\n{text}");
         assert!(text.contains("conditional = "), "{text}");
         assert!(text.contains("conjunctive = "), "{text}");
@@ -894,6 +900,44 @@ mod tests {
         assert!(text.contains("Th2 cutoff = "), "{text}");
         assert!(text.contains("verdict: "), "{text}");
         assert!(text.contains("final scheme: pair (0, 1)"), "{text}");
+    }
+
+    /// `--txs N` runs exactly N transactions per thread, not the count a
+    /// round trip through a scale factor gives (54 for 55, 20 for 5).
+    fn run_commits(txs: &str) -> String {
+        run_report(&args(&[
+            "run",
+            "--benchmark",
+            "ssca2",
+            "--threads",
+            "1",
+            "--txs",
+            txs,
+        ]))
+        .unwrap()
+    }
+
+    #[test]
+    fn run_with_txs_55_commits_55() {
+        let out = run_commits("55");
+        assert!(out.contains("\ncommits            55\n"), "{out}");
+    }
+
+    #[test]
+    fn run_with_txs_5_commits_5() {
+        let out = run_commits("5");
+        assert!(out.contains("\ncommits            5\n"), "{out}");
+    }
+
+    #[test]
+    fn explain_with_txs_5_commits_5_per_thread() {
+        let cell = Cell {
+            benchmark: Benchmark::Ssca2,
+            policy: PolicyKind::Seer,
+            threads: 2,
+        };
+        let text = explain_text(cell, 0, 5, 0, 1);
+        assert!(text.contains("\n10 commits, "), "{text}");
     }
 
     #[test]

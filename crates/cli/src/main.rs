@@ -150,7 +150,14 @@ mod tests {
 
     #[test]
     fn help_prints_usage_in_every_spelling() {
-        for words in [&[][..], &["help"], &["--help"], &["-h"], &["run", "--help"]] {
+        for words in [
+            &[][..],
+            &["help"],
+            &["--help"],
+            &["-h"],
+            &["run", "--help"],
+            &["run", "-h"],
+        ] {
             assert_eq!(run_words(words), Ok(()), "{words:?}");
         }
         // Any other option in command position still wants a command.

@@ -21,10 +21,9 @@
 //!    `tests/fixtures/trace_hashes.txt` pin the schedules across
 //!    refactorings.
 //!
-//! The runtime-side invariant checker itself lives in `seer-runtime`
-//! behind the `check-invariants` feature; enabling this crate's feature of
-//! the same name turns it on for the whole suite, so the replay matrix
-//! doubles as an invariant-checking sweep.
+//! The runtime-side invariant checker itself lives in `seer-runtime` and
+//! runs after every event of every build with debug assertions, so the
+//! replay matrix doubles as an invariant-checking sweep.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,11 +1,10 @@
 //! Invariant-checking sweep over real workloads.
 //!
-//! These tests run with or without the `check-invariants` feature; with it
-//! enabled (`cargo test -p seer-conformance --features check-invariants`)
-//! every event of every run below also passes through the driver's
-//! invariant checker — lock-order canonicality, epoch monotonicity, SGL
-//! subscription consistency, running conservation — turning the sweep into
-//! a structural audit of the whole scheduler zoo.
+//! In every build with debug assertions (any `cargo test`), every event of
+//! every run below also passes through the driver's invariant checker —
+//! lock-order canonicality, epoch monotonicity, SGL subscription
+//! consistency, running conservation — turning the sweep into a structural
+//! audit of the whole scheduler zoo.
 
 use seer_harness::{Cell, PolicyKind};
 use seer_scenario::RunRequest;
@@ -39,11 +38,11 @@ fn conservation_laws_hold_across_the_policy_zoo() {
     }
 }
 
-/// Proof that the checker is live when the feature is on: a causality
-/// violation in the event queue must panic instead of being clamped.
-#[cfg(feature = "check-invariants")]
+/// Proof that the checker is live in debug builds: a causality violation
+/// in the event queue must panic instead of being clamped.
+#[cfg(debug_assertions)]
 #[test]
-fn causality_violations_panic_under_the_feature() {
+fn causality_violations_panic_in_debug_builds() {
     let result = std::panic::catch_unwind(|| {
         let mut q = seer_sim::EventQueue::new();
         q.push(100, ());

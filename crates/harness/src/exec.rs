@@ -223,7 +223,8 @@ impl CellExecutor {
             .copied()
             .collect();
         let results = parallel_map(&todo, self.cfg.jobs, |key| {
-            execute_cell(key.cell(), key.seed, key.scale(), None)
+            let txs = key.benchmark.scaled_txs(key.scale());
+            execute_cell(key.cell(), key.seed, txs, None)
         });
         self.memo.extend(todo.iter().copied().zip(results));
         todo.len()
@@ -352,7 +353,7 @@ mod tests {
         plan.add(cell(4), &cfg);
         exec.execute(&plan);
         let cached = exec.cached(cell(4), 0, 0.1).expect("planned");
-        let fresh = execute_cell(cell(4), 0, 0.1, None);
+        let fresh = execute_cell(cell(4), 0, Benchmark::Ssca2.scaled_txs(0.1), None);
         assert_eq!(cached.trace_hash, fresh.trace_hash);
         assert_eq!(cached.makespan, fresh.makespan);
         assert_eq!(cached.commits, fresh.commits);

@@ -119,11 +119,11 @@ impl CellResult {
     }
 }
 
-/// The one cell-execution primitive: runs one seed of `cell` and returns
-/// the raw metrics. With a sink, the run's lifecycle and inference
-/// streams are collected into it; per the sink-not-flag discipline the
-/// returned metrics (and in particular `trace_hash`) are bit-identical
-/// either way.
+/// The one cell-execution primitive: runs one seed of `cell` with `txs`
+/// transactions per thread and returns the raw metrics. With a sink, the
+/// run's lifecycle and inference streams are collected into it; per the
+/// sink-not-flag discipline the returned metrics (and in particular
+/// `trace_hash`) are bit-identical either way.
 ///
 /// This is the mechanism under `RunRequest::cell` (the workspace's
 /// public entry-point builder, in `seer-scenario`); harness-internal
@@ -137,10 +137,10 @@ impl CellResult {
 pub fn execute_cell(
     cell: Cell,
     seed: u64,
-    scale: f64,
+    txs: usize,
     sink: Option<&mut dyn TraceSink>,
 ) -> RunMetrics {
-    let mut workload = cell.benchmark.instantiate_scaled(cell.threads, scale);
+    let mut workload = cell.benchmark.instantiate(cell.threads, txs);
     let blocks = workload.num_blocks();
     let mut sched = cell.policy.build(cell.threads, blocks);
     let cfg = DriverConfig::paper_machine(cell.threads, sim_seed(seed));

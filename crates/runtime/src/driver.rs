@@ -351,7 +351,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
                 break;
             }
             self.dispatch(ev);
-            #[cfg(feature = "check-invariants")]
+            #[cfg(debug_assertions)]
             self.assert_invariants();
         }
         self.metrics.events = events;
@@ -366,7 +366,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
             .max()
             .unwrap_or(0);
         metrics.trace_hash = self.queue.trace_hash();
-        #[cfg(feature = "check-invariants")]
+        #[cfg(debug_assertions)]
         if !metrics.truncated {
             let violations = metrics.check_conservation();
             assert!(
@@ -378,9 +378,9 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
     }
 
     /// Structural invariants that must hold between any two driver events.
-    /// Compiled only under `check-invariants`; see DESIGN.md (conformance
-    /// layer) for the catalogue.
-    #[cfg(feature = "check-invariants")]
+    /// Compiled into every build with debug assertions; see DESIGN.md
+    /// (conformance layer) for the catalogue.
+    #[cfg(debug_assertions)]
     fn assert_invariants(&self) {
         // SGL subscription consistency: while the fall-back lock is held no
         // hardware transaction may be running — begin-time subscription
@@ -494,8 +494,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         // Epoch monotonicity: epochs only ever advance, so a delivered event
         // can carry at most the thread's current epoch. Anything newer means
         // the event was fabricated or the epoch counter went backwards.
-        #[cfg(feature = "check-invariants")]
-        assert!(
+        debug_assert!(
             epoch <= self.threads[th].epoch,
             "event for thread {th} carries epoch {epoch} from the future (current {})",
             self.threads[th].epoch
@@ -699,8 +698,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
                         // transaction (paper §4). Cost: one begin/commit
                         // pair instead of one RMW per lock.
                         for &l in &needed {
-                            #[cfg(feature = "check-invariants")]
-                            assert!(
+                            debug_assert!(
                                 self.threads[th].held.iter().all(|&h| h < l),
                                 "non-canonical acquisition: {l:?} after holding {:?}",
                                 self.threads[th].held
@@ -773,8 +771,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         // Deadlock freedom rests on every thread acquiring in canonical
         // `LockId` order; growing a held set downwards must instead go
         // through `ReleaseHeld` + fresh ordered acquisition.
-        #[cfg(feature = "check-invariants")]
-        assert!(
+        debug_assert!(
             self.threads[th].held.iter().all(|&h| h < l),
             "non-canonical acquisition: {l:?} after holding {:?}",
             self.threads[th].held

@@ -155,7 +155,7 @@ impl SyntheticWorkload {
         req.accesses.clear();
         let mut offset: Cycles = 0;
         for _ in 0..spec.accesses {
-            offset += rng.cycles_between(spec.spacing.0, spec.spacing.1);
+            offset += rng.range_inclusive(spec.spacing.0, spec.spacing.1);
             let line = if rng.chance(spec.hot_probability) {
                 spec.hot_region * REGION_STRIDE + rng.zipf(&self.zipf[req.block]) as u64
             } else {
@@ -172,8 +172,8 @@ impl SyntheticWorkload {
             };
             req.accesses.push(Access { line, kind, offset });
         }
-        req.duration = offset + rng.cycles_between(spec.spacing.0, spec.spacing.1);
-        req.think = rng.cycles_between(self.spec.think.0, self.spec.think.1);
+        req.duration = offset + rng.range_inclusive(spec.spacing.0, spec.spacing.1);
+        req.think = rng.range_inclusive(self.spec.think.0, self.spec.think.1);
     }
 }
 

@@ -42,6 +42,7 @@ impl RunRequest {
             cell,
             seed: 0,
             scale: 1.0,
+            txs: None,
             sink: None,
         }
     }
@@ -52,6 +53,7 @@ pub struct CellRun<'r> {
     cell: Cell,
     seed: u64,
     scale: f64,
+    txs: Option<usize>,
     sink: Option<&'r mut dyn TraceSink>,
 }
 
@@ -62,9 +64,17 @@ impl<'r> CellRun<'r> {
         self
     }
 
-    /// Workload scale factor (1.0 = the paper's full-size inputs).
+    /// Workload scale factor (1.0 = the paper's full-size inputs), turned
+    /// into a per-thread count by [`seer_stamp::Benchmark::scaled_txs`].
     pub fn scale(mut self, scale: f64) -> Self {
         self.scale = scale;
+        self
+    }
+
+    /// Exactly `txs` transactions per thread, instead of the count the
+    /// scale gives.
+    pub fn txs(mut self, txs: usize) -> Self {
+        self.txs = Some(txs);
         self
     }
 
@@ -75,6 +85,7 @@ impl<'r> CellRun<'r> {
             cell: self.cell,
             seed: self.seed,
             scale: self.scale,
+            txs: self.txs,
             sink: Some(sink),
         }
     }
@@ -84,7 +95,10 @@ impl<'r> CellRun<'r> {
     /// # Panics
     /// If the run trips the driver's event safety valve (`truncated`).
     pub fn run(self) -> RunMetrics {
-        execute_cell(self.cell, self.seed, self.scale, self.sink)
+        let txs = self
+            .txs
+            .unwrap_or_else(|| self.cell.benchmark.scaled_txs(self.scale));
+        execute_cell(self.cell, self.seed, txs, self.sink)
     }
 }
 
@@ -94,6 +108,7 @@ impl std::fmt::Debug for CellRun<'_> {
             .field("cell", &self.cell)
             .field("seed", &self.seed)
             .field("scale", &self.scale)
+            .field("txs", &self.txs)
             .field("traced", &self.sink.is_some())
             .finish()
     }

@@ -192,20 +192,12 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` to fire at `time`.
     ///
     /// Scheduling an event before the current watermark (the time of the
-    /// last popped event) would break causality; debug builds and
-    /// `check-invariants` builds assert against it, plain release builds
-    /// clamp to the watermark.
+    /// last popped event) would break causality; debug builds assert
+    /// against it, release builds clamp to the watermark.
     pub fn push(&mut self, time: Cycles, payload: E) {
-        #[cfg(feature = "check-invariants")]
-        assert!(
-            time >= self.watermark,
-            "causality violation: event scheduled at {} before watermark {}",
-            time,
-            self.watermark
-        );
         debug_assert!(
             time >= self.watermark,
-            "event scheduled at {} before watermark {}",
+            "causality violation: event scheduled at {} before watermark {}",
             time,
             self.watermark
         );
@@ -366,20 +358,6 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<Cycles> {
-        if let Some(b) = self.cur {
-            return self.wheel[b].last().map(|e| e.time);
-        }
-        if let Some(idx) = self.first_occupied() {
-            // Not yet sorted; a linear scan of one day's bucket. Wheel
-            // events always precede overflow events (their days are all
-            // smaller), so this is the global minimum.
-            return self.wheel[idx].iter().map(|e| e.time).min();
-        }
-        self.overflow.iter().map(|e| e.time).min()
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -388,27 +366,6 @@ impl<E> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Discards every pending event without firing it.
-    ///
-    /// The queue's causal identity survives: the watermark, the insertion
-    /// sequence counter and the trace digest all keep their values, so a
-    /// cleared queue refuses (debug) or clamps (release) pre-watermark
-    /// pushes exactly like a drained one, and its `trace_hash` still
-    /// fingerprints everything popped *before* the clear. Discarded events
-    /// never contribute to the digest — only popped ones do. Bucket
-    /// storage is retained, so clearing does not give back the warm-up
-    /// allocations.
-    pub fn clear(&mut self) {
-        for bucket in self.wheel.iter_mut() {
-            bucket.clear();
-        }
-        self.occupied = [0; WORDS];
-        self.cur = None;
-        self.overflow.clear();
-        self.overflow_min_day = u64::MAX;
-        self.len = 0;
     }
 
     /// Time of the most recently popped event.
@@ -512,17 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_matches_next_pop() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(7, "x");
-        q.push(3, "y");
-        assert_eq!(q.peek_time(), Some(3));
-        q.pop();
-        assert_eq!(q.peek_time(), Some(7));
-    }
-
-    #[test]
     fn len_and_is_empty() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
@@ -586,35 +532,7 @@ mod tests {
         assert!(expect.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    #[test]
-    fn clear_discards_pending_events_but_keeps_identity() {
-        let mut q = EventQueue::new();
-        q.push(5, "a");
-        q.push(10, "b");
-        assert_eq!(q.pop(), Some((5, "a")));
-        let hash_before = q.trace_hash();
-
-        q.push(2 * NB as Cycles * DAY, "overflowed");
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
-        // Discarded events never reach the digest; the watermark (and the
-        // causality clamp that rides on it) survives the clear.
-        assert_eq!(q.trace_hash(), hash_before);
-        assert_eq!(q.now(), 5);
-
-        // The queue drains normally again after a clear.
-        q.push(7, "c");
-        q.push(7, "d");
-        assert_eq!(q.pop(), Some((7, "c")));
-        assert_eq!(q.pop(), Some((7, "d")));
-        assert_eq!(q.pop(), None);
-        assert_ne!(q.trace_hash(), hash_before);
-    }
-
-    #[cfg(not(any(debug_assertions, feature = "check-invariants")))]
+    #[cfg(not(debug_assertions))]
     #[test]
     fn release_mode_clamps_to_watermark() {
         let mut q = EventQueue::new();

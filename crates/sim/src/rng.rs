@@ -13,8 +13,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::Cycles;
-
 /// Deterministic simulation RNG.
 ///
 /// A xoshiro256++ generator with domain helpers: integer ranges, Bernoulli
@@ -65,19 +63,6 @@ impl SimRng {
         result
     }
 
-    /// Next 32 random bits (upper half of a 64-bit step).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
     /// Uniform integer in `[0, bound)`.
     ///
     /// # Panics
@@ -108,12 +93,6 @@ impl SimRng {
             return self.next_u64();
         }
         lo + self.below(span + 1)
-    }
-
-    /// Uniform cycle count in `[lo, hi]`, a convenience alias used by the
-    /// workload trace generators.
-    pub fn cycles_between(&mut self, lo: Cycles, hi: Cycles) -> Cycles {
-        self.range_inclusive(lo, hi)
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
@@ -358,16 +337,6 @@ mod tests {
         }
         assert!(saw_lo && saw_hi);
         assert_eq!(r.range_inclusive(9, 9), 9);
-    }
-
-    #[test]
-    fn fill_bytes_varies() {
-        let mut r = SimRng::new(23);
-        let mut a = [0u8; 13];
-        let mut b = [0u8; 13];
-        r.fill_bytes(&mut a);
-        r.fill_bytes(&mut b);
-        assert_ne!(a, b);
     }
 
     #[test]
