@@ -121,7 +121,7 @@ mod tests {
     fn subsequent_aborts_keep_holding_aux() {
         let mut s = Scm::default();
         let mut bank = LockBank::new(4, 2);
-        assert!(bank.get_mut(LockId::Aux).try_acquire(1, 0));
+        assert!(bank.get_mut(LockId::Aux).try_acquire(1));
         let mut rng = SimRng::new(0);
         let mut env = env_with(&bank, &mut rng);
         match s.on_abort(1, 0, XStatus::conflict(), 3, &mut env) {

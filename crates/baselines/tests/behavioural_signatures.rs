@@ -8,38 +8,56 @@
 //! * ATS serializes when contention is high and stays optimistic when low.
 
 use seer_baselines::{Ats, Hle, Rtm, Scm};
-use seer_runtime::synthetic::{BlockSpec, SyntheticSpec, SyntheticWorkload};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 use seer_runtime::{run, DriverConfig, RunMetrics, Scheduler, TxMode};
 
-fn contended_spec(txs: usize) -> SyntheticSpec {
-    SyntheticSpec {
-        name: "contended".to_string(),
-        blocks: vec![BlockSpec {
-            accesses: 24,
-            write_fraction: 0.3,
-            hot_region: 0,
-            hot_lines: 64,
-            hot_probability: 0.25,
-            zipf_theta: 0.8,
-            spacing: (8, 20),
-            ..BlockSpec::default()
+/// One block: a few skewed accesses to a 64-line shared region among many
+/// thread-private ones.
+fn contended() -> Vec<StampBlock> {
+    vec![StampBlock {
+        name: "contended",
+        regions: vec![RegionUse {
+            region: 0,
+            lines: 64,
+            theta: 0.8,
+            reads: (3, 5),
+            writes: (1, 2),
         }],
-        txs_per_thread: txs,
+        private_reads: (11, 14),
+        private_writes: (4, 7),
+        spacing: (8, 20),
         think: (80, 160),
-    }
+        ..StampBlock::default()
+    }]
 }
 
-fn low_contention_spec(txs: usize) -> SyntheticSpec {
-    SyntheticSpec::low_contention_hashmap(txs)
+/// One short read-mostly block spread uniformly over a 1024-line table.
+fn low_contention() -> Vec<StampBlock> {
+    vec![StampBlock {
+        name: "low-contention",
+        regions: vec![RegionUse {
+            region: 0,
+            lines: 1024,
+            theta: 0.0,
+            reads: (9, 11),
+            writes: (0, 2),
+        }],
+        private_reads: (1, 2),
+        private_writes: (0, 0),
+        spacing: (6, 14),
+        think: (100, 300),
+        ..StampBlock::default()
+    }]
 }
 
 fn run_with(
     sched: &mut dyn Scheduler,
-    spec: SyntheticSpec,
+    blocks: Vec<StampBlock>,
+    txs: usize,
     threads: usize,
     seed: u64,
 ) -> RunMetrics {
-    let mut w = SyntheticWorkload::new(spec, threads);
+    let mut w = StampModel::new("signature", blocks, threads, txs);
     let mut cfg = DriverConfig::paper_machine(threads, seed);
     cfg.costs.async_abort_per_cycle = 0.0;
     run(&mut w, sched, &cfg)
@@ -49,9 +67,9 @@ fn run_with(
 fn hle_lemming_effect_dwarfs_rtm_fallback() {
     let threads = 8;
     let mut hle = Hle::default();
-    let m_hle = run_with(&mut hle, contended_spec(150), threads, 1);
+    let m_hle = run_with(&mut hle, contended(), 150, threads, 1);
     let mut rtm = Rtm::default();
-    let m_rtm = run_with(&mut rtm, contended_spec(150), threads, 1);
+    let m_rtm = run_with(&mut rtm, contended(), 150, threads, 1);
 
     assert_eq!(m_hle.commits, m_rtm.commits);
     let f_hle = m_hle.fallback_fraction();
@@ -67,9 +85,9 @@ fn hle_lemming_effect_dwarfs_rtm_fallback() {
 fn scm_trades_sgl_for_aux_lock() {
     let threads = 8;
     let mut rtm = Rtm::default();
-    let m_rtm = run_with(&mut rtm, contended_spec(150), threads, 2);
+    let m_rtm = run_with(&mut rtm, contended(), 150, threads, 2);
     let mut scm = Scm::default();
-    let m_scm = run_with(&mut scm, contended_spec(150), threads, 2);
+    let m_scm = run_with(&mut scm, contended(), 150, threads, 2);
 
     assert!(
         m_scm.fallback_fraction() < m_rtm.fallback_fraction(),
@@ -89,9 +107,9 @@ fn scm_trades_sgl_for_aux_lock() {
 fn ats_serializes_under_contention_only() {
     let threads = 8;
     let mut ats_hot = Ats::new(threads);
-    let m_hot = run_with(&mut ats_hot, contended_spec(120), threads, 3);
+    let m_hot = run_with(&mut ats_hot, contended(), 120, threads, 3);
     let mut ats_cold = Ats::new(threads);
-    let m_cold = run_with(&mut ats_cold, low_contention_spec(120), threads, 3);
+    let m_cold = run_with(&mut ats_cold, low_contention(), 120, threads, 3);
 
     assert!(
         m_hot.fallback_fraction() > 0.05,
@@ -116,15 +134,15 @@ fn all_baselines_complete_all_work_deterministically() {
         Box::new(Ats::new(threads)),
     ];
     for s in &mut schedulers {
-        let a = run_with(s.as_mut(), contended_spec(80), threads, 9);
+        let a = run_with(s.as_mut(), contended(), 80, threads, 9);
         assert_eq!(a.commits, total, "{} lost transactions", s.name());
         assert!(!a.truncated);
     }
     // Determinism: same seed, same scheduler type => identical metrics.
     let mut s1 = Rtm::default();
     let mut s2 = Rtm::default();
-    let a = run_with(&mut s1, contended_spec(80), threads, 9);
-    let b = run_with(&mut s2, contended_spec(80), threads, 9);
+    let a = run_with(&mut s1, contended(), 80, threads, 9);
+    let b = run_with(&mut s2, contended(), 80, threads, 9);
     assert_eq!(a.commits, b.commits);
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.aborts.total(), b.aborts.total());
@@ -134,9 +152,9 @@ fn all_baselines_complete_all_work_deterministically() {
 fn rtm_beats_hle_under_contention() {
     let threads = 8;
     let mut hle = Hle::default();
-    let m_hle = run_with(&mut hle, contended_spec(150), threads, 5);
+    let m_hle = run_with(&mut hle, contended(), 150, threads, 5);
     let mut rtm = Rtm::default();
-    let m_rtm = run_with(&mut rtm, contended_spec(150), threads, 5);
+    let m_rtm = run_with(&mut rtm, contended(), 150, threads, 5);
     assert!(
         m_rtm.speedup() > m_hle.speedup(),
         "RTM should outperform HLE: rtm={:.3} hle={:.3}",

@@ -518,19 +518,11 @@ pub fn explain(args: &Args) -> Result<(), ParseError> {
 
     let blocks = benchmark.instantiate(threads, txs).num_blocks();
     if x >= blocks || y >= blocks {
-        // Warn once per process (the `SEER_SEEDS`/`SEER_JOBS` style)
-        // instead of panicking: an out-of-range pair is a diagnosis typo,
-        // not a reason to abort a script driving the CLI.
-        static WARNED: Once = Once::new();
-        WARNED.call_once(|| {
-            eprintln!(
-                "warning: pair ({x}, {y}) is out of range for {} \
-                 ({blocks} atomic blocks, indices 0..={}); skipping",
-                benchmark.spec(),
-                blocks - 1
-            );
-        });
-        return Ok(());
+        return Err(ParseError(format!(
+            "--pair {x},{y} is out of range for {} ({blocks} atomic blocks, indices 0..={})",
+            benchmark.spec(),
+            blocks - 1
+        )));
     }
     print!(
         "{}",
@@ -959,7 +951,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_warns_on_out_of_range_pair_instead_of_panicking() {
+    fn explain_rejects_out_of_range_pair() {
         let a = args(&[
             "explain",
             "--benchmark",
@@ -971,9 +963,13 @@ mod tests {
             "--txs",
             "40",
         ]);
-        // Out-of-range pair: warns once to stderr and returns Ok.
-        explain(&a).expect("out-of-range pair must not panic");
-        explain(&a).expect("second call hits the Once, still no panic");
+        // Out-of-range pair: an error naming the valid block range, like
+        // every other range error (exit 2), not a panic.
+        let err = explain(&a).expect_err("out-of-range pair is an error");
+        assert_eq!(
+            err.0,
+            "--pair 999,0 is out of range for ssca2 (2 atomic blocks, indices 0..=1)"
+        );
     }
 
     #[test]

@@ -44,12 +44,11 @@ impl Scheduler for SglOnly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seer_runtime::synthetic::{SyntheticSpec, SyntheticWorkload};
     use seer_runtime::{run, DriverConfig, NullScheduler, TxMode};
+    use seer_stamp::Benchmark;
 
     fn run_sgl(threads: usize, seed: u64) -> seer_runtime::RunMetrics {
-        let spec = SyntheticSpec::low_contention_hashmap(30);
-        let mut workload = SyntheticWorkload::new(spec, threads);
+        let mut workload = Benchmark::HashmapLow.instantiate(threads, 30);
         let mut sched = SglOnly;
         run(
             &mut workload,
@@ -75,8 +74,7 @@ mod tests {
     fn commits_match_an_independent_policy() {
         // Same workload under the null scheduler: the *work done* must be
         // identical even though the execution strategy is opposite.
-        let spec = SyntheticSpec::low_contention_hashmap(30);
-        let mut workload = SyntheticWorkload::new(spec, 4);
+        let mut workload = Benchmark::HashmapLow.instantiate(4, 30);
         let mut null = NullScheduler::new(5);
         let htm = run(
             &mut workload,

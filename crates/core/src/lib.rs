@@ -35,13 +35,11 @@
 //!
 //! ```
 //! use seer::{Seer, SeerConfig};
-//! use seer_runtime::synthetic::{SyntheticSpec, SyntheticWorkload};
-//! use seer_runtime::{run, DriverConfig};
+//! use seer_runtime::{run, DriverConfig, Workload};
+//! use seer_stamp::Benchmark;
 //!
-//! let spec = SyntheticSpec::low_contention_hashmap(50);
-//! let blocks = spec.blocks.len();
-//! let mut workload = SyntheticWorkload::new(spec, 4);
-//! let mut seer = Seer::new(SeerConfig::full(), 4, blocks);
+//! let mut workload = Benchmark::HashmapLow.instantiate(4, 50);
+//! let mut seer = Seer::new(SeerConfig::full(), 4, workload.num_blocks());
 //! let metrics = run(&mut workload, &mut seer, &DriverConfig::paper_machine(4, 1));
 //! assert_eq!(metrics.commits, 200);
 //! ```

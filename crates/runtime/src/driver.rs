@@ -182,11 +182,21 @@ impl ThreadCtx {
 /// collected metrics.
 ///
 /// ```
-/// use seer_runtime::synthetic::{SyntheticSpec, SyntheticWorkload};
+/// use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 /// use seer_runtime::{run, DriverConfig, NullScheduler};
 ///
-/// let mut workload =
-///     SyntheticWorkload::new(SyntheticSpec::low_contention_hashmap(25), 4);
+/// // One read-mostly atomic block over a 1024-line shared table.
+/// let block = StampBlock {
+///     regions: vec![RegionUse {
+///         region: 0,
+///         lines: 1024,
+///         theta: 0.0,
+///         reads: (2, 4),
+///         writes: (0, 1),
+///     }],
+///     ..StampBlock::default()
+/// };
+/// let mut workload = StampModel::new("table", vec![block], 4, 25);
 /// let mut sched = NullScheduler::new(5);
 /// let metrics = run(&mut workload, &mut sched, &DriverConfig::paper_machine(4, 7));
 /// assert_eq!(metrics.commits, 100);
@@ -703,7 +713,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
                                 "non-canonical acquisition: {l:?} after holding {:?}",
                                 self.threads[th].held
                             );
-                            let ok = self.locks.get_mut(l).try_acquire(th, self.now);
+                            let ok = self.locks.get_mut(l).try_acquire(th);
                             debug_assert!(ok);
                             self.threads[th].held.push(l);
                         }
@@ -776,7 +786,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
             "non-canonical acquisition: {l:?} after holding {:?}",
             self.threads[th].held
         );
-        if self.locks.get_mut(l).try_acquire(th, self.now) {
+        if self.locks.get_mut(l).try_acquire(th) {
             self.threads[th].held.push(l);
             self.threads[th].pending_delay += self.cfg.costs.cas;
             if matches!(l, LockId::Tx(_)) {
@@ -828,7 +838,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         let mut acquirers = std::mem::take(&mut self.scratch_acquirers);
         let mut watchers = std::mem::take(&mut self.scratch_watchers);
         self.locks
-            .release_into(l, th, self.now, &mut acquirers, &mut watchers);
+            .release_into(l, th, &mut acquirers, &mut watchers);
         let handoff = self.now + self.cfg.costs.lock_handoff;
         // Wake queued acquirers first (in FIFO order) and watchers after,
         // staggered: cache-line arbitration serializes the waiters'

@@ -13,6 +13,10 @@
 //! [`scheduler::Gate`]s; the baselines (`seer-baselines`) and Seer itself
 //! (`seer` crate) are both implemented purely against this interface, so
 //! every comparison in the harness runs on identical substrate mechanics.
+//!
+//! [`model::StampModel`] is the one workload generator: atomic blocks over
+//! shared regions. `seer-stamp` calibrates it per benchmark, and the
+//! runtime's, baselines' and core's tests build their own programs with it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -20,8 +24,8 @@
 pub mod driver;
 pub mod locks;
 pub mod metrics;
+pub mod model;
 pub mod scheduler;
-pub mod synthetic;
 pub mod trace;
 pub mod workload;
 

@@ -18,9 +18,7 @@
 //! and the algorithm it models — deadlock-free. The paper sorts the rows of
 //! `locksToAcquire` for the same reason (Alg. 5 line 75).
 
-use seer_sim::{Cycles, SimLock, ThreadId};
-
-use self::lock_release_wake::ReleaseWakePlan;
+use seer_sim::{SimLock, ThreadId};
 
 /// Identifier of a software lock managed by the runtime.
 ///
@@ -101,29 +99,18 @@ impl LockBank {
         self.get(id).is_held_by(thread)
     }
 
-    /// Releases `id` (held by `thread`) and returns the wake plan.
-    pub fn release(&mut self, id: LockId, thread: ThreadId, now: Cycles) -> ReleaseWakePlan {
-        let wake = self.get_mut(id).release(thread, now);
-        ReleaseWakePlan {
-            lock: id,
-            acquirers: wake.acquirers,
-            watchers: wake.watchers,
-        }
-    }
-
-    /// [`LockBank::release`] draining the wake lists into caller-provided
-    /// vectors (cleared first), allocating nothing — the hot path of the
+    /// Releases `id` (held by `thread`), draining the threads to wake
+    /// into caller-provided vectors (cleared first): parked acquirers in
+    /// FIFO order, then watchers. Allocates nothing — the hot path of the
     /// DES driver's lock hand-off.
     pub fn release_into(
         &mut self,
         id: LockId,
         thread: ThreadId,
-        now: Cycles,
         acquirers: &mut Vec<ThreadId>,
         watchers: &mut Vec<ThreadId>,
     ) {
-        self.get_mut(id)
-            .release_into(thread, now, acquirers, watchers);
+        self.get_mut(id).release_into(thread, acquirers, watchers);
     }
 
     /// Number of transaction locks in the bank.
@@ -134,24 +121,6 @@ impl LockBank {
     /// Number of core locks in the bank.
     pub fn core_lock_count(&self) -> usize {
         self.core.len()
-    }
-}
-
-/// Helper module kept separate so `LockBank::release` can return a plan
-/// without borrowing the bank.
-pub mod lock_release_wake {
-    use super::LockId;
-    use seer_sim::ThreadId;
-
-    /// Which threads to wake after releasing a lock.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct ReleaseWakePlan {
-        /// The released lock.
-        pub lock: LockId,
-        /// Parked acquirers in FIFO order; woken to re-contend.
-        pub acquirers: Vec<ThreadId>,
-        /// Threads watching for the lock to become free.
-        pub watchers: Vec<ThreadId>,
     }
 }
 
@@ -188,7 +157,7 @@ mod tests {
         let mut bank = LockBank::new(4, 10);
         assert_eq!(bank.core_lock_count(), 4);
         assert_eq!(bank.tx_lock_count(), 10);
-        assert!(bank.get_mut(LockId::Tx(7)).try_acquire(2, 0));
+        assert!(bank.get_mut(LockId::Tx(7)).try_acquire(2));
         assert!(bank.is_locked(LockId::Tx(7)));
         assert!(bank.is_held_by(LockId::Tx(7), 2));
         assert!(!bank.is_locked(LockId::Tx(6)));
@@ -198,13 +167,13 @@ mod tests {
     #[test]
     fn release_produces_wake_plan() {
         let mut bank = LockBank::new(1, 1);
-        assert!(bank.get_mut(LockId::Sgl).try_acquire(0, 0));
+        assert!(bank.get_mut(LockId::Sgl).try_acquire(0));
         bank.get_mut(LockId::Sgl).enqueue_acquirer(1);
         bank.get_mut(LockId::Sgl).add_watcher(2);
-        let plan = bank.release(LockId::Sgl, 0, 50);
-        assert_eq!(plan.lock, LockId::Sgl);
-        assert_eq!(plan.acquirers, vec![1]);
-        assert_eq!(plan.watchers, vec![2]);
+        let (mut acquirers, mut watchers) = (vec![9], vec![9]);
+        bank.release_into(LockId::Sgl, 0, &mut acquirers, &mut watchers);
+        assert_eq!(acquirers, vec![1]);
+        assert_eq!(watchers, vec![2]);
         assert!(!bank.is_locked(LockId::Sgl));
     }
 }

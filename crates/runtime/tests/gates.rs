@@ -4,32 +4,34 @@
 //! pre-transaction fall-back path.
 
 use seer_htm::XStatus;
-use seer_runtime::synthetic::{BlockSpec, SyntheticSpec, SyntheticWorkload};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 use seer_runtime::{
     run, AbortDecision, DriverConfig, Gate, LockId, RunMetrics, SchedEnv, Scheduler, TxMode,
 };
 use seer_sim::ThreadId;
 
-fn spec(threads_work: usize) -> SyntheticSpec {
-    SyntheticSpec {
-        name: "gate-test".into(),
-        blocks: vec![BlockSpec {
-            weight: 1.0,
-            accesses: 10,
-            write_fraction: 0.6,
-            hot_region: 0,
-            hot_lines: 8,
-            hot_probability: 0.6,
-            zipf_theta: 0.0,
-            spacing: (5, 10),
+/// One write-heavy block over an 8-line shared region.
+fn model(threads: usize, txs_per_thread: usize) -> StampModel {
+    let block = StampBlock {
+        name: "gate-test",
+        regions: vec![RegionUse {
+            region: 0,
+            lines: 8,
+            theta: 0.0,
+            reads: (1, 4),
+            writes: (2, 5),
         }],
-        txs_per_thread: threads_work,
+        private_reads: (1, 2),
+        private_writes: (1, 3),
+        spacing: (5, 10),
         think: (20, 60),
-    }
+        ..StampBlock::default()
+    };
+    StampModel::new("gate-test", vec![block], threads, txs_per_thread)
 }
 
 fn run_sched(s: &mut dyn Scheduler, threads: usize, txs: usize, seed: u64) -> RunMetrics {
-    let mut w = SyntheticWorkload::new(spec(txs), threads);
+    let mut w = model(threads, txs);
     let mut cfg = DriverConfig::paper_machine(threads, seed);
     cfg.costs.async_abort_per_cycle = 0.0;
     run(&mut w, s, &cfg)
@@ -237,7 +239,7 @@ impl Scheduler for HogAndWait {
 #[test]
 fn patience_bound_prevents_advisory_wait_wedges() {
     // Use a tiny patience so the test observes the bound directly.
-    let mut w = SyntheticWorkload::new(spec(30), 4);
+    let mut w = model(4, 30);
     let mut s = HogAndWait { hogged: false };
     let mut cfg = DriverConfig::paper_machine(4, 6);
     cfg.costs.async_abort_per_cycle = 0.0;

@@ -4,38 +4,43 @@
 //! intentional model change breaks these, regenerate the constants with
 //! the printed actuals — an *unintentional* difference is a bug.
 
-use seer_runtime::synthetic::{BlockSpec, SyntheticSpec, SyntheticWorkload};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 use seer_runtime::{run, DriverConfig, NullScheduler};
 
 fn golden_run(threads: usize, seed: u64) -> seer_runtime::RunMetrics {
-    let spec = SyntheticSpec {
-        name: "golden".into(),
-        blocks: vec![
-            BlockSpec {
-                weight: 2.0,
-                accesses: 16,
-                write_fraction: 0.4,
-                hot_region: 0,
-                hot_lines: 32,
-                hot_probability: 0.5,
-                zipf_theta: 0.7,
-                spacing: (6, 14),
-            },
-            BlockSpec {
-                weight: 1.0,
-                accesses: 8,
-                write_fraction: 0.1,
-                hot_region: 1,
-                hot_lines: 512,
-                hot_probability: 0.4,
-                zipf_theta: 0.0,
-                spacing: (6, 14),
-            },
-        ],
-        txs_per_thread: 120,
-        think: (50, 150),
-    };
-    let mut w = SyntheticWorkload::new(spec, threads);
+    let blocks = vec![
+        StampBlock {
+            name: "skewed",
+            weight: 2.0,
+            regions: vec![RegionUse {
+                region: 0,
+                lines: 32,
+                theta: 0.7,
+                reads: (3, 6),
+                writes: (2, 4),
+            }],
+            private_reads: (3, 6),
+            private_writes: (2, 4),
+            spacing: (6, 14),
+            think: (50, 150),
+        },
+        StampBlock {
+            name: "wide",
+            weight: 1.0,
+            regions: vec![RegionUse {
+                region: 1,
+                lines: 512,
+                theta: 0.0,
+                reads: (2, 4),
+                writes: (0, 1),
+            }],
+            private_reads: (3, 6),
+            private_writes: (0, 1),
+            spacing: (6, 14),
+            think: (50, 150),
+        },
+    ];
+    let mut w = StampModel::new("golden", blocks, threads, 120);
     let mut s = NullScheduler::new(5);
     let mut cfg = DriverConfig::paper_machine(threads, seed);
     cfg.costs.async_abort_per_cycle = 0.0;

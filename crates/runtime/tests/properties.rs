@@ -2,41 +2,52 @@
 //! randomized synthetic workloads and schedulers.
 
 use proptest::prelude::*;
-use seer_runtime::synthetic::{BlockSpec, SyntheticSpec, SyntheticWorkload};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 use seer_runtime::{run, DriverConfig, NullScheduler, RunMetrics};
 
-fn arb_block() -> impl Strategy<Value = BlockSpec> {
+fn arb_block() -> impl Strategy<Value = StampBlock> {
     (
-        1u64..30,    // accesses
-        0.0f64..1.0, // write fraction
-        0u64..3,     // hot region
-        1u64..128,   // hot lines
-        0.0f64..0.9, // hot probability
-        0.0f64..1.5, // zipf theta
+        (0u64..10, 0u64..5), // shared reads: minimum, spread
+        (0u64..6, 0u64..3),  // shared writes: minimum, spread
+        0u64..3,             // region
+        1u64..128,           // region lines
+        0.0f64..1.5,         // zipf theta
+        (1u64..8, 0u64..3),  // private reads, private writes (minimums)
     )
-        .prop_map(|(accesses, wf, region, lines, hp, theta)| BlockSpec {
-            weight: 1.0,
-            accesses,
-            write_fraction: wf,
-            hot_region: region,
-            hot_lines: lines,
-            hot_probability: hp,
-            zipf_theta: theta,
-            spacing: (4, 16),
-        })
+        .prop_map(
+            |((r, rs), (w, ws), region, lines, theta, (pr, pw))| StampBlock {
+                regions: vec![RegionUse {
+                    region,
+                    lines,
+                    theta,
+                    reads: (r, r + rs),
+                    writes: (w, w + ws),
+                }],
+                private_reads: (pr, pr + 3),
+                private_writes: (pw, pw + 1),
+                spacing: (4, 16),
+                think: (20, 120),
+                ..StampBlock::default()
+            },
+        )
 }
 
-fn arb_spec() -> impl Strategy<Value = SyntheticSpec> {
-    (prop::collection::vec(arb_block(), 1..5), 5usize..40).prop_map(|(blocks, txs)| SyntheticSpec {
-        name: "prop".into(),
+/// A program: its blocks and the transactions each thread runs.
+#[derive(Debug, Clone)]
+struct Program {
+    blocks: Vec<StampBlock>,
+    txs_per_thread: usize,
+}
+
+fn arb_program() -> impl Strategy<Value = Program> {
+    (prop::collection::vec(arb_block(), 1..5), 5usize..40).prop_map(|(blocks, txs)| Program {
         blocks,
         txs_per_thread: txs,
-        think: (20, 120),
     })
 }
 
-fn run_spec(spec: &SyntheticSpec, threads: usize, seed: u64, budget: u32) -> RunMetrics {
-    let mut w = SyntheticWorkload::new(spec.clone(), threads);
+fn run_program(p: &Program, threads: usize, seed: u64, budget: u32) -> RunMetrics {
+    let mut w = StampModel::new("prop", p.blocks.clone(), threads, p.txs_per_thread);
     let mut s = NullScheduler::new(budget);
     let mut cfg = DriverConfig::paper_machine(threads, seed);
     cfg.costs.async_abort_per_cycle = 0.0;
@@ -51,14 +62,14 @@ proptest! {
     /// hold between the metric families.
     #[test]
     fn all_work_commits_and_accounting_balances(
-        spec in arb_spec(),
+        program in arb_program(),
         threads in 1usize..8,
         seed in any::<u64>(),
         budget in 1u32..7,
     ) {
-        let m = run_spec(&spec, threads, seed, budget);
+        let m = run_program(&program, threads, seed, budget);
         prop_assert!(!m.truncated);
-        prop_assert_eq!(m.commits, (spec.txs_per_thread * threads) as u64);
+        prop_assert_eq!(m.commits, (program.txs_per_thread * threads) as u64);
         // Mode tallies partition the commits.
         prop_assert_eq!(m.modes.total(), m.commits);
         // The attempts histogram partitions the commits too.
@@ -75,12 +86,12 @@ proptest! {
     /// Determinism: identical configuration => identical metrics.
     #[test]
     fn identical_runs_are_bit_identical(
-        spec in arb_spec(),
+        program in arb_program(),
         threads in 1usize..8,
         seed in any::<u64>(),
     ) {
-        let a = run_spec(&spec, threads, seed, 5);
-        let b = run_spec(&spec, threads, seed, 5);
+        let a = run_program(&program, threads, seed, 5);
+        let b = run_program(&program, threads, seed, 5);
         prop_assert_eq!(a.commits, b.commits);
         prop_assert_eq!(a.makespan, b.makespan);
         prop_assert_eq!(a.sequential_cycles, b.sequential_cycles);
@@ -98,19 +109,24 @@ proptest! {
         seed in any::<u64>(),
         lines in 1u64..64,
     ) {
-        let spec = SyntheticSpec {
-            name: "ro".into(),
-            blocks: vec![BlockSpec {
-                accesses: 12,
-                write_fraction: 0.0,
-                hot_lines: lines,
-                hot_probability: 0.8,
-                ..BlockSpec::default()
+        let program = Program {
+            blocks: vec![StampBlock {
+                regions: vec![RegionUse {
+                    region: 0,
+                    lines,
+                    theta: 0.0,
+                    reads: (9, 10),
+                    writes: (0, 0),
+                }],
+                private_reads: (2, 3),
+                private_writes: (0, 0),
+                spacing: (8, 24),
+                think: (10, 60),
+                ..StampBlock::default()
             }],
             txs_per_thread: 25,
-            think: (10, 60),
         };
-        let m = run_spec(&spec, threads, seed, 5);
+        let m = run_program(&program, threads, seed, 5);
         prop_assert_eq!(m.aborts.conflict, 0);
         prop_assert_eq!(m.fallbacks, 0);
         prop_assert_eq!(m.attempts_histogram[0], m.commits);
@@ -120,8 +136,8 @@ proptest! {
     /// over the unscaled traces (single-thread run: makespan ≥ sequential
     /// because of HTM begin/commit overheads).
     #[test]
-    fn single_thread_is_slower_than_sequential(spec in arb_spec(), seed in any::<u64>()) {
-        let m = run_spec(&spec, 1, seed, 5);
+    fn single_thread_is_slower_than_sequential(program in arb_program(), seed in any::<u64>()) {
+        let m = run_program(&program, 1, seed, 5);
         prop_assert!(m.makespan >= m.sequential_cycles,
             "1-thread HTM run cannot beat the raw sequential cost: {} < {}",
             m.makespan, m.sequential_cycles);
@@ -245,16 +261,21 @@ proptest! {
                 other => other,
             })
             .collect();
-        let spec = SyntheticSpec {
-            name: "scramble".into(),
-            blocks: vec![
-                BlockSpec { accesses: 6, write_fraction: 0.5, ..BlockSpec::default() };
-                blocks
-            ],
-            txs_per_thread: 15,
+        let block = StampBlock {
+            regions: vec![RegionUse {
+                region: 0,
+                lines: 64,
+                theta: 0.0,
+                reads: (0, 1),
+                writes: (0, 1),
+            }],
+            private_reads: (2, 3),
+            private_writes: (2, 3),
+            spacing: (8, 24),
             think: (10, 60),
+            ..StampBlock::default()
         };
-        let mut w = SyntheticWorkload::new(spec, threads);
+        let mut w = StampModel::new("scramble", vec![block; blocks], threads, 15);
         let mut s = ScrambledLocks { locks, via_htm };
         let mut cfg = DriverConfig::paper_machine(threads, seed);
         cfg.costs.async_abort_per_cycle = 0.0;

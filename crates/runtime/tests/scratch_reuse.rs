@@ -16,7 +16,7 @@
 //!   buffer capacities) differs from the first's.
 
 use seer_htm::{AccessKind, HtmConfig, HtmMachine};
-use seer_runtime::synthetic::{BlockSpec, SyntheticSpec, SyntheticWorkload};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 use seer_runtime::{run, DriverConfig, NullScheduler};
 use seer_sim::Topology;
 
@@ -88,22 +88,22 @@ fn reused_dirty_buffers_match_fresh_allocations() {
 }
 
 fn audit_run(seed: u64) -> seer_runtime::RunMetrics {
-    let spec = SyntheticSpec {
-        name: "scratch-audit".into(),
-        blocks: vec![BlockSpec {
-            weight: 1.0,
-            accesses: 12,
-            write_fraction: 0.5,
-            hot_region: 0,
-            hot_lines: 24,
-            hot_probability: 0.6,
-            zipf_theta: 0.8,
-            spacing: (6, 14),
+    let block = StampBlock {
+        name: "scratch-audit",
+        regions: vec![RegionUse {
+            region: 0,
+            lines: 24,
+            theta: 0.8,
+            reads: (3, 4),
+            writes: (3, 4),
         }],
-        txs_per_thread: 150,
+        private_reads: (2, 3),
+        private_writes: (2, 3),
+        spacing: (6, 14),
         think: (40, 120),
+        ..StampBlock::default()
     };
-    let mut w = SyntheticWorkload::new(spec, 8);
+    let mut w = StampModel::new("scratch-audit", vec![block], 8, 150);
     let mut s = NullScheduler::new(5);
     let mut cfg = DriverConfig::paper_machine(8, seed);
     cfg.costs.async_abort_per_cycle = 0.0;

@@ -14,8 +14,8 @@
 //!   events and therefore perfectly reproducible.
 //! * [`Topology`] — the simulated machine shape: physical cores × SMT
 //!   (hyper-threads). The paper's machine is `Topology::new(4, 2)`.
-//! * [`SimLock`] — a simulated lock with a FIFO waiter queue and occupancy
-//!   statistics. Locks never block the host; the runtime driver parks
+//! * [`SimLock`] — a simulated lock with a FIFO waiter queue. Locks never
+//!   block the host; the runtime driver parks
 //!   simulated threads on them and wakes them at release events.
 //! * [`SimRng`] — a seeded, splittable small RNG plus the samplers the
 //!   workload models need (Zipf, geometric, ranges).
@@ -34,7 +34,7 @@ pub mod topology;
 
 pub use event::{EventEntry, EventQueue};
 pub use histogram::CycleHistogram;
-pub use lock::{LockStats, SimLock};
+pub use lock::SimLock;
 pub use rng::{SimRng, ZipfTable};
 pub use topology::{CoreId, ThreadId, Topology};
 

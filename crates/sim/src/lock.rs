@@ -1,4 +1,4 @@
-//! Simulated locks with FIFO waiter queues and occupancy statistics.
+//! Simulated locks with FIFO waiter queues.
 //!
 //! A [`SimLock`] models a spin/queue lock of the simulated program. It never
 //! blocks the host: the runtime driver calls [`SimLock::try_acquire`], and
@@ -17,29 +17,14 @@
 
 use std::collections::VecDeque;
 
-use crate::{Cycles, ThreadId};
-
-/// Statistics accumulated by a simulated lock over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockStats {
-    /// Number of successful acquisitions.
-    pub acquisitions: u64,
-    /// Number of failed `try_acquire` calls (contended attempts).
-    pub contended: u64,
-    /// Total cycles the lock spent held.
-    pub held_cycles: Cycles,
-    /// Maximum number of simultaneous queued acquirers observed.
-    pub max_queue: usize,
-}
+use crate::ThreadId;
 
 /// A simulated lock. See the module docs for the waiting disciplines.
 #[derive(Debug, Clone)]
 pub struct SimLock {
     owner: Option<ThreadId>,
-    acquired_at: Cycles,
     acquirers: VecDeque<ThreadId>,
     watchers: Vec<ThreadId>,
-    stats: LockStats,
 }
 
 impl Default for SimLock {
@@ -68,10 +53,8 @@ impl SimLock {
     pub fn new() -> Self {
         Self {
             owner: None,
-            acquired_at: 0,
             acquirers: VecDeque::new(),
             watchers: Vec::new(),
-            stats: LockStats::default(),
         }
     }
 
@@ -90,7 +73,7 @@ impl SimLock {
         self.owner == Some(thread)
     }
 
-    /// Attempts to take the lock for `thread` at time `now`.
+    /// Attempts to take the lock for `thread`.
     ///
     /// Returns `true` on success. On failure the caller should either give
     /// up or park the thread via [`SimLock::enqueue_acquirer`] /
@@ -100,18 +83,15 @@ impl SimLock {
     /// If `thread` already owns the lock (the simulated locks are not
     /// reentrant; the Seer algorithms guard against re-acquisition with the
     /// `acquiredTxLocks` / `acquiredCoreLock` flags).
-    pub fn try_acquire(&mut self, thread: ThreadId, now: Cycles) -> bool {
+    pub fn try_acquire(&mut self, thread: ThreadId) -> bool {
         assert!(
             self.owner != Some(thread),
             "thread {thread} re-acquiring a lock it already holds"
         );
         if self.owner.is_none() {
             self.owner = Some(thread);
-            self.acquired_at = now;
-            self.stats.acquisitions += 1;
             true
         } else {
-            self.stats.contended += 1;
             false
         }
     }
@@ -126,7 +106,6 @@ impl SimLock {
             return;
         }
         self.acquirers.push_back(thread);
-        self.stats.max_queue = self.stats.max_queue.max(self.acquirers.len());
     }
 
     /// Registers `thread` to be woken (without ownership) when the lock is
@@ -142,7 +121,7 @@ impl SimLock {
         self.acquirers.retain(|&t| t != thread);
     }
 
-    /// Releases the lock held by `thread` at time `now`.
+    /// Releases the lock held by `thread`.
     ///
     /// The lock becomes free; all queued acquirers are drained (in FIFO
     /// order) and all watchers are returned — the caller wakes them so the
@@ -150,9 +129,9 @@ impl SimLock {
     ///
     /// # Panics
     /// If `thread` does not own the lock.
-    pub fn release(&mut self, thread: ThreadId, now: Cycles) -> ReleaseWake {
+    pub fn release(&mut self, thread: ThreadId) -> ReleaseWake {
         let mut wake = ReleaseWake::default();
-        self.release_into(thread, now, &mut wake.acquirers, &mut wake.watchers);
+        self.release_into(thread, &mut wake.acquirers, &mut wake.watchers);
         wake
     }
 
@@ -165,7 +144,6 @@ impl SimLock {
     pub fn release_into(
         &mut self,
         thread: ThreadId,
-        now: Cycles,
         acquirers: &mut Vec<ThreadId>,
         watchers: &mut Vec<ThreadId>,
     ) {
@@ -174,22 +152,11 @@ impl SimLock {
             "thread {thread} releasing a lock owned by {:?}",
             self.owner
         );
-        self.stats.held_cycles += now.saturating_sub(self.acquired_at);
         self.owner = None;
         acquirers.clear();
         acquirers.extend(self.acquirers.drain(..));
         watchers.clear();
         watchers.append(&mut self.watchers);
-    }
-
-    /// Number of queued acquirers.
-    pub fn queue_len(&self) -> usize {
-        self.acquirers.len()
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> LockStats {
-        self.stats
     }
 }
 
@@ -201,58 +168,54 @@ mod tests {
     fn acquire_release_roundtrip() {
         let mut l = SimLock::new();
         assert!(!l.is_locked());
-        assert!(l.try_acquire(1, 100));
+        assert!(l.try_acquire(1));
         assert!(l.is_locked());
         assert!(l.is_held_by(1));
-        assert!(!l.try_acquire(2, 110));
-        let wake = l.release(1, 200);
+        assert!(!l.try_acquire(2));
+        let wake = l.release(1);
         assert_eq!(wake, ReleaseWake::default());
         assert!(!l.is_locked());
-        assert_eq!(l.stats().acquisitions, 1);
-        assert_eq!(l.stats().contended, 1);
-        assert_eq!(l.stats().held_cycles, 100);
     }
 
     #[test]
     fn release_drains_acquirers_in_fifo_order() {
         let mut l = SimLock::new();
-        assert!(l.try_acquire(0, 0));
-        assert!(!l.try_acquire(1, 1));
+        assert!(l.try_acquire(0));
+        assert!(!l.try_acquire(1));
         l.enqueue_acquirer(1);
-        assert!(!l.try_acquire(2, 2));
+        assert!(!l.try_acquire(2));
         l.enqueue_acquirer(2);
-        let wake = l.release(0, 10);
+        let wake = l.release(0);
         assert_eq!(wake.acquirers, vec![1, 2]);
         // The lock is observably free until someone re-acquires.
         assert!(!l.is_locked());
-        assert!(l.try_acquire(1, 11));
+        assert!(l.try_acquire(1));
         assert!(l.is_held_by(1));
-        assert_eq!(l.stats().max_queue, 2);
     }
 
     #[test]
     fn watchers_drain_on_release() {
         let mut l = SimLock::new();
-        assert!(l.try_acquire(0, 0));
+        assert!(l.try_acquire(0));
         l.add_watcher(5);
         l.add_watcher(6);
         l.add_watcher(5); // idempotent
-        let wake = l.release(0, 10);
+        let wake = l.release(0);
         assert!(wake.acquirers.is_empty());
         assert_eq!(wake.watchers, vec![5, 6]);
         // Watchers do not persist past a release.
-        assert!(l.try_acquire(1, 11));
-        assert_eq!(l.release(1, 12).watchers, Vec::<ThreadId>::new());
+        assert!(l.try_acquire(1));
+        assert_eq!(l.release(1).watchers, Vec::<ThreadId>::new());
     }
 
     #[test]
     fn cancel_acquirer_removes_from_queue() {
         let mut l = SimLock::new();
-        assert!(l.try_acquire(0, 0));
+        assert!(l.try_acquire(0));
         l.enqueue_acquirer(1);
         l.enqueue_acquirer(2);
         l.cancel_acquirer(1);
-        let wake = l.release(0, 5);
+        let wake = l.release(0);
         assert_eq!(wake.acquirers, vec![2]);
     }
 
@@ -260,15 +223,15 @@ mod tests {
     #[should_panic(expected = "re-acquiring")]
     fn reacquire_panics() {
         let mut l = SimLock::new();
-        assert!(l.try_acquire(3, 0));
-        let _ = l.try_acquire(3, 1);
+        assert!(l.try_acquire(3));
+        let _ = l.try_acquire(3);
     }
 
     #[test]
     #[should_panic(expected = "releasing a lock owned by")]
     fn foreign_release_panics() {
         let mut l = SimLock::new();
-        assert!(l.try_acquire(3, 0));
-        let _ = l.release(4, 1);
+        assert!(l.try_acquire(3));
+        let _ = l.release(4);
     }
 }

@@ -207,19 +207,17 @@ proptest! {
         let mut lock = SimLock::new();
         let threads = 4usize;
         let mut parked: Vec<bool> = vec![false; threads];
-        let mut now = 0u64;
         for (i, op) in ops.into_iter().enumerate() {
-            now += 1;
             let t = i % threads;
             match op {
                 0 => {
-                    if !lock.is_held_by(t) && lock.try_acquire(t, now) {
+                    if !lock.is_held_by(t) && lock.try_acquire(t) {
                         prop_assert!(lock.is_held_by(t));
                     }
                 }
                 1 => {
                     if lock.is_held_by(t) {
-                        let wake = lock.release(t, now);
+                        let wake = lock.release(t);
                         prop_assert!(!lock.is_locked());
                         for a in &wake.acquirers {
                             prop_assert!(parked[*a]);

@@ -9,7 +9,7 @@
 //! conflict graph — exactly the shape where Seer's per-block locks beat a
 //! single auxiliary lock (the paper reports 2–2.5× gains here, Fig. 3a).
 
-use crate::model::{RegionUse, StampBlock, StampModel};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 
 const HASH: u64 = 0;
 const POOL: u64 = 1;

@@ -7,7 +7,7 @@
 //! read-mostly, uniformly spread — almost never conflicting, so any
 //! slowdown under Seer is pure instrumentation overhead.
 
-use crate::model::{RegionUse, StampBlock, StampModel};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 
 const BUCKETS: u64 = 0;
 

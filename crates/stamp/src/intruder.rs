@@ -10,7 +10,7 @@
 //! conflict structure Seer can exploit while single-lock schemes thrash
 //! (Fig. 3b shows ≈2.5× over the best baseline at 8 threads).
 
-use crate::model::{RegionUse, StampBlock, StampModel};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 
 const QUEUE: u64 = 0;
 const DECODER: u64 = 1;

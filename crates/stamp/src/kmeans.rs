@@ -8,7 +8,7 @@
 //! several times more (Fig. 3c vs 3d: ≈3.4× vs ≈5× peak speedups). A
 //! second, rarer block updates the global membership-delta counter.
 
-use crate::model::{RegionUse, StampBlock, StampModel};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 
 const CENTERS: u64 = 0;
 const DELTA: u64 = 1;

@@ -10,7 +10,7 @@
 //! scheduler, Seer included (no scheduling decision can shrink a
 //! footprint). The `excluded_benchmark_capacity_bound` test pins this.
 
-use crate::model::{RegionUse, StampBlock, StampModel};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 
 const GRID: u64 = 0;
 const WORK_LIST: u64 = 1;

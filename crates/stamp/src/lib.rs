@@ -10,7 +10,9 @@
 //! that substitution preserves the evaluation.
 //!
 //! [`Benchmark`] enumerates the suite; [`Benchmark::instantiate`] builds a
-//! ready-to-run [`model::StampModel`] (a `seer_runtime::Workload`).
+//! ready-to-run [`StampModel`], the runtime's one workload generator
+//! (`seer_runtime::model`); this crate holds only the per-benchmark
+//! calibrations and the [`RefinedModel`] adapter.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -20,15 +22,14 @@ pub mod hashmap;
 pub mod intruder;
 pub mod kmeans;
 pub mod labyrinth;
-pub mod model;
 pub mod refined;
 pub mod ssca2;
 pub mod synth;
 pub mod vacation;
 pub mod yada;
 
-pub use model::{RegionUse, StampBlock, StampModel};
 pub use refined::RefinedModel;
+use seer_runtime::model::StampModel;
 
 /// The STAMP benchmark suite as evaluated in the paper, plus the §5.3
 /// low-contention hash-map probe.

@@ -18,10 +18,9 @@
 //! over more cells), in exchange for less false serialization. `seer
 //! experiment fine-grained` quantifies both sides.
 
+use seer_runtime::model::{PRIVATE_BASE, REGION_STRIDE};
 use seer_runtime::{BlockId, TxRequest, Workload};
 use seer_sim::{SimRng, ThreadId};
-
-use crate::model::{PRIVATE_BASE, REGION_STRIDE};
 
 /// A workload adapter that refines block ids by dominant structure.
 #[derive(Debug, Clone)]

@@ -8,7 +8,7 @@
 //! and only modest differences between them (HLE trails once its elided
 //! lock serializes).
 
-use crate::model::{RegionUse, StampBlock, StampModel};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 
 const ADJACENCY: u64 = 0;
 const INDEX: u64 = 1;

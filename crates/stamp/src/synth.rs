@@ -12,7 +12,7 @@
 //! Not part of the paper's evaluation (the paper stops at STAMP); this is
 //! a scaling probe in the spirit of its §5.3 overhead analysis.
 
-use crate::model::{RegionUse, StampBlock, StampModel};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 
 /// Default transactions per thread at scale 1.
 pub const DEFAULT_TXS: usize = 300;
@@ -91,7 +91,7 @@ mod tests {
         while let Some(req) = m.next(0, &mut rng) {
             let cluster = req.block / usize::from(CLUSTER);
             for a in &req.accesses {
-                if a.line < crate::model::PRIVATE_BASE {
+                if a.line < seer_runtime::model::PRIVATE_BASE {
                     lines[cluster].insert(a.line);
                 }
             }

@@ -9,7 +9,7 @@
 //! sparse conflict graph where fine-grained serialization wins (Fig. 3f/3g
 //! show Seer ≈2.2–2.6× vs ≈1.4–1.8× for the baselines at 8 threads).
 
-use crate::model::{RegionUse, StampBlock, StampModel};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 
 const CARS: u64 = 0;
 const FLIGHTS: u64 = 1;

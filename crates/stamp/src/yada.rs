@@ -9,7 +9,7 @@
 //! speed (0.2–1.0), with Seer degrading the least. This is the benchmark
 //! that exercises Seer's core locks hardest.
 
-use crate::model::{RegionUse, StampBlock, StampModel};
+use seer_runtime::model::{RegionUse, StampBlock, StampModel};
 
 const MESH: u64 = 0;
 const WORK_QUEUE: u64 = 1;

@@ -16,7 +16,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use seer_runtime::synthetic::{SyntheticSpec, SyntheticWorkload};
 use seer_runtime::{TxRequest, Workload};
 use seer_sim::SimRng;
 use seer_stamp::{Benchmark, RefinedModel};
@@ -68,14 +67,14 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 type Make = Box<dyn Fn() -> Box<dyn Workload>>;
 
 /// A constructor for every audited model: the Fig. 3 STAMP models, the
-/// many-blocks probe, the refinement adapter and the runtime's synthetic
-/// workload. Quotas are large enough that none runs dry.
+/// hash-map probe, the many-blocks probe and the refinement adapter.
+/// Quotas are large enough that none runs dry.
 fn models() -> Vec<(String, Make)> {
     const THREADS: usize = 2;
     const TXS: usize = 10_000;
     let mut out: Vec<(String, Make)> = Benchmark::STAMP
         .into_iter()
-        .chain([Benchmark::Synth { blocks: 128 }])
+        .chain([Benchmark::HashmapLow, Benchmark::Synth { blocks: 128 }])
         .map(|b| {
             let make: Make = Box::new(move || Box::new(b.instantiate(THREADS, TXS)));
             (b.spec(), make)
@@ -87,15 +86,6 @@ fn models() -> Vec<(String, Make)> {
             Box::new(RefinedModel::new(
                 Benchmark::VacationHigh.instantiate(THREADS, TXS),
                 4,
-            ))
-        }),
-    ));
-    out.push((
-        "synthetic hashmap-low".into(),
-        Box::new(|| {
-            Box::new(SyntheticWorkload::new(
-                SyntheticSpec::low_contention_hashmap(TXS),
-                THREADS,
             ))
         }),
     ));

@@ -197,11 +197,13 @@ impl Json {
     ///
     /// Supports everything this module's serializer emits (which is all of
     /// standard JSON); numbers parse as `UInt`/`Int` when integral and
-    /// within range, `Num` otherwise.
+    /// within range, `Num` otherwise. Arrays and objects nest at most 64
+    /// levels deep; deeper input is an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -275,9 +277,17 @@ impl Json {
     }
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so the limit keeps it (and the drop of
+/// what it built) far from the stack's end; the deepest record this
+/// workspace writes nests 5 levels.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -324,8 +334,8 @@ impl Parser<'_> {
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -333,6 +343,20 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -658,6 +682,34 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err(), "trailing garbage");
+    }
+
+    /// `levels` nested arrays, or objects of one `"k"` member each.
+    fn nested(levels: usize, objects: bool) -> String {
+        let (open, leaf, close) = if objects {
+            ("{\"k\":", "0", "}")
+        } else {
+            ("[", "", "]")
+        };
+        format!("{}{leaf}{}", open.repeat(levels), close.repeat(levels))
+    }
+
+    fn assert_depth_limited(objects: bool) {
+        assert!(Json::parse(&nested(MAX_DEPTH, objects)).is_ok());
+        for levels in [MAX_DEPTH + 1, 100_000] {
+            let err = Json::parse(&nested(levels, objects)).unwrap_err();
+            assert!(err.contains("nesting deeper than 64 levels"), "{err}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_deeply_nested_arrays() {
+        assert_depth_limited(false);
+    }
+
+    #[test]
+    fn parse_rejects_deeply_nested_objects() {
+        assert_depth_limited(true);
     }
 
     #[test]

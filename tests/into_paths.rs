@@ -7,7 +7,6 @@
 
 use seer_harness::PolicyKind;
 use seer_htm::XStatus;
-use seer_runtime::synthetic::{SyntheticSpec, SyntheticWorkload};
 use seer_runtime::{
     Access, Gate, LockBank, LockId, NullTraceSink, SchedEnv, Scheduler, TxRequest, Workload,
 };
@@ -39,15 +38,6 @@ fn workloads() -> Vec<(String, Make)> {
             Box::new(RefinedModel::new(
                 Benchmark::VacationHigh.instantiate(THREADS, TXS),
                 4,
-            ))
-        }),
-    ));
-    out.push((
-        "synthetic hashmap-low".into(),
-        Box::new(|| {
-            Box::new(SyntheticWorkload::new(
-                SyntheticSpec::low_contention_hashmap(TXS),
-                THREADS,
             ))
         }),
     ));

@@ -2,11 +2,11 @@
 # Mutation suite: each tests/mutants/*.patch breaks one mechanism on
 # purpose, and its `must-fail:` line names the test command that has to
 # catch it. This script copies the working tree (tracked and untracked
-# files, not ignored ones) to a throwaway directory, checks that each
-# command passes there unpatched, then applies each patch with
-# `git apply` and requires the command to fail (a patched tree that does
-# not compile is an error, not a catch). The checkout itself is never
-# modified.
+# files, not ignored ones, nor tracked files deleted but not staged) to a
+# throwaway directory, checks that each command passes there unpatched,
+# then applies each patch with `git apply` and requires the command to
+# fail (a patched tree that does not compile is an error, not a catch).
+# The checkout itself is never modified.
 #
 # Usage: bash tests/mutants/check.sh [PATCH...]    (default: every patch)
 # Exit status: 0 when every mutant is caught, 1 when one survives or a
@@ -23,8 +23,19 @@ export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$work/target}"
 
 copy="$work/tree"
 mkdir "$copy"
+# A tracked file deleted from the working tree but not staged is still
+# listed by --cached; leave it out, as the working tree does. The copy
+# gets fresh mtimes (-m), so a CARGO_TARGET_DIR shared with an earlier
+# run, whose last build may be of a patched file, cannot look up to date.
+declare -A deleted=()
+while IFS= read -r -d '' f; do
+  deleted[$f]=1
+done < <(git -C "$root" ls-files -z --deleted)
 git -C "$root" ls-files -z --cached --others --exclude-standard \
-  | (cd "$root" && tar --null -T - -cf -) | tar -xf - -C "$copy"
+  | while IFS= read -r -d '' f; do
+      [ -n "${deleted[$f]:-}" ] || printf '%s\0' "$f"
+    done \
+  | (cd "$root" && tar --null -T - -cf -) | tar -xmf - -C "$copy"
 # Its own repository, so `git apply` resolves paths against the copy.
 git -C "$copy" init -q
 
