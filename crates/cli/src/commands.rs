@@ -35,27 +35,16 @@ fn parse_benchmark(name: &str) -> Result<Benchmark, ParseError> {
 
 /// Every [`PolicyKind`] name round-trips through `FromStr`, so the CLI
 /// can run all eleven named variants — the Figure 5 cumulative ones
-/// included — and any `seer@key=value,...` spec.
+/// included.
 fn parse_policy(name: &str) -> Result<PolicyKind, ParseError> {
     name.parse::<PolicyKind>()
         .map_err(|e| ParseError(e.to_string()))
 }
 
-/// Parses `--policies`, a comma-separated list of trimmed items. A
-/// `key=value` item with no `@` continues the `seer@` spec before it, so
-/// `seer,seer@window=100,climb=500` is two policies.
+/// Parses `--policies`, a comma-separated list of policy names; each
+/// item is trimmed.
 fn parse_policies(list: &str) -> Result<Vec<PolicyKind>, ParseError> {
-    let mut specs: Vec<String> = Vec::new();
-    for item in list.split(',').map(str::trim) {
-        match specs.last_mut() {
-            Some(spec) if spec.contains('@') && item.contains('=') && !item.contains('@') => {
-                spec.push(',');
-                spec.push_str(item);
-            }
-            _ => specs.push(item.to_string()),
-        }
-    }
-    specs.iter().map(|s| parse_policy(s)).collect()
+    list.split(',').map(|s| parse_policy(s.trim())).collect()
 }
 
 /// Parses `--txs` (transactions per thread, default the benchmark's).
@@ -232,7 +221,7 @@ fn run_report(args: &Args) -> Result<String, ParseError> {
 }
 
 /// The `seer run --json true` object for `cell`'s run `m`. Its `policy`
-/// is the policy's label, which for a `seer@…` policy is its spec.
+/// is the policy's label.
 fn run_json(cell: Cell, seed: u64, m: &RunMetrics) -> seer_harness::Json {
     use seer_harness::{Json, ToJson};
     Json::object([
@@ -586,7 +575,7 @@ mod tests {
         // The Figure 5 cumulative variants included — `seer run`/`sweep`
         // can reproduce every cell of the evaluation.
         for p in PolicyKind::ALL {
-            assert_eq!(parse_policy(&p.name()).unwrap(), p, "{}", p.name());
+            assert_eq!(parse_policy(p.name()).unwrap(), p, "{}", p.name());
         }
         assert_eq!(
             parse_policy("seer-plus-tx-locks").unwrap(),
@@ -595,59 +584,15 @@ mod tests {
     }
 
     #[test]
-    fn policy_lists_keep_multi_key_specs_whole() {
-        let two_keys = parse_policy("seer@window=100,climb=500").unwrap();
-        assert_eq!(
-            parse_policies("seer,seer@window=100,climb=500,seer@window=5000").unwrap(),
-            vec![
-                PolicyKind::Seer,
-                two_keys,
-                parse_policy("seer@window=5000").unwrap()
-            ]
-        );
-        // A key=value item after a named policy starts nothing.
-        assert!(parse_policies("rtm,window=100").is_err());
-    }
-
-    #[test]
     fn policy_lists_trim_items() {
-        // Whitespace around a named policy or a continued knob is dropped.
         assert_eq!(
-            parse_policies("seer, rtm").unwrap(),
+            parse_policies(" seer , rtm ").unwrap(),
             vec![PolicyKind::Seer, PolicyKind::Rtm]
-        );
-        assert_eq!(
-            parse_policies("seer@window=100, climb=500,rtm").unwrap(),
-            vec![
-                parse_policy("seer@window=100,climb=500").unwrap(),
-                PolicyKind::Rtm
-            ]
-        );
-        assert_eq!(
-            parse_policies(" seer@window=100 , climb=500 , rtm ").unwrap(),
-            parse_policies("seer@window=100,climb=500,rtm").unwrap()
         );
         // An empty item is still an error, not a skipped one.
         for list in ["rtm,", "rtm, ,seer", ""] {
             assert!(parse_policies(list).is_err(), "{list:?}");
         }
-    }
-
-    #[test]
-    fn policy_lists_trim_knob_values() {
-        assert_eq!(
-            parse_policies("rtm,seer@window= 100 , climb = 500").unwrap(),
-            vec![
-                PolicyKind::Rtm,
-                parse_policy("seer@window=100,climb=500").unwrap()
-            ]
-        );
-    }
-
-    #[test]
-    fn policy_lists_reject_a_repeated_knob() {
-        let ParseError(msg) = parse_policies("seer,seer@window=5,window=7").unwrap_err();
-        assert!(msg.contains("seer@window=5,window=7"), "{msg}");
     }
 
     #[test]
@@ -659,33 +604,27 @@ mod tests {
             "--max-threads",
             "1",
             "--policies",
-            "seer,seer@window=100,seer@window=5000",
+            "seer,seer-profile-only,seer-core-locks-only",
         ]);
         let table = sweep_table(&a).expect("sweep should succeed");
         let lines: Vec<&str> = table.lines().collect();
         let heads: Vec<&str> = lines[1].split_whitespace().collect();
         assert_eq!(
             heads,
-            ["threads", "Seer", "seer@window=100", "seer@window=5000"]
+            [
+                "threads",
+                "Seer",
+                "Seer(profile-only)",
+                "Seer(core-locks-only)"
+            ]
         );
-        // Every cell sits under its heading's right edge.
-        assert_eq!(lines[2].len(), lines[1].len(), "{table}");
-    }
-
-    #[test]
-    fn run_reports_name_the_knobs_they_ran() {
-        let policy = parse_policy("seer@window=100,th2=0.9").unwrap();
-        let cell = Cell {
-            benchmark: Benchmark::Ssca2,
-            policy,
-            threads: 2,
-        };
-        let m = RunRequest::cell(cell).scale(0.05).run();
-        let run = run_json(cell, 0, &m);
+        // A label wider than 12 columns widens its column, and every
+        // cell sits under its heading's right edge.
         assert_eq!(
-            parse_policy(run.str_field("policy").unwrap()).unwrap(),
-            policy
+            lines[1],
+            " threads        Seer Seer(profile-only) Seer(core-locks-only)"
         );
+        assert_eq!(lines[2].len(), lines[1].len(), "{table}");
     }
 
     #[test]

@@ -221,6 +221,16 @@ mod tests {
     }
 
     #[test]
+    fn former_knob_specs_are_unknown_policies() {
+        // Seer runs the paper's constants: a `seer@key=value` spec, or a
+        // `key=value` item in a list, is an unknown policy (exit 2).
+        let err = run_words(&["run", "--policy", "seer@window=100"]).unwrap_err();
+        assert_eq!(err, "unknown policy \"seer@window=100\" (see `seer list`)");
+        let err = run_words(&["sweep", "--policies", "seer,window=100"]).unwrap_err();
+        assert_eq!(err, "unknown policy \"window=100\" (see `seer list`)");
+    }
+
+    #[test]
     fn removed_store_options_are_errors() {
         // The on-disk result store is gone: each of its options is an
         // error (exit 2) on every command that took it, never ignored.

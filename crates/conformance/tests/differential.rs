@@ -49,7 +49,7 @@ fn inference_agrees_with_reference_on_randomized_matrices() {
             th2: 0.05 + rng.unit() * 0.9,
         };
         let subject: BTreeSet<(usize, usize)> =
-            infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, &mut scratch, None)
+            infer_conflict_pairs(&stats, th, &mut scratch, None)
                 .iter()
                 .copied()
                 .collect();
@@ -153,8 +153,6 @@ fn degenerate_rows_agree_between_paths() {
     let stats = random_stats(&mut SimRng::new(1), 4, 0);
     let th = Thresholds::default();
     let mut scratch = InferenceScratch::default();
-    assert!(
-        infer_conflict_pairs(&stats, th, MIN_DISCRIMINATIVE_SIGMA, &mut scratch, None).is_empty()
-    );
+    assert!(infer_conflict_pairs(&stats, th, &mut scratch, None).is_empty());
     assert!(seer_conformance::reference_infer(&stats, Thresholds::default()).is_empty());
 }

@@ -42,7 +42,6 @@ proptest! {
         let pairs = infer_conflict_pairs(
             &stats,
             th,
-            MIN_DISCRIMINATIVE_SIGMA,
             &mut scratch,
             Some(&mut |r| rows.push(r)),
         );

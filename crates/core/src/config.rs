@@ -5,12 +5,11 @@
 //! +core-locks → +htm-lock-acquisition → +hill-climbing, and §5.3's
 //! core-locks-only) is [`SeerConfig::full`] with some fields switched
 //! off. The named variants are a preset table in the harness
-//! (`seer_harness::PolicyKind`), which also sets the tuning knobs from a
-//! `seer@key=value` spec.
+//! (`seer_harness::PolicyKind`). Every variant starts from the paper's
+//! thresholds ([`Thresholds::default`](crate::Thresholds)) and sigma
+//! floor ([`MIN_DISCRIMINATIVE_SIGMA`](crate::inference::MIN_DISCRIMINATIVE_SIGMA)).
 
 use seer_sim::Cycles;
-
-use crate::inference::{Thresholds, MIN_DISCRIMINATIVE_SIGMA};
 
 /// Instrumentation costs charged to threads, in cycles (the source of the
 /// Figure 4 overhead). Scanning `activeTxs` costs `scan_per_slot` per
@@ -49,8 +48,6 @@ pub struct SeerConfig {
     pub htm_lock_acquisition: bool,
     /// Self-tune `Th1`/`Th2` by stochastic hill climbing.
     pub hill_climbing: bool,
-    /// Initial (or, with hill climbing off, permanent) thresholds.
-    pub thresholds: Thresholds,
     /// Minimum executions between lock-scheme recomputations
     /// ("enough-samples" pacing of UPDATE-Seer-LOCKS).
     pub update_period_execs: u64,
@@ -61,11 +58,6 @@ pub struct SeerConfig {
     /// Decaying lets the inferred scheme *forget* conflict relations that
     /// a phase change made obsolete.
     pub decay_every_updates: Option<u64>,
-    /// Minimum row standard deviation below which the Gaussian percentile
-    /// cutoff is not discriminative and the conditional check passes
-    /// unconditionally (paper:
-    /// [`MIN_DISCRIMINATIVE_SIGMA`]).
-    pub min_sigma: f64,
     /// Instrumentation cost model.
     pub costs: ProfilingCosts,
 }
@@ -85,11 +77,9 @@ impl SeerConfig {
             core_locks: true,
             htm_lock_acquisition: true,
             hill_climbing: true,
-            thresholds: Thresholds::default(),
             update_period_execs: 300,
             climb_period_execs: 1_000,
             decay_every_updates: None,
-            min_sigma: MIN_DISCRIMINATIVE_SIGMA,
             costs: ProfilingCosts::default(),
         }
     }
@@ -118,6 +108,5 @@ mod tests {
         let c = SeerConfig::full();
         assert!(c.tx_locks && c.core_locks && c.htm_lock_acquisition && c.hill_climbing);
         assert_eq!(c.budget, 5);
-        assert_eq!(c.thresholds, Thresholds { th1: 0.3, th2: 0.8 });
     }
 }

@@ -31,7 +31,7 @@ pub struct HillClimber {
 
 impl HillClimber {
     /// A climber starting from the paper's initial thresholds with the
-    /// paper's jump probability (0.1%) and a default step of 0.05.
+    /// paper's jump probability (0.1%) and a step of 0.1.
     pub fn new() -> Self {
         Self::with_params(Thresholds::default(), 0.1, 0.001)
     }

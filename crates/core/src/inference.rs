@@ -101,10 +101,6 @@ pub struct InferenceScratch {
 /// evaluated (the caller applies the symmetric lock assignment of lines
 /// 73–74). The result lives in `scratch` until its next round.
 ///
-/// `min_sigma` is the discriminative-sigma floor: the paper-default paths
-/// pass [`MIN_DISCRIMINATIVE_SIGMA`]; a `seer@min-sigma=…` policy spec
-/// sets another.
-///
 /// With `on_row`, the round also reports decision provenance: one
 /// [`RowTrace`] per atomic block carrying the fitted Gaussian, the
 /// percentile cutoff actually used and every pair's probabilities and
@@ -115,7 +111,6 @@ pub struct InferenceScratch {
 pub fn infer_conflict_pairs<'s>(
     stats: &MergedStats,
     th: Thresholds,
-    min_sigma: f64,
     scratch: &'s mut InferenceScratch,
     mut on_row: Option<&mut dyn FnMut(RowTrace)>,
 ) -> &'s [(BlockId, BlockId)] {
@@ -126,7 +121,7 @@ pub fn infer_conflict_pairs<'s>(
     } = scratch;
     out.clear();
     for x in 0..stats.blocks() {
-        let trace = compute_row(stats, x, th, min_sigma, cond, row_pairs, on_row.is_some());
+        let trace = compute_row(stats, x, th, cond, row_pairs, on_row.is_some());
         out.extend(row_pairs.iter().map(|&y| (x, y)));
         if let (Some(cb), Some(tr)) = (on_row.as_mut(), trace) {
             cb(tr);
@@ -145,7 +140,6 @@ fn compute_row(
     stats: &MergedStats,
     x: BlockId,
     th: Thresholds,
-    min_sigma: f64,
     cond: &mut Vec<f64>,
     out_pairs: &mut Vec<BlockId>,
     traced: bool,
@@ -162,7 +156,7 @@ fn compute_row(
         }
     }));
     let (eta, sigma2) = mean_variance(cond);
-    let discriminative = sigma2.sqrt() >= min_sigma;
+    let discriminative = sigma2.sqrt() >= MIN_DISCRIMINATIVE_SIGMA;
     let cutoff = gaussian_percentile(eta, sigma2, th.th2);
     // e_x is row-constant: hoist the load, float conversion and the
     // zero-executions test out of the pair loop. The division itself stays
@@ -215,8 +209,8 @@ mod tests {
     }
 
     /// One untraced round on fresh scratch, as an owned list.
-    fn infer(stats: &MergedStats, th: Thresholds, min_sigma: f64) -> Vec<(BlockId, BlockId)> {
-        infer_conflict_pairs(stats, th, min_sigma, &mut InferenceScratch::default(), None).to_vec()
+    fn infer(stats: &MergedStats, th: Thresholds) -> Vec<(BlockId, BlockId)> {
+        infer_conflict_pairs(stats, th, &mut InferenceScratch::default(), None).to_vec()
     }
 
     #[test]
@@ -265,7 +259,7 @@ mod tests {
             }
         });
         // e0 = 100; conj(0,1) = 0.40 > Th1; conj(0,2) = 0.02 < Th1.
-        let pairs = infer(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA);
+        let pairs = infer(&m, Thresholds::default());
         assert!(pairs.contains(&(0, 1)), "pairs = {pairs:?}");
         assert!(!pairs.contains(&(0, 2)));
         assert!(!pairs.contains(&(0, 0)));
@@ -284,7 +278,7 @@ mod tests {
             }
         });
         assert_eq!(conditional_abort_probability(&m, 0, 1), 1.0);
-        let pairs = infer(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA);
+        let pairs = infer(&m, Thresholds::default());
         assert!(pairs.is_empty(), "pairs = {pairs:?}");
         // Lowering Th1 lets the pair through.
         let pairs = infer(
@@ -293,7 +287,6 @@ mod tests {
                 th1: 0.01,
                 th2: 0.8,
             },
-            MIN_DISCRIMINATIVE_SIGMA,
         );
         assert!(pairs.contains(&(0, 1)));
     }
@@ -328,7 +321,6 @@ mod tests {
                 th1: 0.03,
                 th2: 0.8,
             },
-            MIN_DISCRIMINATIVE_SIGMA,
         );
         assert!(pairs.contains(&(0, 1)), "pairs = {pairs:?}");
         for y in 2..5 {
@@ -347,7 +339,7 @@ mod tests {
                 t.add_commit(0, [].into_iter());
             }
         });
-        let pairs = infer(&m, Thresholds::default(), MIN_DISCRIMINATIVE_SIGMA);
+        let pairs = infer(&m, Thresholds::default());
         assert!(pairs.contains(&(0, 0)), "pairs = {pairs:?}");
     }
 
@@ -375,16 +367,10 @@ mod tests {
             th1: 0.03,
             th2: 0.8,
         };
-        let plain = infer(&m, th, MIN_DISCRIMINATIVE_SIGMA);
+        let plain = infer(&m, th);
         let mut rows = Vec::new();
         let mut scratch = InferenceScratch::default();
-        let traced = infer_conflict_pairs(
-            &m,
-            th,
-            MIN_DISCRIMINATIVE_SIGMA,
-            &mut scratch,
-            Some(&mut |r| rows.push(r)),
-        );
+        let traced = infer_conflict_pairs(&m, th, &mut scratch, Some(&mut |r| rows.push(r)));
         assert_eq!(plain, traced);
         assert_eq!(rows.len(), 5, "one row trace per block");
         // The serialized pairs are exactly the Serialize verdicts.
@@ -410,9 +396,8 @@ mod tests {
     #[test]
     fn sigma_floor_gates_the_percentile_filter() {
         // cond(0,1)=0.875 towers over cond(0,2..5)=0.2 — the row is
-        // discriminative at the default floor, and the percentile filter
-        // rejects the low-conditional pairs. Raising the floor above the
-        // row's sigma disables the filter and lets every Th1 survivor in.
+        // discriminative, and the percentile filter rejects the
+        // low-conditional pairs.
         let m = stats_pairwise(5, |t| {
             for _ in 0..35 {
                 t.add_abort(0, [1].into_iter());
@@ -435,11 +420,28 @@ mod tests {
             th1: 0.03,
             th2: 0.8,
         };
-        let strict = infer(&m, th, MIN_DISCRIMINATIVE_SIGMA);
+        let strict = infer(&m, th);
         assert!(!strict.contains(&(0, 2)));
-        // A floor above any realistic sigma: Th2 never participates.
-        let lax = infer(&m, th, 10.0);
+        // A near-uniform row (cond 0.20 or 0.21, sigma 0.005) sits below
+        // the floor: Th2 never participates, so every Th1 survivor is
+        // serialized, those under the percentile cutoff included.
+        let flat = stats_pairwise(5, |t| {
+            for y in 0..5usize {
+                for _ in 0..20 + y % 2 {
+                    t.add_abort(0, [y].into_iter());
+                }
+                for _ in 0..80 - y % 2 {
+                    t.add_commit(0, [y].into_iter());
+                }
+            }
+        });
+        let mut rows = Vec::new();
+        let mut scratch = InferenceScratch::default();
+        let lax = infer_conflict_pairs(&flat, th, &mut scratch, Some(&mut |r| rows.push(r)));
         assert!(lax.contains(&(0, 2)), "pairs = {lax:?}");
+        let row = &rows[0];
+        assert!(!row.discriminative && row.sigma2.sqrt() < MIN_DISCRIMINATIVE_SIGMA);
+        assert!(row.pairs[2].conditional < row.cutoff, "{row:?}");
     }
 
     #[test]

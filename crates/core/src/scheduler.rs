@@ -85,16 +85,16 @@ impl Seer {
     /// by `threads` threads.
     pub fn new(cfg: SeerConfig, threads: usize, blocks: usize) -> Self {
         assert!(threads > 0 && blocks > 0);
-        let thresholds = cfg.thresholds;
+        let climber = HillClimber::new();
         Self {
-            climber: HillClimber::with_params(thresholds, 0.1, 0.001),
+            thresholds: climber.thresholds(),
+            climber,
             cfg,
             threads,
             blocks,
             active: ActiveTxs::new(threads),
             merged: MergedStats::new(blocks),
             table: LockTable::new(blocks),
-            thresholds,
             acquired_tx_locks: vec![false; threads],
             acquired_core_lock: vec![false; threads],
             total_execs: 0,
@@ -161,13 +161,6 @@ impl Seer {
             .collect()
     }
 
-    /// Replaces the locking scheme with an externally supplied set of
-    /// conflict pairs and freezes nothing else — used by oracle experiments
-    /// that want Seer's mechanisms with a known-perfect conflict relation.
-    pub fn plant_lock_table(&mut self, pairs: &[(BlockId, BlockId)]) {
-        self.table.rebuild(pairs);
-    }
-
     /// UPDATE-Seer-LOCKS (Alg. 5): recompute the conflict pairs from the
     /// statistics under the current thresholds, swap the table.
     pub fn force_update(&mut self) {
@@ -180,7 +173,6 @@ impl Seer {
     /// decisions, not a reconstruction.
     fn update_with_trace(&mut self, trace: Option<(&mut dyn TraceSink, Cycles)>) {
         let th = self.thresholds;
-        let min_sigma = self.cfg.min_sigma;
         let pairs = match trace {
             Some((sink, now)) if sink.enabled() => {
                 let digest = self.merged.digest();
@@ -188,7 +180,6 @@ impl Seer {
                 let pairs = infer_conflict_pairs(
                     &self.merged,
                     th,
-                    min_sigma,
                     &mut self.scratch,
                     Some(&mut |r| rows.push(r)),
                 );
@@ -203,7 +194,7 @@ impl Seer {
                 });
                 pairs
             }
-            _ => infer_conflict_pairs(&self.merged, th, min_sigma, &mut self.scratch, None),
+            _ => infer_conflict_pairs(&self.merged, th, &mut self.scratch, None),
         };
         self.table.rebuild(pairs);
         self.counters.updates += 1;

@@ -21,9 +21,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use seer::inference::{
-    infer_conflict_pairs, InferenceScratch, Thresholds, MIN_DISCRIMINATIVE_SIGMA,
-};
+use seer::inference::{infer_conflict_pairs, InferenceScratch, Thresholds};
 use seer::stats::MergedStats;
 use seer::{Seer, SeerConfig};
 use seer_htm::XStatus;
@@ -129,20 +127,19 @@ fn populated(blocks: usize, seed: u64) -> MergedStats {
 #[test]
 fn steady_state_rounds_do_not_allocate() {
     let th = Thresholds::default();
-    let min_sigma = MIN_DISCRIMINATIVE_SIGMA;
 
     // --- full inference round over reused scratch -----------------------
     for n in [64, 256] {
         let mut stats = populated(n, 0x5EED);
         let mut scratch = InferenceScratch::default();
-        let baseline = infer_conflict_pairs(&stats, th, min_sigma, &mut scratch, None).to_vec();
+        let baseline = infer_conflict_pairs(&stats, th, &mut scratch, None).to_vec();
         assert!(!baseline.is_empty(), "audit stats must emit pairs at n={n}");
         // Registrations between rounds, as in a running scheduler: the
         // round reads fresh counters but needs no new capacity.
         let rounds = allocations_during(|| {
             for round in 0..20 {
                 stats.add_commit(round % n, [(round + 1) % n].into_iter());
-                let pairs = infer_conflict_pairs(&stats, th, min_sigma, &mut scratch, None);
+                let pairs = infer_conflict_pairs(&stats, th, &mut scratch, None);
                 std::hint::black_box(pairs);
             }
         });
@@ -150,8 +147,8 @@ fn steady_state_rounds_do_not_allocate() {
         // The reused scratch still decides what fresh scratch decides.
         let mut fresh = InferenceScratch::default();
         assert_eq!(
-            infer_conflict_pairs(&stats, th, min_sigma, &mut scratch, None),
-            infer_conflict_pairs(&stats, th, min_sigma, &mut fresh, None)
+            infer_conflict_pairs(&stats, th, &mut scratch, None),
+            infer_conflict_pairs(&stats, th, &mut fresh, None)
         );
     }
 

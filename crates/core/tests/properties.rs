@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use seer::gaussian::{gaussian_percentile, mean_variance, std_normal_cdf, std_normal_quantile};
 use seer::inference::{
     conditional_abort_probability, conjunctive_abort_probability, infer_conflict_pairs,
-    InferenceScratch, Thresholds, MIN_DISCRIMINATIVE_SIGMA,
+    InferenceScratch, Thresholds,
 };
 use seer::stats::MergedStats;
 use seer::{HillClimber, LockTable};
@@ -53,8 +53,8 @@ proptest! {
         let th_hi = Thresholds { th1: lo + delta, th2: 0.5 };
         let mut scratch = InferenceScratch::default();
         let pairs_lo =
-            infer_conflict_pairs(&stats, th_lo, MIN_DISCRIMINATIVE_SIGMA, &mut scratch, None).to_vec();
-        let pairs_hi = infer_conflict_pairs(&stats, th_hi, MIN_DISCRIMINATIVE_SIGMA, &mut scratch, None);
+            infer_conflict_pairs(&stats, th_lo, &mut scratch, None).to_vec();
+        let pairs_hi = infer_conflict_pairs(&stats, th_hi, &mut scratch, None);
         for p in pairs_hi {
             prop_assert!(pairs_lo.contains(p), "pair {p:?} appeared when Th1 rose");
         }

@@ -680,21 +680,10 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
                     locks.dedup();
                     let mut needed = std::mem::take(&mut self.scratch_needed);
                     needed.clear();
+                    // A parked thread re-enters its gates from the top, so
+                    // it may already hold some of these locks.
                     for &l in locks.iter() {
-                        if self.locks.is_held_by(l, th) {
-                            // Granted by a release hand-off while parked:
-                            // record ownership so the lock is released later.
-                            if !self.threads[th].held.contains(&l) {
-                                self.threads[th].held.push(l);
-                                if self.trace_on {
-                                    self.sink.lifecycle(LifecycleEvent::LocksAcquired {
-                                        at: self.now,
-                                        thread: th,
-                                        locks: vec![l],
-                                    });
-                                }
-                            }
-                        } else {
+                        if !self.locks.is_held_by(l, th) {
                             needed.push(l);
                         }
                     }
@@ -764,18 +753,9 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
 
     /// Try-acquire with FIFO parking; true when the lock is now held.
     fn acquire_or_park(&mut self, th: ThreadId, l: LockId) -> bool {
+        // A parked thread re-enters its gates from the top, so it may
+        // already hold `l`.
         if self.locks.is_held_by(l, th) {
-            if !self.threads[th].held.contains(&l) {
-                // Granted by a release hand-off while we were parked.
-                self.threads[th].held.push(l);
-                if self.trace_on {
-                    self.sink.lifecycle(LifecycleEvent::LocksAcquired {
-                        at: self.now,
-                        thread: th,
-                        locks: vec![l],
-                    });
-                }
-            }
             return true;
         }
         // Deadlock freedom rests on every thread acquiring in canonical

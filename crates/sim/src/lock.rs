@@ -3,7 +3,7 @@
 //! A [`SimLock`] models a spin/queue lock of the simulated program. It never
 //! blocks the host: the runtime driver calls [`SimLock::try_acquire`], and
 //! on failure parks the simulated thread by registering it as a waiter;
-//! [`SimLock::release`] hands back the set of threads the driver must wake
+//! [`SimLock::release_into`] hands back the set of threads the driver must wake
 //! (at the release time plus a hand-off latency decided by the cost model).
 //!
 //! Two waiting disciplines are needed by the Seer algorithms:
@@ -31,21 +31,6 @@ impl Default for SimLock {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Threads to wake after a release. The lock becomes observably *free*:
-/// queued acquirers are woken in FIFO order to re-contend (the first to
-/// retry wins, so the queue order is preserved under the driver's ordered
-/// wake-ups), and watchers are woken to re-check their conditions. This
-/// models a real test-and-set lock, where a release is followed by a
-/// visible free window rather than a direct hand-off — a window the
-/// `WAIT-Seer-LOCKS` loops depend on to make progress.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReleaseWake {
-    /// Parked acquirers, in FIFO order; they must retry `try_acquire`.
-    pub acquirers: Vec<ThreadId>,
-    /// Threads that were watching for the lock to become free.
-    pub watchers: Vec<ThreadId>,
 }
 
 impl SimLock {
@@ -100,7 +85,8 @@ impl SimLock {
     /// woken by an unrelated event may retry and re-park while still
     /// queued).
     ///
-    /// The thread is woken to re-contend by a future [`SimLock::release`].
+    /// The thread is woken to re-contend by a future
+    /// [`SimLock::release_into`].
     pub fn enqueue_acquirer(&mut self, thread: ThreadId) {
         if self.acquirers.contains(&thread) {
             return;
@@ -116,28 +102,18 @@ impl SimLock {
         }
     }
 
-    /// Removes `thread` from the acquirer queue (e.g. it gave up waiting).
-    pub fn cancel_acquirer(&mut self, thread: ThreadId) {
-        self.acquirers.retain(|&t| t != thread);
-    }
-
-    /// Releases the lock held by `thread`.
+    /// Releases the lock held by `thread`, draining the threads to wake
+    /// into caller-provided vectors (cleared first): the lock keeps its
+    /// queue buffers and the caller reuses its own, so a release allocates
+    /// nothing.
     ///
-    /// The lock becomes free; all queued acquirers are drained (in FIFO
-    /// order) and all watchers are returned — the caller wakes them so the
-    /// acquirers can re-contend and the watchers can re-check.
-    ///
-    /// # Panics
-    /// If `thread` does not own the lock.
-    pub fn release(&mut self, thread: ThreadId) -> ReleaseWake {
-        let mut wake = ReleaseWake::default();
-        self.release_into(thread, &mut wake.acquirers, &mut wake.watchers);
-        wake
-    }
-
-    /// [`SimLock::release`] draining the woken threads into caller-provided
-    /// vectors (cleared first) — the lock keeps its queue buffers and the
-    /// caller reuses its own, so a release allocates nothing.
+    /// The lock becomes observably *free*. The queued `acquirers` come
+    /// back in FIFO order and must retry [`SimLock::try_acquire`] (the
+    /// first to retry wins, so the queue order is preserved under the
+    /// driver's ordered wake-ups); the `watchers` re-check their
+    /// conditions. This models a real test-and-set lock, where a release
+    /// is followed by a visible free window rather than a direct hand-off
+    /// — a window the `WAIT-Seer-LOCKS` loops depend on to make progress.
     ///
     /// # Panics
     /// If `thread` does not own the lock.
@@ -164,6 +140,13 @@ impl SimLock {
 mod tests {
     use super::*;
 
+    /// Releases `l` for `thread`; the woken acquirers and watchers.
+    fn release(l: &mut SimLock, thread: ThreadId) -> (Vec<ThreadId>, Vec<ThreadId>) {
+        let (mut acquirers, mut watchers) = (vec![99], vec![99]);
+        l.release_into(thread, &mut acquirers, &mut watchers);
+        (acquirers, watchers)
+    }
+
     #[test]
     fn acquire_release_roundtrip() {
         let mut l = SimLock::new();
@@ -172,8 +155,8 @@ mod tests {
         assert!(l.is_locked());
         assert!(l.is_held_by(1));
         assert!(!l.try_acquire(2));
-        let wake = l.release(1);
-        assert_eq!(wake, ReleaseWake::default());
+        // The output vectors are cleared first.
+        assert_eq!(release(&mut l, 1), (vec![], vec![]));
         assert!(!l.is_locked());
     }
 
@@ -185,8 +168,8 @@ mod tests {
         l.enqueue_acquirer(1);
         assert!(!l.try_acquire(2));
         l.enqueue_acquirer(2);
-        let wake = l.release(0);
-        assert_eq!(wake.acquirers, vec![1, 2]);
+        let (acquirers, _) = release(&mut l, 0);
+        assert_eq!(acquirers, vec![1, 2]);
         // The lock is observably free until someone re-acquires.
         assert!(!l.is_locked());
         assert!(l.try_acquire(1));
@@ -200,23 +183,12 @@ mod tests {
         l.add_watcher(5);
         l.add_watcher(6);
         l.add_watcher(5); // idempotent
-        let wake = l.release(0);
-        assert!(wake.acquirers.is_empty());
-        assert_eq!(wake.watchers, vec![5, 6]);
+        let (acquirers, watchers) = release(&mut l, 0);
+        assert!(acquirers.is_empty());
+        assert_eq!(watchers, vec![5, 6]);
         // Watchers do not persist past a release.
         assert!(l.try_acquire(1));
-        assert_eq!(l.release(1).watchers, Vec::<ThreadId>::new());
-    }
-
-    #[test]
-    fn cancel_acquirer_removes_from_queue() {
-        let mut l = SimLock::new();
-        assert!(l.try_acquire(0));
-        l.enqueue_acquirer(1);
-        l.enqueue_acquirer(2);
-        l.cancel_acquirer(1);
-        let wake = l.release(0);
-        assert_eq!(wake.acquirers, vec![2]);
+        assert_eq!(release(&mut l, 1).1, Vec::<ThreadId>::new());
     }
 
     #[test]
@@ -232,6 +204,6 @@ mod tests {
     fn foreign_release_panics() {
         let mut l = SimLock::new();
         assert!(l.try_acquire(3));
-        let _ = l.release(4);
+        let _ = release(&mut l, 4);
     }
 }

@@ -217,9 +217,10 @@ proptest! {
                 }
                 1 => {
                     if lock.is_held_by(t) {
-                        let wake = lock.release(t);
+                        let (mut acquirers, mut watchers) = (Vec::new(), Vec::new());
+                        lock.release_into(t, &mut acquirers, &mut watchers);
                         prop_assert!(!lock.is_locked());
-                        for a in &wake.acquirers {
+                        for a in &acquirers {
                             prop_assert!(parked[*a]);
                             parked[*a] = false;
                         }

@@ -15,9 +15,8 @@ use seer_stamp::Benchmark;
 fn hill_climbing_moves_the_thresholds_seer_infers_with() {
     const THREADS: usize = 8;
     let mut workload = Benchmark::KmeansHigh.instantiate(THREADS, 200);
-    let cfg = SeerConfig::full();
-    let initial = cfg.thresholds;
-    let mut seer = Seer::new(cfg, THREADS, workload.num_blocks());
+    let mut seer = Seer::new(SeerConfig::full(), THREADS, workload.num_blocks());
+    let initial = seer.thresholds();
     let mut sink = MemoryTraceSink::new();
     let m = run_traced(
         &mut workload,
